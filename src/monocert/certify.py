@@ -25,39 +25,43 @@ Piecewise (min/max) vector fields are handled branch-wise: at each grid
 point the active branch's Jacobian is used, and wherever branch guards tie
 (within the relative tie tolerance) every tied branch must satisfy the
 condition — the reported value is the worst across tied branches.
+``partition`` groups the grid points by active branch pattern, so each
+condition is evaluated once per pattern and chunk, tied points included.
 
-Grid evaluation is chunked and may run on a small thread pool
-(``MONOCERT_THREADS``, default 1); the reduction is deterministic — worst
-margin, ties broken by the lexicographically smallest grid index.
+The reduction is deterministic: worst margin, ties broken by the
+lexicographically smallest grid index.  A NaN condition value counts as
+worse than every number, so it fails the check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import WeightFamily, mu1, mu_inf
+from .measures import WeightFamily
 from .sysdsl import SystemDef, jacobian, JacobianBranches, TIE_TOL
 
 __all__ = [
     "WorkingBox", "CertReport", "CertifyError",
     "check_kamke", "check_thm1", "check_thm2",
     "check_cor1", "check_cor2", "check_cor3",
-    "certify_all", "grid_condition_values", "grid_mu_values",
+    "certify_all", "grid_condition_values", "grid_mu_values", "partition",
     "ZERO_TOL", "DEFAULT_EPS", "DEFAULT_RESOLUTION",
 ]
 
 ZERO_TOL = 1e-9        # strictness tolerance for the "<= 0" comparisons
 DEFAULT_EPS = 0.01     # default equilibrium-strictness margin
 DEFAULT_RESOLUTION = 41
-_CHUNK = 65536         # max grid points evaluated per batch
+# max grid points evaluated per batch; small enough that one batch's numpy
+# temporaries are served again from the allocator's heap by the next batch,
+# not handed back to the OS and page-faulted anew (at 65536 points that
+# churn made guard-free 1201^2 scans about 12% slower)
+_CHUNK = 4096
 
 
 class CertifyError(ValueError):
@@ -203,16 +207,8 @@ class CertReport:
 # Grid engine
 # ---------------------------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("MONOCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _iter_chunks(axes: list):
-    """Yield (flat_start, X) chunks of the full grid in C (lexicographic) order."""
+    """Yield the full grid in chunks of points, in C (lexicographic) order."""
     shape = tuple(len(a) for a in axes)
     total = int(np.prod(shape))
     for start in range(0, total, _CHUNK):
@@ -220,122 +216,127 @@ def _iter_chunks(axes: list):
         flat = np.arange(start, stop)
         multi = np.unravel_index(flat, shape)
         X = np.stack([axes[d][multi[d]] for d in range(len(axes))], axis=1)
-        yield start, X
-
-
-def _sides_and_ties(jb: JacobianBranches, X: np.ndarray):
-    """Strict branch side (0=left, 1=right) and tie mask per guard."""
-    diffs, scales = jb.guard_values(X)
-    tie = np.abs(diffs) <= TIE_TOL * scales
-    side = np.empty(diffs.shape, dtype=np.int8)
-    for k, g in enumerate(jb.guards):
-        if g.is_min:
-            side[:, k] = (diffs[:, k] >= 0).astype(np.int8)
-        else:
-            side[:, k] = (diffs[:, k] <= 0).astype(np.int8)
-    return side, tie
+        yield X
 
 
 _SIDE_NAMES = ("left", "right")
+_TIED = 2      # partition key entry of a guard that ties at the row
 
 
-def _pattern_tuple(row: np.ndarray) -> tuple:
-    return tuple(_SIDE_NAMES[s] for s in row)
+def partition(jb: JacobianBranches, X: np.ndarray) -> list:
+    """Cover the rows of X with the branch patterns active there.
 
-
-def _chunk_worst(jb: JacobianBranches, X: np.ndarray,
-                 evaluator: Callable) -> tuple:
-    """Per-point worst condition value and component over active/tied branches.
-
-    Returns (vals (m,), comps (m,), tie_mask (m,)).
+    Rows are grouped by their key: the strict side (0=left, 1=right) of
+    every untied guard plus the mask of tied guards.  A tied guard takes
+    both sides, so a group with ties is listed once per tied branch, in
+    ``itertools.product`` order, which is the order of
+    ``JacobianBranches.patterns_at``.
+    Returns ``[(pattern, rows, tied)]``; the entries of one tied group
+    share the same ``rows`` array.
     """
-    m = X.shape[0]
     if jb.n_guards == 0:
-        vals, comps = evaluator(X, ())
-        return vals, comps, np.zeros(m, dtype=bool)
-
-    side, tie = _sides_and_ties(jb, X)
-    any_tie = tie.any(axis=1)
-    vals = np.full(m, -np.inf)
-    comps = np.zeros(m, dtype=np.int64)
-
-    clean = np.nonzero(~any_tie)[0]
-    if clean.size:
-        patterns, inverse = np.unique(side[clean], axis=0, return_inverse=True)
-        for u in range(patterns.shape[0]):
-            rows = clean[inverse == u]
-            v, c = evaluator(X[rows], _pattern_tuple(patterns[u]))
-            vals[rows] = v
-            comps[rows] = c
-
-    for r in np.nonzero(any_tie)[0]:
-        options = [(0, 1) if tie[r, k] else (int(side[r, k]),)
-                   for k in range(jb.n_guards)]
-        best_v, best_c = -np.inf, 0
+        return [((), np.arange(X.shape[0]), False)]
+    diffs, scales = jb.guard_values(X)
+    is_min = np.array([g.is_min for g in jb.guards])
+    side = np.where(is_min, diffs >= 0, diffs <= 0).astype(np.int8)
+    key = np.where(np.abs(diffs) <= TIE_TOL * scales, np.int8(_TIED), side)
+    keys, inverse, counts = np.unique(key, axis=0, return_inverse=True,
+                                      return_counts=True)
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    groups = []
+    for k, rows in zip(keys, np.split(order, np.cumsum(counts)[:-1])):
+        tied = bool(np.any(k == _TIED))
+        options = [(0, 1) if s == _TIED else (int(s),) for s in k]
         for combo in product(*options):
-            v, c = evaluator(X[r:r + 1], _pattern_tuple(np.array(combo)))
-            if v[0] > best_v:
-                best_v, best_c = float(v[0]), int(c[0])
-        vals[r] = best_v
-        comps[r] = best_c
-
-    return vals, comps, any_tie
+            groups.append((tuple(_SIDE_NAMES[s] for s in combo), rows, tied))
+    return groups
 
 
-def _scan_grid(sys: SystemDef, box: WorkingBox,
+def _worse(v, cur):
+    """Where v replaces cur as the worst value: strictly larger, or the
+    first NaN (a NaN condition value is worse than every number)."""
+    return (v > cur) | (np.isnan(v) & ~np.isnan(cur))
+
+
+def _worst_component(cond: np.ndarray) -> tuple:
+    """Per-row worst value and the component attaining it (first NaN wins)."""
+    comps = np.argmax(cond, axis=1)
+    return cond[np.arange(cond.shape[0]), comps], comps
+
+
+def _reduce(jb: JacobianBranches, X: np.ndarray, evaluator: Callable,
+            componentwise: bool = False) -> tuple:
+    """Condition values at the rows of X, worst over each row's tied branches.
+
+    ``evaluator(X, pattern)`` returns the (m, c) condition components.  By
+    default the result is (vals (m,), comps (m,), n_tied): the worst
+    component per point, supplied by the first tied branch (in product
+    order) attaining it.  With ``componentwise`` the evaluator must return
+    n = sys.n components and the result is (values (m, n), None, n_tied),
+    the componentwise max over tied branches.
+    """
+    groups = partition(jb, X)
+    if len(groups) == 1 and not groups[0][2]:
+        # one untied group covers the chunk: no scatter needed
+        cond = evaluator(X, groups[0][0])
+        if componentwise:
+            return cond, None, 0
+        return (*_worst_component(cond), 0)
+
+    m = X.shape[0]
+    vals = np.full((m, jb.sys.n) if componentwise else m, -np.inf)
+    comps = None if componentwise else np.zeros(m, dtype=np.int64)
+    tied_rows = np.zeros(m, dtype=bool)
+    for pattern, rows, tied in groups:
+        cond = evaluator(X[rows], pattern)
+        if tied:
+            tied_rows[rows] = True
+        if componentwise:
+            vals[rows] = np.maximum(vals[rows], cond)
+            continue
+        v, c = _worst_component(cond)
+        if tied:
+            upd = _worse(v, vals[rows])
+            rows, v, c = rows[upd], v[upd], c[upd]
+        vals[rows] = v
+        comps[rows] = c
+    return vals, comps, int(tied_rows.sum())
+
+
+def _scan_grid(jb: JacobianBranches, box: WorkingBox,
                evaluator: Callable) -> tuple:
     """Worst value over the whole grid.
 
     Returns (worst, witness_point, witness_comp, n_ties).  Deterministic:
-    the witness is the first (lexicographically smallest) flat grid index
-    attaining the worst value, regardless of thread count.
+    the witness is the first (lexicographically smallest) grid point
+    attaining the worst value, or the first NaN.
     """
-    jb = jacobian(sys)
-    axes = box.axes()
-    chunks = list(_iter_chunks(axes))
-
-    def work(item):
-        start, X = item
-        vals, comps, ties = _chunk_worst(jb, X, evaluator)
-        return start, X, vals, comps, int(ties.sum())
-
-    workers = _thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-
     worst = -np.inf
-    worst_idx = -1
     worst_point: Optional[np.ndarray] = None
     worst_comp = 0
     n_ties = 0
-    for start, X, vals, comps, ties in results:
+    for X in _iter_chunks(box.axes()):
+        vals, comps, ties = _reduce(jb, X, evaluator)
         n_ties += ties
         k = int(np.argmax(vals))
-        v = float(vals[k])
-        # worst_idx < 0 seeds the tracker: even an all--inf grid (vacuous
-        # conditions) must still produce a witness point
-        if worst_idx < 0 or v > worst or (v == worst and start + k < worst_idx):
-            worst = v
-            worst_idx = start + k
+        # even an all--inf grid (vacuous conditions) must produce a witness
+        if worst_point is None or _worse(vals[k], worst):
+            worst = float(vals[k])
             worst_point = X[k]
             worst_comp = int(comps[k])
     return worst, worst_point, worst_comp, n_ties
 
 
-def _eval_at_point(sys: SystemDef, x: Sequence[float],
+def _eval_at_point(jb: JacobianBranches, x: Sequence[float],
                    evaluator: Callable) -> float:
     """Worst condition value at a single point over all tied branches."""
-    jb = jacobian(sys)
     X = np.asarray([list(map(float, x))])
-    vals, _, _ = _chunk_worst(jb, X, evaluator)
+    vals, _, _ = _reduce(jb, X, evaluator)
     return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
-# Condition evaluators
+# Condition evaluators: (X, pattern) -> (m, components) array
 # ---------------------------------------------------------------------------
 
 def _family_axis_values(fam: WeightFamily, X: np.ndarray,
@@ -346,80 +347,61 @@ def _family_axis_values(fam: WeightFamily, X: np.ndarray,
     return out
 
 
-def _make_kamke_eval(sys: SystemDef):
-    jb = jacobian(sys)
-    n = sys.n
+def _make_kamke_eval(jb: JacobianBranches):
+    n = jb.sys.n
+    diag_cols = [i * n + i for i in range(n)]
 
     def ev(X, pattern):
         J = jb.branch_matrix(pattern).evaluate_batch(X)
         off = -J.reshape(X.shape[0], n * n)
-        # diagonal entries carry no Metzler constraint; mask them out
-        diag_cols = [i * n + i for i in range(n)]
+        # diagonal entries carry no Metzler constraint; mask them out (a
+        # scalar system is vacuously Metzler)
         off[:, diag_cols] = -np.inf
-        comps = np.argmax(off, axis=1)
-        vals = off[np.arange(X.shape[0]), comps]
-        if n == 1:  # scalar system: vacuously Metzler
-            vals = np.full(X.shape[0], -np.inf)
-            comps = np.zeros(X.shape[0], dtype=np.int64)
-        return vals, comps
+        return off
 
     return ev
 
 
-def _make_sum_eval(sys: SystemDef, fam: WeightFamily):
-    jb = jacobian(sys)
+# The weighted conditions, by mode: the weight kind, the contraction of the
+# weights w with the Jacobian J, and the sign of the wdot * f term.
+#   sum: theta^T J + thetadot^T   (component j: column j)
+#   max: J omega - omegadot       (component i: row i)
+_CONDITIONS = {
+    "sum": ("theta", lambda w, J: np.einsum("mi,mij->mj", w, J), 1.0),
+    "max": ("omega", lambda w, J: np.einsum("mij,mj->mi", J, w), -1.0),
+}
+
+
+def _make_weighted_eval(jb: JacobianBranches, fam: WeightFamily, mode: str):
+    _, contract, sign = _CONDITIONS[mode]
 
     def ev(X, pattern):
         J = jb.branch_matrix(pattern).evaluate_batch(X)
-        f = sys.f_batch(X)
-        th = _family_axis_values(fam, X)
-        dth = _family_axis_values(fam, X, deriv=True)
-        cond = np.einsum("mi,mij->mj", th, J) + dth * f
-        comps = np.argmax(cond, axis=1)
-        vals = cond[np.arange(X.shape[0]), comps]
-        return vals, comps
-
-    return ev
-
-
-def _make_max_eval(sys: SystemDef, fam: WeightFamily):
-    jb = jacobian(sys)
-
-    def ev(X, pattern):
-        J = jb.branch_matrix(pattern).evaluate_batch(X)
-        f = sys.f_batch(X)
+        f = jb.sys.f_batch(X)
         w = _family_axis_values(fam, X)
         dw = _family_axis_values(fam, X, deriv=True)
-        cond = np.einsum("mij,mj->mi", J, w) - dw * f
-        comps = np.argmax(cond, axis=1)
-        vals = cond[np.arange(X.shape[0]), comps]
-        return vals, comps
+        return contract(w, J) + sign * dw * f
 
     return ev
 
 
-def _make_mu_eval(sys: SystemDef, fam: WeightFamily, norm: str):
-    jb = jacobian(sys)
+def _make_mu_eval(jb: JacobianBranches, fam: WeightFamily, norm: str):
+    idx = np.arange(jb.sys.n)
 
     def ev(X, pattern):
         J = jb.branch_matrix(pattern).evaluate_batch(X)
-        f = sys.f_batch(X)
+        f = jb.sys.f_batch(X)
         th = _family_axis_values(fam, X)
         dth = _family_axis_values(fam, X, deriv=True)
         if fam.kind == "omega":
             dth = -dth / (th * th)
             th = 1.0 / th
         Jt = (th[:, :, None] / th[:, None, :]) * J
-        idx = np.arange(sys.n)
         Jt[:, idx, idx] += dth * f / th
         d = Jt[:, idx, idx]
         if norm == "l1":
-            q = np.sum(np.abs(Jt), axis=1) - np.abs(d) + d  # per column
-        else:
-            q = np.sum(np.abs(Jt), axis=2) - np.abs(d) + d  # per row
-        comps = np.argmax(q, axis=1)
-        vals = q[np.arange(X.shape[0]), comps]
-        return vals, comps
+            return np.sum(np.abs(Jt), axis=1) - np.abs(d) + d  # per column
+        return np.sum(np.abs(Jt), axis=2) - np.abs(d) + d      # per row
 
     return ev
 
@@ -439,6 +421,12 @@ def _as_family(weights, kind: str) -> WeightFamily:
     return WeightFamily.constant(kind, vec)
 
 
+def _bounds(kind: str, lo: float, hi: float) -> dict:
+    # c is the uniform bound the conditions quantify over: a lower bound
+    # for theta, an upper bound for omega
+    return {"min": lo, "max": hi, "c": lo if kind == "theta" else hi}
+
+
 def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
     """Verify the family's sign condition on the box's axis grids.
 
@@ -456,10 +444,7 @@ def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
     if lo <= 1e-12:
         raise CertifyError(
             f"{fam.kind} positivity violated on the box: min value {lo:.3e}")
-    # c is the uniform bound the conditions quantify over: a lower bound
-    # for theta, an upper bound for omega
-    c = lo if fam.kind == "theta" else hi
-    return {"min": lo, "max": hi, "c": c}
+    return _bounds(fam.kind, lo, hi)
 
 
 def _require_equilibrium(sys: SystemDef) -> tuple:
@@ -468,18 +453,20 @@ def _require_equilibrium(sys: SystemDef) -> tuple:
     return sys.equilibrium
 
 
-def _finish(condition: str, sys: SystemDef, box: WorkingBox, eps: float,
-            evaluator, needs_eq: bool, uniform: bool = False,
+def _finish(condition: str, jb: JacobianBranches, box: WorkingBox,
+            eps: float, evaluator, needs_eq: bool, uniform: bool = False,
             positivity: Optional[dict] = None,
             component_decoder=None, notes: str = "") -> CertReport:
+    sys = jb.sys
     box.validate_for(sys)
-    worst, point, comp, ties = _scan_grid(sys, box, evaluator)
+    worst, point, comp, ties = _scan_grid(jb, box, evaluator)
     eq_margin = None
     if needs_eq:
         xstar = _require_equilibrium(sys)
-        eq_margin = _eval_at_point(sys, xstar, evaluator)
+        eq_margin = _eval_at_point(jb, xstar, evaluator)
 
-    failed = worst > ZERO_TOL
+    # written as "not <=" so that a NaN value fails
+    failed = not worst <= ZERO_TOL
     if needs_eq and eq_margin is not None and not eq_margin <= -eps:
         failed = True
     if uniform and not worst <= -eps:
@@ -503,6 +490,36 @@ def _finish(condition: str, sys: SystemDef, box: WorkingBox, eps: float,
                       notes=notes)
 
 
+def _weighted_check(condition: str, mode: str, sys: SystemDef, weights,
+                    box: Optional[WorkingBox], eps: float,
+                    vector: Optional[str] = None,
+                    global_flag: bool = False) -> CertReport:
+    """A sum- or max-type check of a weight family, or with ``vector`` (the
+    argument's name) of a constant positive vector."""
+    if box is None:
+        box = WorkingBox.default_for(sys)
+    kind = _CONDITIONS[mode][0]
+    if vector is None:
+        fam = _as_family(weights, kind)
+        if fam.n != sys.n:
+            raise CertifyError("weight dimension mismatch")
+        pos = _positivity_check(fam, box)
+    else:
+        vec = np.asarray(weights, dtype=float)
+        if vec.shape != (sys.n,):
+            raise CertifyError(f"{vector} has the wrong dimension")
+        if not np.all(vec > 0):
+            raise CertifyError(f"{vector} must be strictly positive")
+        fam = WeightFamily.constant(kind, vec)
+        pos = _bounds(kind, float(np.min(vec)), float(np.max(vec)))
+        if global_flag:
+            condition += "-global"
+    _require_equilibrium(sys)
+    jb = jacobian(sys)
+    return _finish(condition, jb, box, eps, _make_weighted_eval(jb, fam, mode),
+                   needs_eq=True, uniform=global_flag, positivity=pos)
+
+
 # ---------------------------------------------------------------------------
 # Public checks
 # ---------------------------------------------------------------------------
@@ -516,7 +533,8 @@ def check_kamke(sys: SystemDef, box: Optional[WorkingBox] = None) -> CertReport:
     def decode(c):
         return [int(c) // n, int(c) % n]
 
-    return _finish("kamke", sys, box, DEFAULT_EPS, _make_kamke_eval(sys),
+    jb = jacobian(sys)
+    return _finish("kamke", jb, box, DEFAULT_EPS, _make_kamke_eval(jb),
                    needs_eq=False, component_decoder=decode)
 
 
@@ -524,30 +542,14 @@ def check_thm1(sys: SystemDef, theta: WeightFamily,
                box: Optional[WorkingBox] = None,
                eps: float = DEFAULT_EPS) -> CertReport:
     """Sum-type certificate: theta^T J + thetadot^T <= 0, strict at x*."""
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    fam = _as_family(theta, "theta")
-    if fam.n != sys.n:
-        raise CertifyError("weight dimension mismatch")
-    pos = _positivity_check(fam, box)
-    _require_equilibrium(sys)
-    return _finish("thm1", sys, box, eps, _make_sum_eval(sys, fam),
-                   needs_eq=True, positivity=pos)
+    return _weighted_check("thm1", "sum", sys, theta, box, eps)
 
 
 def check_thm2(sys: SystemDef, omega: WeightFamily,
                box: Optional[WorkingBox] = None,
                eps: float = DEFAULT_EPS) -> CertReport:
     """Max-type certificate: J omega - omegadot <= 0, strict at x*."""
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    fam = _as_family(omega, "omega")
-    if fam.n != sys.n:
-        raise CertifyError("weight dimension mismatch")
-    pos = _positivity_check(fam, box)
-    _require_equilibrium(sys)
-    return _finish("thm2", sys, box, eps, _make_max_eval(sys, fam),
-                   needs_eq=True, positivity=pos)
+    return _weighted_check("thm2", "max", sys, omega, box, eps)
 
 
 def check_cor1(sys: SystemDef, v: Sequence[float],
@@ -558,42 +560,16 @@ def check_cor1(sys: SystemDef, v: Sequence[float],
     ``global_flag`` demands v^T J <= -eps uniformly on the box, the
     sufficient condition for the flow-type Lyapunov function to be global.
     """
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (sys.n,):
-        raise CertifyError("v has the wrong dimension")
-    if not np.all(vec > 0):
-        raise CertifyError("v must be strictly positive")
-    fam = WeightFamily.constant("theta", vec)
-    _require_equilibrium(sys)
-    cond = "cor1-global" if global_flag else "cor1"
-    return _finish(cond, sys, box, eps, _make_sum_eval(sys, fam),
-                   needs_eq=True, uniform=global_flag,
-                   positivity={"min": float(np.min(vec)),
-                               "max": float(np.max(vec)),
-                               "c": float(np.min(vec))})
+    return _weighted_check("cor1", "sum", sys, v, box, eps, vector="v",
+                           global_flag=global_flag)
 
 
 def check_cor2(sys: SystemDef, w: Sequence[float],
                box: Optional[WorkingBox] = None, eps: float = DEFAULT_EPS,
                global_flag: bool = False) -> CertReport:
     """Constant-vector row certificate J w <= 0, strict at x*."""
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    vec = np.asarray(w, dtype=float)
-    if vec.shape != (sys.n,):
-        raise CertifyError("w has the wrong dimension")
-    if not np.all(vec > 0):
-        raise CertifyError("w must be strictly positive")
-    fam = WeightFamily.constant("omega", vec)
-    _require_equilibrium(sys)
-    cond = "cor2-global" if global_flag else "cor2"
-    return _finish(cond, sys, box, eps, _make_max_eval(sys, fam),
-                   needs_eq=True, uniform=global_flag,
-                   positivity={"min": float(np.min(vec)),
-                               "max": float(np.max(vec)),
-                               "c": float(np.max(vec))})
+    return _weighted_check("cor2", "max", sys, w, box, eps, vector="w",
+                           global_flag=global_flag)
 
 
 def check_cor3(sys: SystemDef, w: WeightFamily, norm: str = "l1",
@@ -610,9 +586,9 @@ def check_cor3(sys: SystemDef, w: WeightFamily, norm: str = "l1",
         raise CertifyError("weight dimension mismatch")
     pos = _positivity_check(fam, box)
     _require_equilibrium(sys)
-    return _finish(f"cor3-{norm}", sys, box, eps,
-                   _make_mu_eval(sys, fam, norm), needs_eq=True,
-                   positivity=pos)
+    jb = jacobian(sys)
+    return _finish(f"cor3-{norm}", jb, box, eps, _make_mu_eval(jb, fam, norm),
+                   needs_eq=True, positivity=pos)
 
 
 def certify_all(sys: SystemDef,
@@ -669,49 +645,13 @@ def grid_condition_values(sys: SystemDef, weights, box: WorkingBox,
     J omega - omegadot.  Branch ties take the componentwise worst across
     tied branches.  Points are in lexicographic grid order.
     """
-    if which == "sum":
-        fam = _as_family(weights, "theta")
-    elif which == "max":
-        fam = _as_family(weights, "omega")
-    else:
+    if which not in _CONDITIONS:
         raise CertifyError("which must be 'sum' or 'max'")
+    fam = _as_family(weights, _CONDITIONS[which][0])
     jb = jacobian(sys)
-
-    def full_eval(X, pattern):
-        J = jb.branch_matrix(pattern).evaluate_batch(X)
-        f = sys.f_batch(X)
-        vals = _family_axis_values(fam, X)
-        dvals = _family_axis_values(fam, X, deriv=True)
-        if which == "sum":
-            return np.einsum("mi,mij->mj", vals, J) + dvals * f
-        return np.einsum("mij,mj->mi", J, vals) - dvals * f
-
-    out = []
-    for _, X in _iter_chunks(box.axes()):
-        m = X.shape[0]
-        if jb.n_guards == 0:
-            out.append(full_eval(X, ()))
-            continue
-        side, tie = _sides_and_ties(jb, X)
-        any_tie = tie.any(axis=1)
-        vals = np.full((m, sys.n), -np.inf)
-        clean = np.nonzero(~any_tie)[0]
-        if clean.size:
-            patterns, inverse = np.unique(side[clean], axis=0,
-                                          return_inverse=True)
-            for u in range(patterns.shape[0]):
-                rows = clean[inverse == u]
-                vals[rows] = full_eval(X[rows], _pattern_tuple(patterns[u]))
-        for r in np.nonzero(any_tie)[0]:
-            options = [(0, 1) if tie[r, k] else (int(side[r, k]),)
-                       for k in range(jb.n_guards)]
-            acc = np.full((1, sys.n), -np.inf)
-            for combo in product(*options):
-                acc = np.maximum(acc, full_eval(X[r:r + 1],
-                                                _pattern_tuple(np.array(combo))))
-            vals[r] = acc[0]
-        out.append(vals)
-    return np.concatenate(out, axis=0)
+    ev = _make_weighted_eval(jb, fam, which)
+    return np.concatenate([_reduce(jb, X, ev, componentwise=True)[0]
+                           for X in _iter_chunks(box.axes())], axis=0)
 
 
 def grid_mu_values(sys: SystemDef, weights, box: WorkingBox,
@@ -727,10 +667,7 @@ def grid_mu_values(sys: SystemDef, weights, box: WorkingBox,
         fam = _as_family(weights, "omega")
     else:
         raise CertifyError("norm must be 'l1' or 'linf'")
-    ev = _make_mu_eval(sys, fam, norm)
     jb = jacobian(sys)
-    out = []
-    for _, X in _iter_chunks(box.axes()):
-        vals, _, _ = _chunk_worst(jb, X, ev)
-        out.append(vals)
-    return np.concatenate(out, axis=0)
+    ev = _make_mu_eval(jb, fam, norm)
+    return np.concatenate([_reduce(jb, X, ev)[0]
+                           for X in _iter_chunks(box.axes())], axis=0)

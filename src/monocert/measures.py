@@ -22,7 +22,6 @@ for a diagonal Theta(x) = diag(theta_i(x_i)) along a vector field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -159,7 +158,6 @@ class WeightFamily:
     """
     kind: str
     components: tuple
-    c: Optional[float] = None  # positivity bound on the working box, once known
 
     def __post_init__(self):
         if self.kind not in ("theta", "omega"):
@@ -168,26 +166,6 @@ class WeightFamily:
                       else WeightComponent.from_jsonable(c)
                       for c in self.components)
         object.__setattr__(self, "components", comps)
-
-    def with_bound(self, axes: Sequence[np.ndarray]) -> "WeightFamily":
-        """Attach the positivity bound computed on per-axis sample grids.
-
-        For 'theta' the bound is the smallest sampled value (theta >= c > 0);
-        for 'omega' it is the largest (0 < omega <= c).  Raises if any
-        sampled value fails strict positivity.
-        """
-        lo = math.inf
-        hi = -math.inf
-        for comp, ax in zip(self.components, axes):
-            vals = np.asarray(comp.value(np.asarray(ax, dtype=float)))
-            lo = min(lo, float(np.min(vals)))
-            hi = max(hi, float(np.max(vals)))
-        if lo <= 1e-12:
-            raise ValueError(
-                f"{self.kind} weights are not strictly positive on the "
-                f"sampled region (min {lo:.3e})")
-        return WeightFamily(self.kind, self.components,
-                            lo if self.kind == "theta" else hi)
 
     @property
     def n(self) -> int:

@@ -30,14 +30,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
                       check_cor2, check_kamke, check_thm1, check_thm2,
-                      DEFAULT_EPS, _sides_and_ties, _pattern_tuple)
+                      DEFAULT_EPS, _CONDITIONS, partition)
 from .measures import WeightComponent, WeightFamily
 from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
                      SystemDef, TimeVar, Var, jacobian)
@@ -303,24 +302,11 @@ def _grid_points(box: WorkingBox, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _branch_groups(sys: SystemDef, X: np.ndarray):
-    """Yield (pattern, point-index array) covering X, ties duplicated."""
-    jb = jacobian(sys)
-    if jb.n_guards == 0:
-        yield (), np.arange(X.shape[0])
-        return
-    side, tie = _sides_and_ties(jb, X)
-    any_tie = tie.any(axis=1)
-    clean = np.nonzero(~any_tie)[0]
-    if clean.size:
-        patterns, inverse = np.unique(side[clean], axis=0, return_inverse=True)
-        for u in range(patterns.shape[0]):
-            yield _pattern_tuple(patterns[u]), clean[inverse == u]
-    for r in np.nonzero(any_tie)[0]:
-        options = [(0, 1) if tie[r, k] else (int(side[r, k]),)
-                   for k in range(jb.n_guards)]
-        for combo in product(*options):
-            yield _pattern_tuple(np.array(combo)), np.array([r])
+def _by_component(J: np.ndarray, mode: str) -> np.ndarray:
+    """Jacobians laid out so that row j of each matrix multiplies the
+    weights in condition component j: columns of J for mode "sum", rows for
+    mode "max"."""
+    return np.transpose(J, (0, 2, 1)) if mode == "sum" else J
 
 
 def _dedupe(rows: np.ndarray, rhs: np.ndarray):
@@ -395,13 +381,9 @@ def synth_const(sys: SystemDef, box: Optional[WorkingBox] = None,
     X = _grid_points(box, res)
     jb = jacobian(sys)
     row_blocks = []
-    for pattern, idx in _branch_groups(sys, X):
+    for pattern, idx, _ in partition(jb, X):
         J = jb.branch_matrix(pattern).evaluate_batch(X[idx])   # (m, n, n)
-        if mode == "sum":
-            cols = np.transpose(J, (0, 2, 1)).reshape(-1, n)   # row g,j = J[:, j]
-        else:
-            cols = J.reshape(-1, n)                            # row g,i = J[i, :]
-        row_blocks.append(cols)
+        row_blocks.append(_by_component(J, mode).reshape(-1, n))
     body = np.concatenate(row_blocks, axis=0)
     rows = np.column_stack([body, np.ones(body.shape[0])])     # + s <= 0
     rows, rhs = _dedupe(rows, np.zeros(rows.shape[0]))
@@ -494,14 +476,17 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
     n_vars = n * d1 + 1      # coefficients + s
     s_col = n * d1
 
+    jb = jacobian(sys)
+    kind, _, sign = _CONDITIONS[mode]
+
     def cond_rows(X: np.ndarray, strict: np.ndarray) -> np.ndarray:
         """(m*n, n_vars) rows: condition components <= -s_struct."""
-        jb = jacobian(sys)
         out = []
-        for pattern, idx in _branch_groups(sys, X):
+        for pattern, idx, _ in partition(jb, X):
             Xs = X[idx]
             m = Xs.shape[0]
-            J = jb.branch_matrix(pattern).evaluate_batch(Xs)
+            J = _by_component(jb.branch_matrix(pattern).evaluate_batch(Xs),
+                              mode)
             F = sys.f_batch(Xs)
             pw = np.stack([Xs ** k for k in range(d1)], axis=2)  # (m, n, d1)
             dpw = np.zeros_like(pw)
@@ -510,16 +495,11 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
             block = np.zeros((m, n, n_vars))
             for i in range(n):
                 sl = slice(i * d1, (i + 1) * d1)
-                if mode == "sum":
-                    # component j gets theta_i(x_i) * J[i, j]
-                    block[:, :, sl] += J[:, i, :, None] * pw[:, i, None, :]
-                    # component i gets theta_i'(x_i) * f_i
-                    block[:, i, sl] += dpw[:, i, :] * F[:, i, None]
-                else:
-                    # component j gets J[j, i] * omega_i(x_i)
-                    block[:, :, sl] += J[:, :, i, None] * pw[:, i, None, :]
-                    # component i gets -omega_i'(x_i) * f_i
-                    block[:, i, sl] -= dpw[:, i, :] * F[:, i, None]
+                # component j gets theta_i(x_i) * J[i, j] (sum) or
+                # J[j, i] * omega_i(x_i) (max)
+                block[:, :, sl] += J[:, :, i, None] * pw[:, i, None, :]
+                # component i gets +theta_i'(x_i) * f_i or -omega_i'(x_i) * f_i
+                block[:, i, sl] += sign * (dpw[:, i, :] * F[:, i, None])
             block[:, :, s_col] = strict[idx, None]
             out.append(block.reshape(m * n, n_vars))
         return np.concatenate(out, axis=0)
@@ -589,7 +569,6 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
             coeffs = coeffs / scale
             s = s / scale
 
-    kind = "theta" if mode == "sum" else "omega"
     fam = WeightFamily(kind, tuple(WeightComponent(tuple(coeffs[i]))
                                    for i in range(n)))
 

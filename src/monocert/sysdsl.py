@@ -357,11 +357,6 @@ def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None
     for time-invariant expressions).  Tree-walking per point is far too slow
     on 41^n certification grids, so the tree is emitted once as numpy code.
     """
-    key = e
-    fn = _compiled_cache.get(key)
-    if fn is not None:
-        return fn
-
     def emit(node: Expr) -> str:
         if isinstance(node, Const):
             return repr(node.value)
@@ -393,8 +388,15 @@ def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None
             return f"np.cos({emit(node.arg)})"
         raise TypeError(f"unknown node {node!r}")
 
-    needs_t = references_time(e)
+    # keyed by the emitted source, not by e: Const(0.0) and Const(-0.0)
+    # compare and hash equal but return zeros of opposite sign, so keying
+    # on e makes the sign depend on which of them was compiled first
     body = emit(e)
+    fn = _compiled_cache.get(body)
+    if fn is not None:
+        return fn
+
+    needs_t = references_time(e)
     src = (
         "def _f(X, T=None):\n"
         f"    res = {body}\n"
@@ -418,7 +420,7 @@ def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None
         def fn(X, T=None):
             return raw(np.asarray(X, dtype=float), T)
 
-    _compiled_cache[key] = fn
+    _compiled_cache[body] = fn
     return fn
 
 

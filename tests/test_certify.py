@@ -1,18 +1,19 @@
 """Grid certification checks: hand-derived goldens, analytic cross-checks,
 witness semantics, and determinism."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from monocert.certify import (
-    DEFAULT_EPS, CertifyError, WorkingBox, certify_all, check_cor1,
-    check_cor2, check_cor3, check_kamke, check_thm1, check_thm2,
-    grid_condition_values, grid_mu_values,
+    DEFAULT_EPS, CertifyError, WorkingBox, _positivity_check, certify_all,
+    check_cor1, check_cor2, check_cor3, check_kamke, check_thm1, check_thm2,
+    grid_condition_values, grid_mu_values, partition,
 )
 from monocert.measures import WeightFamily
-from monocert.sysdsl import parse_system
+from monocert.sysdsl import jacobian, parse_system
 
 from conftest import linear_system
 
@@ -268,6 +269,55 @@ def test_scalar_system_kamke_vacuous():
 
 
 # ---------------------------------------------------------------------------
+# branch partition and NaN condition values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("resolution, ties", [(7, 290), (9, 482)])
+def test_partition_matches_tree_walking_patterns(traffic4, resolution, ties):
+    """Every grid row is covered by exactly the patterns that the
+    tree-walking ``patterns_at`` finds there, in the same order."""
+    box = WorkingBox.default_for(traffic4, resolution)
+    jb = jacobian(traffic4)
+    X = np.array(list(itertools.product(*box.axes())))
+    covering = [[] for _ in range(X.shape[0])]
+    for pattern, rows, tied in partition(jb, X):
+        for r in rows:
+            covering[r].append(pattern)
+        assert tied == (len(jb.patterns_at(X[rows[0]])) > 1)
+    assert covering == [jb.patterns_at(x) for x in X]
+    assert sum(len(p) > 1 for p in covering) == ties
+    assert check_kamke(traffic4, box).branch_ties == ties
+
+
+def _hole_system(at: int, hi: int):
+    """dx1 = -x1 + x2 - x2*(x1 - a)/(x1 - a) is -x1 off the line x1 = a
+    and NaN (0/0) on it."""
+    return parse_system(f"""
+    system hole {{
+        states x1 in [0, {hi}], x2 in [0, {hi}]
+        dx1 = -x1 + x2 - x2*(x1 - {at})/(x1 - {at})
+        dx2 = -x2
+        equilibrium (0, 0)
+    }}
+    """)
+
+
+# the second case puts the first NaN past the first grid chunk
+@pytest.mark.parametrize("at, hi, resolution", [(1, 2, 5), (256, 256, 257)])
+def test_nan_condition_fails_at_first_nan_point(at, hi, resolution):
+    sysd = _hole_system(at, hi)
+    box = WorkingBox.default_for(sysd, resolution)
+    axis = [hi * k / (resolution - 1) for k in range(resolution)]
+    first_nan = next([a, b] for a in axis for b in axis if a == at)
+    with np.errstate(invalid="ignore"):
+        reps = [check_kamke(sysd, box), check_cor1(sysd, [1.0, 1.0], box)]
+    for rep in reps:
+        assert rep.verdict == "fail"
+        assert np.isnan(rep.worst_margin)
+        assert rep.witness["point"] == first_nan
+
+
+# ---------------------------------------------------------------------------
 # certify_all
 # ---------------------------------------------------------------------------
 
@@ -323,6 +373,17 @@ def test_positivity_violation_is_an_error_not_a_fail(ex1, ex1_box):
         check_thm1(ex1, fam, ex1_box)
 
 
+def test_positivity_check_bounds():
+    box = WorkingBox((0.0, 0.0), (3.0, 3.0), 11)
+    theta = WeightFamily("theta", ((1.0,), (1.0, 1.0)))
+    assert _positivity_check(theta, box)["c"] == 1.0  # smallest sampled theta
+    omega = WeightFamily("omega", ((2.0,), {"reciprocal": [1.0, 1.0]}))
+    assert _positivity_check(omega, box)["c"] == 2.0  # largest sampled omega
+    bad = WeightFamily("theta", ((0.0, 1.0),))  # theta_1 = x1 vanishes at 0
+    with pytest.raises(CertifyError, match="positivity"):
+        _positivity_check(bad, WorkingBox((0.0,), (1.0,), 5))
+
+
 def test_cor3_rejects_bad_norm(ex1, ex1_theta, ex1_box):
     with pytest.raises(CertifyError, match="norm"):
         check_cor3(ex1, ex1_theta, "l2", ex1_box)
@@ -371,17 +432,6 @@ def test_summary_line_format(ex1, ex1_theta, ex1_box):
     assert "pass-with-margin" in line
     assert "worst margin -1" in line
     assert "eq margin -1" in line
-
-
-def test_reports_identical_across_thread_counts(ex1, ex1_omega, ex1_box,
-                                                monkeypatch):
-    monkeypatch.setenv("MONOCERT_THREADS", "1")
-    a = check_thm2(ex1, ex1_omega, ex1_box).to_json()
-    monkeypatch.setenv("MONOCERT_THREADS", "4")
-    b = check_thm2(ex1, ex1_omega, ex1_box).to_json()
-    monkeypatch.delenv("MONOCERT_THREADS")
-    c = check_thm2(ex1, ex1_omega, ex1_box).to_json()
-    assert a == b == c
 
 
 def test_repeated_runs_bit_identical(traffic4):

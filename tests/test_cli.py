@@ -361,16 +361,3 @@ def test_simulate_csvs_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     assert ((a / "simulate-report.json").read_bytes()
             == (b / "simulate-report.json").read_bytes())
-
-
-def test_certify_report_independent_of_thread_count(tmp_path, monkeypatch):
-    outs = []
-    for threads, sub in (("1", "t1"), ("4", "t4")):
-        monkeypatch.setenv("MONOCERT_THREADS", threads)
-        out = tmp_path / sub
-        assert main(["certify", "ex1", "--theta", EX1_THETA,
-                     "--box", "0:3,0:3", "--quiet",
-                     "--out", str(out)]) == EXIT_PASS
-        outs.append((out / "certify-report.json").read_bytes())
-    monkeypatch.delenv("MONOCERT_THREADS")
-    assert outs[0] == outs[1]

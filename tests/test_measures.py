@@ -182,17 +182,6 @@ def test_family_metric_density(ex1_theta, ex1_omega):
     assert float(ex1_omega.metric_density(0, 9.9)) == 0.5    # 1/omega_1
 
 
-def test_family_with_bound():
-    axes = [np.linspace(0.0, 3.0, 11), np.linspace(0.0, 3.0, 11)]
-    theta = WeightFamily("theta", ((1.0,), (1.0, 1.0))).with_bound(axes)
-    assert theta.c == 1.0  # smallest sampled theta value
-    omega = WeightFamily("omega", ((2.0,), {"reciprocal": [1.0, 1.0]})).with_bound(axes)
-    assert omega.c == 2.0  # largest sampled omega value
-    bad = WeightFamily("theta", ((0.0, 1.0),))  # theta_1 = x1 vanishes at 0
-    with pytest.raises(ValueError, match="strictly positive"):
-        bad.with_bound([np.linspace(0.0, 1.0, 5)])
-
-
 def test_family_jsonable_roundtrip(ex1_omega):
     obj = ex1_omega.to_jsonable()
     assert obj["kind"] == "omega"

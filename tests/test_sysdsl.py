@@ -321,6 +321,15 @@ def test_compile_expr_matches_evaluate_on_batch():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def test_compile_expr_keeps_the_sign_of_zero():
+    """Const(0.0) == Const(-0.0), yet their kernels must not be shared."""
+    X = np.zeros((2, 1))
+    neg = compile_expr(Const(-0.0))(X)
+    pos = compile_expr(Const(0.0))(X)
+    assert np.all(np.signbit(neg))
+    assert not np.any(np.signbit(pos))
+
+
 def test_compile_expr_scalar_time_broadcast():
     e = parse_expr("x1 * sin(t)", ["x1"])
     fn = compile_expr(e)
