@@ -13,9 +13,14 @@ resolution.
   margin applies uniformly (optionally only near the equilibrium), with
   positivity enforced at the axis grid points.
 
-Solving is done by a small dense two-phase simplex with Bland's rule —
-deterministic and cycling-free; the LPs here are small once duplicate rows
-are removed (constant Jacobians collapse to a handful of rows).
+The LPs have many rows (grid points times components) and few columns
+(weights plus the margin), so ``solve_lp`` solves the dual: a dense
+two-phase simplex with Bland's rule — deterministic and cycling-free — on a
+tableau with one row per primal variable.  The primal vertex is then
+recovered from the optimal dual basis by solving the square system of the
+rows it makes tight.  When the dual is infeasible, a second dual solve of
+the feasibility problem (minimise the largest row violation) tells an
+unbounded LP from an infeasible one.
 
 ``export_sos_sdpa`` writes the exact sum-of-squares feasibility program for
 the same positivity/condition/strictness constraints in SDPA sparse format
@@ -89,9 +94,11 @@ class LPResult:
     status: str            # optimal | infeasible | unbounded
     z: Optional[np.ndarray]
     objective: Optional[float]
+    iterations: int = 0    # simplex pivots over every phase of the solve
 
 
 _PIV_TOL = 1e-9
+_FEAS_TOL = 1e-7
 
 
 def _pivot(T: np.ndarray, basis: list, i: int, j: int) -> None:
@@ -103,12 +110,26 @@ def _pivot(T: np.ndarray, basis: list, i: int, j: int) -> None:
     basis[i] = j
 
 
+class _Pivots:
+    """Pivot budget shared by every phase of one solve."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.count = 0
+
+    def __call__(self, T: np.ndarray, basis: list, i: int, j: int) -> None:
+        if self.count >= self.limit:
+            raise SynthError("simplex iteration limit exceeded")
+        self.count += 1
+        _pivot(T, basis, i, j)
+
+
 def _simplex_core(T: np.ndarray, basis: list, n_cols: int,
-                  max_iter: int) -> str:
+                  pivots: _Pivots) -> str:
     """Minimize with Bland's rule: entering = lowest-index negative reduced
     cost, leaving = lowest-index basic variable among minimal ratios."""
     m = T.shape[0] - 1
-    for _ in range(max_iter):
+    while True:
         red = T[m, :n_cols]
         negs = np.nonzero(red < -_PIV_TOL)[0]
         if negs.size == 0:
@@ -122,166 +143,138 @@ def _simplex_core(T: np.ndarray, basis: list, n_cols: int,
         rmin = float(np.min(ratios))
         cand = pos[ratios <= rmin + 1e-12]
         i = int(cand[int(np.argmin([basis[r] for r in cand]))])
-        _pivot(T, basis, i, j)
-    raise SynthError("simplex iteration limit exceeded")
+        pivots(T, basis, i, j)
 
 
-def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
-    """Dense two-phase simplex.  Small problems only — everything here is."""
-    n = lp.n_vars
-    # row equilibration: condition rows mix O(1) and O(100) magnitudes, and
-    # an unscaled tableau drifts enough over many pivots to misreport
-    # feasibility; dividing each row by its largest entry leaves the
-    # feasible set untouched
-    lp_rows = lp.rows
-    lp_rhs = lp.rhs
-    if lp_rows.shape[0]:
-        rsc = np.maximum(np.max(np.abs(lp_rows), axis=1), 1e-12)
-        lp_rows = lp_rows / rsc[:, None]
-        lp_rhs = lp_rhs / rsc
-    # --- to standard form: min cs.u, A u = b, u >= 0 -----------------------
-    col_of: list = []       # per original var: (kind, u-index or (u+, u-))
-    shift = np.zeros(n)     # z = sign*u + shift
-    sign = np.ones(n)
-    extra_rows = []         # upper-bound rows over u
-    u_count = 0
-    for k in range(n):
-        lo, hi = lp.lower[k], lp.upper[k]
-        if math.isfinite(lo):
-            col_of.append(("single", u_count))
-            shift[k], sign[k] = lo, 1.0
-            if math.isfinite(hi):
-                extra_rows.append((u_count, hi - lo))
-            u_count += 1
-        elif math.isfinite(hi):
-            col_of.append(("single", u_count))
-            shift[k], sign[k] = hi, -1.0
-            u_count += 1
-        else:
-            col_of.append(("split", (u_count, u_count + 1)))
-            u_count += 2
+def _dual_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                pivots: _Pivots):
+    """Two-phase simplex on  min b.y  s.t.  A'y - s = c,  y, s >= 0,  the
+    dual of  max c.u  s.t.  A u <= b,  u >= 0.
 
-    m_ineq = lp_rows.shape[0] + len(extra_rows)
-    n_slack = m_ineq
-    N = u_count + n_slack
-    A = np.zeros((m_ineq, N))
-    b = np.zeros(m_ineq)
-    cs = np.zeros(N)
-
-    def scatter(dst_row, coeff_z):
-        """Write z-space coefficients into u-space columns; returns rhs shift."""
-        moved = 0.0
-        for k in range(n):
-            ck = coeff_z[k]
-            if ck == 0.0:
-                continue
-            kind, idx = col_of[k]
-            if kind == "single":
-                dst_row[idx] += ck * sign[k]
-                moved += ck * shift[k]
-            else:
-                ip, im = idx
-                dst_row[ip] += ck
-                dst_row[im] -= ck
-        return moved
-
-    for r in range(lp_rows.shape[0]):
-        moved = scatter(A[r], lp_rows[r])
-        b[r] = lp_rhs[r] - moved
-        A[r, u_count + r] = 1.0
-    for e, (uidx, ub) in enumerate(extra_rows):
-        r = lp_rows.shape[0] + e
-        A[r, uidx] = 1.0
-        b[r] = ub
-        A[r, u_count + r] = 1.0
-
-    # objective: maximize lp.c.z  ->  minimize -(lp.c).z
-    scatter_obj = np.zeros(N)
-    scatter(scatter_obj, -lp.c)
-    cs[:] = scatter_obj
-
-    # flip rows with negative rhs (slack coefficient becomes -1)
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # --- phase 1 ------------------------------------------------------------
-    basis = [-1] * m_ineq
-    art_cols = []
-    for r in range(m_ineq):
-        s_col = u_count + r
-        if A[r, s_col] > 0:          # slack usable as the initial basic var
-            basis[r] = s_col
-    n_art = sum(1 for bv in basis if bv < 0)
+    The tableau has one row per u (not per constraint row of A); columns
+    are y (one per row of A), then s, then phase-1 artificials.  Returns
+    (status, basis): status "infeasible" means the dual has no point,
+    "unbounded" that its objective falls without bound.
+    """
+    m, p = A.shape
+    N = m + p
+    # negate the rows with c_j < 0 so that s_j starts basic at -c_j > 0;
+    # every other row starts on an artificial.  Rows with c_j = 0 could
+    # start on s_j as well, but on the ex1 degree-2 synthesis LP that start
+    # takes 194 pivots against 18 and ends on a vertex whose top
+    # coefficient is negative
+    sgn = np.where(c < 0, -1.0, 1.0)
+    art = np.nonzero(sgn > 0)[0]
+    n_art = art.size
+    T = np.zeros((p + 1, N + n_art + 1))
+    T[:p, :m] = A.T * sgn[:, None]
+    T[np.arange(p), m + np.arange(p)] = -sgn
+    T[:p, -1] = c * sgn
+    basis = list(range(m, N))
     if n_art:
-        A_ext = np.hstack([A, np.zeros((m_ineq, n_art))])
-        a = 0
-        for r in range(m_ineq):
-            if basis[r] < 0:
-                A_ext[r, N + a] = 1.0
-                basis[r] = N + a
-                art_cols.append(N + a)
-                a += 1
-        T = np.zeros((m_ineq + 1, N + n_art + 1))
-        T[:m_ineq, :-1] = A_ext
-        T[:m_ineq, -1] = b
-        T[m_ineq, art_cols] = 1.0
-        for r in range(m_ineq):
-            if basis[r] in art_cols:
-                T[m_ineq] -= T[r]
-        status = _simplex_core(T, basis, N + n_art,
-                               max_iter or (400 * (m_ineq + N) + 2000))
-        if status == "unbounded":
+        T[art, N + np.arange(n_art)] = 1.0
+        for a, r in enumerate(art):
+            basis[r] = N + a
+        T[p, N:N + n_art] = 1.0
+        T[p] -= T[art].sum(axis=0)
+        if _simplex_core(T, basis, N + n_art, pivots) == "unbounded":
             # the phase-1 objective is a sum of nonnegative variables and
             # cannot actually be unbounded below; reaching here means the
             # tableau has degraded numerically, not that the LP is infeasible
             raise SynthError("phase-1 simplex failed numerically")
-        if T[m_ineq, -1] < -1e-7:
-            return LPResult("infeasible", None, None)
-        # drive artificials out of the basis (or drop redundant rows)
-        keep = list(range(m_ineq))
-        for r in range(m_ineq):
-            if basis[r] in art_cols:
-                row = T[r, :N]
-                nz = np.nonzero(np.abs(row) > _PIV_TOL)[0]
-                if nz.size:
-                    _pivot(T, basis, r, int(nz[0]))
-                else:
-                    keep.remove(r)
-        rows_idx = keep + [m_ineq]
-        T = T[np.ix_(rows_idx, list(range(N)) + [N + n_art])]
-        basis = [basis[r] for r in keep]
-        m_rows = len(keep)
-    else:
-        T = np.zeros((m_ineq + 1, N + 1))
-        T[:m_ineq, :N] = A
-        T[:m_ineq, -1] = b
-        m_rows = m_ineq
-
-    # --- phase 2 ------------------------------------------------------------
-    T[m_rows, :N] = cs
-    T[m_rows, -1] = 0.0
-    for r in range(m_rows):
-        cb = T[m_rows, basis[r]]
+        if T[p, -1] < -_FEAS_TOL:
+            return "infeasible", None
+        # drive the artificials left at zero out of the basis; [A', -I] has
+        # full row rank, so every such row has a nonzero real entry
+        for r in range(p):
+            if basis[r] >= N:
+                pivots(T, basis, r, int(np.argmax(np.abs(T[r, :N]))))
+        T = np.delete(T, np.s_[N:N + n_art], axis=1)
+    T[p] = 0.0
+    T[p, :m] = b
+    for r in range(p):
+        cb = T[p, basis[r]]
         if cb != 0.0:
-            T[m_rows] -= cb * T[r]
-    status = _simplex_core(T, basis, N,
-                           max_iter or (400 * (m_rows + N) + 2000))
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
+            T[p] -= cb * T[r]
+    return _simplex_core(T, basis, N, pivots), basis
 
-    u = np.zeros(N)
-    for r in range(m_rows):
-        u[basis[r]] = T[r, -1]
-    z = np.empty(n)
-    for k in range(n):
-        kind, idx = col_of[k]
-        if kind == "single":
-            z[k] = shift[k] + sign[k] * u[idx]
-        else:
-            ip, im = idx
-            z[k] = u[ip] - u[im]
-    return LPResult("optimal", z, float(np.dot(lp.c, z)))
+
+def _vertex(A: np.ndarray, b: np.ndarray, basis: list) -> np.ndarray:
+    """The primal point complementary to a dual basis: row i of A u <= b is
+    tight for each basic y_i, and u_j = 0 for each basic s_j."""
+    m, p = A.shape
+    basis = np.asarray(basis)
+    tight = basis < m
+    K = np.zeros((p, p))
+    K[tight] = A[basis[tight]]
+    K[np.nonzero(~tight)[0], basis[~tight] - m] = 1.0
+    rhs = np.zeros(p)
+    rhs[tight] = b[basis[tight]]
+    return np.linalg.solve(K, rhs)
+
+
+def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
+    """Solve the LP by simplex on its dual.  Small problems only.
+
+    Each row is divided by its largest entry, and the bounds are removed by
+    substitution: z = shift + M u with u >= 0 (a finite lower bound shifts,
+    an upper bound alone reflects, a free variable splits into u+ - u-), and
+    each finite upper bound of a shifted variable becomes one more row.
+    That gives  max c'.u  s.t.  A u <= b,  u >= 0  with m rows and p
+    columns.  The synthesis LPs have m in the hundreds and p below twenty,
+    so the dual  min b.y  s.t.  A'y >= c',  y >= 0  is solved instead
+    (``_dual_basis``): its tableau has one row per u, and a pivot costs
+    O(p m) instead of the O(m^2) of a tableau with one row per constraint.
+    The outcomes map back as follows:
+
+    * dual optimal: the primal vertex is the solution of the square active
+      system of the optimal basis (``_vertex``), found by a linear solve
+      rather than read off the reduced costs;
+    * dual unbounded: the primal is infeasible;
+    * dual infeasible: the primal is unbounded or infeasible.  The
+      feasibility problem  min t  s.t.  A u - t <= b,  u, t >= 0,  solved
+      the same way (its dual is feasible at y = 0 and bounded), tells them
+      apart: the LP has a point when the optimal t is 0.
+
+    ``max_iter`` bounds the pivots over all phases together; exceeding it
+    raises ``SynthError``.  ``LPResult.iterations`` reports the pivots used.
+    """
+    # row equilibration: condition rows mix O(1) and O(100) magnitudes;
+    # dividing each row by its largest entry leaves the feasible set
+    # untouched
+    rows, rhs = lp.rows, lp.rhs
+    if rows.shape[0]:
+        rsc = np.maximum(np.max(np.abs(rows), axis=1), 1e-12)
+        rows = rows / rsc[:, None]
+        rhs = rhs / rsc
+    lo_f, hi_f = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    shift = np.where(lo_f, lp.lower, np.where(hi_f, lp.upper, 0.0))
+    M = np.diag(np.where(hi_f & ~lo_f, -1.0, 1.0))
+    M = np.hstack([M, -M[:, ~(lo_f | hi_f)]])
+    boxed = np.nonzero(lo_f & hi_f)[0]
+    R = np.vstack([rows, np.eye(lp.n_vars)[boxed]])
+    A = R @ M
+    b = np.concatenate([rhs, lp.upper[boxed]]) - R @ shift
+    cu = M.T @ lp.c
+
+    m, p = A.shape
+    pivots = _Pivots(max_iter if max_iter is not None
+                     else 400 * (m + p) + 2000)
+    status, basis = _dual_basis(A, b, cu, pivots)
+    if status == "optimal":
+        z = shift + M @ _vertex(A, b, basis)
+        return LPResult("optimal", z, float(np.dot(lp.c, z)), pivots.count)
+    if status == "infeasible":
+        A1 = np.column_stack([A, -np.ones(m)])
+        status1, basis1 = _dual_basis(A1, b, np.append(np.zeros(p), -1.0),
+                                      pivots)
+        if status1 != "optimal":
+            raise SynthError("feasibility simplex failed numerically")
+        t = _vertex(A1, b, basis1)[p]
+        status = "unbounded" if t <= _FEAS_TOL else "infeasible"
+    else:   # dual unbounded: by weak duality the primal has no point
+        status = "infeasible"
+    return LPResult(status, None, None, pivots.count)
 
 
 # ---------------------------------------------------------------------------

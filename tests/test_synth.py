@@ -111,6 +111,27 @@ def test_lp_iteration_limit():
                  max_iter=1)
 
 
+@pytest.mark.parametrize("problem", [
+    ([1, 1], [[1, 2], [3, 1]], [4, 6], [0, 0], [10, 10]),       # optimal
+    # infeasible with an unbounded dual
+    ([1, -2], [[1, 1], [-1, 0]], [-1, -1], [0, 0], [5, 5]),
+    # infeasible with an infeasible dual: decided by the feasibility solve
+    ([1, 1], [[1, -1], [-1, 1]], [-1, -1], [0, 0], [np.inf, np.inf]),
+    ([1, 1], [[1, -1]], [1], [0, -np.inf], [np.inf, np.inf]),   # unbounded
+])
+def test_lp_iteration_limit_is_the_pivot_count(problem):
+    # the budget covers every phase, the feasibility solve included: a
+    # limit raises exactly when the unlimited solve needed more pivots
+    full = solve_lp(lp(*problem))
+    assert full.iterations > 0
+    for k in range(full.iterations):
+        with pytest.raises(SynthError, match="iteration"):
+            solve_lp(lp(*problem), max_iter=k)
+    again = solve_lp(lp(*problem), max_iter=full.iterations)
+    assert (again.status, again.objective, again.iterations) == \
+        (full.status, full.objective, full.iterations)
+
+
 def test_lp_rejects_nonfinite_rows():
     with pytest.raises(SynthError, match="finite"):
         lp([1], [[np.inf]], [0], [0], [1])
@@ -264,6 +285,17 @@ def test_synth_poly_degree2_ex1(ex1, ex1_box):
     ax = np.linspace(0, 3, 101)
     for comp in fam.components:
         assert np.min(comp.value(ax)) > 0
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_synth_poly_margin_is_scale_free(ex1, degree):
+    # the LP optimum sits on the coefficient cap; divided by the leading
+    # coefficient, theta_1 = 1, and the first thm1 component, -theta_1,
+    # sets the margin to 1
+    res = synth_poly(ex1, WorkingBox((0.0, 0.0), (3.0, 3.0)), degree=degree,
+                     mode="sum")
+    assert res.success, res.reason
+    assert res.margin == pytest.approx(1.0, abs=0.01)
 
 
 def test_synth_poly_max_mode(ex1, ex1_box):
