@@ -27,7 +27,7 @@ from .certify import (CertifyError, DEFAULT_EPS, WorkingBox, certify_all)
 from .lyap import VARIANTS, LyapError, build_lyapunov
 from .measures import WeightFamily
 from .sim import (SimulationError, entrainment_test,
-                  estimate_contraction_rate, integrate, verify_decrease)
+                  estimate_contraction_rate, integrate_batch, verify_decrease)
 from .synth import SynthError, export_sos_sdpa, synth_const, synth_poly
 from .sysdsl import DslError, SystemDef, parse_system
 
@@ -274,10 +274,17 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     manifest = {"system": sys.name, "dt": cfg.dt, "t_end": cfg.t_end,
                 "files": [], "lyapunov": V.describe() if V else None}
     code = EXIT_PASS
+    try:
+        batch = integrate_batch(sys, np.asarray(starts, dtype=float),
+                                cfg.t_end, dt=cfg.dt)
+    except SimulationError as exc:   # a bad request fails every start alike
+        batch = exc
     for j, x0 in enumerate(starts):
         name = f"traj-{j:03d}.csv"
         try:
-            traj = integrate(sys, x0, cfg.t_end, dt=cfg.dt)
+            if isinstance(batch, SimulationError):
+                raise batch
+            traj = batch.trajectory(j)
         except SimulationError as exc:
             _say(cfg, f"trajectory {j}: {exc}")
             code = EXIT_FAIL

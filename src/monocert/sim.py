@@ -5,9 +5,11 @@ Integration is classical fixed-step RK4.  A step-doubling error estimate
 way and the worst value reported on the trajectory; the state itself always
 advances by the plain full step, so convergence stays exactly fourth order.
 
-Trajectories that leave the declared domain by more than ``INVARIANCE_TOL``
-abort with a diagnostic — states are never clamped back in, because a
-clamped trajectory would silently invalidate every conclusion drawn from it.
+Several initial conditions are integrated in lockstep, and each trajectory
+aborts on its own: one that becomes non-finite or leaves the declared domain
+by more than ``INVARIANCE_TOL`` stops with its own diagnostic while the
+others continue.  States are never clamped back in, because a clamped
+trajectory would silently invalidate every conclusion drawn from it.
 
 On top of the integrator:
 
@@ -75,28 +77,45 @@ class Trajectory:
         if V is not None:
             cols.append("V")
             data.append(V.evaluate_batch(self.x))
+        M = np.column_stack(data)
+        row = ",".join(["%.17g"] * M.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for row in zip(*data):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(row * M.shape[0] % tuple(M.ravel().tolist()))
 
 
 @dataclass
 class BatchTrajectories:
-    """Several solutions integrated in lockstep: times (m,), states (m, B, n)."""
+    """Several solutions integrated in lockstep: times (m,), states (m, B, n).
+
+    A trajectory that failed keeps NaN states from its failure on, and its
+    diagnostic in ``failures`` as row -> (step, violation, message).
+    """
     t: np.ndarray
     x: np.ndarray
     dt: float
-    max_step_error: float
+    max_step_error: np.ndarray   # (B,), one worst step error per trajectory
     state_names: tuple
+    failures: dict = field(default_factory=dict)
 
     @property
     def n_trajectories(self) -> int:
         return self.x.shape[1]
 
     def trajectory(self, j: int) -> Trajectory:
+        """Row j as a ``Trajectory``; raises its diagnostic if it failed."""
+        if j in self.failures:
+            raise SimulationError(self.failures[j][2])
         return Trajectory(self.t, self.x[:, j, :], self.dt,
-                          self.max_step_error, self.state_names)
+                          float(self.max_step_error[j]), self.state_names)
+
+    def raise_first_failure(self) -> None:
+        """Raise the earliest failure: the first step, then the largest
+        violation (non-finite counts as infinite), then the lowest row."""
+        if self.failures:
+            j = min(self.failures,
+                    key=lambda j: (self.failures[j][0], -self.failures[j][1], j))
+            raise SimulationError(self.failures[j][2])
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +141,11 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     """Integrate several initial conditions of one system in lockstep.
 
     ``save_every`` thins the stored samples (the final state is always
-    stored).  Raises ``SimulationError`` the moment any trajectory exits
-    the declared domain by more than ``INVARIANCE_TOL``.
+    stored).  Each trajectory aborts on its own: a row that becomes
+    non-finite or exits the declared domain by more than ``INVARIANCE_TOL``
+    leaves the live set at that step with its diagnostic, and the other
+    rows continue with unchanged arithmetic.  ``trajectory(j)`` raises row
+    j's diagnostic; ``raise_first_failure`` raises the earliest one.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
@@ -134,56 +156,65 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     if span <= 0:
         raise SimulationError("t_end must exceed the start time")
 
-    if sys.time_varying:
-        fb = sys.f_batch
-    else:
-        raw = sys.f_batch
-
-        def fb(X, t):
-            return raw(X)
-
     lo, hi = _bounds_arrays(sys)
+    failures: dict = {}
 
-    def check_domain(X, t):
-        if not np.all(np.isfinite(X)):
-            raise SimulationError(f"non-finite state at t={t:.6g}")
+    def drop_failed(X, rows, k, t):
+        """The live rows of X and their indices, recording each failure."""
         viol = np.maximum(lo - X, X - hi)
-        worst = float(np.max(viol)) if viol.size else 0.0
-        if worst > INVARIANCE_TOL:
-            j, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
-            raise SimulationError(
-                f"trajectory {j} left the domain at t={t:.6g}: "
-                f"{sys.state_names[i]}={X[j, i]:.6g} violates "
-                f"{sys.bounds[i]} by {worst:.3e} (not clamping)")
+        worst = viol.max(axis=1)
+        ok = worst <= INVARIANCE_TOL   # False on NaN as well
+        if ok.all():
+            return X, rows
+        for r in np.flatnonzero(~ok):
+            j = int(rows[r])
+            if not np.all(np.isfinite(X[r])):
+                failures[j] = (k, math.inf, f"non-finite state at t={t:.6g}")
+                continue
+            i = int(np.argmax(viol[r]))
+            failures[j] = (k, float(worst[r]),
+                           f"trajectory {j} left the domain at t={t:.6g}: "
+                           f"{sys.state_names[i]}={X[r, i]:.6g} violates "
+                           f"{sys.bounds[i]} by {worst[r]:.3e} (not clamping)")
+        return X[ok], rows[ok]
 
-    check_domain(X0, t0)
     n_full = int(math.floor(span / dt + 1e-9))
     rem = span - n_full * dt
     steps = [dt] * n_full + ([rem] if rem > 1e-12 else [])
+    n_steps = len(steps)
 
-    ts = [t0]
-    xs = [X0.copy()]
-    X = X0.copy()
+    B = X0.shape[0]
+    n_saved = 1 + n_steps // save_every + (1 if n_steps % save_every else 0)
+    ts = np.empty(n_saved)
+    xs = np.full((n_saved, B, sys.n), np.nan)
+    ts[0] = t0
+    xs[0] = X0
     t = float(t0)
-    max_err = 0.0
+    X, rows = drop_failed(X0.copy(), np.arange(B), -1, t)
+    max_err = np.zeros(B)
+    saved = 1
     for k, h in enumerate(steps):
-        if k % _ERROR_CHECK_EVERY == 0 or k == len(steps) - 1:
-            full = _rk4(fb, t, X, h)
-            half = _rk4(fb, t + h / 2, _rk4(fb, t, X, h / 2), h / 2)
-            if full.size:
-                max_err = max(max_err, float(np.max(np.abs(full - half))) / 15.0)
-            X = full
-        else:
-            X = _rk4(fb, t, X, h)
+        if rows.size:
+            if k % _ERROR_CHECK_EVERY == 0 or k == n_steps - 1:
+                full = _rk4(sys.f_batch, t, X, h)
+                half = _rk4(sys.f_batch, t + h / 2,
+                            _rk4(sys.f_batch, t, X, h / 2), h / 2)
+                err = np.abs(full - half).max(axis=1) / 15.0
+                # fmax keeps the old worst where a row's estimate is NaN
+                max_err[rows] = np.fmax(max_err[rows], err)
+                X = full
+            else:
+                X = _rk4(sys.f_batch, t, X, h)
+            X, rows = drop_failed(X, rows, k, t + h)
         t += h
-        check_domain(X, t)
-        if (k + 1) % save_every == 0 or k == len(steps) - 1:
-            ts.append(t)
-            xs.append(X.copy())
+        if (k + 1) % save_every == 0 or k == n_steps - 1:
+            ts[saved] = t
+            xs[saved, rows] = X
+            saved += 1
 
-    return BatchTrajectories(t=np.asarray(ts), x=np.stack(xs, axis=0),
-                             dt=dt, max_step_error=max_err,
-                             state_names=tuple(sys.state_names))
+    return BatchTrajectories(t=ts, x=xs, dt=dt, max_step_error=max_err,
+                             state_names=tuple(sys.state_names),
+                             failures=failures)
 
 
 def integrate(sys: SystemDef, x0: Sequence[float], t_end: float,
@@ -335,6 +366,7 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     total_steps = max(1, int(round(t_end / dt)))
     save_every = max(1, total_steps // 500)
     batch = integrate_batch(sys, X0, t_end, dt=dt, save_every=save_every)
+    batch.raise_first_failure()
 
     A = batch.x[:, 0::2, :]   # (m, P, n)
     B = batch.x[:, 1::2, :]
@@ -416,6 +448,7 @@ def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
     h = T / steps_per_period
     batch = integrate_batch(sys, X0, horizon_periods * T, dt=h,
                             save_every=steps_per_period)
+    batch.raise_first_failure()
     # (K+1, B, n) states at period multiples
     P = batch.x
     K = P.shape[0] - 1

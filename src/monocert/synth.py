@@ -538,14 +538,16 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
                            reason=f"LP {sol.status} at degree {degree}",
                            kamke=kamke, resolution=res)
 
-    coeffs = sol.z[:n * d1].reshape(n, d1)
+    coeffs = sol.z[:n * d1].reshape(n, d1).copy()
     s = float(sol.z[s_col])
     note = ""
+    # non-constant coefficients at round-off level are zeros of the vertex
+    coeffs[:, 1:][np.abs(coeffs[:, 1:]) <= 1e-12] = 0.0
 
     # normalize by the leading coefficient of the last non-constant weight
     lead = None
     for i in range(n - 1, -1, -1):
-        nz = np.nonzero(np.abs(coeffs[i, 1:]) > 1e-12)[0]
+        nz = np.flatnonzero(coeffs[i, 1:])
         if nz.size:
             lead = coeffs[i, 1 + nz[-1]]
             break

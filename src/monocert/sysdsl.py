@@ -347,6 +347,39 @@ def evaluate(e: Expr, x: Sequence[float], t: Optional[float] = None) -> float:
     raise TypeError(f"unknown node {e!r}")
 
 
+def _emit(node: Expr) -> str:
+    """numpy source for ``node`` over rows ``X`` (m, n) and time ``T``."""
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"X[:, {node.index}]"
+    if isinstance(node, TimeVar):
+        return "T"
+    if isinstance(node, Neg):
+        return f"(-{_emit(node.arg)})"
+    if isinstance(node, Add):
+        return f"({_emit(node.a)} + {_emit(node.b)})"
+    if isinstance(node, Sub):
+        return f"({_emit(node.a)} - {_emit(node.b)})"
+    if isinstance(node, Mul):
+        return f"({_emit(node.a)} * {_emit(node.b)})"
+    if isinstance(node, Div):
+        return f"({_emit(node.a)} / {_emit(node.b)})"
+    if isinstance(node, Pow):
+        return f"({_emit(node.base)} ** {node.exponent})"
+    if isinstance(node, Min):
+        return f"np.minimum({_emit(node.a)}, {_emit(node.b)})"
+    if isinstance(node, Max):
+        return f"np.maximum({_emit(node.a)}, {_emit(node.b)})"
+    if isinstance(node, Exp):
+        return f"np.exp({_emit(node.arg)})"
+    if isinstance(node, Sin):
+        return f"np.sin({_emit(node.arg)})"
+    if isinstance(node, Cos):
+        return f"np.cos({_emit(node.arg)})"
+    raise TypeError(f"unknown node {node!r}")
+
+
 _compiled_cache: dict = {}
 
 
@@ -357,41 +390,10 @@ def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None
     for time-invariant expressions).  Tree-walking per point is far too slow
     on 41^n certification grids, so the tree is emitted once as numpy code.
     """
-    def emit(node: Expr) -> str:
-        if isinstance(node, Const):
-            return repr(node.value)
-        if isinstance(node, Var):
-            return f"X[:, {node.index}]"
-        if isinstance(node, TimeVar):
-            return "T"
-        if isinstance(node, Neg):
-            return f"(-{emit(node.arg)})"
-        if isinstance(node, Add):
-            return f"({emit(node.a)} + {emit(node.b)})"
-        if isinstance(node, Sub):
-            return f"({emit(node.a)} - {emit(node.b)})"
-        if isinstance(node, Mul):
-            return f"({emit(node.a)} * {emit(node.b)})"
-        if isinstance(node, Div):
-            return f"({emit(node.a)} / {emit(node.b)})"
-        if isinstance(node, Pow):
-            return f"({emit(node.base)} ** {node.exponent})"
-        if isinstance(node, Min):
-            return f"np.minimum({emit(node.a)}, {emit(node.b)})"
-        if isinstance(node, Max):
-            return f"np.maximum({emit(node.a)}, {emit(node.b)})"
-        if isinstance(node, Exp):
-            return f"np.exp({emit(node.arg)})"
-        if isinstance(node, Sin):
-            return f"np.sin({emit(node.arg)})"
-        if isinstance(node, Cos):
-            return f"np.cos({emit(node.arg)})"
-        raise TypeError(f"unknown node {node!r}")
-
     # keyed by the emitted source, not by e: Const(0.0) and Const(-0.0)
     # compare and hash equal but return zeros of opposite sign, so keying
     # on e makes the sign depend on which of them was compiled first
-    body = emit(e)
+    body = _emit(e)
     fn = _compiled_cache.get(body)
     if fn is not None:
         return fn
@@ -422,6 +424,21 @@ def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None
 
     _compiled_cache[body] = fn
     return fn
+
+
+def _compile_field(odes: Sequence[Expr]) -> Callable:
+    """One generated kernel ``f(X, T) -> (m, n)`` for a whole vector field."""
+    src = ["def _f(X, T=None):"]
+    if any(references_time(fi) for fi in odes):
+        src += ["    if T is None:",
+                "        raise ValueError('expression references t but no "
+                "time was given')"]
+    src += ["    X = np.asarray(X, dtype=float)", "    out = np.empty_like(X)"]
+    src += [f"    out[:, {i}] = {_emit(fi)}" for i, fi in enumerate(odes)]
+    src.append("    return out")
+    ns: dict = {"np": np}
+    exec("\n".join(src) + "\n", ns)
+    return ns["_f"]
 
 
 # ---------------------------------------------------------------------------
@@ -871,16 +888,7 @@ class SystemDef:
     def f_batch(self, X: np.ndarray, t=None) -> np.ndarray:
         """Vectorized vector field: (m, n) -> (m, n)."""
         if self._f_batch is None:
-            fns = [compile_expr(fi) for fi in self.odes]
-
-            def fb(X, t=None):
-                X = np.asarray(X, dtype=float)
-                out = np.empty_like(X)
-                for i, fn in enumerate(fns):
-                    out[:, i] = fn(X, t)
-                return out
-
-            self._f_batch = fb
+            self._f_batch = _compile_field(self.odes)
         return self._f_batch(X, t)
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:

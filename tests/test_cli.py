@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, load_family, load_system
 from monocert.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, RunConfig, main, run
+from monocert.lyap import build_lyapunov
+from monocert.sim import integrate
 
 EX1 = str(CORPUS / "ex1.sys")
 EX1_THETA = str(CORPUS / "ex1.theta.json")
@@ -231,6 +233,28 @@ def test_simulate_escaping_trajectory_fails(tmp_path, capsys):
     assert "left the domain" in capsys.readouterr().out
     rep = _read(tmp_path / "simulate-report.json")
     assert rep["files"] == []
+
+
+@pytest.mark.parametrize("argv,weights", [
+    (["ex1", "--x0", "2,1", "--random", "3", "--box", "0:3,0:3",
+      "--theta", EX1_THETA], "ex1.theta.json"),
+    # one of the four rotation starts leaves the domain mid-run
+    (["rotation", "--random", "4", "--seed", "1"], None),
+])
+def test_simulate_csvs_match_single_integrations(tmp_path, argv, weights):
+    main(["simulate", *argv, "--t-end", "2", "--dt", "0.01", "--quiet",
+          "--out", str(tmp_path)])
+    sys = load_system(argv[0])
+    V = (build_lyapunov(sys, load_family(weights), "state-sum")
+         if weights else None)
+    files = _read(tmp_path / "simulate-report.json")["files"]
+    assert len(files) == (4 if weights else 3)
+    for entry in files:
+        tr = integrate(sys, entry["x0"], 2.0, dt=0.01)
+        tr.to_csv(tmp_path / "single.csv", V=V)
+        assert ((tmp_path / entry["file"]).read_bytes()
+                == (tmp_path / "single.csv").read_bytes())
+        assert entry["max_step_error"] == tr.max_step_error
 
 
 # ---------------------------------------------------------------------------

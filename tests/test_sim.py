@@ -85,6 +85,92 @@ def test_batch_matches_single_bitwise(ex1):
         assert np.array_equal(batch.t, single.t)
 
 
+def test_batch_step_error_is_per_trajectory(ex1):
+    X0 = np.array([[1.0, 2.0], [0.5, 0.25], [3.0, 3.0]])
+    batch = integrate_batch(ex1, X0, 1.0, dt=1e-2)
+    errs = [batch.trajectory(j).max_step_error for j in range(3)]
+    for j in range(3):
+        assert errs[j] == integrate(ex1, X0[j], 1.0, dt=1e-2).max_step_error
+    assert len(set(errs)) == 3
+
+
+def test_mixed_batch_aborts_only_the_row_that_leaves(rotation):
+    """Row 2 starts inside [-1, 1]^2 at radius 1.06 and leaves mid-run;
+    the other rows finish exactly as they would alone."""
+    X0 = np.array([[0.5, 0.0], [0.0, -0.7], [0.8, -0.7], [0.3, 0.3]])
+    batch = integrate_batch(rotation, X0, 2.0, dt=1e-2)
+    assert set(batch.failures) == {2}
+    for j in (0, 1, 3):
+        single = integrate(rotation, X0[j], 2.0, dt=1e-2)
+        got = batch.trajectory(j)
+        assert np.array_equal(got.x, single.x)
+        assert np.array_equal(got.t, single.t)
+        assert got.max_step_error == single.max_step_error
+    with pytest.raises(SimulationError) as alone:
+        integrate(rotation, X0[2], 2.0, dt=1e-2)
+    with pytest.raises(SimulationError) as batched:
+        batch.trajectory(2)
+    assert str(alone.value).startswith("trajectory 0 left the domain at t=0.3")
+    assert str(batched.value) == str(alone.value).replace(
+        "trajectory 0 ", "trajectory 2 ", 1)
+
+
+def _single_failures(sys, X0, t_end, dt):
+    """(failure time, message) of every start that fails when run alone."""
+    out = {}
+    for j, x0 in enumerate(X0):
+        try:
+            integrate(sys, x0, t_end, dt=dt)
+        except SimulationError as exc:
+            msg = str(exc)
+            out[j] = (float(msg.split("t=")[1].split(":")[0]), msg)
+    return out
+
+
+def test_entrainment_raises_the_earliest_failure():
+    # dx = 1 drifts out of [0, 10]: the start at 9.5 leaves first, at
+    # about t = 0.5, the start at 8 at about t = 2
+    drift = _scalar("1 + 0*sin(t)", lo="0", hi="10", extra="period 1")
+    X0 = np.array([[8.0], [9.5], [1.0]])
+    alone = _single_failures(drift, X0, 5.0, 5e-3)
+    assert set(alone) == {0, 1} and alone[1][0] < alone[0][0]
+    with pytest.raises(SimulationError) as exc:
+        entrainment_test(drift, X0, horizon_periods=5, dt=5e-3)
+    assert str(exc.value) == alone[1][1].replace("trajectory 0 ",
+                                                 "trajectory 1 ", 1)
+
+
+def test_contraction_rate_raises_the_earliest_failure(rotation):
+    fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
+    box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0))
+    # the starts estimate_contraction_rate draws for seed 2, 4 pairs
+    rng = np.random.default_rng(2)
+    X0 = -1.0 + 2.0 * rng.random((8, 2))
+    alone = _single_failures(rotation, X0, 3.0, 1e-3)
+    times = sorted(t for t, _ in alone.values())
+    assert len(times) >= 2 and times[0] < times[1]
+    first = min(alone, key=lambda j: alone[j][0])
+    assert first != 0
+    with pytest.raises(SimulationError) as exc:
+        estimate_contraction_rate(rotation, fam, pairs=4, box=box,
+                                  t_end=3.0, seed=2)
+    assert str(exc.value) == alone[first][1].replace(
+        "trajectory 0 ", f"trajectory {first} ", 1)
+
+
+def test_to_csv_matches_row_by_row_formatting(tmp_path):
+    t = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e-300])
+    x = np.array([[1.0, -0.0], [np.nan, 2.5e-17], [np.inf, -np.inf],
+                  [1 / 3, 123456789.123456789], [-1e300, 5e-324]])
+    tr = Trajectory(t, x, 0.1, 0.0, ("a", "b"))
+    path = tmp_path / "fast.csv"
+    tr.to_csv(path)
+    want = "t,a,b\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n"
+        for row in zip(t, x[:, 0], x[:, 1]))
+    assert path.read_bytes() == want.encode()
+
+
 def test_trajectory_to_csv(tmp_path, ex1, ex1_theta):
     V = build_lyapunov(ex1, ex1_theta, "state-sum")
     tr = integrate(ex1, [2.0, 1.0], 0.5, dt=1e-2)

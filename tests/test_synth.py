@@ -298,6 +298,15 @@ def test_synth_poly_margin_is_scale_free(ex1, degree):
     assert res.margin == pytest.approx(1.0, abs=0.01)
 
 
+def test_synth_poly_weights_carry_no_round_off(ex1):
+    # the LP vertex has theta_1 = const; the solve leaves ~1e-15 residue in
+    # its higher coefficients, which must not reach the weights
+    res = synth_poly(ex1, WorkingBox((0.0, 0.0), (3.0, 3.0)), degree=2,
+                     mode="sum")
+    assert res.success, res.reason
+    assert list(res.weights.components[0].coeffs) == [1.0, 0.0, 0.0]
+
+
 def test_synth_poly_max_mode(ex1, ex1_box):
     res = synth_poly(ex1, ex1_box, degree=2, mode="max")
     assert res.success, res.reason

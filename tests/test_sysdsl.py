@@ -345,6 +345,29 @@ def test_f_batch_matches_pointwise(traffic4):
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.sys")))
+def test_fused_f_batch_matches_tree_walker(name):
+    """The one generated field kernel against the tree-walking ``f``, at
+    scalar times and at one time per point."""
+    sys = load_system(name)
+    rng = np.random.default_rng(17)
+    lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
+    hi = np.array([min(b.hi, 3.0) for b in sys.bounds])
+    X = lo + (hi - lo) * rng.random((50, sys.n))
+    T = rng.uniform(0.0, 10.0, size=50)
+    for t in (0.0, 0.7, 5.25):
+        want = np.array([sys.f(x, t) for x in X])
+        np.testing.assert_allclose(sys.f_batch(X, t), want, rtol=1e-12, atol=0)
+    want = np.array([sys.f(x, float(t)) for x, t in zip(X, T)])
+    np.testing.assert_allclose(sys.f_batch(X, T), want, rtol=1e-12, atol=0)
+
+
+def test_time_varying_f_batch_needs_time():
+    sys = load_system("entrain_cubic")
+    with pytest.raises(ValueError, match="no time was given"):
+        sys.f_batch(np.zeros((2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # free_vars / references_time / simplify
 # ---------------------------------------------------------------------------
