@@ -28,6 +28,11 @@ condition — the reported value is the worst across tied branches.
 ``partition`` groups the grid points by active branch pattern, so each
 condition is evaluated once per pattern and chunk, tied points included.
 
+All the checks of one request share one pass over the grid: each chunk is
+partitioned once, and per group the branch Jacobian, the vector field and
+the weights are evaluated once and read by every condition.  Each check
+still sees exactly the rows and the arithmetic it would see on its own.
+
 The reduction is deterministic: worst margin, ties broken by the
 lexicographically smallest grid index.  A NaN condition value counts as
 worse than every number, so it fails the check.
@@ -38,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
@@ -240,16 +246,51 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     is_min = np.array([g.is_min for g in jb.guards])
     side = np.where(is_min, diffs >= 0, diffs <= 0).astype(np.int8)
     key = np.where(np.abs(diffs) <= TIE_TOL * scales, np.int8(_TIED), side)
-    keys, inverse, counts = np.unique(key, axis=0, return_inverse=True,
-                                      return_counts=True)
-    order = np.argsort(inverse.reshape(-1), kind="stable")
+    # rows sorted by key, guard 0 first, and ascending within a key (lexsort
+    # is stable); np.unique(axis=0) sorts the rows as void records, which
+    # took a third of a piecewise certify
+    order = np.lexsort(key.T[::-1])
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.any(sorted_key[1:] != sorted_key[:-1],
+                                   axis=1)) + 1
     groups = []
-    for k, rows in zip(keys, np.split(order, np.cumsum(counts)[:-1])):
+    for k, rows in zip(sorted_key[np.r_[0, starts]], np.split(order, starts)):
         tied = bool(np.any(k == _TIED))
         options = [(0, 1) if s == _TIED else (int(s),) for s in k]
         for combo in product(*options):
             groups.append((tuple(_SIDE_NAMES[s] for s in combo), rows, tied))
     return groups
+
+
+class _Sample:
+    """The rows of one partition group: the vector field and the weights
+    there, each evaluated at most once and read by every condition on
+    every tied branch of the group."""
+
+    def __init__(self, jb: JacobianBranches, X: np.ndarray):
+        self.jb = jb
+        self.X = X
+        self._weights: dict = {}
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self.jb.sys.f_batch(self.X)
+
+    def weights(self, fam: WeightFamily) -> tuple:
+        """(values, derivatives) of ``fam`` at the rows, each (m, n).
+
+        Keyed by identity: equal families may still differ in the sign of a
+        zero coefficient, and so in the sign of a zero result.
+        """
+        got = self._weights.get(id(fam))
+        if got is None:
+            got = self._weights[id(fam)] = (
+                _family_axis_values(fam, self.X),
+                _family_axis_values(fam, self.X, deriv=True))
+        return got
+
+    def jacobian(self, pattern: tuple) -> np.ndarray:
+        return self.jb.branch_matrix(pattern).evaluate_batch(self.X)
 
 
 def _worse(v, cur):
@@ -264,79 +305,89 @@ def _worst_component(cond: np.ndarray) -> tuple:
     return cond[np.arange(cond.shape[0]), comps], comps
 
 
-def _reduce(jb: JacobianBranches, X: np.ndarray, evaluator: Callable,
+def _reduce(jb: JacobianBranches, X: np.ndarray, evaluators: Sequence,
             componentwise: bool = False) -> tuple:
     """Condition values at the rows of X, worst over each row's tied branches.
 
-    ``evaluator(X, pattern)`` returns the (m, c) condition components.  By
-    default the result is (vals (m,), comps (m,), n_tied): the worst
-    component per point, supplied by the first tied branch (in product
-    order) attaining it.  With ``componentwise`` the evaluator must return
-    n = sys.n components and the result is (values (m, n), None, n_tied),
-    the componentwise max over tied branches.
+    Each ``evaluator(sample, J)`` returns the (m, c) condition components
+    at a ``_Sample`` with the branch Jacobian J there; all of them read one
+    partition, and one evaluation of J, f and the weights, per group.
+    Returns (results, n_tied) with one result per evaluator.  By default a
+    result is (vals (m,), comps (m,)): the worst component per point,
+    supplied by the first tied branch (in product order) attaining it.
+    With ``componentwise`` the evaluators must return n = sys.n components
+    and a result is (values (m, n), None), the componentwise max over tied
+    branches.
     """
     groups = partition(jb, X)
     if len(groups) == 1 and not groups[0][2]:
         # one untied group covers the chunk: no scatter needed
-        cond = evaluator(X, groups[0][0])
+        sample = _Sample(jb, X)
+        J = sample.jacobian(groups[0][0])
+        conds = [ev(sample, J) for ev in evaluators]
         if componentwise:
-            return cond, None, 0
-        return (*_worst_component(cond), 0)
+            return [(cond, None) for cond in conds], 0
+        return [_worst_component(cond) for cond in conds], 0
 
     m = X.shape[0]
-    vals = np.full((m, jb.sys.n) if componentwise else m, -np.inf)
-    comps = None if componentwise else np.zeros(m, dtype=np.int64)
+    results = [(np.full((m, jb.sys.n) if componentwise else m, -np.inf),
+                None if componentwise else np.zeros(m, dtype=np.int64))
+               for _ in evaluators]
     tied_rows = np.zeros(m, dtype=bool)
+    group_rows = None
     for pattern, rows, tied in groups:
-        cond = evaluator(X[rows], pattern)
+        # the branches of one tied group share its rows array
+        if rows is not group_rows:
+            group_rows, sample = rows, _Sample(jb, X[rows])
         if tied:
             tied_rows[rows] = True
-        if componentwise:
-            vals[rows] = np.maximum(vals[rows], cond)
-            continue
-        v, c = _worst_component(cond)
-        if tied:
-            upd = _worse(v, vals[rows])
-            rows, v, c = rows[upd], v[upd], c[upd]
-        vals[rows] = v
-        comps[rows] = c
-    return vals, comps, int(tied_rows.sum())
+        J = sample.jacobian(pattern)
+        for ev, (vals, comps) in zip(evaluators, results):
+            cond = ev(sample, J)
+            if componentwise:
+                vals[rows] = np.maximum(vals[rows], cond)
+                continue
+            v, c = _worst_component(cond)
+            at = rows
+            if tied:
+                upd = _worse(v, vals[rows])
+                at, v, c = rows[upd], v[upd], c[upd]
+            vals[at] = v
+            comps[at] = c
+    return results, int(tied_rows.sum())
 
 
 def _scan_grid(jb: JacobianBranches, box: WorkingBox,
-               evaluator: Callable) -> tuple:
-    """Worst value over the whole grid.
+               evaluators: Sequence) -> tuple:
+    """Worst value of every evaluator over the whole grid, in one pass.
 
-    Returns (worst, witness_point, witness_comp, n_ties).  Deterministic:
-    the witness is the first (lexicographically smallest) grid point
-    attaining the worst value, or the first NaN.
+    Returns ([(worst, witness_point, witness_comp)], n_ties).
+    Deterministic: each witness is the first (lexicographically smallest)
+    grid point attaining its worst value, or the first NaN.
     """
-    worst = -np.inf
-    worst_point: Optional[np.ndarray] = None
-    worst_comp = 0
+    worst = [(-np.inf, None, 0)] * len(evaluators)
     n_ties = 0
     for X in _iter_chunks(box.axes()):
-        vals, comps, ties = _reduce(jb, X, evaluator)
+        results, ties = _reduce(jb, X, evaluators)
         n_ties += ties
-        k = int(np.argmax(vals))
-        # even an all--inf grid (vacuous conditions) must produce a witness
-        if worst_point is None or _worse(vals[k], worst):
-            worst = float(vals[k])
-            worst_point = X[k]
-            worst_comp = int(comps[k])
-    return worst, worst_point, worst_comp, n_ties
+        for e, (vals, comps) in enumerate(results):
+            k = int(np.argmax(vals))
+            # even an all--inf grid (vacuous conditions) must produce a witness
+            if worst[e][1] is None or _worse(vals[k], worst[e][0]):
+                worst[e] = (float(vals[k]), X[k], int(comps[k]))
+    return worst, n_ties
 
 
 def _eval_at_point(jb: JacobianBranches, x: Sequence[float],
-                   evaluator: Callable) -> float:
-    """Worst condition value at a single point over all tied branches."""
+                   evaluators: Sequence) -> list:
+    """Worst value of every evaluator at one point over all tied branches."""
     X = np.asarray([list(map(float, x))])
-    vals, _, _ = _reduce(jb, X, evaluator)
-    return float(vals[0])
+    results, _ = _reduce(jb, X, evaluators)
+    return [float(vals[0]) for vals, _ in results]
 
 
 # ---------------------------------------------------------------------------
-# Condition evaluators: (X, pattern) -> (m, components) array
+# Condition evaluators: (_Sample, J) -> (m, components) array
 # ---------------------------------------------------------------------------
 
 def _family_axis_values(fam: WeightFamily, X: np.ndarray,
@@ -347,19 +398,13 @@ def _family_axis_values(fam: WeightFamily, X: np.ndarray,
     return out
 
 
-def _make_kamke_eval(jb: JacobianBranches):
-    n = jb.sys.n
-    diag_cols = [i * n + i for i in range(n)]
-
-    def ev(X, pattern):
-        J = jb.branch_matrix(pattern).evaluate_batch(X)
-        off = -J.reshape(X.shape[0], n * n)
-        # diagonal entries carry no Metzler constraint; mask them out (a
-        # scalar system is vacuously Metzler)
-        off[:, diag_cols] = -np.inf
-        return off
-
-    return ev
+def _kamke_eval(s: _Sample, J: np.ndarray) -> np.ndarray:
+    m, n, _ = J.shape
+    off = -J.reshape(m, n * n)
+    # diagonal entries carry no Metzler constraint; mask them out (a
+    # scalar system is vacuously Metzler)
+    off[:, ::n + 1] = -np.inf
+    return off
 
 
 # The weighted conditions, by mode: the weight kind, the contraction of the
@@ -372,32 +417,26 @@ _CONDITIONS = {
 }
 
 
-def _make_weighted_eval(jb: JacobianBranches, fam: WeightFamily, mode: str):
+def _make_weighted_eval(fam: WeightFamily, mode: str):
     _, contract, sign = _CONDITIONS[mode]
 
-    def ev(X, pattern):
-        J = jb.branch_matrix(pattern).evaluate_batch(X)
-        f = jb.sys.f_batch(X)
-        w = _family_axis_values(fam, X)
-        dw = _family_axis_values(fam, X, deriv=True)
-        return contract(w, J) + sign * dw * f
+    def ev(s: _Sample, J: np.ndarray) -> np.ndarray:
+        w, dw = s.weights(fam)
+        return contract(w, J) + sign * dw * s.f
 
     return ev
 
 
-def _make_mu_eval(jb: JacobianBranches, fam: WeightFamily, norm: str):
-    idx = np.arange(jb.sys.n)
+def _make_mu_eval(fam: WeightFamily, norm: str):
+    idx = np.arange(fam.n)
 
-    def ev(X, pattern):
-        J = jb.branch_matrix(pattern).evaluate_batch(X)
-        f = jb.sys.f_batch(X)
-        th = _family_axis_values(fam, X)
-        dth = _family_axis_values(fam, X, deriv=True)
+    def ev(s: _Sample, J: np.ndarray) -> np.ndarray:
+        th, dth = s.weights(fam)
         if fam.kind == "omega":
             dth = -dth / (th * th)
             th = 1.0 / th
         Jt = (th[:, :, None] / th[:, None, :]) * J
-        Jt[:, idx, idx] += dth * f / th
+        Jt[:, idx, idx] += dth * s.f / th
         d = Jt[:, idx, idx]
         if norm == "l1":
             return np.sum(np.abs(Jt), axis=1) - np.abs(d) + d  # per column
@@ -407,8 +446,19 @@ def _make_mu_eval(jb: JacobianBranches, fam: WeightFamily, norm: str):
 
 
 # ---------------------------------------------------------------------------
-# Shared check plumbing
+# Check specs: validation first, then one shared grid pass
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _Spec:
+    """One validated check, ready for the shared grid pass."""
+    condition: str
+    evaluator: Callable
+    needs_eq: bool
+    uniform: bool = False
+    positivity: Optional[dict] = None
+    component_decoder: Optional[Callable] = None
+
 
 def _as_family(weights, kind: str) -> WeightFamily:
     if isinstance(weights, WeightFamily):
@@ -453,51 +503,23 @@ def _require_equilibrium(sys: SystemDef) -> tuple:
     return sys.equilibrium
 
 
-def _finish(condition: str, jb: JacobianBranches, box: WorkingBox,
-            eps: float, evaluator, needs_eq: bool, uniform: bool = False,
-            positivity: Optional[dict] = None,
-            component_decoder=None, notes: str = "") -> CertReport:
-    sys = jb.sys
-    box.validate_for(sys)
-    worst, point, comp, ties = _scan_grid(jb, box, evaluator)
-    eq_margin = None
-    if needs_eq:
-        xstar = _require_equilibrium(sys)
-        eq_margin = _eval_at_point(jb, xstar, evaluator)
+# Spec steps: (sys, box, arguments) -> _Spec; each validates its arguments
+# and raises CertifyError exactly as the check it belongs to.
 
-    # written as "not <=" so that a NaN value fails
-    failed = not worst <= ZERO_TOL
-    if needs_eq and eq_margin is not None and not eq_margin <= -eps:
-        failed = True
-    if uniform and not worst <= -eps:
-        failed = True
-    if failed:
-        verdict = "fail"
-    elif worst <= -eps:
-        verdict = "pass-with-margin"
-    else:
-        verdict = "pass"
+def _kamke_spec(sys: SystemDef, box: WorkingBox) -> _Spec:
+    n = sys.n
 
-    decoded = component_decoder(comp) if component_decoder else comp
-    witness = {
-        "point": [float(v) for v in point],
-        "component": decoded,
-        "value": worst,
-    }
-    return CertReport(condition=condition, verdict=verdict, worst_margin=worst,
-                      witness=witness, box=box, eps=eps, branch_ties=ties,
-                      equilibrium_margin=eq_margin, positivity=positivity,
-                      notes=notes)
+    def decode(c):
+        return [int(c) // n, int(c) % n]
+
+    return _Spec("kamke", _kamke_eval, needs_eq=False, component_decoder=decode)
 
 
-def _weighted_check(condition: str, mode: str, sys: SystemDef, weights,
-                    box: Optional[WorkingBox], eps: float,
-                    vector: Optional[str] = None,
-                    global_flag: bool = False) -> CertReport:
+def _weighted_spec(sys: SystemDef, box: WorkingBox, condition: str,
+                   mode: str, weights, vector: Optional[str] = None,
+                   global_flag: bool = False) -> _Spec:
     """A sum- or max-type check of a weight family, or with ``vector`` (the
     argument's name) of a constant positive vector."""
-    if box is None:
-        box = WorkingBox.default_for(sys)
     kind = _CONDITIONS[mode][0]
     if vector is None:
         fam = _as_family(weights, kind)
@@ -515,9 +537,73 @@ def _weighted_check(condition: str, mode: str, sys: SystemDef, weights,
         if global_flag:
             condition += "-global"
     _require_equilibrium(sys)
+    return _Spec(condition, _make_weighted_eval(fam, mode), needs_eq=True,
+                 uniform=global_flag, positivity=pos)
+
+
+def _mu_spec(sys: SystemDef, box: WorkingBox, w, norm: str) -> _Spec:
+    if norm not in ("l1", "linf"):
+        raise CertifyError(f"norm must be 'l1' or 'linf', got {norm!r}")
+    fam = w if isinstance(w, WeightFamily) else WeightFamily.constant(
+        "theta" if norm == "l1" else "omega", w)
+    if fam.n != sys.n:
+        raise CertifyError("weight dimension mismatch")
+    pos = _positivity_check(fam, box)
+    _require_equilibrium(sys)
+    return _Spec(f"cor3-{norm}", _make_mu_eval(fam, norm), needs_eq=True,
+                 positivity=pos)
+
+
+def _finish(spec: _Spec, box: WorkingBox, scan: tuple, ties: int,
+            eq_margin: Optional[float], eps: float) -> CertReport:
+    worst, point, comp = scan
+    # written as "not <=" so that a NaN value fails
+    failed = not worst <= ZERO_TOL
+    if spec.needs_eq and not eq_margin <= -eps:
+        failed = True
+    if spec.uniform and not worst <= -eps:
+        failed = True
+    if failed:
+        verdict = "fail"
+    elif worst <= -eps:
+        verdict = "pass-with-margin"
+    else:
+        verdict = "pass"
+
+    decoder = spec.component_decoder
+    witness = {
+        "point": [float(v) for v in point],
+        "component": decoder(comp) if decoder else comp,
+        "value": worst,
+    }
+    return CertReport(condition=spec.condition, verdict=verdict,
+                      worst_margin=worst, witness=witness, box=box, eps=eps,
+                      branch_ties=ties, equilibrium_margin=eq_margin,
+                      positivity=spec.positivity)
+
+
+def _certify(sys: SystemDef, box: WorkingBox, specs: Sequence[_Spec],
+             eps: float) -> list:
+    """Run validated specs in one grid pass; one report per spec."""
+    box.validate_for(sys)
     jb = jacobian(sys)
-    return _finish(condition, jb, box, eps, _make_weighted_eval(jb, fam, mode),
-                   needs_eq=True, uniform=global_flag, positivity=pos)
+    scans, ties = _scan_grid(jb, box, [s.evaluator for s in specs])
+    eq_specs = [s for s in specs if s.needs_eq]
+    eq_margins = (_eval_at_point(jb, _require_equilibrium(sys),
+                                 [s.evaluator for s in eq_specs])
+                  if eq_specs else [])
+    eq = iter(eq_margins)
+    return [_finish(s, box, scan, ties, next(eq) if s.needs_eq else None, eps)
+            for s, scan in zip(specs, scans)]
+
+
+def _check_alone(spec_step: Callable, sys: SystemDef,
+                 box: Optional[WorkingBox], eps: float, *args,
+                 **kwargs) -> CertReport:
+    """One check on its own: the default box, its spec step, a grid pass."""
+    if box is None:
+        box = WorkingBox.default_for(sys)
+    return _certify(sys, box, [spec_step(sys, box, *args, **kwargs)], eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -526,30 +612,21 @@ def _weighted_check(condition: str, mode: str, sys: SystemDef, weights,
 
 def check_kamke(sys: SystemDef, box: Optional[WorkingBox] = None) -> CertReport:
     """Monotonicity: the Jacobian is Metzler at every grid point/tied branch."""
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    n = sys.n
-
-    def decode(c):
-        return [int(c) // n, int(c) % n]
-
-    jb = jacobian(sys)
-    return _finish("kamke", jb, box, DEFAULT_EPS, _make_kamke_eval(jb),
-                   needs_eq=False, component_decoder=decode)
+    return _check_alone(_kamke_spec, sys, box, DEFAULT_EPS)
 
 
 def check_thm1(sys: SystemDef, theta: WeightFamily,
                box: Optional[WorkingBox] = None,
                eps: float = DEFAULT_EPS) -> CertReport:
     """Sum-type certificate: theta^T J + thetadot^T <= 0, strict at x*."""
-    return _weighted_check("thm1", "sum", sys, theta, box, eps)
+    return _check_alone(_weighted_spec, sys, box, eps, "thm1", "sum", theta)
 
 
 def check_thm2(sys: SystemDef, omega: WeightFamily,
                box: Optional[WorkingBox] = None,
                eps: float = DEFAULT_EPS) -> CertReport:
     """Max-type certificate: J omega - omegadot <= 0, strict at x*."""
-    return _weighted_check("thm2", "max", sys, omega, box, eps)
+    return _check_alone(_weighted_spec, sys, box, eps, "thm2", "max", omega)
 
 
 def check_cor1(sys: SystemDef, v: Sequence[float],
@@ -560,35 +637,31 @@ def check_cor1(sys: SystemDef, v: Sequence[float],
     ``global_flag`` demands v^T J <= -eps uniformly on the box, the
     sufficient condition for the flow-type Lyapunov function to be global.
     """
-    return _weighted_check("cor1", "sum", sys, v, box, eps, vector="v",
-                           global_flag=global_flag)
+    return _check_alone(_weighted_spec, sys, box, eps, "cor1", "sum", v,
+                        vector="v", global_flag=global_flag)
 
 
 def check_cor2(sys: SystemDef, w: Sequence[float],
                box: Optional[WorkingBox] = None, eps: float = DEFAULT_EPS,
                global_flag: bool = False) -> CertReport:
     """Constant-vector row certificate J w <= 0, strict at x*."""
-    return _weighted_check("cor2", "max", sys, w, box, eps, vector="w",
-                           global_flag=global_flag)
+    return _check_alone(_weighted_spec, sys, box, eps, "cor2", "max", w,
+                        vector="w", global_flag=global_flag)
 
 
 def check_cor3(sys: SystemDef, w: WeightFamily, norm: str = "l1",
                box: Optional[WorkingBox] = None,
                eps: float = DEFAULT_EPS) -> CertReport:
     """Weighted-Jacobian measure certificate: mu(Jtilde) <= 0, strict at x*."""
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    if norm not in ("l1", "linf"):
-        raise CertifyError(f"norm must be 'l1' or 'linf', got {norm!r}")
-    fam = w if isinstance(w, WeightFamily) else WeightFamily.constant(
-        "theta" if norm == "l1" else "omega", w)
-    if fam.n != sys.n:
-        raise CertifyError("weight dimension mismatch")
-    pos = _positivity_check(fam, box)
-    _require_equilibrium(sys)
-    jb = jacobian(sys)
-    return _finish(f"cor3-{norm}", jb, box, eps, _make_mu_eval(jb, fam, norm),
-                   needs_eq=True, positivity=pos)
+    return _check_alone(_mu_spec, sys, box, eps, w, norm)
+
+
+# The checks certify_all runs per weight kind: the theorem and its mode,
+# the constant-vector corollary and its argument name, the measure's norm.
+_FAMILY_CHECKS = {
+    "theta": ("thm1", "sum", "cor1", "v", "l1"),
+    "omega": ("thm2", "max", "cor2", "w", "linf"),
+}
 
 
 def certify_all(sys: SystemDef,
@@ -600,11 +673,14 @@ def certify_all(sys: SystemDef,
     A theta family runs the sum-type check and the l1 measure check (plus
     the constant-vector column check when it is constant); an omega family
     runs the max-type and linf analogues.  Checks are independent — a Kamke
-    failure does not suppress the weight checks.
+    failure does not suppress the weight checks.  Every check is validated
+    first; then all of them share one pass over the grid, and each report
+    is the one the check gives on its own.
     """
     if box is None:
         box = WorkingBox.default_for(sys)
-    reports = [check_kamke(sys, box)]
+    # the box is validated before the weights, as when Kamke ran first
+    box.validate_for(sys)
     if weights is None:
         fams = []
     elif isinstance(weights, WeightFamily):
@@ -612,30 +688,35 @@ def certify_all(sys: SystemDef,
     else:
         fams = list(weights)
 
-    multi = len(fams) > 1
-
-    def tag(rep: CertReport, k: int) -> CertReport:
-        if multi:
-            rep.condition = f"{rep.condition}#{k + 1}"
-        return rep
-
+    specs = [_kamke_spec(sys, box)]
     for k, fam in enumerate(fams):
-        if fam.kind == "theta":
-            reports.append(tag(check_thm1(sys, fam, box, eps), k))
-            if fam.is_constant:
-                reports.append(tag(check_cor1(sys, fam.constants(), box, eps), k))
-            reports.append(tag(check_cor3(sys, fam, "l1", box, eps), k))
-        else:
-            reports.append(tag(check_thm2(sys, fam, box, eps), k))
-            if fam.is_constant:
-                reports.append(tag(check_cor2(sys, fam.constants(), box, eps), k))
-            reports.append(tag(check_cor3(sys, fam, "linf", box, eps), k))
-    return reports
+        thm, mode, cor, vector, norm = _FAMILY_CHECKS[fam.kind]
+        fam_specs = [_weighted_spec(sys, box, thm, mode, fam)]
+        if fam.is_constant:
+            fam_specs.append(_weighted_spec(sys, box, cor, mode,
+                                            fam.constants(), vector=vector))
+        fam_specs.append(_mu_spec(sys, box, fam, norm))
+        if len(fams) > 1:
+            for spec in fam_specs:
+                spec.condition += f"#{k + 1}"
+        specs += fam_specs
+    return _certify(sys, box, specs, eps)
 
 
 # ---------------------------------------------------------------------------
 # Raw condition values (for golden-value tests and cross-check properties)
 # ---------------------------------------------------------------------------
+
+def _grid_values(sys: SystemDef, box: WorkingBox, evaluator: Callable,
+                 componentwise: bool = False) -> np.ndarray:
+    """One evaluator's per-point values over the grid, chunk by chunk."""
+    jb = jacobian(sys)
+    out = []
+    for X in _iter_chunks(box.axes()):
+        [(vals, _)], _ = _reduce(jb, X, [evaluator], componentwise)
+        out.append(vals)
+    return np.concatenate(out, axis=0)
+
 
 def grid_condition_values(sys: SystemDef, weights, box: WorkingBox,
                           which: str) -> np.ndarray:
@@ -648,10 +729,8 @@ def grid_condition_values(sys: SystemDef, weights, box: WorkingBox,
     if which not in _CONDITIONS:
         raise CertifyError("which must be 'sum' or 'max'")
     fam = _as_family(weights, _CONDITIONS[which][0])
-    jb = jacobian(sys)
-    ev = _make_weighted_eval(jb, fam, which)
-    return np.concatenate([_reduce(jb, X, ev, componentwise=True)[0]
-                           for X in _iter_chunks(box.axes())], axis=0)
+    return _grid_values(sys, box, _make_weighted_eval(fam, which),
+                        componentwise=True)
 
 
 def grid_mu_values(sys: SystemDef, weights, box: WorkingBox,
@@ -667,7 +746,4 @@ def grid_mu_values(sys: SystemDef, weights, box: WorkingBox,
         fam = _as_family(weights, "omega")
     else:
         raise CertifyError("norm must be 'l1' or 'linf'")
-    jb = jacobian(sys)
-    ev = _make_mu_eval(jb, fam, norm)
-    return np.concatenate([_reduce(jb, X, ev)[0]
-                           for X in _iter_chunks(box.axes())], axis=0)
+    return _grid_values(sys, box, _make_mu_eval(fam, norm))

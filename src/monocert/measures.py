@@ -22,7 +22,7 @@ for a diagonal Theta(x) = diag(theta_i(x_i)) along a vector field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -69,12 +69,18 @@ class WeightComponent:
     """
     coeffs: tuple
     reciprocal: bool = False
+    # derivative coefficients, kept per instance rather than in a dict keyed
+    # on coeffs, where 0.0 == -0.0 would share them between components
+    _dcoeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cs = tuple(float(c) for c in self.coeffs)
         if not cs:
             raise ValueError("a weight component needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_dcoeffs",
+                           P.polyder(np.asarray(cs)) if len(cs) > 1
+                           else np.zeros(1))
 
     @property
     def is_constant(self) -> bool:
@@ -96,8 +102,7 @@ class WeightComponent:
         return 1.0 / v if self.reciprocal else v
 
     def deriv(self, x) -> np.ndarray:
-        dp = P.polyder(np.asarray(self.coeffs)) if len(self.coeffs) > 1 else [0.0]
-        dv = P.polyval(np.asarray(x, dtype=float), dp)
+        dv = P.polyval(np.asarray(x, dtype=float), self._dcoeffs)
         if self.reciprocal:
             p = self.poly_value(x)
             return -dv / (p * p)

@@ -137,7 +137,8 @@ def _bounds_arrays(sys: SystemDef):
 
 
 def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
-                    t0: float = 0.0, save_every: int = 1) -> BatchTrajectories:
+                    t0: float = 0.0, save_every: int = 1,
+                    abort_on_failure: bool = False) -> BatchTrajectories:
     """Integrate several initial conditions of one system in lockstep.
 
     ``save_every`` thins the stored samples (the final state is always
@@ -146,6 +147,11 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     leaves the live set at that step with its diagnostic, and the other
     rows continue with unchanged arithmetic.  ``trajectory(j)`` raises row
     j's diagnostic; ``raise_first_failure`` raises the earliest one.
+
+    With ``abort_on_failure`` the whole run stops after the first step at
+    which any row fails (every failure of that step is recorded), and the
+    stored samples end there: for callers that raise the earliest failure
+    and would discard the rest of the run anyway.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
@@ -194,6 +200,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     max_err = np.zeros(B)
     saved = 1
     for k, h in enumerate(steps):
+        if abort_on_failure and failures:
+            break
         if rows.size:
             if k % _ERROR_CHECK_EVERY == 0 or k == n_steps - 1:
                 full = _rk4(sys.f_batch, t, X, h)
@@ -212,7 +220,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
             xs[saved, rows] = X
             saved += 1
 
-    return BatchTrajectories(t=ts, x=xs, dt=dt, max_step_error=max_err,
+    return BatchTrajectories(t=ts[:saved], x=xs[:saved], dt=dt,
+                             max_step_error=max_err,
                              state_names=tuple(sys.state_names),
                              failures=failures)
 
@@ -365,7 +374,8 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     X0 = lo + (hi - lo) * rng.random((2 * pairs, sys.n))
     total_steps = max(1, int(round(t_end / dt)))
     save_every = max(1, total_steps // 500)
-    batch = integrate_batch(sys, X0, t_end, dt=dt, save_every=save_every)
+    batch = integrate_batch(sys, X0, t_end, dt=dt, save_every=save_every,
+                            abort_on_failure=True)
     batch.raise_first_failure()
 
     A = batch.x[:, 0::2, :]   # (m, P, n)
@@ -447,7 +457,7 @@ def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
     steps_per_period = max(1, int(round(T / dt)))
     h = T / steps_per_period
     batch = integrate_batch(sys, X0, horizon_periods * T, dt=h,
-                            save_every=steps_per_period)
+                            save_every=steps_per_period, abort_on_failure=True)
     batch.raise_first_failure()
     # (K+1, B, n) states at period multiples
     P = batch.x

@@ -426,15 +426,22 @@ def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None
     return fn
 
 
-def _compile_field(odes: Sequence[Expr]) -> Callable:
-    """One generated kernel ``f(X, T) -> (m, n)`` for a whole vector field."""
+def _compile_kernel(lines: Sequence[tuple], shape: tuple) -> Callable:
+    """One generated kernel ``f(X, T) -> (m, *shape)``.
+
+    ``lines`` holds (index, expression) pairs; each becomes the statement
+    ``out[:, index] = <expression>``, so a whole vector field or matrix
+    costs one Python call instead of one per entry.
+    """
     src = ["def _f(X, T=None):"]
-    if any(references_time(fi) for fi in odes):
+    if any(references_time(e) for _, e in lines):
         src += ["    if T is None:",
                 "        raise ValueError('expression references t but no "
                 "time was given')"]
-    src += ["    X = np.asarray(X, dtype=float)", "    out = np.empty_like(X)"]
-    src += [f"    out[:, {i}] = {_emit(fi)}" for i, fi in enumerate(odes)]
+    src += ["    X = np.asarray(X, dtype=float)",
+            f"    out = np.empty((X.shape[0], {', '.join(map(str, shape))}))"]
+    src += [f"    out[:, {', '.join(map(str, idx))}] = {_emit(e)}"
+            for idx, e in lines]
     src.append("    return out")
     ns: dict = {"np": np}
     exec("\n".join(src) + "\n", ns)
@@ -701,6 +708,10 @@ def _substitute_branches(e: Expr, choice: dict) -> Expr:
 class ExprMatrix:
     """A dense matrix of expressions (one smooth branch of a Jacobian)."""
     entries: tuple  # tuple of tuples of Expr
+    # the generated kernel of this instance; never shared through a dict
+    # keyed on the entries, which would conflate Const(0.0) and Const(-0.0)
+    _kernel: Optional[Callable] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @property
     def shape(self) -> tuple:
@@ -720,13 +731,11 @@ class ExprMatrix:
 
     def evaluate_batch(self, X: np.ndarray, t=None) -> np.ndarray:
         """Evaluate on an (m, n_states) batch -> (m, rows, cols) array."""
-        X = np.asarray(X, dtype=float)
-        m, n = self.shape
-        out = np.empty((X.shape[0], m, n))
-        for i in range(m):
-            for j in range(n):
-                out[:, i, j] = compile_expr(self.entries[i][j])(X, t)
-        return out
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel", _compile_kernel(
+                [((i, j), e) for i, row in enumerate(self.entries)
+                 for j, e in enumerate(row)], self.shape))
+        return self._kernel(X, t)
 
 
 class JacobianBranches:
@@ -888,7 +897,8 @@ class SystemDef:
     def f_batch(self, X: np.ndarray, t=None) -> np.ndarray:
         """Vectorized vector field: (m, n) -> (m, n)."""
         if self._f_batch is None:
-            self._f_batch = _compile_field(self.odes)
+            self._f_batch = _compile_kernel(
+                [((i,), fi) for i, fi in enumerate(self.odes)], (self.n,))
         return self._f_batch(X, t)
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:

@@ -3,6 +3,7 @@ witness semantics, and determinism."""
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from monocert.certify import (
     grid_condition_values, grid_mu_values, partition,
 )
 from monocert.measures import WeightFamily
-from monocert.sysdsl import jacobian, parse_system
+from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
-from conftest import linear_system
+from conftest import CORPUS, linear_system, load_system
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +349,69 @@ def test_certify_all_kamke_failure_does_not_suppress(rotation):
                           box)
     assert reports[0].condition == "kamke" and not reports[0].passed
     assert len(reports) == 4  # thm1, cor1, cor3 still ran
+
+
+def _one_check_at_a_time(sys, fams, box, eps=DEFAULT_EPS):
+    """What certify_all reports, with every check run on its own."""
+    reports = [check_kamke(sys, box)]
+    for k, fam in enumerate(fams):
+        if fam.kind == "theta":
+            runs = [check_thm1(sys, fam, box, eps)]
+            if fam.is_constant:
+                runs.append(check_cor1(sys, fam.constants(), box, eps))
+            runs.append(check_cor3(sys, fam, "l1", box, eps))
+        else:
+            runs = [check_thm2(sys, fam, box, eps)]
+            if fam.is_constant:
+                runs.append(check_cor2(sys, fam.constants(), box, eps))
+            runs.append(check_cor3(sys, fam, "linf", box, eps))
+        for rep in runs:
+            if len(fams) > 1:
+                rep.condition += f"#{k + 1}"
+        reports += runs
+    return reports
+
+
+@pytest.mark.parametrize("system, families, resolution", [
+    ("traffic4", [CORPUS / "traffic4.v.json"], 9),
+    ("traffic4", [GOLDEN / "traffic4.w.json"], 7),
+    ("ex1", [CORPUS / "ex1.theta.json", CORPUS / "ex1.omega.json"], 51),
+    ("multiagent", [CORPUS / "multiagent.v.json",
+                    CORPUS / "multiagent.w.json"], 41),
+    ("rotation", [CORPUS / "linear_sym.theta.json"], 5),  # theta = (1, 1)
+])
+def test_certify_all_equals_each_check_alone(system, families, resolution):
+    """One shared grid pass reports exactly what the separate checks do,
+    tied branches, witnesses and signs of zero included."""
+    sys = load_system(system)
+    fams = [WeightFamily.from_jsonable(json.loads(path.read_text()))
+            for path in families]
+    box = (WorkingBox((0.0, 0.0), (3.0, 3.0), resolution) if system == "ex1"
+           else WorkingBox.default_for(sys, resolution))
+    got = certify_all(sys, fams, box)
+    want = _one_check_at_a_time(sys, fams, box)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [(r.positivity, r.notes) for r in got] == [
+        (r.positivity, r.notes) for r in want]
+
+
+def test_certify_all_evaluates_the_jacobian_once_per_chunk(
+        ex1, ex1_theta, ex1_omega, monkeypatch):
+    """Five checks on a 201^2 grid (10 chunks): at most one Jacobian
+    evaluation per chunk, plus one per equilibrium margin."""
+    calls = []
+    evaluate_batch = ExprMatrix.evaluate_batch
+
+    def counted(self, X, t=None):
+        calls.append(len(X))
+        return evaluate_batch(self, X, t)
+
+    monkeypatch.setattr(ExprMatrix, "evaluate_batch", counted)
+    box = WorkingBox((0.0, 0.0), (3.0, 3.0), 201)
+    reports = certify_all(ex1, [ex1_theta, ex1_omega], box)
+    n_eq = sum(r.equilibrium_margin is not None for r in reports)
+    assert len(reports) == 5 and n_eq == 4
+    assert len(calls) <= -(-box.n_points // 4096) + n_eq
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Byte-level golden reports for the piecewise (min/max) traffic4 system.
+"""Byte-level golden reports, written by the command line itself.
 
 traffic4 has min-guards that tie on a few percent of the grid points, so
-these reports pin the tie handling end to end: the tied-point counts, the
+its reports pin the tie handling end to end: the tied-point counts, the
 witness (point and component) of checks whose worst value sits on a tie,
-and the LP built from every tied branch.  The goldens were written by the
-command line itself; to regenerate one, run its command with ``--out DIR``
-and copy the report over the golden.
+and the LP built from every tied branch.  The ex1 report pins a certify
+run with two weight families, whose five checks share one grid pass.
+To regenerate a golden, run its command with ``--out DIR`` and copy the
+report over the golden.
 """
 
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS
-from monocert.cli import EXIT_FAIL, main
+from monocert.cli import EXIT_FAIL, EXIT_PASS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,10 +31,25 @@ CASES = {
         ["synth", "traffic4", "--mode", "sum"], "synth-report.json",
         EXIT_FAIL),
 }
+MULTI_FAMILY_CASES = {
+    "certify-ex1-theta-omega-r201.json": (
+        ["certify", "ex1", "--theta", str(CORPUS / "ex1.theta.json"),
+         "--omega", str(CORPUS / "ex1.omega.json"), "--box", "0:3,0:3",
+         "--resolution", "201"], "certify-report.json", EXIT_PASS),
+}
+
+
+def _assert_matches_golden(golden, case, tmp_path):
+    argv, report, code = case
+    assert main(argv + ["--quiet", "--out", str(tmp_path)]) == code
+    assert (tmp_path / report).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
 def test_piecewise_report_matches_golden(golden, tmp_path):
-    argv, report, code = CASES[golden]
-    assert main(argv + ["--quiet", "--out", str(tmp_path)]) == code
-    assert (tmp_path / report).read_bytes() == (GOLDEN / golden).read_bytes()
+    _assert_matches_golden(golden, CASES[golden], tmp_path)
+
+
+@pytest.mark.parametrize("golden", sorted(MULTI_FAMILY_CASES))
+def test_multi_family_report_matches_golden(golden, tmp_path):
+    _assert_matches_golden(golden, MULTI_FAMILY_CASES[golden], tmp_path)

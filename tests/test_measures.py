@@ -3,6 +3,7 @@ limit-quotient oracle and hand-derived values."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from monocert.measures import (
     WeightComponent, WeightFamily, is_metzler, mu1, mu_inf, weighted_jacobian,
@@ -106,6 +107,22 @@ def test_component_deriv_matches_numeric():
         h = 1e-6
         num = (comp.value(x + h) - comp.value(x - h)) / (2 * h)
         assert float(comp.deriv(x)) == pytest.approx(float(num), abs=1e-6)
+
+
+def test_component_deriv_keeps_the_sign_of_zero():
+    """Derivative coefficients belong to each component: components equal
+    up to the sign of a zero coefficient keep derivatives of their own
+    sign, bit for bit what numpy's polyder gives."""
+    xs = np.array([-1.5, -0.5])
+    pos = WeightComponent((1.0, 0.0))
+    neg = WeightComponent((1.0, -0.0))
+    assert pos == neg
+    for comp in (pos, neg, pos):
+        want = P.polyval(xs, P.polyder(np.asarray(comp.coeffs)))
+        assert np.array_equal(np.signbit(comp.deriv(xs)), np.signbit(want))
+        assert np.array_equal(comp.deriv(xs), want)
+    assert not np.any(np.signbit(pos.deriv(xs)))
+    assert np.all(np.signbit(neg.deriv(xs)))
 
 
 def test_component_constant_and_degree():

@@ -158,6 +158,44 @@ def test_contraction_rate_raises_the_earliest_failure(rotation):
         "trajectory 0 ", f"trajectory {first} ", 1)
 
 
+def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
+    """The pairs stop integrating after the step at which the first start
+    leaves the domain (t = 0.21 for seed 2), not at t_end = 3, and the
+    raised diagnostic is that earliest failure."""
+    fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
+    box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0))
+    calls = []
+    f_batch = mc.SystemDef.f_batch
+
+    def counted(self, X, t=None):
+        calls.append(t)
+        return f_batch(self, X, t)
+
+    monkeypatch.setattr(mc.SystemDef, "f_batch", counted)
+    with pytest.raises(SimulationError,
+                       match=r"^trajectory 3 left the domain at t=0\.21:"):
+        estimate_contraction_rate(rotation, fam, pairs=4, box=box,
+                                  t_end=3.0, seed=2)
+    # RK4 takes 4 evaluations a step, 12 on every 16th (the error check);
+    # the two outside the integrator are the grid check's
+    steps = 210
+    assert 4 * steps < len(calls) - 2 <= 4 * steps + 8 * (steps // 16 + 1)
+    assert max(t for t in calls if t is not None) < 0.2105
+
+
+def test_abort_on_failure_keeps_the_failures_of_that_step(rotation):
+    """Two starts that leave at the same step are both recorded, and the
+    samples end at that step."""
+    X0 = np.array([[0.8, -0.7], [-0.8, 0.7], [0.1, 0.1]])
+    full = integrate_batch(rotation, X0, 2.0, dt=1e-2)
+    cut = integrate_batch(rotation, X0, 2.0, dt=1e-2, abort_on_failure=True)
+    assert set(cut.failures) == set(full.failures) == {0, 1}
+    assert cut.failures == full.failures
+    k = cut.failures[0][0]
+    assert cut.t.shape == (k + 2,)
+    assert np.array_equal(cut.x, full.x[:k + 2], equal_nan=True)
+
+
 def test_to_csv_matches_row_by_row_formatting(tmp_path):
     t = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e-300])
     x = np.array([[1.0, -0.0], [np.nan, 2.5e-17], [np.inf, -np.inf],

@@ -7,7 +7,7 @@ import pytest
 
 from monocert.sysdsl import (
     Add, BranchRequiredError, Const, Cos, Div, DslError, Exp, Interval, Max,
-    Min, Mul, Neg, Pow, Sin, Sub, SystemDef, TimeVar, Var,
+    ExprMatrix, Min, Mul, Neg, Pow, Sin, Sub, SystemDef, TimeVar, Var,
     antiderivative_univariate, compile_expr, differentiate, evaluate,
     free_vars, jacobian, parse_expr, parse_system, pretty, references_time,
     simplify,
@@ -330,6 +330,17 @@ def test_compile_expr_keeps_the_sign_of_zero():
     assert not np.any(np.signbit(pos))
 
 
+def test_expr_matrix_keeps_the_sign_of_zero():
+    """Equal matrices of Const(0.0) and Const(-0.0) keep their own kernels,
+    whichever is evaluated first."""
+    X = np.zeros((2, 1))
+    pos = ExprMatrix(((Const(0.0),),))
+    neg = ExprMatrix(((Const(-0.0),),))
+    assert pos == neg
+    assert not np.any(np.signbit(pos.evaluate_batch(X)))
+    assert np.all(np.signbit(neg.evaluate_batch(X)))
+
+
 def test_compile_expr_scalar_time_broadcast():
     e = parse_expr("x1 * sin(t)", ["x1"])
     fn = compile_expr(e)
@@ -366,6 +377,38 @@ def test_time_varying_f_batch_needs_time():
     sys = load_system("entrain_cubic")
     with pytest.raises(ValueError, match="no time was given"):
         sys.f_batch(np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.sys")))
+def test_fused_jacobian_kernel_matches_evaluate(name):
+    """One generated kernel per branch matrix: close to the tree-walking
+    ``evaluate`` and bit for bit the per-entry ``compile_expr`` kernels."""
+    sys = load_system(name)
+    rng = np.random.default_rng(23)
+    lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
+    hi = np.array([min(b.hi, 3.0) for b in sys.bounds])
+    X = lo + (hi - lo) * rng.random((40, sys.n))
+    t = 0.7
+    for _, mat in jacobian(sys).branches():
+        got = mat.evaluate_batch(X, t)
+        assert got.shape == (40, sys.n, sys.n)
+        want = np.array([mat.evaluate(x, t) for x in X])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        for i in range(sys.n):
+            for j in range(sys.n):
+                entry = compile_expr(mat[i, j])(X, t)
+                assert np.array_equal(got[:, i, j], entry, equal_nan=True)
+                assert np.array_equal(np.signbit(got[:, i, j]),
+                                      np.signbit(entry))
+
+
+def test_time_varying_jacobian_needs_time():
+    mat = ExprMatrix(((Mul(Var(0), Sin(TimeVar())), Const(1.0)),))
+    X = np.ones((3, 2))
+    with pytest.raises(ValueError, match="no time was given"):
+        mat.evaluate_batch(X)
+    np.testing.assert_array_equal(mat.evaluate_batch(X, 0.0),
+                                  [[[0.0, 1.0]]] * 3)
 
 
 # ---------------------------------------------------------------------------
