@@ -12,7 +12,7 @@ from .certify import (CertReport, CertifyError, DEFAULT_EPS,
                       check_cor1, check_cor2, check_cor3, check_kamke,
                       check_thm1, check_thm2, grid_condition_values,
                       grid_mu_values)
-from .lyap import (VARIANTS, LyapError, LyapFn, build_lyapunov, eval_lyap,
+from .lyap import (VARIANTS, LyapError, LyapFn, build_lyapunov,
                    weighted_distance)
 from .measures import (WeightComponent, WeightFamily, is_metzler, mu1,
                        mu_inf, weighted_jacobian)
@@ -44,8 +44,8 @@ __all__ = [
     "LPProblem", "LPResult", "solve_lp", "SynthResult", "SynthError",
     "synth_const", "synth_poly", "export_sos_sdpa", "parse_sos_solution",
     # Lyapunov functions
-    "LyapFn", "LyapError", "build_lyapunov", "eval_lyap",
-    "weighted_distance", "VARIANTS",
+    "LyapFn", "LyapError", "build_lyapunov", "weighted_distance",
+    "VARIANTS",
     # simulation
     "Trajectory", "SimulationError", "integrate", "integrate_batch",
     "verify_decrease", "DecreaseReport", "estimate_contraction_rate",

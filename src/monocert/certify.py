@@ -229,14 +229,30 @@ _SIDE_NAMES = ("left", "right")
 _TIED = 2      # partition key entry of a guard that ties at the row
 
 
+def row_groups(key: np.ndarray) -> tuple:
+    """Group equal rows of a 2-D ``key``: (order, starts).
+
+    ``order`` sorts the rows lexicographically, column 0 first, and keeps
+    equal rows in their original order (lexsort is stable); the groups are
+    the pieces of ``order`` split at ``starts``.  Rows compare with ``==``,
+    so 0.0 and -0.0 fall in one group.  np.unique(axis=0) sorts the rows as
+    void records, which took a third of a piecewise certify.
+    """
+    order = np.lexsort(key.T[::-1])
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.any(sorted_key[1:] != sorted_key[:-1],
+                                   axis=1)) + 1
+    return order, starts
+
+
 def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     """Cover the rows of X with the branch patterns active there.
 
-    Rows are grouped by their key: the strict side (0=left, 1=right) of
-    every untied guard plus the mask of tied guards.  A tied guard takes
-    both sides, so a group with ties is listed once per tied branch, in
-    ``itertools.product`` order, which is the order of
-    ``JacobianBranches.patterns_at``.
+    This is the tie rule.  Rows are grouped by their key: the strict side
+    (0=left, 1=right) of every untied guard plus the mask of tied guards;
+    guard k ties at a row when |a−b| ≤ TIE_TOL·(1+|a|+|b|).  A tied guard
+    takes both sides, so a group with ties is listed once per tied branch,
+    in ``itertools.product`` order over the guards.
     Returns ``[(pattern, rows, tied)]``; the entries of one tied group
     share the same ``rows`` array.
     """
@@ -246,15 +262,9 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     is_min = np.array([g.is_min for g in jb.guards])
     side = np.where(is_min, diffs >= 0, diffs <= 0).astype(np.int8)
     key = np.where(np.abs(diffs) <= TIE_TOL * scales, np.int8(_TIED), side)
-    # rows sorted by key, guard 0 first, and ascending within a key (lexsort
-    # is stable); np.unique(axis=0) sorts the rows as void records, which
-    # took a third of a piecewise certify
-    order = np.lexsort(key.T[::-1])
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.any(sorted_key[1:] != sorted_key[:-1],
-                                   axis=1)) + 1
+    order, starts = row_groups(key)
     groups = []
-    for k, rows in zip(sorted_key[np.r_[0, starts]], np.split(order, starts)):
+    for k, rows in zip(key[order[np.r_[0, starts]]], np.split(order, starts)):
         tied = bool(np.any(k == _TIED))
         options = [(0, 1) if s == _TIED else (int(s),) for s in k]
         for combo in product(*options):

@@ -34,7 +34,7 @@ from numpy.polynomial import polynomial as P
 from .measures import WeightComponent, WeightFamily
 from .sysdsl import SystemDef, format_number
 
-__all__ = ["LyapFn", "LyapError", "build_lyapunov", "eval_lyap",
+__all__ = ["LyapFn", "LyapError", "build_lyapunov",
            "weighted_distance", "VARIANTS"]
 
 VARIANTS = ("state-sum", "flow-sum", "state-max", "flow-max")
@@ -231,11 +231,6 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
         scope = "global" if uniform else "local"
     return LyapFn(variant=variant, scope=scope, weights=w, xstar=xstar,
                   sys=sys, _densities=densities)
-
-
-def eval_lyap(V: LyapFn, x: Sequence[float]) -> float:
-    """Evaluate the candidate at a point."""
-    return V.value(x)
 
 
 # ---------------------------------------------------------------------------

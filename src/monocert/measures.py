@@ -28,6 +28,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .sysdsl import format_number
+
 __all__ = [
     "mu1", "mu_inf", "is_metzler", "WeightComponent", "WeightFamily",
     "weighted_jacobian",
@@ -125,29 +127,24 @@ class WeightComponent:
 
     def describe(self, var: str) -> str:
         if self.is_constant:
-            body = _fmt(self.coeffs[0])
+            body = format_number(self.coeffs[0])
         else:
             terms = []
             for k, c in enumerate(self.coeffs):
                 if c == 0.0:
                     continue
                 if k == 0:
-                    terms.append(_fmt(c))
+                    terms.append(format_number(c))
                 elif k == 1:
-                    terms.append(f"{_fmt(c)}*{var}" if c != 1.0 else var)
+                    terms.append(f"{format_number(c)}*{var}" if c != 1.0
+                                 else var)
                 else:
-                    head = f"{_fmt(c)}*" if c != 1.0 else ""
+                    head = f"{format_number(c)}*" if c != 1.0 else ""
                     terms.append(f"{head}{var}^{k}")
             body = " + ".join(terms) if terms else "0"
         if self.reciprocal:
             return f"1/({body})"
         return body
-
-
-def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
 
 
 @dataclass(frozen=True)

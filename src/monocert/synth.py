@@ -41,10 +41,10 @@ import numpy as np
 
 from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
                       check_cor2, check_kamke, check_thm1, check_thm2,
-                      DEFAULT_EPS, _CONDITIONS, partition)
+                      DEFAULT_EPS, _CONDITIONS, partition, row_groups)
 from .measures import WeightComponent, WeightFamily
 from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
-                     SystemDef, TimeVar, Var, jacobian)
+                     SystemDef, TimeVar, Var, _fold, jacobian)
 
 __all__ = [
     "LPProblem", "LPResult", "solve_lp", "SynthError", "SynthResult",
@@ -303,8 +303,10 @@ def _by_component(J: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _dedupe(rows: np.ndarray, rhs: np.ndarray):
+    """The distinct rows of [rows | rhs] rounded to 12 decimals, sorted."""
     stacked = np.round(np.column_stack([rows, rhs]), 12)
-    uniq = np.unique(stacked, axis=0)
+    order, starts = row_groups(stacked)
+    uniq = stacked[order[np.r_[0, starts]]]
     return uniq[:, :-1], uniq[:, -1]
 
 
@@ -607,54 +609,56 @@ def _poly_dict(e: Expr, n: int) -> dict:
     """Exponent-tuple -> coefficient for a polynomial expression.
 
     Division is only allowed by a nonzero constant; anything non-polynomial
-    (min/max, transcendentals, time) raises SynthError.
+    (min/max, transcendentals, time) raises SynthError, at the first such
+    node in pre-order.
     """
-    if isinstance(e, Const):
-        return {(0,) * n: e.value} if e.value != 0.0 else {}
-    if isinstance(e, Var):
-        exp = [0] * n
-        exp[e.index] = 1
-        return {tuple(exp): 1.0}
-    if isinstance(e, Neg):
-        return {k: -v for k, v in _poly_dict(e.arg, n).items()}
-    if isinstance(e, Add):
-        out = dict(_poly_dict(e.a, n))
-        for k, v in _poly_dict(e.b, n).items():
-            out[k] = out.get(k, 0.0) + v
-        return {k: v for k, v in out.items() if v != 0.0}
-    if isinstance(e, Sub):
-        out = dict(_poly_dict(e.a, n))
-        for k, v in _poly_dict(e.b, n).items():
-            out[k] = out.get(k, 0.0) - v
-        return {k: v for k, v in out.items() if v != 0.0}
-    if isinstance(e, Mul):
-        pa, pb = _poly_dict(e.a, n), _poly_dict(e.b, n)
+
+    def enter(node: Expr) -> Expr:
+        if isinstance(node, (Min, Max)):
+            raise SynthError("non-polynomial vector field: min/max branches")
+        if isinstance(node, TimeVar):
+            raise SynthError("non-polynomial vector field: time dependence")
+        if isinstance(node, Div) and not (isinstance(node.b, Const)
+                                          and node.b.value != 0.0):
+            raise SynthError("non-polynomial vector field: division")
+        if not isinstance(node, (Const, Var, Neg, Add, Sub, Mul, Div, Pow)):
+            raise SynthError(
+                f"non-polynomial vector field: {type(node).__name__}")
+        return node
+
+    def times(pa: dict, pb: dict) -> dict:
         out: dict = {}
         for ka, va in pa.items():
             for kb, vb in pb.items():
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, 0.0) + va * vb
+        return out
+
+    def leave(node: Expr, args: list, slot: int) -> dict:
+        if isinstance(node, Const):
+            return {(0,) * n: node.value} if node.value != 0.0 else {}
+        if isinstance(node, Var):
+            exp = [0] * n
+            exp[node.index] = 1
+            return {tuple(exp): 1.0}
+        if isinstance(node, Neg):
+            return {k: -v for k, v in args[0].items()}
+        if isinstance(node, Div):
+            return {k: v / node.b.value for k, v in args[0].items()}
+        if isinstance(node, (Add, Sub)):
+            out = dict(args[0])
+            sign = 1.0 if isinstance(node, Add) else -1.0
+            for k, v in args[1].items():
+                out[k] = out.get(k, 0.0) + sign * v
+        elif isinstance(node, Mul):
+            out = times(args[0], args[1])
+        else:
+            out = {(0,) * n: 1.0}
+            for _ in range(node.exponent):
+                out = times(out, args[0])
         return {k: v for k, v in out.items() if v != 0.0}
-    if isinstance(e, Div):
-        if isinstance(e.b, Const) and e.b.value != 0.0:
-            return {k: v / e.b.value for k, v in _poly_dict(e.a, n).items()}
-        raise SynthError("non-polynomial vector field: division")
-    if isinstance(e, Pow):
-        base = _poly_dict(e.base, n)
-        out = {(0,) * n: 1.0}
-        for _ in range(e.exponent):
-            nxt: dict = {}
-            for ka, va in out.items():
-                for kb, vb in base.items():
-                    key = tuple(a + b for a, b in zip(ka, kb))
-                    nxt[key] = nxt.get(key, 0.0) + va * vb
-            out = nxt
-        return {k: v for k, v in out.items() if v != 0.0}
-    if isinstance(e, (Min, Max)):
-        raise SynthError("non-polynomial vector field: min/max branches")
-    if isinstance(e, TimeVar):
-        raise SynthError("non-polynomial vector field: time dependence")
-    raise SynthError(f"non-polynomial vector field: {type(e).__name__}")
+
+    return _fold(e, leave, enter)
 
 
 def _shift_poly(p: dict, axis: int, by: int, scale: float = 1.0) -> dict:

@@ -3,10 +3,15 @@
 The expression language is deliberately tiny: constants, state variables,
 the time variable ``t``, unary negation, the binary operators ``+ - * / ^``
 (``^`` only with a nonnegative integer literal exponent), binary ``min`` /
-``max``, and the unary functions ``exp``, ``sin``, ``cos``.  Everything a
-vector field built from these can do — symbolic differentiation, branch-aware
-Jacobians for the piecewise-smooth ``min``/``max`` constructs, vectorized
-evaluation over sample batches — lives in this module.
+``max``, ``abs`` (read as ``max(e, -e)``), and the unary functions ``exp``,
+``sin``, ``cos``.  Everything a vector field built from these can do —
+symbolic differentiation, branch-aware Jacobians for the piecewise-smooth
+``min``/``max`` constructs, vectorized evaluation over sample batches —
+lives in this module.
+
+Every tree walk runs on one explicit-stack walker (``_fold``), so the depth
+of an expression costs no Python recursion, and every numeric evaluation
+runs through one kernel compiler (``compile_expr``).
 
 A system is declared in a block like::
 
@@ -28,7 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from itertools import product
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +43,8 @@ __all__ = [
     "Pow", "Min", "Max", "Exp", "Sin", "Cos",
     "Interval", "SystemDef", "ExprMatrix", "Guard", "JacobianBranches",
     "DslError", "BranchRequiredError",
-    "parse_system", "parse_expr", "differentiate", "jacobian", "evaluate",
-    "antiderivative_univariate", "simplify", "pretty", "compile_expr",
-    "free_vars", "references_time",
+    "parse_system", "parse_expr", "differentiate", "jacobian", "pretty",
+    "compile_expr", "format_number", "free_vars", "references_time",
 ]
 
 TIE_TOL = 1e-9  # relative tie tolerance for min/max branch guards
@@ -199,6 +204,8 @@ class Cos(Expr):
 
 _BINOPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _FUNCS = {Exp: "exp", Sin: "sin", Cos: "cos", Min: "min", Max: "max"}
+_NP_FUNCS = {Exp: "np.exp", Sin: "np.sin", Cos: "np.cos",
+             Min: "np.minimum", Max: "np.maximum"}
 
 
 def _children(e: Expr) -> tuple:
@@ -211,27 +218,61 @@ def _children(e: Expr) -> tuple:
     return (e.a, e.b)
 
 
+_LEAVE = object()      # on the walk stack: the node below it is complete
+
+
+def _fold(root: Expr, leave: Callable, enter: Optional[Callable] = None):
+    """Fold ``root`` bottom-up on an explicit stack; depth costs no recursion.
+
+    ``enter(node)``, when given, runs in pre-order, left to right, before the
+    node's children are visited, and returns the node to walk in its place.
+    ``leave(node, args, slot)`` turns the results ``args`` of the node's
+    children into the node's result.  ``slot`` is the height of the result
+    stack under the node: while it is combined, its children's results sit
+    at slot, slot + 1, ...
+    """
+    results: list = []
+    todo: list = [root]
+    pop, push = todo.pop, todo.append
+    while todo:
+        node = pop()
+        if node is _LEAVE:
+            node = pop()
+            slot = pop()
+            value = leave(node, results[slot:], slot)
+            del results[slot:]
+            results.append(value)
+            continue
+        if enter is not None:
+            node = enter(node)
+        kids = _children(node)
+        push(len(results))
+        push(node)
+        push(_LEAVE)
+        todo.extend(kids[::-1])
+    return results[0]
+
+
+def _rebuild(node: Expr, args: list, slot: int = 0) -> Expr:
+    """``node`` with its children replaced by ``args``."""
+    if not args:
+        return node
+    if isinstance(node, Pow):
+        return Pow(args[0], node.exponent)
+    return type(node)(*args)
+
+
 def free_vars(e: Expr) -> set:
     """Indices of state variables appearing in ``e``."""
     out: set = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.index)
-        else:
-            stack.extend(_children(node))
+    _fold(e, lambda node, args, slot:
+          out.add(node.index) if isinstance(node, Var) else None)
     return out
 
 
 def references_time(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TimeVar):
-            return True
-        stack.extend(_children(node))
-    return False
+    return _fold(e, lambda node, args, slot:
+                 isinstance(node, TimeVar) or any(args))
 
 
 # ---------------------------------------------------------------------------
@@ -271,185 +312,98 @@ def pretty(e: Expr, names: Optional[Sequence[str]] = None) -> str:
     ``names`` supplies state-variable names; defaults to x1, x2, ...
     """
 
-    def name(i: int) -> str:
-        if names is not None:
-            return names[i]
-        return f"x{i + 1}"
+    def leave(node: Expr, text: list, slot: int) -> str:
+        def wrap(k: int, minimum: int) -> str:
+            child = _children(node)[k]
+            return f"({text[k]})" if _prec(child) < minimum else text[k]
 
-    def wrap(child: Expr, minimum: int) -> str:
-        s = go(child)
-        return f"({s})" if _prec(child) < minimum else s
-
-    def go(node: Expr) -> str:
         if isinstance(node, Const):
             return format_number(node.value)
         if isinstance(node, Var):
-            return name(node.index)
+            return names[node.index] if names is not None \
+                else f"x{node.index + 1}"
         if isinstance(node, TimeVar):
             return "t"
         if isinstance(node, Neg):
-            return "-" + wrap(node.arg, _PREC_NEG)
+            return "-" + wrap(0, _PREC_NEG)
         if isinstance(node, (Add, Sub)):
-            op = _BINOPS[type(node)]
             # the right operand of +/- must bind tighter than +/- itself,
             # otherwise "a + b - c" would re-associate on re-parse
-            return f"{wrap(node.a, _PREC_ADD)} {op} {wrap(node.b, _PREC_ADD + 1)}"
+            op = _BINOPS[type(node)]
+            return f"{wrap(0, _PREC_ADD)} {op} {wrap(1, _PREC_ADD + 1)}"
         if isinstance(node, (Mul, Div)):
             op = _BINOPS[type(node)]
-            return f"{wrap(node.a, _PREC_MUL)} {op} {wrap(node.b, _PREC_MUL + 1)}"
+            return f"{wrap(0, _PREC_MUL)} {op} {wrap(1, _PREC_MUL + 1)}"
         if isinstance(node, Pow):
-            return f"{wrap(node.base, _PREC_ATOM)}^{node.exponent}"
-        if isinstance(node, (Exp, Sin, Cos)):
-            return f"{_FUNCS[type(node)]}({go(node.arg)})"
-        if isinstance(node, (Min, Max)):
-            return f"{_FUNCS[type(node)]}({go(node.a)}, {go(node.b)})"
-        raise TypeError(f"unknown node {node!r}")
+            return f"{wrap(0, _PREC_ATOM)}^{node.exponent}"
+        return f"{_FUNCS[type(node)]}({', '.join(text)})"
 
-    return go(e)
+    return _fold(e, leave)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: the one kernel compiler
 # ---------------------------------------------------------------------------
 
-def evaluate(e: Expr, x: Sequence[float], t: Optional[float] = None) -> float:
-    """Evaluate at a single point.  min/max take the exact smaller/larger arg."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(x[e.index])
-    if isinstance(e, TimeVar):
-        if t is None:
-            raise ValueError("expression references t but no time was given")
-        return float(t)
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x, t)
-    if isinstance(e, Add):
-        return evaluate(e.a, x, t) + evaluate(e.b, x, t)
-    if isinstance(e, Sub):
-        return evaluate(e.a, x, t) - evaluate(e.b, x, t)
-    if isinstance(e, Mul):
-        return evaluate(e.a, x, t) * evaluate(e.b, x, t)
-    if isinstance(e, Div):
-        return evaluate(e.a, x, t) / evaluate(e.b, x, t)
-    if isinstance(e, Pow):
-        return evaluate(e.base, x, t) ** e.exponent
-    if isinstance(e, Min):
-        return min(evaluate(e.a, x, t), evaluate(e.b, x, t))
-    if isinstance(e, Max):
-        return max(evaluate(e.a, x, t), evaluate(e.b, x, t))
-    if isinstance(e, Exp):
-        return math.exp(evaluate(e.arg, x, t))
-    if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, x, t))
-    if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, x, t))
-    raise TypeError(f"unknown node {e!r}")
+def _emit(e: Expr, lines: list) -> None:
+    """Append one statement per node of ``e`` that leaves its value in _s0.
 
-
-def _emit(node: Expr) -> str:
-    """numpy source for ``node`` over rows ``X`` (m, n) and time ``T``."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"X[:, {node.index}]"
-    if isinstance(node, TimeVar):
-        return "T"
-    if isinstance(node, Neg):
-        return f"(-{_emit(node.arg)})"
-    if isinstance(node, Add):
-        return f"({_emit(node.a)} + {_emit(node.b)})"
-    if isinstance(node, Sub):
-        return f"({_emit(node.a)} - {_emit(node.b)})"
-    if isinstance(node, Mul):
-        return f"({_emit(node.a)} * {_emit(node.b)})"
-    if isinstance(node, Div):
-        return f"({_emit(node.a)} / {_emit(node.b)})"
-    if isinstance(node, Pow):
-        return f"({_emit(node.base)} ** {node.exponent})"
-    if isinstance(node, Min):
-        return f"np.minimum({_emit(node.a)}, {_emit(node.b)})"
-    if isinstance(node, Max):
-        return f"np.maximum({_emit(node.a)}, {_emit(node.b)})"
-    if isinstance(node, Exp):
-        return f"np.exp({_emit(node.arg)})"
-    if isinstance(node, Sin):
-        return f"np.sin({_emit(node.arg)})"
-    if isinstance(node, Cos):
-        return f"np.cos({_emit(node.arg)})"
-    raise TypeError(f"unknown node {node!r}")
-
-
-_compiled_cache: dict = {}
-
-
-def compile_expr(e: Expr) -> Callable[[np.ndarray, Union[float, np.ndarray, None]], np.ndarray]:
-    """Compile ``e`` to a vectorized function ``f(X, t) -> (m,) array``.
-
-    ``X`` has shape (m, n); ``t`` is a scalar or an (m,) array (may be None
-    for time-invariant expressions).  Tree-walking per point is far too slow
-    on 41^n certification grids, so the tree is emitted once as numpy code.
+    A node's value goes to the local ``_s<slot>``; its children's values
+    are in ``_s<slot>``, ``_s<slot + 1>``, ...  The statements read rows
+    ``X`` (m, n) and time ``T``.
     """
-    # keyed by the emitted source, not by e: Const(0.0) and Const(-0.0)
-    # compare and hash equal but return zeros of opposite sign, so keying
-    # on e makes the sign depend on which of them was compiled first
-    body = _emit(e)
-    fn = _compiled_cache.get(body)
-    if fn is not None:
-        return fn
 
-    needs_t = references_time(e)
-    src = (
-        "def _f(X, T=None):\n"
-        f"    res = {body}\n"
-        "    res = np.asarray(res, dtype=float)\n"
-        "    if res.ndim == 0:\n"
-        "        res = np.full(X.shape[0], float(res))\n"
-        "    elif res.shape != (X.shape[0],):\n"
-        "        res = np.broadcast_to(res, (X.shape[0],)).astype(float)\n"
-        "    return res\n"
-    )
-    ns: dict = {"np": np}
-    exec(src, ns)
-    raw = ns["_f"]
+    def leave(node: Expr, args: list, slot: int) -> None:
+        a, b = f"_s{slot}", f"_s{slot + 1}"
+        if isinstance(node, Const):
+            rhs = repr(node.value)
+        elif isinstance(node, Var):
+            rhs = f"X[:, {node.index}]"
+        elif isinstance(node, TimeVar):
+            rhs = "T"
+        elif isinstance(node, Neg):
+            rhs = f"-{a}"
+        elif isinstance(node, Pow):
+            rhs = f"{a} ** {node.exponent}"
+        elif type(node) in _BINOPS:
+            rhs = f"{a} {_BINOPS[type(node)]} {b}"
+        else:
+            rhs = f"{_NP_FUNCS[type(node)]}({', '.join([a, b][:len(args)])})"
+        lines.append(f"    {a} = {rhs}")
 
-    if needs_t:
-        def fn(X, T=None):
-            if T is None:
-                raise ValueError("expression references t but no time was given")
-            return raw(np.asarray(X, dtype=float), T)
-    else:
-        def fn(X, T=None):
-            return raw(np.asarray(X, dtype=float), T)
-
-    _compiled_cache[body] = fn
-    return fn
+    _fold(e, leave)
 
 
-def _compile_kernel(lines: Sequence[tuple], shape: tuple) -> Callable:
-    """One generated kernel ``f(X, T) -> (m, *shape)``.
+def compile_expr(e) -> Callable:
+    """Compile ``e`` to one vectorized kernel ``f(X, T=None)``.
 
-    ``lines`` holds (index, expression) pairs; each becomes the statement
-    ``out[:, index] = <expression>``, so a whole vector field or matrix
-    costs one Python call instead of one per entry.
+    ``e`` is an expression, or a tuple (of tuples) of them; the kernel
+    returns an array of shape (m,) plus the shape of that nesting.  ``X``
+    has shape (m, n); ``T`` is a scalar or an (m,) array, and may be None
+    when nothing references ``t``.  Every node becomes one statement on a
+    stack-slot local, so the generated code has no nesting that grows with
+    the expression, and a whole vector field or matrix costs one Python
+    call.  Each call builds a new kernel; callers keep it.
     """
+    entries = np.array(e, dtype=object)    # expressions are its scalars
     src = ["def _f(X, T=None):"]
-    if any(references_time(e) for _, e in lines):
+    if any(references_time(entry) for entry in entries.flat):
         src += ["    if T is None:",
                 "        raise ValueError('expression references t but no "
                 "time was given')"]
     src += ["    X = np.asarray(X, dtype=float)",
-            f"    out = np.empty((X.shape[0], {', '.join(map(str, shape))}))"]
-    src += [f"    out[:, {', '.join(map(str, idx))}] = {_emit(e)}"
-            for idx, e in lines]
+            f"    out = np.empty((X.shape[0],) + {entries.shape!r})"]
+    for idx, entry in np.ndenumerate(entries):
+        _emit(entry, src)
+        src.append(f"    out[{', '.join([':', *map(str, idx)])}] = _s0")
     src.append("    return out")
-    ns: dict = {"np": np}
+    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan}
     exec("\n".join(src) + "\n", ns)
     return ns["_f"]
 
 
 # ---------------------------------------------------------------------------
-# Differentiation and simplification
+# Differentiation
 # ---------------------------------------------------------------------------
 
 _ZERO = Const(0.0)
@@ -515,145 +469,42 @@ def differentiate(e: Expr, var_index: int) -> Expr:
     one raises :class:`BranchRequiredError` — use :func:`jacobian`, which
     enumerates the branch patterns, when the expression is piecewise.
     """
-    if isinstance(e, (Min, Max)):
-        raise BranchRequiredError(
-            "cannot differentiate through min/max without selecting a branch")
-    if isinstance(e, Const) or isinstance(e, TimeVar):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.index == var_index else _ZERO
-    if isinstance(e, Neg):
-        return _neg(differentiate(e.arg, var_index))
-    if isinstance(e, Add):
-        return _add(differentiate(e.a, var_index), differentiate(e.b, var_index))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.a, var_index), differentiate(e.b, var_index))
-    if isinstance(e, Mul):
-        da = differentiate(e.a, var_index)
-        db = differentiate(e.b, var_index)
-        return _add(_mul(da, e.b), _mul(e.a, db))
-    if isinstance(e, Div):
-        da = differentiate(e.a, var_index)
-        db = differentiate(e.b, var_index)
-        num = _sub(_mul(da, e.b), _mul(e.a, db))
-        return Div(num, _pow(e.b, 2)) if not _is_const(num, 0.0) else _ZERO
-    if isinstance(e, Pow):
-        if e.exponent == 0:
+
+    def enter(node: Expr) -> Expr:
+        if isinstance(node, (Min, Max)):
+            raise BranchRequiredError(
+                "cannot differentiate through min/max without selecting a "
+                "branch")
+        if isinstance(node, Pow) and node.exponent == 0:
+            return _ONE                 # u^0 is 1 whatever u is
+        return node
+
+    def leave(node: Expr, d: list, slot: int) -> Expr:
+        if isinstance(node, (Const, TimeVar)):
             return _ZERO
-        d = differentiate(e.base, var_index)
-        return _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), d)
-    if isinstance(e, Exp):
-        return _mul(Exp(e.arg), differentiate(e.arg, var_index))
-    if isinstance(e, Sin):
-        return _mul(Cos(e.arg), differentiate(e.arg, var_index))
-    if isinstance(e, Cos):
-        return _neg(_mul(Sin(e.arg), differentiate(e.arg, var_index)))
-    raise TypeError(f"unknown node {e!r}")
+        if isinstance(node, Var):
+            return _ONE if node.index == var_index else _ZERO
+        if isinstance(node, Neg):
+            return _neg(d[0])
+        if isinstance(node, Add):
+            return _add(d[0], d[1])
+        if isinstance(node, Sub):
+            return _sub(d[0], d[1])
+        if isinstance(node, Mul):
+            return _add(_mul(d[0], node.b), _mul(node.a, d[1]))
+        if isinstance(node, Div):
+            num = _sub(_mul(d[0], node.b), _mul(node.a, d[1]))
+            return _ZERO if _is_const(num, 0.0) else Div(num, _pow(node.b, 2))
+        if isinstance(node, Pow):
+            return _mul(_mul(Const(float(node.exponent)),
+                             _pow(node.base, node.exponent - 1)), d[0])
+        if isinstance(node, Exp):
+            return _mul(Exp(node.arg), d[0])
+        if isinstance(node, Sin):
+            return _mul(Cos(node.arg), d[0])
+        return _neg(_mul(Sin(node.arg), d[0]))
 
-
-def simplify(e: Expr) -> Expr:
-    """Constant folding only — never rewrites variables, domains or branches."""
-    kids = _children(e)
-    if not kids:
-        return e
-    if isinstance(e, Neg):
-        a = simplify(e.arg)
-        return Const(-a.value) if isinstance(a, Const) else Neg(a)
-    if isinstance(e, Pow):
-        b = simplify(e.base)
-        return Const(b.value ** e.exponent) if isinstance(b, Const) else Pow(b, e.exponent)
-    if isinstance(e, (Exp, Sin, Cos)):
-        a = simplify(e.arg)
-        if isinstance(a, Const):
-            f = {Exp: math.exp, Sin: math.sin, Cos: math.cos}[type(e)]
-            return Const(f(a.value))
-        return type(e)(a)
-    a = simplify(e.a)
-    b = simplify(e.b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        if isinstance(e, Add):
-            return Const(a.value + b.value)
-        if isinstance(e, Sub):
-            return Const(a.value - b.value)
-        if isinstance(e, Mul):
-            return Const(a.value * b.value)
-        if isinstance(e, Div):
-            if b.value != 0.0:
-                return Const(a.value / b.value)
-            return Div(a, b)  # leave division by zero visible
-        if isinstance(e, Min):
-            return Const(min(a.value, b.value))
-        if isinstance(e, Max):
-            return Const(max(a.value, b.value))
-    return type(e)(a, b)
-
-
-def antiderivative_univariate(e: Expr, var_index: Optional[int] = None) -> Expr:
-    """Antiderivative of a univariate polynomial expression, constant term 0.
-
-    The expression must be a polynomial in a single state variable (built
-    from constants, that variable, ``+ - * ^`` and negation).  Anything else
-    raises :class:`DslError`.
-    """
-    vs = free_vars(e)
-    if references_time(e):
-        raise DslError("antiderivative requires a time-invariant expression")
-    if len(vs) > 1:
-        raise DslError(f"expression involves several variables: {sorted(vs)}")
-    if var_index is None:
-        if not vs:
-            raise DslError("constant expression: pass var_index explicitly")
-        var_index = vs.pop()
-
-    coeffs = _poly_coeffs(e, var_index)
-    out: Expr = _ZERO
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        term = _mul(Const(c / (k + 1)), _pow(Var(var_index), k + 1))
-        out = _add(out, term)
-    return out
-
-
-def _poly_coeffs(e: Expr, var_index: int) -> list:
-    """Coefficients (ascending) of a polynomial expression in one variable."""
-    if isinstance(e, Const):
-        return [e.value]
-    if isinstance(e, Var):
-        if e.index != var_index:
-            raise DslError(f"unexpected variable x{e.index + 1}")
-        return [0.0, 1.0]
-    if isinstance(e, Neg):
-        return [-c for c in _poly_coeffs(e.arg, var_index)]
-    if isinstance(e, Add) or isinstance(e, Sub):
-        ca = _poly_coeffs(e.a, var_index)
-        cb = _poly_coeffs(e.b, var_index)
-        sign = 1.0 if isinstance(e, Add) else -1.0
-        out = [0.0] * max(len(ca), len(cb))
-        for i, c in enumerate(ca):
-            out[i] += c
-        for i, c in enumerate(cb):
-            out[i] += sign * c
-        return out
-    if isinstance(e, Mul):
-        ca = _poly_coeffs(e.a, var_index)
-        cb = _poly_coeffs(e.b, var_index)
-        out = [0.0] * (len(ca) + len(cb) - 1)
-        for i, a in enumerate(ca):
-            for j, b in enumerate(cb):
-                out[i + j] += a * b
-        return out
-    if isinstance(e, Pow):
-        base = _poly_coeffs(e.base, var_index)
-        out = [1.0]
-        for _ in range(e.exponent):
-            nxt = [0.0] * (len(out) + len(base) - 1)
-            for i, a in enumerate(out):
-                for j, b in enumerate(base):
-                    nxt[i + j] += a * b
-            out = nxt
-        return out
-    raise DslError(f"not a polynomial expression: {pretty(e)}")
+    return _fold(e, leave, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -677,31 +528,32 @@ class Guard:
         return Sub(self.a, self.b)
 
 
-def _collect_guards(e: Expr, acc: list) -> None:
-    if isinstance(e, (Min, Max)):
-        g = Guard(e.a, e.b, isinstance(e, Min))
-        if g not in acc:
-            acc.append(g)
-    for c in _children(e):
-        _collect_guards(c, acc)
+def _collect_guards(e: Expr) -> list:
+    """The distinct guards of ``e``: first occurrence, pre-order, left to
+    right."""
+    acc: list = []
+
+    def enter(node: Expr) -> Expr:
+        if isinstance(node, (Min, Max)):
+            g = Guard(node.a, node.b, isinstance(node, Min))
+            if g not in acc:
+                acc.append(g)
+        return node
+
+    _fold(e, lambda node, args, slot: None, enter)
+    return acc
 
 
 def _substitute_branches(e: Expr, choice: dict) -> Expr:
     """Replace each min/max node by its chosen argument ('left' or 'right')."""
-    if isinstance(e, (Min, Max)):
-        g = Guard(e.a, e.b, isinstance(e, Min))
-        picked = e.a if choice[g] == "left" else e.b
-        return _substitute_branches(picked, choice)
-    if isinstance(e, (Const, Var, TimeVar)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(_substitute_branches(e.arg, choice))
-    if isinstance(e, (Exp, Sin, Cos)):
-        return type(e)(_substitute_branches(e.arg, choice))
-    if isinstance(e, Pow):
-        return Pow(_substitute_branches(e.base, choice), e.exponent)
-    return type(e)(_substitute_branches(e.a, choice),
-                   _substitute_branches(e.b, choice))
+
+    def enter(node: Expr) -> Expr:
+        while isinstance(node, (Min, Max)):
+            g = Guard(node.a, node.b, isinstance(node, Min))
+            node = node.a if choice[g] == "left" else node.b
+        return node
+
+    return _fold(e, _rebuild, enter)
 
 
 @dataclass(frozen=True)
@@ -721,20 +573,10 @@ class ExprMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def evaluate(self, x: Sequence[float], t: Optional[float] = None) -> np.ndarray:
-        m, n = self.shape
-        out = np.empty((m, n))
-        for i in range(m):
-            for j in range(n):
-                out[i, j] = evaluate(self.entries[i][j], x, t)
-        return out
-
     def evaluate_batch(self, X: np.ndarray, t=None) -> np.ndarray:
         """Evaluate on an (m, n_states) batch -> (m, rows, cols) array."""
         if self._kernel is None:
-            object.__setattr__(self, "_kernel", _compile_kernel(
-                [((i, j), e) for i, row in enumerate(self.entries)
-                 for j, e in enumerate(row)], self.shape))
+            object.__setattr__(self, "_kernel", compile_expr(self.entries))
         return self._kernel(X, t)
 
 
@@ -743,18 +585,24 @@ class JacobianBranches:
 
     A branch is an assignment of 'left'/'right' to every distinct guard; the
     guard predicates say where in state space that branch is the active one.
-    Branches are enumerated lazily — systems with many structurally distinct
-    min/max pairs would otherwise blow up combinatorially.
+    Branch matrices are built on first use and kept — systems with many
+    structurally distinct min/max pairs would otherwise blow up
+    combinatorially.  The tie rule that picks the active branches at a point
+    is ``certify.partition``.
     """
 
     def __init__(self, sys: "SystemDef"):
         self.sys = sys
         guards: list = []
+        self._uses: list = []     # per equation, the indices of its guards
         for f in sys.odes:
-            _collect_guards(f, guards)
+            own = _collect_guards(f)
+            guards += [g for g in own if g not in guards]
+            self._uses.append(tuple(guards.index(g) for g in own))
         self.guards: tuple = tuple(guards)
         self._matrix_cache: dict = {}
-        self._guard_fns = None
+        self._row_cache: dict = {}
+        self._guard_kernel = None
 
     @property
     def n_guards(self) -> int:
@@ -767,77 +615,46 @@ class JacobianBranches:
         """
         if pattern in self._matrix_cache:
             return self._matrix_cache[pattern]
-        choice = dict(zip(self.guards, pattern))
-        n = self.sys.n
         rows = []
-        for f in self.sys.odes:
-            smooth = _substitute_branches(f, choice)
-            rows.append(tuple(differentiate(smooth, j) for j in range(n)))
+        for i, f in enumerate(self.sys.odes):
+            # a row depends only on the sides of its own equation's guards,
+            # so branches that agree there share it
+            key = (i, tuple(pattern[k] for k in self._uses[i]))
+            if key not in self._row_cache:
+                choice = {self.guards[k]: pattern[k] for k in self._uses[i]}
+                smooth = _substitute_branches(f, choice)
+                self._row_cache[key] = tuple(differentiate(smooth, j)
+                                             for j in range(self.sys.n))
+            rows.append(self._row_cache[key])
         mat = ExprMatrix(tuple(rows))
         self._matrix_cache[pattern] = mat
         return mat
 
     def branches(self) -> Iterator[tuple]:
         """Yield (pattern, ExprMatrix) lazily over all 2^k branch patterns."""
-        k = len(self.guards)
-
-        def rec(prefix: tuple):
-            if len(prefix) == k:
-                yield prefix, self.branch_matrix(prefix)
-                return
-            for side in ("left", "right"):
-                yield from rec(prefix + (side,))
-
-        yield from rec(())
+        for pattern in product(("left", "right"), repeat=len(self.guards)):
+            yield pattern, self.branch_matrix(pattern)
 
     def guard_values(self, X: np.ndarray, t=None) -> tuple:
         """Per-guard (diff, scale) arrays on a batch: diff = a−b,
         scale = 1 + |a| + |b| (for the relative tie tolerance)."""
-        X = np.asarray(X, dtype=float)
-        if self._guard_fns is None:
-            self._guard_fns = [(compile_expr(g.a), compile_expr(g.b))
-                               for g in self.guards]
-        diffs = np.empty((X.shape[0], len(self.guards)))
-        scales = np.empty_like(diffs)
-        for k, (fa, fb) in enumerate(self._guard_fns):
-            a = fa(X, t)
-            b = fb(X, t)
-            diffs[:, k] = a - b
-            scales[:, k] = 1.0 + np.abs(a) + np.abs(b)
-        return diffs, scales
-
-    def patterns_at(self, x: Sequence[float], t: Optional[float] = None,
-                    tie_tol: float = TIE_TOL) -> list:
-        """Active branch patterns at one point; several when guards tie.
-
-        A guard ties when |a−b| ≤ tie_tol·(1+|a|+|b|); every pattern
-        consistent with the tie set is returned (conservative callers must
-        verify all of them).
-        """
-        options = []
-        for g in self.guards:
-            a = evaluate(g.a, x, t)
-            b = evaluate(g.b, x, t)
-            if abs(a - b) <= tie_tol * (1.0 + abs(a) + abs(b)):
-                options.append(("left", "right"))
-            else:
-                take_left = (a < b) if g.is_min else (a > b)
-                options.append(("left",) if take_left else ("right",))
-        patterns = [()]
-        for opt in options:
-            patterns = [p + (s,) for p in patterns for s in opt]
-        return patterns
-
-    def matrices_at(self, x: Sequence[float], t: Optional[float] = None,
-                    tie_tol: float = TIE_TOL) -> list:
-        """All (pattern, numeric Jacobian) pairs active at ``x``."""
-        return [(p, self.branch_matrix(p).evaluate(x, t))
-                for p in self.patterns_at(x, t, tie_tol)]
+        if self._guard_kernel is None:
+            self._guard_kernel = compile_expr(
+                tuple((g.a, g.b) for g in self.guards))
+        ab = self._guard_kernel(X, t)
+        a, b = ab[:, :, 0], ab[:, :, 1]
+        return a - b, 1.0 + np.abs(a) + np.abs(b)
 
 
 def jacobian(sys: "SystemDef") -> JacobianBranches:
-    """Branch-set Jacobian of a system (a single branch when f is smooth)."""
-    return JacobianBranches(sys)
+    """Branch-set Jacobian of a system (a single branch when f is smooth).
+
+    Built once per system and kept on it, with its branch matrices and
+    their kernels.
+    """
+    if sys._jacobian is None:
+        sys._jacobian = JacobianBranches(sys)
+    return sys._jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +698,11 @@ class SystemDef:
     odes: tuple    # of Expr
     equilibrium: Optional[tuple] = None
     period: Optional[float] = None
-    _f_batch: Optional[Callable] = field(default=None, repr=False, compare=False)
+    # the field kernel and the branch Jacobian, built on first use
+    _f_batch: Optional[Callable] = field(default=None, init=False, repr=False,
+                                         compare=False)
+    _jacobian: Optional[JacobianBranches] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -891,14 +712,10 @@ class SystemDef:
     def time_varying(self) -> bool:
         return any(references_time(f) for f in self.odes)
 
-    def f(self, x: Sequence[float], t: Optional[float] = None) -> np.ndarray:
-        return np.array([evaluate(fi, x, t) for fi in self.odes])
-
     def f_batch(self, X: np.ndarray, t=None) -> np.ndarray:
         """Vectorized vector field: (m, n) -> (m, n)."""
         if self._f_batch is None:
-            self._f_batch = _compile_kernel(
-                [((i,), fi) for i, fi in enumerate(self.odes)], (self.n,))
+            self._f_batch = compile_expr(self.odes)
         return self._f_batch(X, t)
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
@@ -931,7 +748,8 @@ class SystemDef:
                     raise DslError(f"equilibrium coordinate {name} = "
                                    f"{format_number(v)} is outside {b}")
             if not self.time_varying:
-                resid = float(np.max(np.abs(self.f(self.equilibrium))))
+                fx = self.f_batch(np.array([self.equilibrium], dtype=float))
+                resid = float(np.max(np.abs(fx)))
                 if resid >= 1e-9:
                     raise DslError(
                         "declared equilibrium is not a zero of the vector "
@@ -1019,7 +837,7 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 _RESERVED = {"system", "states", "in", "equilibrium", "period", "inf",
-             "min", "max", "exp", "sin", "cos", "t"}
+             "min", "max", "abs", "exp", "sin", "cos", "t"}
 
 
 class _Parser:
@@ -1138,10 +956,12 @@ class _Parser:
                 b = self.expr()
                 self.expect("PUNCT", ")")
                 return Min(a, b) if name == "min" else Max(a, b)
-            if name in ("exp", "sin", "cos"):
+            if name in ("exp", "sin", "cos", "abs"):
                 self.expect("PUNCT", "(")
                 a = self.expr()
                 self.expect("PUNCT", ")")
+                if name == "abs":
+                    return Max(a, Neg(a))
                 return {"exp": Exp, "sin": Sin, "cos": Cos}[name](a)
             if name in self.state_index:
                 return Var(self.state_index[name])

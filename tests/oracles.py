@@ -6,9 +6,84 @@ iteration rather than any library eigensolver used by the package (the
 package uses none), and matrix measures come from the defining limit
 quotient (||I + hA|| - 1)/h rather than the closed-form column/row
 expressions implemented in monocert.measures.
+
+Expressions are evaluated here by a recursive tree walk in Python floats
+(``math.exp``, builtin ``min``/``max``), one point at a time, and the
+active branch patterns of a point come from the per-point tie rule.  The
+package evaluates only through generated numpy kernels and finds branches
+only through ``certify.partition``, so these are independent references
+for both.
 """
 
+import math
+from itertools import product
+
 import numpy as np
+
+from monocert.sysdsl import (TIE_TOL, Add, Const, Cos, Div, Exp, Max, Min,
+                             Mul, Neg, Pow, Sin, Sub, TimeVar, Var)
+
+
+def evaluate(e, x, t=None) -> float:
+    """Evaluate at a single point.  min/max take the exact smaller/larger arg."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return float(x[e.index])
+    if isinstance(e, TimeVar):
+        if t is None:
+            raise ValueError("expression references t but no time was given")
+        return float(t)
+    if isinstance(e, Neg):
+        return -evaluate(e.arg, x, t)
+    if isinstance(e, Pow):
+        return evaluate(e.base, x, t) ** e.exponent
+    if isinstance(e, (Exp, Sin, Cos)):
+        fn = {Exp: math.exp, Sin: math.sin, Cos: math.cos}[type(e)]
+        return fn(evaluate(e.arg, x, t))
+    a, b = evaluate(e.a, x, t), evaluate(e.b, x, t)
+    if isinstance(e, Add):
+        return a + b
+    if isinstance(e, Sub):
+        return a - b
+    if isinstance(e, Mul):
+        return a * b
+    if isinstance(e, Div):
+        return a / b
+    if isinstance(e, Min):
+        return min(a, b)
+    if isinstance(e, Max):
+        return max(a, b)
+    raise TypeError(f"unknown node {e!r}")
+
+
+def field_at(sys, x, t=None) -> np.ndarray:
+    """The vector field of ``sys`` at one point."""
+    return np.array([evaluate(fi, x, t) for fi in sys.odes])
+
+
+def matrix_at(mat, x, t=None) -> np.ndarray:
+    """An ``ExprMatrix`` at one point."""
+    return np.array([[evaluate(e, x, t) for e in row] for row in mat.entries])
+
+
+def patterns_at(jb, x, t=None, tie_tol: float = TIE_TOL) -> list:
+    """Active branch patterns at one point; several when guards tie.
+
+    A guard ties when |a−b| ≤ tie_tol·(1+|a|+|b|); every pattern
+    consistent with the tie set is returned, in ``itertools.product``
+    order.
+    """
+    options = []
+    for g in jb.guards:
+        a = evaluate(g.a, x, t)
+        b = evaluate(g.b, x, t)
+        if abs(a - b) <= tie_tol * (1.0 + abs(a) + abs(b)):
+            options.append(("left", "right"))
+        else:
+            take_left = (a < b) if g.is_min else (a > b)
+            options.append(("left",) if take_left else ("right",))
+    return list(product(*options))
 
 
 def char_poly(A: np.ndarray) -> np.ndarray:

@@ -8,15 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monocert import sysdsl
 from monocert.certify import (
     DEFAULT_EPS, CertifyError, WorkingBox, _positivity_check, certify_all,
     check_cor1, check_cor2, check_cor3, check_kamke, check_thm1, check_thm2,
-    grid_condition_values, grid_mu_values, partition,
+    grid_condition_values, grid_mu_values, partition, row_groups,
 )
 from monocert.measures import WeightFamily
+from monocert.synth import synth_const
 from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
-from conftest import CORPUS, linear_system, load_system
+from conftest import CORPUS, linear_system, load_family, load_system
+from oracles import patterns_at
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -277,8 +280,8 @@ def test_scalar_system_kamke_vacuous():
 
 @pytest.mark.parametrize("resolution, ties", [(7, 290), (9, 482)])
 def test_partition_matches_tree_walking_patterns(traffic4, resolution, ties):
-    """Every grid row is covered by exactly the patterns that the
-    tree-walking ``patterns_at`` finds there, in the same order."""
+    """Every grid row is covered by exactly the patterns that the per-point
+    tie rule of the oracle finds there, in the same order."""
     box = WorkingBox.default_for(traffic4, resolution)
     jb = jacobian(traffic4)
     X = np.array(list(itertools.product(*box.axes())))
@@ -286,8 +289,8 @@ def test_partition_matches_tree_walking_patterns(traffic4, resolution, ties):
     for pattern, rows, tied in partition(jb, X):
         for r in rows:
             covering[r].append(pattern)
-        assert tied == (len(jb.patterns_at(X[rows[0]])) > 1)
-    assert covering == [jb.patterns_at(x) for x in X]
+        assert tied == (len(patterns_at(jb, X[rows[0]])) > 1)
+    assert covering == [patterns_at(jb, x) for x in X]
     assert sum(len(p) > 1 for p in covering) == ties
     assert check_kamke(traffic4, box).branch_ties == ties
 
@@ -412,6 +415,59 @@ def test_certify_all_evaluates_the_jacobian_once_per_chunk(
     n_eq = sum(r.equilibrium_margin is not None for r in reports)
     assert len(reports) == 5 and n_eq == 4
     assert len(calls) <= -(-box.n_points // 4096) + n_eq
+
+
+def test_two_checks_build_each_branch_matrix_once(monkeypatch):
+    """The branch Jacobian is kept on the system: later checks, and
+    synthesis after them, differentiate each Jacobian row and compile each
+    branch matrix no more than once."""
+    traffic4 = load_system("traffic4")
+    calls = {"differentiate": 0, "compile_expr": 0}
+
+    def counted(name):
+        real = getattr(sysdsl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(sysdsl, name, wrapper)
+
+    counted("differentiate")
+    counted("compile_expr")
+    box = WorkingBox.default_for(traffic4, 9)
+    v = load_family("traffic4.v.json")
+    check_kamke(traffic4, box)
+    after_first = dict(calls)
+    after_first_cache = dict(jacobian(traffic4)._matrix_cache)
+    check_thm1(traffic4, v, box)
+    check_cor1(traffic4, [1.0, 1.25, 1.5625, 1.953125], box)
+    assert calls == after_first
+    jb = jacobian(traffic4)
+    assert jb is jacobian(traffic4)
+    synth_const(traffic4, box, mode="sum")
+    # one differentiation per entry of each distinct row, and one kernel
+    # per branch matrix
+    n_built = len(jb._matrix_cache)
+    assert calls["differentiate"] == traffic4.n * len(jb._row_cache)
+    assert calls["compile_expr"] == after_first["compile_expr"] + \
+        n_built - len(after_first_cache)
+
+
+def test_row_groups_match_np_unique_rows():
+    """The lexsort grouping gives the rows np.unique(axis=0) gives, in the
+    same order, each group in original row order."""
+    rng = np.random.default_rng(5)
+    for n_cols in (1, 3, 6):
+        key = rng.integers(-2, 3, size=(400, n_cols)).astype(float) / 4
+        key[rng.random(key.shape) < 0.1] = -0.0
+        order, starts = row_groups(key)
+        np.testing.assert_array_equal(key[order[np.r_[0, starts]]],
+                                      np.unique(key, axis=0))
+        groups = np.split(order, starts)
+        assert sorted(np.concatenate(groups).tolist()) == list(range(400))
+        for rows in groups:
+            assert np.all(key[rows] == key[rows[0]])
+            assert np.all(np.diff(rows) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from monocert.certify import partition
 from monocert.sysdsl import (
     Add, BranchRequiredError, Const, Cos, Div, DslError, Exp, Interval, Max,
     ExprMatrix, Min, Mul, Neg, Pow, Sin, Sub, SystemDef, TimeVar, Var,
-    antiderivative_univariate, compile_expr, differentiate, evaluate,
-    free_vars, jacobian, parse_expr, parse_system, pretty, references_time,
-    simplify,
+    _substitute_branches, compile_expr, differentiate, free_vars, jacobian,
+    parse_expr, parse_system, pretty, references_time,
 )
 
 from conftest import CORPUS, load_system
+from oracles import evaluate, field_at, matrix_at, patterns_at
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +287,26 @@ def test_pretty_preserves_value_on_foldprone_trees():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_matches_hand_values():
-    e = parse_expr("-x1 + x2^2", ["x1", "x2"])
-    assert evaluate(e, [1.0, 2.0]) == 3.0
-    e = parse_expr("min(x1, x2) + max(x1, x2)", ["x1", "x2"])
-    assert evaluate(e, [3.0, -1.0]) == 2.0
-    e = parse_expr("exp(-x1)", ["x1"])
-    assert evaluate(e, [0.0]) == 1.0
+    """The oracle and the compiled kernel at hand-computed values."""
+    cases = [("-x1 + x2^2", [1.0, 2.0], 3.0),
+             ("min(x1, x2) + max(x1, x2)", [3.0, -1.0], 2.0),
+             ("exp(-x1)", [0.0, 0.0], 1.0),
+             ("(-2)^2 - x1", [1.0, 0.0], 3.0)]
+    for src, x, want in cases:
+        e = parse_expr(src, ["x1", "x2"])
+        assert evaluate(e, x) == want
+        assert compile_expr(e)(np.array([x]))[0] == want
 
 
 def test_evaluate_time_required():
     e = parse_expr("sin(t)", ["x1"])
     assert evaluate(e, [0.0], t=math.pi / 2) == pytest.approx(1.0)
+    assert compile_expr(e)(np.zeros((1, 1)), math.pi / 2)[0] == \
+        pytest.approx(1.0)
     with pytest.raises(ValueError, match="time"):
         evaluate(e, [0.0])
+    with pytest.raises(ValueError, match="time"):
+        compile_expr(e)(np.zeros((1, 1)))
 
 
 def test_compile_expr_matches_evaluate_on_batch():
@@ -352,13 +360,13 @@ def test_f_batch_matches_pointwise(traffic4):
     rng = np.random.default_rng(3)
     X = rng.uniform(0.0, 1.0, size=(64, 4))
     got = traffic4.f_batch(X)
-    want = np.array([traffic4.f(x) for x in X])
+    want = np.array([field_at(traffic4, x) for x in X])
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.sys")))
 def test_fused_f_batch_matches_tree_walker(name):
-    """The one generated field kernel against the tree-walking ``f``, at
+    """The one generated field kernel against the tree-walking oracle, at
     scalar times and at one time per point."""
     sys = load_system(name)
     rng = np.random.default_rng(17)
@@ -367,9 +375,9 @@ def test_fused_f_batch_matches_tree_walker(name):
     X = lo + (hi - lo) * rng.random((50, sys.n))
     T = rng.uniform(0.0, 10.0, size=50)
     for t in (0.0, 0.7, 5.25):
-        want = np.array([sys.f(x, t) for x in X])
+        want = np.array([field_at(sys, x, t) for x in X])
         np.testing.assert_allclose(sys.f_batch(X, t), want, rtol=1e-12, atol=0)
-    want = np.array([sys.f(x, float(t)) for x, t in zip(X, T)])
+    want = np.array([field_at(sys, x, float(t)) for x, t in zip(X, T)])
     np.testing.assert_allclose(sys.f_batch(X, T), want, rtol=1e-12, atol=0)
 
 
@@ -382,7 +390,7 @@ def test_time_varying_f_batch_needs_time():
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.sys")))
 def test_fused_jacobian_kernel_matches_evaluate(name):
     """One generated kernel per branch matrix: close to the tree-walking
-    ``evaluate`` and bit for bit the per-entry ``compile_expr`` kernels."""
+    oracle and bit for bit the per-entry ``compile_expr`` kernels."""
     sys = load_system(name)
     rng = np.random.default_rng(23)
     lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
@@ -392,7 +400,7 @@ def test_fused_jacobian_kernel_matches_evaluate(name):
     for _, mat in jacobian(sys).branches():
         got = mat.evaluate_batch(X, t)
         assert got.shape == (40, sys.n, sys.n)
-        want = np.array([mat.evaluate(x, t) for x in X])
+        want = np.array([matrix_at(mat, x, t) for x in X])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
         for i in range(sys.n):
             for j in range(sys.n):
@@ -412,7 +420,7 @@ def test_time_varying_jacobian_needs_time():
 
 
 # ---------------------------------------------------------------------------
-# free_vars / references_time / simplify
+# free_vars / references_time
 # ---------------------------------------------------------------------------
 
 def test_free_vars_and_time():
@@ -420,16 +428,6 @@ def test_free_vars_and_time():
     assert free_vars(e) == {0, 2}
     assert references_time(e)
     assert not references_time(parse_expr("x1 + x2", ["x1", "x2"]))
-
-
-def test_simplify_folds_constants_only():
-    e = parse_expr("2 * 3 + x1 * 1", ["x1"])
-    s = simplify(e)
-    # constant subtree folds; the variable product is left untouched
-    assert evaluate(s, [5.0]) == evaluate(e, [5.0]) == 11.0
-    assert simplify(parse_expr("2^3", ["x1"])) == Const(8.0)
-    v = parse_expr("x1 + 0", ["x1"])
-    assert evaluate(simplify(v), [4.0]) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -478,30 +476,6 @@ def test_differentiate_through_minmax_raises():
         differentiate(e, 0)
 
 
-def test_antiderivative_univariate_polynomials():
-    e = parse_expr("1 + 2*x2 + 3*x2^2", ["x1", "x2"])
-    F = antiderivative_univariate(e)
-    # F(x2) = x2 + x2^2 + x2^3, constant term zero
-    for v in (0.0, 0.5, 1.0, 2.0):
-        assert evaluate(F, [0.0, v]) == pytest.approx(v + v**2 + v**3, abs=1e-12)
-    assert evaluate(F, [0.0, 0.0]) == 0.0
-
-
-def test_antiderivative_constant_defaults_to_given_index():
-    e = parse_expr("2", ["x1", "x2"])
-    F = antiderivative_univariate(e, var_index=1)
-    assert evaluate(F, [9.0, 3.0]) == pytest.approx(6.0)
-
-
-def test_antiderivative_rejects_multivariate_and_nonpoly():
-    with pytest.raises(DslError):
-        antiderivative_univariate(parse_expr("x1 + x2", ["x1", "x2"]))
-    with pytest.raises(DslError):
-        antiderivative_univariate(parse_expr("exp(x1)", ["x1"]))
-    with pytest.raises(DslError):
-        antiderivative_univariate(parse_expr("sin(t)", ["x1"]))
-
-
 # ---------------------------------------------------------------------------
 # jacobian branches
 # ---------------------------------------------------------------------------
@@ -513,7 +487,7 @@ def test_smooth_system_single_branch(ex1):
     assert len(pats) == 1
     pattern, mat = pats[0]
     assert pattern == ()
-    J = mat.evaluate([1.0, 2.0])
+    J = mat.evaluate_batch(np.array([[1.0, 2.0]]))[0]
     np.testing.assert_allclose(J, [[-1.0, 4.0], [0.0, -1.0]])
 
 
@@ -523,7 +497,7 @@ def test_jacobian_matches_finite_differences_smooth(comparison):
     rng = np.random.default_rng(5)
     for _ in range(8):
         x = rng.uniform(0.1, 2.0, size=2)
-        J = mat.evaluate(x)
+        J = mat.evaluate_batch(x[None, :])[0]
         for i in range(2):
             for j in range(2):
                 num = _numeric_partial(comparison.odes[i], x, j)
@@ -556,10 +530,10 @@ def test_branch_jacobian_matches_numeric_away_from_ties(traffic4):
     checked = 0
     for _ in range(40):
         x = rng.uniform(0.05, 0.95, size=4)
-        pats = jb.patterns_at(x)
+        pats = patterns_at(jb, x)
         if len(pats) != 1:
             continue  # on a tie surface; derivative is not unique there
-        J = jb.branch_matrix(pats[0]).evaluate(x)
+        J = jb.branch_matrix(pats[0]).evaluate_batch(x[None, :])[0]
         for i in range(4):
             for j in range(4):
                 num = _numeric_partial(traffic4.odes[i], x, j, h=1e-7)
@@ -569,15 +543,28 @@ def test_branch_jacobian_matches_numeric_away_from_ties(traffic4):
 
 
 def test_patterns_at_tie_returns_both(traffic4):
-    # at x1 = 0.125 the first guard ties: min(0.1, 1 - x1) has 0.1 vs 0.875…
-    # use the second guard instead: 0.8*x1 == 1 - x2 when x1=0.5, x2=0.6
+    # the second guard ties: 0.8*x1 == 1 - x2 when x1=0.5, x2=0.6
     x = [0.5, 0.6, 0.5, 0.5]
-    pats = traffic4.jacobian_branches().patterns_at(x) \
-        if hasattr(traffic4, "jacobian_branches") else jacobian(traffic4).patterns_at(x)
+    jb = jacobian(traffic4)
+    pats = patterns_at(jb, x)
     assert len(pats) >= 2
+    assert [p for p, _, _ in partition(jb, np.array([x]))] == pats
     # all returned patterns differ only in tied guards
     arr = np.array([[1 if s == "left" else 0 for s in p] for p in pats])
     assert arr.shape[0] == len(set(map(tuple, arr.tolist())))
+
+
+def test_shared_rows_equal_full_substitution(traffic4):
+    """A Jacobian row is shared by the branches that agree on its own
+    equation's guards; it equals the row built from the whole pattern."""
+    jb = jacobian(traffic4)
+    for pattern, mat in jb.branches():
+        choice = dict(zip(jb.guards, pattern))
+        for i, f in enumerate(traffic4.odes):
+            smooth = _substitute_branches(f, choice)
+            assert mat.entries[i] == tuple(differentiate(smooth, j)
+                                           for j in range(traffic4.n))
+    assert len(jb._row_cache) == 4 + 4 + 4 + 2
 
 
 def test_guard_values_shapes(traffic4):
