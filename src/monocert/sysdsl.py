@@ -11,7 +11,9 @@ lives in this module.
 
 Every tree walk runs on one explicit-stack walker (``_fold``), so the depth
 of an expression costs no Python recursion, and every numeric evaluation
-runs through one kernel compiler (``compile_expr``).
+runs through kernels generated by one emitter (``_emit``): ``compile_expr``
+for expressions, vector fields and matrices, and ``compile_step`` for a
+whole RK4 step of a system.
 
 A system is declared in a block like::
 
@@ -44,7 +46,8 @@ __all__ = [
     "Interval", "SystemDef", "ExprMatrix", "Guard", "JacobianBranches",
     "DslError", "BranchRequiredError",
     "parse_system", "parse_expr", "differentiate", "jacobian", "pretty",
-    "compile_expr", "format_number", "free_vars", "references_time",
+    "compile_expr", "compile_step", "format_number", "free_vars",
+    "references_time",
 ]
 
 TIE_TOL = 1e-9  # relative tie tolerance for min/max branch guards
@@ -342,15 +345,17 @@ def pretty(e: Expr, names: Optional[Sequence[str]] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: the one kernel compiler
+# Evaluation: kernels generated by one emitter
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr, lines: list) -> None:
+def _emit(e: Expr, lines: list, var: str = "X[:, {}]",
+          time: str = "T") -> None:
     """Append one statement per node of ``e`` that leaves its value in _s0.
 
     A node's value goes to the local ``_s<slot>``; its children's values
-    are in ``_s<slot>``, ``_s<slot + 1>``, ...  The statements read rows
-    ``X`` (m, n) and time ``T``.
+    are in ``_s<slot>``, ``_s<slot + 1>``, ...  ``Var(i)`` reads
+    ``var.format(i)`` and ``t`` reads ``time``: by default rows ``X``
+    (m, n) and time ``T``.
     """
 
     def leave(node: Expr, args: list, slot: int) -> None:
@@ -358,9 +363,9 @@ def _emit(e: Expr, lines: list) -> None:
         if isinstance(node, Const):
             rhs = repr(node.value)
         elif isinstance(node, Var):
-            rhs = f"X[:, {node.index}]"
+            rhs = var.format(node.index)
         elif isinstance(node, TimeVar):
-            rhs = "T"
+            rhs = time
         elif isinstance(node, Neg):
             rhs = f"-{a}"
         elif isinstance(node, Pow):
@@ -397,9 +402,57 @@ def compile_expr(e) -> Callable:
         _emit(entry, src)
         src.append(f"    out[{', '.join([':', *map(str, idx)])}] = _s0")
     src.append("    return out")
-    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan}
+    return _define(src, "_f")
+
+
+def _define(src: list, name: str) -> Callable:
+    """Execute generated source and return the function ``name`` it defines."""
+    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan,
+                "_TWO": np.array(2.0)}
     exec("\n".join(src) + "\n", ns)
-    return ns["_f"]
+    return ns[name]
+
+
+# the four RK4 stages: the prefix of their input columns, of their slopes,
+# their time, and the factor of the slopes in the next stage's input
+_RK4_STAGES = (("x", "a", "t", "h2"), ("y", "b", "t2", "h2"),
+               ("z", "c", "t2", "h1"), ("w", "d", "t4", None))
+
+
+def compile_step(odes) -> Callable:
+    """Compile one classical RK4 step of ``odes`` to ``step(X, t, h)``.
+
+    ``X`` is a float array (m, n) of states at time ``t``; the kernel
+    returns the states one step of length ``h`` later.  The four stages run
+    inline on (m,) columns with the arithmetic, in the order, of
+
+        k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
+        k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
+        X + (h/6) (k1 + 2 k2 + 2 k3 + k4)
+
+    so every state is bit for bit what that four-call form gives.  The
+    factors that multiply columns are 0-d arrays, which numpy applies to
+    small arrays faster than Python numbers, with the same result.
+    """
+    n = len(odes)
+    src = ["def _step(X, t, h):",
+           "    t2 = t + h / 2",
+           "    t4 = t + h",
+           "    h1, h2, h6 = np.array(h), np.array(h / 2), np.array(h / 6)"]
+    src += [f"    x{i} = X[:, {i}]" for i in range(n)]
+    for k, (col, slope, time, factor) in enumerate(_RK4_STAGES):
+        for i, fi in enumerate(odes):
+            _emit(fi, src, var=col + "{}", time=time)
+            src.append(f"    {slope}{i} = _s0")
+        if factor:
+            nxt = _RK4_STAGES[k + 1][0]
+            src += [f"    {nxt}{i} = x{i} + {factor} * {slope}{i}"
+                    for i in range(n)]
+    src.append("    out = np.empty(X.shape)")
+    src += [f"    out[:, {i}] = x{i} + h6 * (a{i} + _TWO * b{i} + _TWO * c{i}"
+            f" + d{i})" for i in range(n)]
+    src.append("    return out")
+    return _define(src, "_step")
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +751,12 @@ class SystemDef:
     odes: tuple    # of Expr
     equilibrium: Optional[tuple] = None
     period: Optional[float] = None
-    # the field kernel and the branch Jacobian, built on first use
+    # the field and RK4 step kernels and the branch Jacobian, built on
+    # first use
     _f_batch: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
+    _rk4_step: Optional[Callable] = field(default=None, init=False,
+                                          repr=False, compare=False)
     _jacobian: Optional[JacobianBranches] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -717,6 +773,12 @@ class SystemDef:
         if self._f_batch is None:
             self._f_batch = compile_expr(self.odes)
         return self._f_batch(X, t)
+
+    def rk4_step(self, X: np.ndarray, t: float, h: float) -> np.ndarray:
+        """One classical RK4 step of every row of X (m, n) from time t."""
+        if self._rk4_step is None:
+            self._rk4_step = compile_step(self.odes)
+        return self._rk4_step(X, t, h)
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         return all(b.contains(float(v), tol) for b, v in zip(self.bounds, x))
@@ -911,19 +973,25 @@ class _Parser:
                 return node
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == "-":
+        # a run of unary minus signs is counted, not recursed on
+        signs = 0
+        while (tok := self.peek()).kind == "PUNCT" and tok.text == "-":
             self.next()
-            nxt = self.peek()
-            # fold a negated literal into the constant unless it is the base
-            # of a power (so "-2^2" keeps Python's reading, -(2^2))
-            if nxt.kind == "NUM":
-                after = self.toks[self.pos + 1]
-                if not (after.kind == "PUNCT" and after.text == "^"):
-                    self.next()
-                    return Const(-float(nxt.text))
-            return Neg(self.factor())
-        return self.power()
+            signs += 1
+        node = None
+        # the innermost sign folds into a literal unless the literal is the
+        # base of a power (so "-2^2" keeps Python's reading, -(2^2))
+        if signs and tok.kind == "NUM":
+            after = self.toks[self.pos + 1]
+            if not (after.kind == "PUNCT" and after.text == "^"):
+                self.next()
+                node = Const(-float(tok.text))
+                signs -= 1
+        if node is None:
+            node = self.power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def power(self) -> Expr:
         base = self.atom()

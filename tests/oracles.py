@@ -12,7 +12,9 @@ Expressions are evaluated here by a recursive tree walk in Python floats
 active branch patterns of a point come from the per-point tie rule.  The
 package evaluates only through generated numpy kernels and finds branches
 only through ``certify.partition``, so these are independent references
-for both.
+for both.  The RK4 references are the four-call form of a step over
+``f_batch`` (bit for bit what the step kernel must give) and one step of one
+point in Python floats.
 """
 
 import math
@@ -20,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from monocert.sim import INVARIANCE_TOL
 from monocert.sysdsl import (TIE_TOL, Add, Const, Cos, Div, Exp, Max, Min,
                              Mul, Neg, Pow, Sin, Sub, TimeVar, Var)
 
@@ -60,6 +63,53 @@ def evaluate(e, x, t=None) -> float:
 def field_at(sys, x, t=None) -> np.ndarray:
     """The vector field of ``sys`` at one point."""
     return np.array([evaluate(fi, x, t) for fi in sys.odes])
+
+
+def rk4_four_calls(sys, X, t, h) -> np.ndarray:
+    """One classical RK4 step of the rows of X as four ``f_batch`` calls.
+
+    The integrator's step kernel runs the same arithmetic in one generated
+    function; this is its bitwise reference.
+    """
+    f = sys.f_batch
+    k1 = f(X, t)
+    k2 = f(X + (h / 2) * k1, t + h / 2)
+    k3 = f(X + (h / 2) * k2, t + h / 2)
+    k4 = f(X + h * k3, t + h)
+    return X + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_at(sys, x, t, h) -> list:
+    """One classical RK4 step of one point, in Python floats."""
+    def f(y, s):
+        return [evaluate(fi, y, s) for fi in sys.odes]
+
+    def shift(c, k):
+        return [xi + c * ki for xi, ki in zip(x, k)]
+
+    k1 = f(x, t)
+    k2 = f(shift(h / 2, k1), t + h / 2)
+    k3 = f(shift(h / 2, k2), t + h / 2)
+    k4 = f(shift(h, k3), t + h)
+    return [xi + h / 6 * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def domain_failure(sys, j, x, k, t):
+    """The integrator's diagnostic for row j at state x after step k, or
+    None: a row fails when a coordinate is non-finite or lies outside its
+    interval by more than ``INVARIANCE_TOL``."""
+    if not all(math.isfinite(v) for v in x):
+        return (k, math.inf, f"non-finite state at t={t:.6g}")
+    viol = [max(b.lo - v, v - b.hi) for b, v in zip(sys.bounds, x)]
+    worst = max(viol)
+    if worst <= INVARIANCE_TOL:
+        return None
+    i = viol.index(worst)
+    return (k, worst,
+            f"trajectory {j} left the domain at t={t:.6g}: "
+            f"{sys.state_names[i]}={x[i]:.6g} violates {sys.bounds[i]} "
+            f"by {worst:.3e} (not clamping)")
 
 
 def matrix_at(mat, x, t=None) -> np.ndarray:

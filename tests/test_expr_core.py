@@ -150,6 +150,34 @@ def test_deep_sum_runs_end_to_end(n_terms):
     assert thm1.equilibrium_margin == -1.0
 
 
+@pytest.mark.parametrize("text, tree", [
+    ("-x1", Neg(Var(0))),
+    ("--x1", Neg(Neg(Var(0)))),
+    ("-2", Const(-2.0)),
+    ("--2", Neg(Const(-2.0))),
+    ("-2^2", Neg(Pow(Const(2.0), 2))),
+    ("--2^2", Neg(Neg(Pow(Const(2.0), 2)))),
+    ("-(2)", Neg(Const(2.0))),
+    ("3 * --x1", Mul(Const(3.0), Neg(Neg(Var(0))))),
+    ("-x1^2 - -1", Sub(Neg(Pow(Var(0), 2)), Const(-1.0))),
+])
+def test_short_minus_chains_keep_their_trees(text, tree):
+    assert parse_expr(text, ["x1"]) == tree
+
+
+@pytest.mark.parametrize("operand, innermost, negs", [
+    ("x1", Var(0), 5000), ("3", Const(-3.0), 4999),
+    ("3^2", Pow(Const(3.0), 2), 5000)])
+def test_long_minus_chain_parses_without_recursion(operand, innermost, negs):
+    e = parse_expr("-" * 5000 + operand, ["x1"])
+    depth = 0
+    while isinstance(e, Neg):
+        e, depth = e.arg, depth + 1
+    assert (depth, e) == (negs, innermost)
+    chain = parse_expr("-" * 5001 + "x1", ["x1"])
+    assert compile_expr(chain)(np.array([[2.0]])).tolist() == [-2.0]
+
+
 # ---------------------------------------------------------------------------
 # abs
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ its reports pin the tie handling end to end: the tied-point counts, the
 witness (point and component) of checks whose worst value sits on a tie,
 and the LP built from every tied branch.  The ex1 report pins a certify
 run with two weight families, whose five checks share one grid pass.
+The simulate, contract and entrain goldens pin the RK4 integrator bit for
+bit: every state is printed with 17 significant digits, and the reports
+carry step errors, fitted rates and spreads.
 To regenerate a golden, run its command with ``--out DIR`` and copy the
-report over the golden.
+report (for a golden directory, every file written) over the golden.
 """
 
 from pathlib import Path
@@ -38,6 +41,21 @@ MULTI_FAMILY_CASES = {
          "--resolution", "201"], "certify-report.json", EXIT_PASS),
 }
 
+# golden directory -> (argv, exit code); it holds every file the command
+# writes
+VALIDATION_CASES = {
+    "simulate-ex1-theta": (
+        ["simulate", "ex1", "--x0", "2,1", "--random", "2", "--box",
+         "0:3,0:3", "--theta", str(CORPUS / "ex1.theta.json"), "--t-end",
+         "0.5", "--dt", "0.01", "--seed", "1"], EXIT_PASS),
+    "contract-linear_sym-seed1": (
+        ["contract", "linear_sym", "--theta",
+         str(CORPUS / "linear_sym.theta.json"), "--seed", "1"], EXIT_PASS),
+    "entrain-cubic-p3": (
+        ["entrain", "entrain_cubic", "--x0-set=-2;0;2", "--periods", "3"],
+        EXIT_PASS),
+}
+
 
 def _assert_matches_golden(golden, case, tmp_path):
     argv, report, code = case
@@ -53,3 +71,14 @@ def test_piecewise_report_matches_golden(golden, tmp_path):
 @pytest.mark.parametrize("golden", sorted(MULTI_FAMILY_CASES))
 def test_multi_family_report_matches_golden(golden, tmp_path):
     _assert_matches_golden(golden, MULTI_FAMILY_CASES[golden], tmp_path)
+
+
+@pytest.mark.parametrize("golden", sorted(VALIDATION_CASES))
+def test_validation_output_matches_golden(golden, tmp_path):
+    argv, code = VALIDATION_CASES[golden]
+    assert main(argv + ["--quiet", "--out", str(tmp_path)]) == code
+    names = sorted(p.name for p in (GOLDEN / golden).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        got = (tmp_path / name).read_bytes()
+        assert got == (GOLDEN / golden / name).read_bytes(), name

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import monocert as mc
-from conftest import load_family, load_system, linear_system
+from conftest import CORPUS, load_family, load_system, linear_system
 from monocert.lyap import build_lyapunov
 from monocert.sim import (BatchTrajectories, ContractionReport,
                           DecreaseReport, EntrainReport, SimulationError,
                           Trajectory, entrainment_test,
                           estimate_contraction_rate, integrate,
                           integrate_batch, verify_decrease)
+from oracles import domain_failure, rk4_at, rk4_four_calls
 
 
 def _scalar(body: str, lo="-inf", hi="inf", extra="") -> mc.SystemDef:
@@ -71,6 +72,120 @@ def test_save_every_thins_but_keeps_final(ex1):
     assert len(tr.t) == 11
     assert tr.t[-1] == pytest.approx(1.0, abs=1e-12)
     assert tr.x.shape == (11, 2)
+
+
+def _mixed_field() -> mc.SystemDef:
+    """Time-varying, with a constant component and a time-only one."""
+    sys = mc.parse_system("""
+    system mixed {
+      states x1 in (-inf, inf), x2 in [-5, 5], x3 in (-inf, inf)
+      dx1 = -x1 + x2 * sin(t)
+      dx2 = 2
+      dx3 = cos(t)
+    }
+    """)
+    sys.validate()
+    return sys
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in CORPUS.glob("*.sys")) + ["mixed"])
+def test_rk4_step_matches_the_four_call_form(name):
+    """The step kernel is bit for bit four ``f_batch`` calls, and close to
+    one step in Python floats over the tree-walking oracle."""
+    sys = _mixed_field() if name == "mixed" else load_system(name)
+    rng = np.random.default_rng(23)
+    lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
+    hi = np.array([min(b.hi, 3.0) for b in sys.bounds])
+    # a full step, a half step and a remainder step (0.7 - 2 * 0.3)
+    for h in (1e-2, 1e-2 / 2, 0.7 - 2 * 0.3):
+        for B in (1, 3, 20):
+            X = lo + (hi - lo) * rng.random((B, sys.n))
+            got = sys.rk4_step(X, 0.7, h)
+            assert got.shape == (B, sys.n)
+            assert np.array_equal(_bits(got),
+                                  _bits(rk4_four_calls(sys, X, 0.7, h)))
+            want = np.array([rk4_at(sys, list(x), 0.7, h) for x in X])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _failures_by_rule(sys, X0, t_end, dt):
+    """Each row's failure under the per-row rule, stepping the live rows
+    with the four-call RK4 (t_end a whole number of steps)."""
+    live = dict(enumerate(np.asarray(X0, dtype=float)))
+    failures = {}
+
+    def check(k, t):
+        for j in list(live):
+            fail = domain_failure(sys, j, live[j].tolist(), k, t)
+            if fail is not None:
+                failures[j] = fail
+                del live[j]
+
+    check(-1, 0.0)
+    t = 0.0
+    for k in range(int(round(t_end / dt))):
+        rows = sorted(live)
+        if rows:
+            X = rk4_four_calls(sys, np.array([live[j] for j in rows]), t, dt)
+            live = dict(zip(rows, X))
+        t += dt
+        check(k, t)
+    return failures
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_domain_check_matches_the_per_row_rule():
+    """Starts that are NaN, ±inf under an infinite bound, out by exactly
+    ``INVARIANCE_TOL`` (kept) or by the next float above it (dropped)."""
+    sys = mc.parse_system("""
+    system box {
+      states x1 in [0, 1], x2 in [-1, 0], x3 in (-inf, inf)
+      dx1 = -x1
+      dx2 = -x2
+      dx3 = -x3
+    }
+    """)
+    tol = mc.sim.INVARIANCE_TOL
+    above = np.nextafter(tol, 1.0)
+    X0 = np.array([
+        [0.5, -0.5, 0.0],
+        [np.nan, -0.5, 0.0],
+        [0.5, -0.5, np.inf],
+        [0.5, -0.5, -np.inf],
+        [-tol, -0.5, 1e300],
+        [-above, -0.5, 0.0],
+        [0.5, tol, 0.0],
+        [0.5, above, 0.0],
+        [2.0, 3.0, 0.0],
+        [2.0, 1.0, 0.0],
+    ])
+    batch = integrate_batch(sys, X0, 0.05, dt=1e-2)
+    want = _failures_by_rule(sys, X0, 0.05, 1e-2)
+    assert set(want) == {1, 2, 3, 5, 7, 8, 9}
+    assert batch.failures == want
+    for j in (0, 4, 6):
+        assert np.all(np.isfinite(batch.trajectory(j).x))
+    # each start beside an interior one, so that it alone decides the check
+    for j in range(1, len(X0)):
+        pair = X0[[0, j]]
+        got = integrate_batch(sys, pair, 0.05, dt=1e-2).failures
+        assert got == _failures_by_rule(sys, pair, 0.05, 1e-2), j
+
+
+def test_domain_check_mid_run_matches_the_per_row_rule(rotation):
+    """Starts that leave [-1, 1]^2 at different steps, or never."""
+    X0 = np.array([[0.5, 0.0], [0.8, -0.7], [0.3, 0.3], [-0.75, 0.75],
+                   [0.9, 0.9], [0.0, -0.7]])
+    batch = integrate_batch(rotation, X0, 2.0, dt=1e-2)
+    want = _failures_by_rule(rotation, X0, 2.0, 1e-2)
+    assert set(want) == {1, 3, 4}
+    assert len({k for k, _, _ in want.values()}) == 3
+    assert batch.failures == want
 
 
 def test_batch_matches_single_bitwise(ex1):
@@ -164,23 +279,22 @@ def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
     raised diagnostic is that earliest failure."""
     fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
     box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0))
-    calls = []
-    f_batch = mc.SystemDef.f_batch
+    ends = []
+    rk4_step = mc.SystemDef.rk4_step
 
-    def counted(self, X, t=None):
-        calls.append(t)
-        return f_batch(self, X, t)
+    def counted(self, X, t, h):
+        ends.append(t + h)
+        return rk4_step(self, X, t, h)
 
-    monkeypatch.setattr(mc.SystemDef, "f_batch", counted)
+    monkeypatch.setattr(mc.SystemDef, "rk4_step", counted)
     with pytest.raises(SimulationError,
                        match=r"^trajectory 3 left the domain at t=0\.21:"):
         estimate_contraction_rate(rotation, fam, pairs=4, box=box,
                                   t_end=3.0, seed=2)
-    # RK4 takes 4 evaluations a step, 12 on every 16th (the error check);
-    # the two outside the integrator are the grid check's
+    # one kernel call a step, three on every 16th (the error check)
     steps = 210
-    assert 4 * steps < len(calls) - 2 <= 4 * steps + 8 * (steps // 16 + 1)
-    assert max(t for t in calls if t is not None) < 0.2105
+    assert steps < len(ends) <= steps + 2 * (steps // 16 + 1)
+    assert max(ends) < 0.2105
 
 
 def test_abort_on_failure_keeps_the_failures_of_that_step(rotation):
