@@ -1,19 +1,26 @@
 """Trajectory-based validation of certificates.
 
-Integration is classical fixed-step RK4.  Each step is one call of the
-system's compiled step kernel (``SystemDef.rk4_step``), which runs the four
-stages inline; it is bit for bit the same arithmetic as four calls of the
-vector field.  A step-doubling error estimate (one full step against two
-half steps, scaled by 1/15) is sampled along the way and the worst value
-reported on the trajectory; the state itself always advances by the plain
-full step, so convergence stays exactly fourth order.
+Integration is classical fixed-step RK4 through the system's two compiled
+kernels (see ``sysdsl.compile_step``), which run the four stages inline and
+are bit for bit the same arithmetic as four calls of the vector field.
+Every 16th step, and the last, is a step-doubling error estimate: one call
+of ``SystemDef.rk4_check`` returns the full step and two half steps, whose
+difference scaled by 1/15 is sampled and the worst value reported on the
+trajectory; the state itself always advances by the plain full step, so
+convergence stays exactly fourth order.  The plain steps between two
+estimates run as one block, in one call of ``SystemDef.rk4_run`` that loops
+over up to K = 15 steps and writes each step's states to a buffer, from
+which the saved samples are copied.
 
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain
 by more than ``INVARIANCE_TOL`` stops with its own diagnostic while the
 others continue.  While every row is inside, the domain check is one
-reduction over the batch.  States are never clamped back in, because a
-clamped trajectory would silently invalidate every conclusion drawn from it.
+reduction over the batch; the block kernel applies it after each step and
+returns at the first step that fails it, so no step past a failure is
+computed, and the per-row diagnostics then run on that step's states before
+the block goes on.  States are never clamped back in, because a clamped
+trajectory would silently invalidate every conclusion drawn from it.
 
 On top of the integrator:
 
@@ -40,7 +47,7 @@ import numpy as np
 from .certify import WorkingBox, check_cor3, CertReport, DEFAULT_EPS
 from .lyap import LyapFn, _Density
 from .measures import WeightFamily
-from .sysdsl import SystemDef
+from .sysdsl import INVARIANCE_TOL, SystemDef
 
 __all__ = [
     "Trajectory", "BatchTrajectories", "SimulationError",
@@ -49,7 +56,6 @@ __all__ = [
     "entrainment_test", "EntrainReport", "INVARIANCE_TOL",
 ]
 
-INVARIANCE_TOL = 1e-9
 _ERROR_CHECK_EVERY = 16
 
 
@@ -183,8 +189,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
 
     n_full = int(math.floor(span / dt + 1e-9))
     rem = span - n_full * dt
-    steps = [dt] * n_full + ([rem] if rem > 1e-12 else [])
-    n_steps = len(steps)
+    n_steps = n_full + (1 if rem > 1e-12 else 0)
 
     n_saved = 1 + n_steps // save_every + (1 if n_steps % save_every else 0)
     ts = np.empty(n_saved)
@@ -195,29 +200,40 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     X, rows = drop_failed(X0.copy(), np.arange(B), -1, t)
     max_err = np.zeros(B)
     saved = 1
-    step = sys.rk4_step
-    for k, h in enumerate(steps):
-        if abort_on_failure and failures:
-            break
-        if rows.size:
-            if k % _ERROR_CHECK_EVERY == 0 or k == n_steps - 1:
-                full = step(X, t, h)
-                half = step(step(X, t, h / 2), t + h / 2, h / 2)
+    S = np.empty((_ERROR_CHECK_EVERY - 1, B, sys.n))   # one block's states
+    k = 0
+    while k < n_steps and not (abort_on_failure and failures):
+        if k % _ERROR_CHECK_EVERY == 0 or k == n_steps - 1:
+            h = dt if k < n_full else rem
+            if rows.size:
+                full, half = sys.rk4_check(X, t, h)
                 err = np.abs(full - half).max(axis=1) / 15.0
                 # fmax keeps the old worst where a row's estimate is NaN
                 max_err[rows] = np.fmax(max_err[rows], err)
-                X = full
-            else:
-                X = step(X, t, h)
-            X, rows = drop_failed(X, rows, k, t + h)
-        t += h
-        if (k + 1) % save_every == 0 or k == n_steps - 1:
-            ts[saved] = t
-            if rows.size == B:
-                xs[saved] = X
-            else:
-                xs[saved, rows] = X
-            saved += 1
+                X, rows = drop_failed(full, rows, k, t + h)
+            block, failed = (X,), None
+        else:
+            # the plain steps up to the next error check, in one call that
+            # returns at the first step leaving the domain
+            h = dt
+            K = min(k - k % _ERROR_CHECK_EVERY + _ERROR_CHECK_EVERY,
+                    n_steps - 1) - k
+            if S.shape[1] != rows.size:
+                S = np.empty((_ERROR_CHECK_EVERY - 1, rows.size, sys.n))
+            failed = sys.rk4_run(X, t, h, K, S, lo, hi) if rows.size else K
+            block = S[:min(failed + 1, K)]
+        for j, X in enumerate(block):
+            t += h
+            k += 1
+            if j == failed:
+                X, rows = drop_failed(X, rows, k - 1, t)
+            if k % save_every == 0 or k == n_steps:
+                ts[saved] = t
+                if rows.size == B:
+                    xs[saved] = X
+                else:
+                    xs[saved, rows] = X
+                saved += 1
 
     return BatchTrajectories(t=ts[:saved], x=xs[:saved], dt=dt,
                              max_step_error=max_err,

@@ -12,8 +12,13 @@ lives in this module.
 Every tree walk runs on one explicit-stack walker (``_fold``), so the depth
 of an expression costs no Python recursion, and every numeric evaluation
 runs through kernels generated by one emitter (``_emit``): ``compile_expr``
-for expressions, vector fields and matrices, and ``compile_step`` for a
-whole RK4 step of a system.
+for expressions, vector fields and matrices, and ``compile_step`` for RK4,
+whose one kernel loops over up to K steps with the domain check inside and
+whose other returns the full and two half steps of an error estimate.  In
+every kernel, a constant next to a state-dependent operand, and the
+exponent (other than 2) of a state-dependent power, is a 0-d float64 array
+bound once in the kernel's namespace; subtrees of constants and ``t`` alone
+keep Python floats.
 
 A system is declared in a block like::
 
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # relative tie tolerance for min/max branch guards
+# how far outside its domain an integrated state may lie before it fails
+INVARIANCE_TOL = 1e-9
 
 
 class DslError(ValueError):
@@ -178,14 +185,34 @@ class Pow(Expr):
                            f"got {self.exponent!r}")
 
 
-@dataclass(frozen=True)
-class Min(Expr):
+class _Choice(Expr):
+    """Base of ``Min`` and ``Max``: hashed and compared by a flat key (see
+    ``_structure``) built once, so a deep argument costs no recursion."""
+
+    def _key(self) -> tuple:
+        key = self.__dict__.get("_k")
+        if key is None:
+            key = _structure(self)
+            object.__setattr__(self, "_k", key)
+        return key
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Min(_Choice):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
-class Max(Expr):
+@dataclass(frozen=True, eq=False)
+class Max(_Choice):
     a: Expr
     b: Expr
 
@@ -254,6 +281,28 @@ def _fold(root: Expr, leave: Callable, enter: Optional[Callable] = None):
         push(_LEAVE)
         todo.extend(kids[::-1])
     return results[0]
+
+
+def _structure(e: Expr) -> tuple:
+    """``e`` as a flat pre-order tuple of node types and their fields.
+
+    Two trees give equal tuples exactly when they compare equal, and the
+    tuple is built, hashed and compared without recursion.
+    """
+    out: list = []
+
+    def enter(node: Expr) -> Expr:
+        out.append(type(node))
+        if isinstance(node, Const):
+            out.append(node.value)
+        elif isinstance(node, Var):
+            out.append(node.index)
+        elif isinstance(node, Pow):
+            out.append(node.exponent)
+        return node
+
+    _fold(e, lambda node, args, slot: None, enter)
+    return tuple(out)
 
 
 def _rebuild(node: Expr, args: list, slot: int = 0) -> Expr:
@@ -348,35 +397,58 @@ def pretty(e: Expr, names: Optional[Sequence[str]] = None) -> str:
 # Evaluation: kernels generated by one emitter
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr, lines: list, var: str = "X[:, {}]",
+def _emit(e: Expr, lines: list, consts: dict, var: str = "X[:, {}]",
           time: str = "T") -> None:
     """Append one statement per node of ``e`` that leaves its value in _s0.
 
     A node's value goes to the local ``_s<slot>``; its children's values
     are in ``_s<slot>``, ``_s<slot + 1>``, ...  ``Var(i)`` reads
     ``var.format(i)`` and ``t`` reads ``time``: by default rows ``X``
-    (m, n) and time ``T``.
+    (m, n) and time ``T``.  A constant is written into its parent's
+    statement.  Where its sibling depends on the state, and as the exponent
+    (other than 2) of a power whose base does, it is a 0-d float64 array
+    instead, named in ``consts`` (its repr -> name; ``_define`` binds the
+    names): numpy applies that to a small array in about half the time of
+    a Python number, with the same bits.  Subtrees of constants and ``t``
+    alone keep Python floats, because Python's ``**`` and numpy's
+    ``power`` may differ in the last bit.
     """
 
-    def leave(node: Expr, args: list, slot: int) -> None:
-        a, b = f"_s{slot}", f"_s{slot + 1}"
+    def hoisted(value: float) -> str:
+        return consts.setdefault(repr(value), f"_c{len(consts)}")
+
+    def leave(node: Expr, args: list, slot: int):
+        # a child's result is its constant (a float, not yet written) or
+        # whether it depends on the state (its value is in its slot)
         if isinstance(node, Const):
-            rhs = repr(node.value)
-        elif isinstance(node, Var):
+            return node.value
+        state = isinstance(node, Var) or any(v is True for v in args)
+        ops = [(hoisted(v) if state else f"({v!r})")
+               if isinstance(v, float) else f"_s{slot + k}"
+               for k, v in enumerate(args)]
+        if isinstance(node, Var):
             rhs = var.format(node.index)
         elif isinstance(node, TimeVar):
             rhs = time
         elif isinstance(node, Neg):
-            rhs = f"-{a}"
+            rhs = f"-{ops[0]}"
         elif isinstance(node, Pow):
-            rhs = f"{a} ** {node.exponent}"
+            # numpy squares for ``** 2``, as fast as the 0-d power on a few
+            # rows and twice as fast on a grid
+            power = node.exponent
+            if state and power != 2:
+                power = hoisted(float(power))
+            rhs = f"{ops[0]} ** {power}"
         elif type(node) in _BINOPS:
-            rhs = f"{a} {_BINOPS[type(node)]} {b}"
+            rhs = f"{ops[0]} {_BINOPS[type(node)]} {ops[1]}"
         else:
-            rhs = f"{_NP_FUNCS[type(node)]}({', '.join([a, b][:len(args)])})"
-        lines.append(f"    {a} = {rhs}")
+            rhs = f"{_NP_FUNCS[type(node)]}({', '.join(ops)})"
+        lines.append(f"    _s{slot} = {rhs}")
+        return state
 
-    _fold(e, leave)
+    root = _fold(e, leave)
+    if isinstance(root, float):
+        lines.append(f"    _s0 = ({root!r})")
 
 
 def compile_expr(e) -> Callable:
@@ -391,6 +463,7 @@ def compile_expr(e) -> Callable:
     call.  Each call builds a new kernel; callers keep it.
     """
     entries = np.array(e, dtype=object)    # expressions are its scalars
+    consts: dict = {}
     src = ["def _f(X, T=None):"]
     if any(references_time(entry) for entry in entries.flat):
         src += ["    if T is None:",
@@ -399,60 +472,100 @@ def compile_expr(e) -> Callable:
     src += ["    X = np.asarray(X, dtype=float)",
             f"    out = np.empty((X.shape[0],) + {entries.shape!r})"]
     for idx, entry in np.ndenumerate(entries):
-        _emit(entry, src)
+        _emit(entry, src, consts)
         src.append(f"    out[{', '.join([':', *map(str, idx)])}] = _s0")
     src.append("    return out")
-    return _define(src, "_f")
+    return _define(src, consts)["_f"]
 
 
-def _define(src: list, name: str) -> Callable:
-    """Execute generated source and return the function ``name`` it defines."""
+def _define(src: list, consts: dict) -> dict:
+    """Execute generated source; return its namespace, in which each name
+    of ``consts`` is bound to its constant as a 0-d float64 array."""
     ns: dict = {"np": np, "inf": math.inf, "nan": math.nan,
-                "_TWO": np.array(2.0)}
+                "_TWO": np.array(2.0), "_TOL": INVARIANCE_TOL}
+    ns.update((name, np.array(float(text))) for text, name in consts.items())
     exec("\n".join(src) + "\n", ns)
-    return ns[name]
+    return ns
 
 
-# the four RK4 stages: the prefix of their input columns, of their slopes,
-# their time, and the factor of the slopes in the next stage's input
-_RK4_STAGES = (("x", "a", "t", "h2"), ("y", "b", "t2", "h2"),
-               ("z", "c", "t2", "h1"), ("w", "d", "t4", None))
+def compile_step(odes) -> tuple:
+    """Compile classical RK4 for ``odes`` to two kernels, ``(run, check)``.
 
+    ``run(X, t, h, K, S, lo, hi)`` takes up to K steps of length ``h`` from
+    the states X (m, n) at time ``t``, in one generated loop over (m,)
+    column locals, and writes the states after step k to ``S[k]``.  After
+    each step it applies the domain check
+    ``max(lo - S[k], S[k] - hi) <= INVARIANCE_TOL``, one reduction over
+    (m, n) bounds that a NaN fails too, and at the first step that fails it
+    returns k, so no step past it is computed; otherwise it returns K.
 
-def compile_step(odes) -> Callable:
-    """Compile one classical RK4 step of ``odes`` to ``step(X, t, h)``.
+    ``check(X, t, h)`` returns ``(full, half)``: one step of length ``h``
+    and two of length h/2, which share the first stage f(X, t).
 
-    ``X`` is a float array (m, n) of states at time ``t``; the kernel
-    returns the states one step of length ``h`` later.  The four stages run
-    inline on (m,) columns with the arithmetic, in the order, of
+    A step runs the arithmetic, in the order, of
 
         k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
         k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
         X + (h/6) (k1 + 2 k2 + 2 k3 + k4)
 
-    so every state is bit for bit what that four-call form gives.  The
-    factors that multiply columns are 0-d arrays, which numpy applies to
-    small arrays faster than Python numbers, with the same result.
+    and the time advances by ``t += h``, so every state is bit for bit what
+    that four-call form gives.  The factors h, h/2 and h/6 are 0-d arrays,
+    made once per call, which numpy applies to small arrays faster than
+    Python numbers, with the same result.
     """
     n = len(odes)
-    src = ["def _step(X, t, h):",
-           "    t2 = t + h / 2",
-           "    t4 = t + h",
-           "    h1, h2, h6 = np.array(h), np.array(h / 2), np.array(h / 6)"]
-    src += [f"    x{i} = X[:, {i}]" for i in range(n)]
-    for k, (col, slope, time, factor) in enumerate(_RK4_STAGES):
+    consts: dict = {}
+    timed = any(references_time(f) for f in odes)
+
+    def stage(src, col, slope, time):
         for i, fi in enumerate(odes):
-            _emit(fi, src, var=col + "{}", time=time)
+            _emit(fi, src, consts, var=col + "{}", time=time)
             src.append(f"    {slope}{i} = _s0")
-        if factor:
-            nxt = _RK4_STAGES[k + 1][0]
-            src += [f"    {nxt}{i} = x{i} + {factor} * {slope}{i}"
+
+    def step(src, x, out, times, factors, first=True):
+        """One step from columns x0, x1, ... to out0, out1, ...; the first
+        stage's slopes a0, a1, ... are already there unless ``first``."""
+        t, t2, t4 = times
+        h1, h2, h6 = factors
+        if first:
+            stage(src, x, "a", t)
+        for slope, nxt, time, factor, nxt_slope in (
+                ("a", "y", t2, h2, "b"), ("b", "z", t2, h2, "c"),
+                ("c", "w", t4, h1, "d")):
+            src += [f"    {nxt}{i} = {x}{i} + {factor} * {slope}{i}"
                     for i in range(n)]
-    src.append("    out = np.empty(X.shape)")
-    src += [f"    out[:, {i}] = x{i} + h6 * (a{i} + _TWO * b{i} + _TWO * c{i}"
-            f" + d{i})" for i in range(n)]
-    src.append("    return out")
-    return _define(src, "_step")
+            stage(src, nxt, nxt_slope, time)
+        src += [f"    {out}{i} = {x}{i} + {h6} * (a{i} + _TWO * b{i}"
+                f" + _TWO * c{i} + d{i})" for i in range(n)]
+
+    loop: list = []
+    if timed:
+        loop += ["    t2 = t + hh", "    t4 = t + h"]
+    step(loop, "x", "x", ("t", "t2", "t4"), ("h1", "h2", "h6"))
+    loop.append("    s = S[k]")
+    loop += [f"    s[:, {i}] = x{i}" for i in range(n)]
+    if timed:
+        loop.append("    t = t4")
+    loop += ["    if not np.maximum(lo - s, s - hi).max() <= _TOL:",
+             "        return k"]
+    columns = [f"    x{i} = X[:, {i}]" for i in range(n)]
+    factors = "    h1, h2, h6 = np.array(h), np.array(hh), np.array(h / 6)"
+    src = ["def _run(X, t, h, K, S, lo, hi):", "    hh = h / 2", factors,
+           *columns, "    for k in range(K):",
+           *("    " + line for line in loop), "    return K",
+           "def _check(X, t, h):", "    hh = h / 2", factors,
+           "    q2, q6 = np.array(hh / 2), np.array(hh / 6)",
+           "    t2, t4 = t + hh, t + h",
+           "    u2, v2, v4 = t + hh / 2, t2 + hh / 2, t2 + hh", *columns]
+    step(src, "x", "f", ("t", "t2", "t4"), ("h1", "h2", "h6"))
+    step(src, "x", "m", ("t", "u2", "t2"), ("h2", "q2", "q6"), first=False)
+    step(src, "m", "g", ("t2", "v2", "v4"), ("h2", "q2", "q6"))
+    src += ["    full, half = np.empty(X.shape), np.empty(X.shape)",
+            *(f"    full[:, {i}], half[:, {i}] = f{i}, g{i}"
+              for i in range(n)),
+            "    return full, half"]
+    ns = _define(src, consts)
+    return ns["_run"], ns["_check"]
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +677,30 @@ def differentiate(e: Expr, var_index: int) -> Expr:
 # Branch-aware Jacobians
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Guard:
     """One distinct min/max argument pair; ``left`` active means a, else b.
 
     For ``min(a, b)`` the left branch is active when a − b ≤ 0; for
     ``max(a, b)`` when a − b ≥ 0.  Structurally identical (a, b, kind)
-    triples anywhere in the system share a single guard.
+    triples anywhere in the system share a single guard: a guard hashes and
+    compares as the ``min``/``max`` it stands for.
     """
     a: Expr
     b: Expr
     is_min: bool
+
+    def __post_init__(self):
+        node = (Min if self.is_min else Max)(self.a, self.b)
+        object.__setattr__(self, "_k", node._key())
+
+    def __eq__(self, other):
+        if not isinstance(other, Guard):
+            return NotImplemented
+        return self._k == other._k
+
+    def __hash__(self):
+        return hash(self._k)
 
     @property
     def diff(self) -> Expr:
@@ -751,12 +877,11 @@ class SystemDef:
     odes: tuple    # of Expr
     equilibrium: Optional[tuple] = None
     period: Optional[float] = None
-    # the field and RK4 step kernels and the branch Jacobian, built on
-    # first use
+    # the field and RK4 kernels and the branch Jacobian, built on first use
     _f_batch: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
-    _rk4_step: Optional[Callable] = field(default=None, init=False,
-                                          repr=False, compare=False)
+    _rk4: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
     _jacobian: Optional[JacobianBranches] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -774,11 +899,21 @@ class SystemDef:
             self._f_batch = compile_expr(self.odes)
         return self._f_batch(X, t)
 
-    def rk4_step(self, X: np.ndarray, t: float, h: float) -> np.ndarray:
-        """One classical RK4 step of every row of X (m, n) from time t."""
-        if self._rk4_step is None:
-            self._rk4_step = compile_step(self.odes)
-        return self._rk4_step(X, t, h)
+    def rk4_run(self, X: np.ndarray, t: float, h: float, K: int,
+                S: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+        """Up to K RK4 steps of the rows of X (m, n) from time t, each state
+        written to S[k] and checked against lo/hi (m, n); returns the first
+        step that leaves the domain, or K (see ``compile_step``)."""
+        if self._rk4 is None:
+            self._rk4 = compile_step(self.odes)
+        return self._rk4[0](X, t, h, K, S, lo, hi)
+
+    def rk4_check(self, X: np.ndarray, t: float, h: float) -> tuple:
+        """One RK4 step of the rows of X (m, n) from time t, and two half
+        steps: ``(full, half)``."""
+        if self._rk4 is None:
+            self._rk4 = compile_step(self.odes)
+        return self._rk4[1](X, t, h)
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         return all(b.contains(float(v), tol) for b, v in zip(self.bounds, x))
@@ -950,8 +1085,10 @@ class _Parser:
         return sign * float(tok.text)
 
     # -- expressions -------------------------------------------------------
-    def expr(self) -> Expr:
-        node = self.term()
+    # ``first``, when given, is the already parsed leading atom of the
+    # expression: the group of a run of opening parentheses (see ``atom``)
+    def expr(self, first: Optional[Expr] = None) -> Expr:
+        node = self.term(first)
         while True:
             tok = self.peek()
             if tok.kind == "PUNCT" and tok.text in "+-":
@@ -961,8 +1098,8 @@ class _Parser:
             else:
                 return node
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self, first: Optional[Expr] = None) -> Expr:
+        node = self.factor() if first is None else self.power(first)
         while True:
             tok = self.peek()
             if tok.kind == "PUNCT" and tok.text in "*/":
@@ -993,8 +1130,9 @@ class _Parser:
             node = Neg(node)
         return node
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self, base: Optional[Expr] = None) -> Expr:
+        if base is None:
+            base = self.atom()
         tok = self.peek()
         if tok.kind == "PUNCT" and tok.text == "^":
             self.next()
@@ -1010,8 +1148,18 @@ class _Parser:
         if tok.kind == "NUM":
             return Const(float(tok.text))
         if tok.kind == "PUNCT" and tok.text == "(":
+            # a run of opening parentheses is counted, not recursed on: the
+            # innermost group is parsed first, and each closed group is
+            # the leading atom of the expression around it
+            depth = 1
+            while (tok := self.peek()).kind == "PUNCT" and tok.text == "(":
+                self.next()
+                depth += 1
             node = self.expr()
             self.expect("PUNCT", ")")
+            for _ in range(depth - 1):
+                node = self.expr(node)
+                self.expect("PUNCT", ")")
             return node
         if tok.kind == "IDENT":
             name = tok.text

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from monocert.certify import WorkingBox, certify_all
 from monocert.measures import WeightFamily
 from monocert.sysdsl import (
-    Add, Const, Cos, Div, DslError, Exp, Max, Min, Mul, Neg, Pow, Sin, Sub,
-    TimeVar, Var, compile_expr, differentiate, jacobian, parse_expr,
+    Add, Const, Cos, Div, DslError, Exp, Guard, Max, Min, Mul, Neg, Pow, Sin,
+    Sub, TimeVar, Var, compile_expr, differentiate, jacobian, parse_expr,
     parse_system, pretty,
 )
 
@@ -176,6 +176,56 @@ def test_long_minus_chain_parses_without_recursion(operand, innermost, negs):
     assert (depth, e) == (negs, innermost)
     chain = parse_expr("-" * 5001 + "x1", ["x1"])
     assert compile_expr(chain)(np.array([[2.0]])).tolist() == [-2.0]
+
+
+def test_nested_parentheses_parse_without_recursion():
+    x1 = parse_expr("x1", ["x1"])
+    assert parse_expr("(" * 10000 + "x1" + ")" * 10000, ["x1"]) == x1
+    # each closed group goes on as the leading atom of the one around it
+    deep = "(" * 3000 + "x1 + 1) * 2)^2" + " - x1)" * 2998
+    flat = "((x1 + 1) * 2)^2" + " - x1" * 2998
+    assert pretty(parse_expr(deep, ["x1"])) == flat
+
+
+def test_deep_guard_hashes_and_certifies():
+    """A guard whose argument is a 3,000-term sum, used twice:
+    min(0.5 x1, 0.3 x1) picks 0.3 x1 on (0, 1] and ties at 0."""
+    total = " + ".join(["0.0001 * x1"] * 3000)
+    rhs = f"-x1 + 0.5 * min(0.5 * x1, {total}) + 0.5 * min(0.5 * x1, {total})"
+    sys = parse_system(f"system deep {{\n  states x1 in [0, 1]\n"
+                       f"  dx1 = {rhs}\n  equilibrium (0)\n}}\n")
+    jb = jacobian(sys)
+    assert jb.n_guards == 1
+    X = np.array([[0.25], [1.0]])
+    left = jb.branch_matrix(("left",)).evaluate_batch(X)[:, 0, 0]
+    right = jb.branch_matrix(("right",)).evaluate_batch(X)[:, 0, 0]
+    np.testing.assert_allclose(left, [-0.5, -0.5], rtol=1e-12)
+    np.testing.assert_allclose(right, [-0.7, -0.7], rtol=1e-9)
+
+    theta = WeightFamily.from_jsonable({"kind": "theta", "weights": [[1]]})
+    reports = certify_all(sys, [theta], WorkingBox((0.0,), (1.0,), 11))
+    thm1 = {r.condition: r for r in reports}["thm1"]
+    # the tie at x1 = 0 takes the worse, left, branch
+    assert thm1.worst_margin == pytest.approx(-0.5, rel=1e-12)
+    assert thm1.witness["point"] == [0.0]
+
+
+def test_guards_compare_as_before():
+    """Guards and min/max nodes are equal exactly when their trees are,
+    with 0.0 equal to -0.0 as ``Const`` compares it."""
+    a, b = parse_expr("x1 * 2 + t", ["x1"]), parse_expr("x1 * 2 + t", ["x1"])
+    assert a is not b
+    assert Guard(a, Var(0), True) == Guard(b, Var(0), True)
+    assert hash(Guard(a, Var(0), True)) == hash(Guard(b, Var(0), True))
+    assert Guard(a, Var(0), True) != Guard(a, Var(0), False)
+    assert Guard(a, Var(0), True) != Guard(Var(0), a, True)
+    assert Guard(Const(0.0), a, True) == Guard(Const(-0.0), a, True)
+    assert Guard(Const(1.0), a, True) != Guard(Const(2.0), a, True)
+    assert Guard(Var(0), a, True) != Guard(Var(1), a, True)
+    assert Guard(Pow(a, 2), a, True) != Guard(Pow(a, 3), a, True)
+    assert Min(a, Var(0)) == Min(b, Var(0)) != Max(a, Var(0))
+    assert len({Min(a, Var(0)), Min(b, Var(0)), Max(a, Var(0))}) == 2
+    assert Min(a, Var(0)) != Guard(a, Var(0), True)
 
 
 # ---------------------------------------------------------------------------

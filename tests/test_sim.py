@@ -95,8 +95,10 @@ def _bits(a: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize(
     "name", sorted(p.stem for p in CORPUS.glob("*.sys")) + ["mixed"])
 def test_rk4_step_matches_the_four_call_form(name):
-    """The step kernel is bit for bit four ``f_batch`` calls, and close to
-    one step in Python floats over the tree-walking oracle."""
+    """K steps of the block kernel are bit for bit K rounds of four
+    ``f_batch`` calls, and close to K steps in Python floats over the
+    tree-walking oracle; the check kernel's full step and two half steps
+    are bit for bit three such steps."""
     sys = _mixed_field() if name == "mixed" else load_system(name)
     rng = np.random.default_rng(23)
     lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
@@ -105,12 +107,28 @@ def test_rk4_step_matches_the_four_call_form(name):
     for h in (1e-2, 1e-2 / 2, 0.7 - 2 * 0.3):
         for B in (1, 3, 20):
             X = lo + (hi - lo) * rng.random((B, sys.n))
-            got = sys.rk4_step(X, 0.7, h)
-            assert got.shape == (B, sys.n)
-            assert np.array_equal(_bits(got),
+            want, t, Y = [], 0.7, X
+            for _ in range(15):
+                Y = rk4_four_calls(sys, Y, t, h)
+                want.append(Y)
+                t += h
+            inf = np.full((B, sys.n), np.inf)
+            for K in (1, 2, 15):
+                S = np.full((K, B, sys.n), np.nan)
+                assert sys.rk4_run(X, 0.7, h, K, S, -inf, inf) == K
+                assert np.array_equal(_bits(S), _bits(np.array(want[:K])))
+            exact, t = [list(x) for x in X[:3]], 0.7
+            for k in range(15):
+                exact = [rk4_at(sys, x, t, h) for x in exact]
+                t += h
+                np.testing.assert_allclose(S[k, :3], exact, rtol=1e-12, atol=0)
+            full, half = sys.rk4_check(X, 0.7, h)
+            assert np.array_equal(_bits(full),
                                   _bits(rk4_four_calls(sys, X, 0.7, h)))
-            want = np.array([rk4_at(sys, list(x), 0.7, h) for x in X])
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            mid = rk4_four_calls(sys, X, 0.7, h / 2)
+            assert np.array_equal(
+                _bits(half),
+                _bits(rk4_four_calls(sys, mid, 0.7 + h / 2, h / 2)))
 
 
 def _failures_by_rule(sys, X0, t_end, dt):
@@ -186,6 +204,48 @@ def test_domain_check_mid_run_matches_the_per_row_rule(rotation):
     assert set(want) == {1, 3, 4}
     assert len({k for k, _, _ in want.values()}) == 3
     assert batch.failures == want
+
+
+def test_block_kernel_returns_at_the_step_that_leaves(rotation):
+    """A start that leaves [-1, 1]^2 inside a block: the kernel returns
+    that step, has written the states up to it and none after, and the
+    integrator records the per-row rule's failure."""
+    dt = 1e-2
+    for x0, k_out in (([0.8, -0.7], 37), ([0.9, 0.9], 11)):
+        X0 = np.array([x0, [0.5, 0.0]])
+        want = _failures_by_rule(rotation, X0, 2.0, dt)
+        assert set(want) == {0} and want[0][0] == k_out
+        assert integrate_batch(rotation, X0, 2.0, dt=dt).failures == want
+        # the block holds steps k0 .. k0 + 14, after the check at k0 - 1
+        k0 = k_out - k_out % 16 + 1
+        X, t, states = X0[:1], 0.0, []
+        for _ in range(k0 + 15):
+            X = rk4_four_calls(rotation, X, t, dt)
+            states.append(X)
+            t += dt
+        t = 0.0
+        for _ in range(k0):
+            t += dt
+        S = np.full((15, 1, 2), np.nan)
+        one = np.ones((1, 2))
+        done = rotation.rk4_run(states[k0 - 1], t, dt, 15, S, -one, one)
+        assert done == k_out - k0
+        assert np.array_equal(_bits(S[:done + 1]),
+                              _bits(np.array(states[k0:k_out + 1])))
+        assert np.isnan(S[done + 1:]).all()
+
+
+def test_block_kernel_check_keeps_the_tolerance():
+    """Drift at unit speed towards x = 1, out after step 5 (inside the
+    first block) by 0.5, 1.5 and 3 times ``INVARIANCE_TOL``."""
+    drift = _scalar("1 + 0*x", lo="0", hi="1")
+    tol = mc.sim.INVARIANCE_TOL
+    # one start at a time, so that each alone decides the block's check
+    for c, k_out in ((0.5, 6), (1.5, 5), (3.0, 5)):
+        X0 = np.array([[1 - 6e-2 + c * tol]])
+        want = _failures_by_rule(drift, X0, 0.1, 1e-2)
+        assert want[0][0] == k_out
+        assert integrate_batch(drift, X0, 0.1, dt=1e-2).failures == want
 
 
 def test_batch_matches_single_bitwise(ex1):
@@ -280,18 +340,27 @@ def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
     fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
     box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0))
     ends = []
-    rk4_step = mc.SystemDef.rk4_step
+    rk4_run, rk4_check = mc.SystemDef.rk4_run, mc.SystemDef.rk4_check
 
-    def counted(self, X, t, h):
-        ends.append(t + h)
-        return rk4_step(self, X, t, h)
+    def counted_run(self, X, t, h, K, S, lo, hi):
+        done = rk4_run(self, X, t, h, K, S, lo, hi)
+        for _ in range(min(done + 1, K)):    # the steps it computed
+            t += h
+            ends.append(t)
+        return done
 
-    monkeypatch.setattr(mc.SystemDef, "rk4_step", counted)
+    def counted_check(self, X, t, h):
+        ends.extend([t + h, t + h / 2, t + h])
+        return rk4_check(self, X, t, h)
+
+    monkeypatch.setattr(mc.SystemDef, "rk4_run", counted_run)
+    monkeypatch.setattr(mc.SystemDef, "rk4_check", counted_check)
     with pytest.raises(SimulationError,
                        match=r"^trajectory 3 left the domain at t=0\.21:"):
         estimate_contraction_rate(rotation, fam, pairs=4, box=box,
                                   t_end=3.0, seed=2)
-    # one kernel call a step, three on every 16th (the error check)
+    # one end a step, three on every 16th (the error check's full step and
+    # two half steps)
     steps = 210
     assert steps < len(ends) <= steps + 2 * (steps // 16 + 1)
     assert max(ends) < 0.2105
