@@ -3,7 +3,9 @@
 traffic4 has min-guards that tie on a few percent of the grid points, so
 its reports pin the tie handling end to end: the tied-point counts, the
 witness (point and component) of checks whose worst value sits on a tie,
-and the LP built from every tied branch.  The ex1 report pins a certify
+and the LP built from every tied branch.  The two other synth reports pin
+both synthesis modes: constant weights (multiagent, max) and a polynomial
+family (ex1, poly-max at degree 2).  The ex1 certify report pins a
 run with two weight families, whose five checks share one grid pass.
 The simulate, contract and entrain goldens pin the RK4 integrator bit for
 bit: every state is printed with 17 significant digits, and the reports
@@ -33,6 +35,15 @@ CASES = {
     "synth-traffic4-sum.json": (
         ["synth", "traffic4", "--mode", "sum"], "synth-report.json",
         EXIT_FAIL),
+    # constant weights, certified post hoc by cor2
+    "synth-multiagent-max.json": (
+        ["synth", "multiagent", "--mode", "max"], "synth-report.json",
+        EXIT_PASS),
+    # a degree-2 family, certified post hoc by thm2, left unnormalised
+    # because its leading coefficient is negative
+    "synth-ex1-poly-max-d2.json": (
+        ["synth", "ex1", "--mode", "poly-max", "--degree", "2", "--box",
+         "0:3,0:3"], "synth-report.json", EXIT_PASS),
 }
 MULTI_FAMILY_CASES = {
     "certify-ex1-theta-omega-r201.json": (
