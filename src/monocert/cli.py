@@ -91,7 +91,6 @@ def _load_system(name: str) -> SystemDef:
         sys = parse_system(text)
     except DslError as exc:
         raise UsageError(f"{name}: {exc}")
-    sys.validate()
     return sys
 
 
@@ -315,16 +314,7 @@ def _cmd_contract(cfg: RunConfig) -> int:
                                     pairs=cfg.pairs, box=box,
                                     t_end=cfg.t_end, dt=cfg.dt,
                                     seed=cfg.seed, eps=cfg.eps)
-    payload = _clean_nan({
-        "system": sys.name,
-        "certified_rate": rep.certified_rate,
-        "fitted_rate": rep.fitted_rate,
-        "ratio_excess": rep.ratio_excess,
-        "flow_ratio_excess": rep.flow_ratio_excess,
-        "n_pairs": rep.n_pairs,
-        "passed": rep.passed,
-        "certificate": rep.certificate.to_jsonable(),
-    })
+    payload = _clean_nan({**rep.to_jsonable(), "system": sys.name})
     path = _write_report(cfg, "contract-report.json", payload)
     _say(cfg, f"certified rate {rep.certified_rate:.6g}, "
               f"fitted {rep.fitted_rate:.6g}, "
@@ -345,15 +335,8 @@ def _cmd_entrain(cfg: RunConfig) -> int:
                                horizon_periods=cfg.periods, dt=cfg.dt)
     except SimulationError as exc:
         raise UsageError(str(exc))
-    payload = _clean_nan({
-        "system": sys.name,
-        "passed": rep.passed,
-        "checks": rep.checks,
-        "final_spread": rep.final_spread,
-        "spread": [float(v) for v in rep.spread],
-        "period": rep.period,
-        "n_periods": rep.n_periods,
-    })
+    payload = _clean_nan({**rep.to_jsonable(), "system": sys.name,
+                          "spread": [float(v) for v in rep.spread]})
     path = _write_report(cfg, "entrain-report.json", payload)
     for k, v in rep.checks.items():
         _say(cfg, f"{'PASS' if v else 'FAIL'}  {k}")

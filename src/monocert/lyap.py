@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .measures import WeightComponent, WeightFamily
+from .measures import WeightComponent, WeightFamily, _poly_text
 from .sysdsl import SystemDef, format_number
 
 __all__ = ["LyapFn", "LyapError", "build_lyapunov",
@@ -95,21 +95,7 @@ class _Density:
 
     def describe(self, var: str) -> Optional[str]:
         """Closed form of the integral when polynomial, else None."""
-        if self._anti is None:
-            return None
-        terms = []
-        for k, c in enumerate(self._anti):
-            c = float(c)
-            if c == 0.0:
-                continue
-            if k == 0:
-                terms.append(format_number(c))
-            elif k == 1:
-                terms.append(f"{format_number(c)}*{var}" if c != 1.0 else var)
-            else:
-                head = "" if c == 1.0 else f"{format_number(c)}*"
-                terms.append(f"{head}{var}^{k}")
-        return " + ".join(terms) if terms else "0"
+        return None if self._anti is None else _poly_text(self._anti, var)
 
 
 # ---------------------------------------------------------------------------

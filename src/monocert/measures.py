@@ -63,6 +63,24 @@ def is_metzler(A: np.ndarray, tol: float = 1e-9) -> bool:
 # Weight families
 # ---------------------------------------------------------------------------
 
+def _poly_text(coeffs, var: str) -> str:
+    """Ascending ``coeffs`` as "c0 + c1*x + c2*x^2": zero terms (0.0 and
+    -0.0) dropped, unit factors left out, "0" when no term is left."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        c = float(c)
+        if c == 0.0:
+            continue
+        if k == 0:
+            terms.append(format_number(c))
+        elif k == 1:
+            terms.append(f"{format_number(c)}*{var}" if c != 1.0 else var)
+        else:
+            head = f"{format_number(c)}*" if c != 1.0 else ""
+            terms.append(f"{head}{var}^{k}")
+    return " + ".join(terms) if terms else "0"
+
+
 @dataclass(frozen=True)
 class WeightComponent:
     """One coordinate's weight: a polynomial p(x) or a reciprocal 1/p(x).
@@ -126,22 +144,8 @@ class WeightComponent:
         return WeightComponent(tuple(obj))
 
     def describe(self, var: str) -> str:
-        if self.is_constant:
-            body = format_number(self.coeffs[0])
-        else:
-            terms = []
-            for k, c in enumerate(self.coeffs):
-                if c == 0.0:
-                    continue
-                if k == 0:
-                    terms.append(format_number(c))
-                elif k == 1:
-                    terms.append(f"{format_number(c)}*{var}" if c != 1.0
-                                 else var)
-                else:
-                    head = f"{format_number(c)}*" if c != 1.0 else ""
-                    terms.append(f"{head}{var}^{k}")
-            body = " + ".join(terms) if terms else "0"
+        body = (format_number(self.coeffs[0]) if self.is_constant
+                else _poly_text(self.coeffs, var))
         if self.reciprocal:
             return f"1/({body})"
         return body
@@ -181,12 +185,6 @@ class WeightFamily:
         if not self.is_constant:
             return None
         return np.array([c.value(0.0) for c in self.components], dtype=float)
-
-    def value(self, i: int, xi) -> np.ndarray:
-        return self.components[i].value(xi)
-
-    def deriv(self, i: int, xi) -> np.ndarray:
-        return self.components[i].deriv(xi)
 
     def values(self, x: Sequence[float]) -> np.ndarray:
         return np.array([float(c.value(v)) for c, v in zip(self.components, x)])

@@ -7,11 +7,23 @@ is made sound again post hoc — a result is only reported as a success after
 the weights pass the corresponding certification check on a grid of doubled
 resolution.
 
-* ``synth_const`` — constant vectors (column mode "sum" for v, row mode
-  "max" for w), normalized so min(v) = 1.
-* ``synth_poly``  — univariate polynomial weights of bounded degree; the
-  margin applies uniformly (optionally only near the equilibrium), with
-  positivity enforced at the axis grid points.
+One routine, ``_synthesize``, does both kinds of weights: the constant
+vectors of cor1/cor2 (``synth_const``, column mode "sum" for v, row mode
+"max" for w) are its degree-0 case, without the f-term, of the polynomial
+weights of thm1/thm2 (``synth_poly``).  It assembles the rows, solves the
+LP, normalizes, and re-certifies; a failed Kamke check is the reason given
+for any failure.  What differs:
+
+  ================  =====================  ==============================
+  weights           constant vector        polynomial family
+  ================  =====================  ==============================
+  report mode       sum, max               poly-sum, poly-max
+  variable bounds   [1, V_CAP]             [-COEFF_CAP, COEFF_CAP]
+  extra rows        none                   f*theta', axis positivity, x*
+  normalization     min(v) = 1             last leading coefficient = 1
+  post-hoc check    cor1, cor2             thm1, thm2 (CertifyError is a
+                                           failed result, not raised)
+  ================  =====================  ==============================
 
 The LPs have many rows (grid points times components) and few columns
 (weights plus the margin), so ``solve_lp`` solves the dual: a dense
@@ -348,7 +360,7 @@ class SynthResult:
 
 
 # ---------------------------------------------------------------------------
-# Constant weights
+# Synthesis: constant vectors and polynomial families
 # ---------------------------------------------------------------------------
 
 def synth_const(sys: SystemDef, box: Optional[WorkingBox] = None,
@@ -364,77 +376,8 @@ def synth_const(sys: SystemDef, box: Optional[WorkingBox] = None,
     requires a strictly positive margin on the doubled-resolution
     verification grid.
     """
-    if mode not in ("sum", "max"):
-        raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
-    if box is None:
-        box = WorkingBox.default_for(sys)
-    box.validate_for(sys)
-    n = sys.n
-    res = _synth_resolution(box, n, resolution)
-    kamke = check_kamke(sys, box.with_resolution(res))
+    return _synthesize(sys, box, mode, eps, resolution, None, math.inf)
 
-    X = _grid_points(box, res)
-    jb = jacobian(sys)
-    row_blocks = []
-    for pattern, idx, _ in partition(jb, X):
-        J = jb.branch_matrix(pattern).evaluate_batch(X[idx])   # (m, n, n)
-        row_blocks.append(_by_component(J, mode).reshape(-1, n))
-    body = np.concatenate(row_blocks, axis=0)
-    rows = np.column_stack([body, np.ones(body.shape[0])])     # + s <= 0
-    rows, rhs = _dedupe(rows, np.zeros(rows.shape[0]))
-
-    c = np.zeros(n + 1)
-    c[n] = 1.0   # maximize s
-    lower = np.concatenate([np.ones(n), [-np.inf]])
-    upper = np.concatenate([np.full(n, V_CAP), [np.inf]])
-    lp = LPProblem(c=c, rows=rows, rhs=rhs, lower=lower, upper=upper)
-    sol = solve_lp(lp)
-    assert sol.status != "unbounded", "bounded by construction"
-    if sol.status != "optimal":
-        if not kamke.passed:
-            return SynthResult(False, mode, None, -math.inf, sol.status,
-                               reason="system is not monotone on the box "
-                                      f"(Kamke witness {kamke.witness['point']})",
-                               kamke=kamke, resolution=res)
-        return SynthResult(False, mode, None, -math.inf, sol.status,
-                           reason="LP infeasible", kamke=kamke, resolution=res)
-
-    v = sol.z[:n]
-    s = float(sol.z[n])
-    scale = float(np.min(v))
-    v = v / scale
-    s = s / scale
-
-    if not kamke.passed:
-        return SynthResult(False, mode, None, s, sol.status,
-                           reason="system is not monotone on the box "
-                                  f"(Kamke witness {kamke.witness['point']})",
-                           kamke=kamke, resolution=res)
-    if s <= 1e-9:
-        return SynthResult(False, mode, None, s, sol.status,
-                           reason="no constant weights achieve a negative "
-                                  f"margin on the grid (best s = {s:.6g})",
-                           kamke=kamke, resolution=res)
-
-    fine = box.with_resolution(2 * res - 1)
-    eps_post = min(eps, s / 2)
-    if mode == "sum":
-        post = check_cor1(sys, v, fine, eps=eps_post)
-    else:
-        post = check_cor2(sys, v, fine, eps=eps_post)
-    margin = -post.worst_margin
-    if not post.passed or margin <= 0:
-        return SynthResult(False, mode, None, margin, sol.status,
-                           reason="post-hoc certification failed at doubled "
-                                  f"resolution (witness {post.witness['point']})",
-                           posthoc=post, kamke=kamke, resolution=res)
-    return SynthResult(True, mode, v, margin, sol.status, posthoc=post,
-                       kamke=kamke, resolution=res)
-
-
-# ---------------------------------------------------------------------------
-# Polynomial weights
-# ---------------------------------------------------------------------------
 
 def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
                degree: int = 2, mode: str = "sum",
@@ -453,20 +396,30 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
     the last non-constant weight equals 1 (skipped with a note when that
     coefficient is negative, since dividing by it would flip positivity).
     """
+    return _synthesize(sys, box, mode, eps, resolution, degree, strict_radius)
+
+
+def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
+                eps: float, resolution: Optional[int],
+                degree: Optional[int], strict_radius: float) -> SynthResult:
+    """The synthesis LP of ``synth_const`` (``degree`` None) and
+    ``synth_poly``: rows, solve, normalisation and the post-hoc check."""
     if mode not in ("sum", "max"):
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
-    if degree < 0:
-        raise SynthError("degree must be nonnegative")
-    if sys.equilibrium is None:
-        raise SynthError("synthesis needs a declared equilibrium")
+    poly = degree is not None
+    if poly:
+        if degree < 0:
+            raise SynthError("degree must be nonnegative")
+        if sys.equilibrium is None:
+            raise SynthError("synthesis needs a declared equilibrium")
     if box is None:
         box = WorkingBox.default_for(sys)
     box.validate_for(sys)
     n = sys.n
-    d1 = degree + 1
+    d1 = degree + 1 if poly else 1   # coefficients per weight
     res = _synth_resolution(box, n, resolution)
     kamke = check_kamke(sys, box.with_resolution(res))
-    xstar = np.asarray(sys.equilibrium, dtype=float)
+    label = f"poly-{mode}" if poly else mode
 
     n_vars = n * d1 + 1      # coefficients + s
     s_col = n * d1
@@ -482,7 +435,7 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
             m = Xs.shape[0]
             J = _by_component(jb.branch_matrix(pattern).evaluate_batch(Xs),
                               mode)
-            F = sys.f_batch(Xs)
+            F = sys.f_batch(Xs) if poly else None
             pw = np.stack([Xs ** k for k in range(d1)], axis=2)  # (m, n, d1)
             dpw = np.zeros_like(pw)
             for k in range(1, d1):
@@ -494,51 +447,62 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
                 # J[j, i] * omega_i(x_i) (max)
                 block[:, :, sl] += J[:, :, i, None] * pw[:, i, None, :]
                 # component i gets +theta_i'(x_i) * f_i or -omega_i'(x_i) * f_i
-                block[:, i, sl] += sign * (dpw[:, i, :] * F[:, i, None])
+                if poly:
+                    block[:, i, sl] += sign * (dpw[:, i, :] * F[:, i, None])
             block[:, :, s_col] = strict[idx, None]
             out.append(block.reshape(m * n, n_vars))
         return np.concatenate(out, axis=0)
 
     X = _grid_points(box, res)
-    strict = (np.max(np.abs(X - xstar), axis=1) <= strict_radius).astype(float)
+    strict = np.ones(X.shape[0])
+    if poly:
+        xstar = np.asarray(sys.equilibrium, dtype=float)
+        strict = (np.max(np.abs(X - xstar), axis=1)
+                  <= strict_radius).astype(float)
     rows = [cond_rows(X, strict)]
     rhs = [np.zeros(rows[0].shape[0])]
 
-    # positivity on the axis grids: -theta_i(a) <= -eps
-    for i in range(n):
-        ax = np.linspace(box.lows[i], box.highs[i], res)
-        block = np.zeros((ax.size, n_vars))
-        for k in range(d1):
-            block[:, i * d1 + k] = -(ax ** k)
-        rows.append(block)
-        rhs.append(np.full(ax.size, -eps))
+    if poly:
+        # positivity on the axis grids: -theta_i(a) <= -eps
+        for i in range(n):
+            ax = np.linspace(box.lows[i], box.highs[i], res)
+            block = np.zeros((ax.size, n_vars))
+            for k in range(d1):
+                block[:, i * d1 + k] = -(ax ** k)
+            rows.append(block)
+            rhs.append(np.full(ax.size, -eps))
 
-    # equilibrium strictness: condition components at x* <= -eps
-    eq_rows = cond_rows(xstar[None, :], np.zeros(1))
-    rows.append(eq_rows)
-    rhs.append(np.full(eq_rows.shape[0], -eps))
+        # equilibrium strictness: condition components at x* <= -eps
+        eq_rows = cond_rows(xstar[None, :], np.zeros(1))
+        rows.append(eq_rows)
+        rhs.append(np.full(eq_rows.shape[0], -eps))
 
     all_rows, all_rhs = _dedupe(np.concatenate(rows, axis=0),
                                 np.concatenate(rhs))
 
     c = np.zeros(n_vars)
-    c[s_col] = 1.0
-    lower = np.concatenate([np.full(n * d1, -COEFF_CAP), [-np.inf]])
-    upper = np.concatenate([np.full(n * d1, COEFF_CAP), [np.inf]])
+    c[s_col] = 1.0   # maximize s
+    lo, hi = (-COEFF_CAP, COEFF_CAP) if poly else (1.0, V_CAP)
+    lower = np.concatenate([np.full(n * d1, lo), [-np.inf]])
+    upper = np.concatenate([np.full(n * d1, hi), [np.inf]])
     lp = LPProblem(c=c, rows=all_rows, rhs=all_rhs, lower=lower, upper=upper)
     sol = solve_lp(lp)
-    if sol.status != "optimal":
-        # an infeasible LP on a non-monotone system is a symptom, not the
-        # cause — report the Kamke failure, matching synth_const
+
+    def fail(margin: float, reason: str,
+             posthoc: Optional[CertReport] = None) -> SynthResult:
+        # an LP that fails on a non-monotone system is a symptom, not the
+        # cause — report the Kamke failure first
         if not kamke.passed:
-            return SynthResult(False, f"poly-{mode}", None, -math.inf,
-                               sol.status,
-                               reason="system is not monotone on the box "
-                                      f"(Kamke witness {kamke.witness['point']})",
-                               kamke=kamke, resolution=res)
-        return SynthResult(False, f"poly-{mode}", None, -math.inf, sol.status,
-                           reason=f"LP {sol.status} at degree {degree}",
-                           kamke=kamke, resolution=res)
+            reason = ("system is not monotone on the box "
+                      f"(Kamke witness {kamke.witness['point']})")
+        return SynthResult(False, label, None, margin, sol.status,
+                           reason=reason, posthoc=posthoc, kamke=kamke,
+                           resolution=res)
+
+    if sol.status != "optimal":
+        assert poly or sol.status != "unbounded", "bounded by construction"
+        return fail(-math.inf, f"LP {sol.status} at degree {degree}" if poly
+                    else "LP infeasible")
 
     coeffs = sol.z[:n * d1].reshape(n, d1).copy()
     s = float(sol.z[s_col])
@@ -560,45 +524,38 @@ def synth_poly(sys: SystemDef, box: Optional[WorkingBox] = None,
         else:
             note = "normalization skipped: leading coefficient negative"
     else:
-        # every component constant: normalize like synth_const, min = 1
+        # every component constant (always so for constant vectors): min = 1
         scale = float(np.min(coeffs[:, 0]))
         if scale > 0:
             coeffs = coeffs / scale
             s = s / scale
 
-    fam = WeightFamily(kind, tuple(WeightComponent(tuple(coeffs[i]))
-                                   for i in range(n)))
+    if not kamke.passed or s <= 1e-9:
+        what = f"degree-{degree}" if poly else "constant"
+        return fail(s, f"no {what} weights achieve a negative margin on the "
+                       f"grid (best s = {s:.6g})")
 
-    if not kamke.passed:
-        return SynthResult(False, f"poly-{mode}", None, s, sol.status,
-                           reason="system is not monotone on the box "
-                                  f"(Kamke witness {kamke.witness['point']})",
-                           kamke=kamke, resolution=res)
-    if s <= 1e-9:
-        return SynthResult(False, f"poly-{mode}", None, s, sol.status,
-                           reason=f"no degree-{degree} weights achieve a "
-                                  f"negative margin on the grid (best s = {s:.6g})",
-                           kamke=kamke, resolution=res)
-
+    if poly:
+        weights = WeightFamily(kind, tuple(WeightComponent(tuple(coeffs[i]))
+                                           for i in range(n)))
+        check = check_thm1 if mode == "sum" else check_thm2
+    else:
+        weights = coeffs[:, 0]
+        check = check_cor1 if mode == "sum" else check_cor2
     fine = box.with_resolution(2 * res - 1)
-    eps_post = min(eps, s / 2)
     try:
-        if mode == "sum":
-            post = check_thm1(sys, fam, fine, eps=eps_post)
-        else:
-            post = check_thm2(sys, fam, fine, eps=eps_post)
+        post = check(sys, weights, fine, eps=min(eps, s / 2))
     except CertifyError as exc:   # positivity broke between grid points
-        return SynthResult(False, f"poly-{mode}", None, s, sol.status,
-                           reason=f"post-hoc positivity failure: {exc}",
-                           kamke=kamke, resolution=res)
+        if not poly:
+            raise
+        return fail(s, f"post-hoc positivity failure: {exc}")
     margin = -post.worst_margin
     if not post.passed or margin <= 0:
-        return SynthResult(False, f"poly-{mode}", None, margin, sol.status,
-                           reason="post-hoc certification failed at doubled "
-                                  f"resolution (witness {post.witness['point']})",
-                           posthoc=post, kamke=kamke, resolution=res)
-    return SynthResult(True, f"poly-{mode}", fam, margin, sol.status,
-                       reason=note, posthoc=post, kamke=kamke, resolution=res)
+        return fail(margin, "post-hoc certification failed at doubled "
+                            f"resolution (witness {post.witness['point']})",
+                    post)
+    return SynthResult(True, label, weights, margin, sol.status, reason=note,
+                       posthoc=post, kamke=kamke, resolution=res)
 
 
 # ---------------------------------------------------------------------------
@@ -742,22 +699,18 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     domains = [_domain_poly(b.lo, b.hi) for b in sys.bounds]
 
     # linear coefficient polynomials: cond_j = sum_{i,k} c_{i,k} * L[j][i][k]
+    sign = _CONDITIONS[mode][2]
     L = [[[None] * d1 for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for i in range(n):
             for k in range(d1):
-                if mode == "sum":
-                    p = _shift_poly(J_polys[i][j], i, k)
-                    if i == j and k >= 1:
-                        extra = _shift_poly(f_polys[j], j, k - 1, float(k))
-                        for key, v in extra.items():
-                            p[key] = p.get(key, 0.0) + v
-                else:
-                    p = _shift_poly(J_polys[j][i], i, k)
-                    if i == j and k >= 1:
-                        extra = _shift_poly(f_polys[j], j, k - 1, -float(k))
-                        for key, v in extra.items():
-                            p[key] = p.get(key, 0.0) + v
+                # theta_i J[i, j] (sum) or J[j, i] omega_i (max), x_i^k each
+                p = _shift_poly(J_polys[i][j] if mode == "sum"
+                                else J_polys[j][i], i, k)
+                if i == j and k >= 1:
+                    extra = _shift_poly(f_polys[j], j, k - 1, sign * k)
+                    for key, v in extra.items():
+                        p[key] = p.get(key, 0.0) + v
                 L[j][i][k] = {key: v for key, v in p.items() if v != 0.0}
 
     # ---- block layout -----------------------------------------------------
@@ -806,6 +759,12 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     def slack_pos(j: int):
         return 2 * n * d1 + j + 1
 
+    def add_coeff(ent: dict, i: int, k: int, v: float) -> None:
+        """Add v * c_{i,k}, that is v * (plus - minus), to the row ``ent``."""
+        p, q = coeff_pos(i, k)
+        ent[(diag_block, p, p)] = ent.get((diag_block, p, p), 0.0) + v
+        ent[(diag_block, q, q)] = ent.get((diag_block, q, q), 0.0) - v
+
     # ---- constraint rows ----------------------------------------------------
     # each row: {(blk, a, b): coeff}, rhs; entries upper-triangular 1-based
     rows: list = []
@@ -851,9 +810,7 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
         for m in powers:
             ent = dict(per_mono.get(m, {}))
             if m < d1:
-                p, q = coeff_pos(i, m)
-                ent[(diag_block, p, p)] = ent.get((diag_block, p, p), 0.0) - 1.0
-                ent[(diag_block, q, q)] = ent.get((diag_block, q, q), 0.0) + 1.0
+                add_coeff(ent, i, m, -1.0)
             rows.append(ent)
             rhs.append(-eps if m == 0 else 0.0)
 
@@ -875,11 +832,7 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
                 for k in range(d1):
                     lv = L[j][i][k].get(mono, 0.0)
                     if lv != 0.0:
-                        p, q = coeff_pos(i, k)
-                        ent[(diag_block, p, p)] = ent.get((diag_block, p, p),
-                                                          0.0) + lv
-                        ent[(diag_block, q, q)] = ent.get((diag_block, q, q),
-                                                          0.0) - lv
+                        add_coeff(ent, i, k, lv)
             if not ent:
                 continue
             rows.append(ent)
@@ -894,11 +847,7 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
                 for mono, cv in L[j][i][k].items():
                     val += cv * float(np.prod(xstar ** np.asarray(mono)))
                 if val != 0.0:
-                    p, q = coeff_pos(i, k)
-                    ent[(diag_block, p, p)] = ent.get((diag_block, p, p),
-                                                      0.0) - val
-                    ent[(diag_block, q, q)] = ent.get((diag_block, q, q),
-                                                      0.0) + val
+                    add_coeff(ent, i, k, -val)
         sp = slack_pos(j)
         ent[(diag_block, sp, sp)] = -1.0
         rows.append(ent)

@@ -10,7 +10,8 @@ symbolic differentiation, branch-aware Jacobians for the piecewise-smooth
 lives in this module.
 
 Every tree walk runs on one explicit-stack walker (``_fold``), so the depth
-of an expression costs no Python recursion, and every numeric evaluation
+of an expression costs no Python recursion (``==`` and ``hash`` of a node
+compare a flat key that walker builds), and every numeric evaluation
 runs through kernels generated by one emitter (``_emit``): ``compile_expr``
 for expressions, vector fields and matrices, and ``compile_step`` for RK4,
 whose one kernel loops over up to K steps with the domain check inside and
@@ -80,9 +81,29 @@ class BranchRequiredError(ValueError):
 # AST nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
-    """Base class for expression nodes.  All nodes are immutable/hashable."""
+    """Base class for expression nodes.  All nodes are immutable/hashable.
+
+    A node hashes and compares by a flat key (see ``_structure``) built once
+    and kept on it, so a deep tree costs no recursion.  Equality is that of
+    the trees' fields: ``Const(0.0) == Const(-0.0)``.
+    """
+
+    def _key(self) -> tuple:
+        key = self.__dict__.get("_k")
+        if key is None:
+            key = _structure(self)
+            object.__setattr__(self, "_k", key)
+        return key
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __add__(self, other):
         return Add(self, _as_expr(other))
@@ -126,7 +147,7 @@ def _as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
@@ -134,47 +155,47 @@ class Const(Expr):
         object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     """State variable, identified by its index in the system's state order."""
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeVar(Expr):
     """The time variable ``t``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -185,49 +206,29 @@ class Pow(Expr):
                            f"got {self.exponent!r}")
 
 
-class _Choice(Expr):
-    """Base of ``Min`` and ``Max``: hashed and compared by a flat key (see
-    ``_structure``) built once, so a deep argument costs no recursion."""
-
-    def _key(self) -> tuple:
-        key = self.__dict__.get("_k")
-        if key is None:
-            key = _structure(self)
-            object.__setattr__(self, "_k", key)
-        return key
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
 @dataclass(frozen=True, eq=False)
-class Min(_Choice):
+class Min(Expr):
     a: Expr
     b: Expr
 
 
 @dataclass(frozen=True, eq=False)
-class Max(_Choice):
+class Max(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cos(Expr):
     arg: Expr
 
@@ -914,19 +915,6 @@ class SystemDef:
         if self._rk4 is None:
             self._rk4 = compile_step(self.odes)
         return self._rk4[1](X, t, h)
-
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        return all(b.contains(float(v), tol) for b, v in zip(self.bounds, x))
-
-    def domain_violation(self, x: Sequence[float]) -> float:
-        """How far outside the (closure of the) domain ``x`` is, in sup norm."""
-        worst = 0.0
-        for b, v in zip(self.bounds, x):
-            if v < b.lo:
-                worst = max(worst, b.lo - float(v))
-            if v > b.hi:
-                worst = max(worst, float(v) - b.hi)
-        return worst
 
     def validate(self) -> None:
         n = self.n

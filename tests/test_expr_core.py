@@ -228,6 +228,27 @@ def test_guards_compare_as_before():
     assert Min(a, Var(0)) != Guard(a, Var(0), True)
 
 
+def test_deep_trees_compare_and_hash_without_recursion():
+    """Two parses of a 3,000-term sum, and two systems with it as their
+    equation, are equal with equal hashes; one changed term makes them
+    unequal."""
+    terms = [f"{k % 7 + 1} * x1" for k in range(3000)]
+    text = " + ".join(terms)
+    changed = " + ".join(terms[:1500] + ["9 * x1"] + terms[1501:])
+    a, b = parse_expr(text, ["x1"]), parse_expr(text, ["x1"])
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_expr(changed, ["x1"])
+
+    def system(rhs):
+        return parse_system(f"system deep {{\n  states x1 in [0, 1]\n"
+                            f"  dx1 = -({rhs})\n  equilibrium (0)\n}}\n")
+
+    s1, s2 = system(text), system(text)
+    assert s1 == s2 and hash(s1.odes) == hash(s2.odes)
+    assert s1 != system(changed)
+
+
 # ---------------------------------------------------------------------------
 # abs
 # ---------------------------------------------------------------------------

@@ -630,11 +630,3 @@ def test_time_varying_flag(entrain_sources=("entrain_cubic", "entrain_linear")):
         assert sys.time_varying
         assert sys.period is not None and sys.period > 0
     assert not load_system("ex1").time_varying
-
-
-def test_domain_violation(ex1):
-    assert ex1.domain_violation([1.0, 1.0]) == 0.0
-    assert ex1.domain_violation([-0.5, 1.0]) == pytest.approx(0.5)
-    assert ex1.contains([0.0, 0.0])
-    assert not ex1.contains([-1e-6, 0.0])
-    assert ex1.contains([-1e-6, 0.0], tol=1e-5)
