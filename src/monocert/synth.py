@@ -435,19 +435,20 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
             m = Xs.shape[0]
             J = _by_component(jb.branch_matrix(pattern).evaluate_batch(Xs),
                               mode)
-            F = sys.f_batch(Xs) if poly else None
             pw = np.stack([Xs ** k for k in range(d1)], axis=2)  # (m, n, d1)
-            dpw = np.zeros_like(pw)
-            for k in range(1, d1):
-                dpw[:, :, k] = k * Xs ** (k - 1)
             block = np.zeros((m, n, n_vars))
-            for i in range(n):
-                sl = slice(i * d1, (i + 1) * d1)
-                # component j gets theta_i(x_i) * J[i, j] (sum) or
-                # J[j, i] * omega_i(x_i) (max)
-                block[:, :, sl] += J[:, :, i, None] * pw[:, i, None, :]
+            # component j gets theta_i(x_i) * J[i, j] (sum) or
+            # J[j, i] * omega_i(x_i) (max), in column i * d1 + k for x_i^k
+            block[:, :, :s_col] += (J[:, :, :, None] * pw[:, None, :, :]
+                                    ).reshape(m, n, s_col)
+            if poly:
                 # component i gets +theta_i'(x_i) * f_i or -omega_i'(x_i) * f_i
-                if poly:
+                F = sys.f_batch(Xs)
+                dpw = np.zeros_like(pw)
+                for k in range(1, d1):
+                    dpw[:, :, k] = k * Xs ** (k - 1)
+                for i in range(n):
+                    sl = slice(i * d1, (i + 1) * d1)
                     block[:, i, sl] += sign * (dpw[:, i, :] * F[:, i, None])
             block[:, :, s_col] = strict[idx, None]
             out.append(block.reshape(m * n, n_vars))
