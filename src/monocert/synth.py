@@ -8,18 +8,18 @@ the weights pass the corresponding certification check on a grid of doubled
 resolution.
 
 One routine, ``_synthesize``, does both kinds of weights: the constant
-vectors of cor1/cor2 (``synth_const``, column mode "sum" for v, row mode
-"max" for w) are its degree-0 case, without the f-term, of the polynomial
-weights of thm1/thm2 (``synth_poly``).  It assembles the rows, solves the
-LP, normalizes, and re-certifies; a failed Kamke check is the reason given
-for any failure.  What differs:
+vectors of cor1/cor2 (``synth_const``; column mode "sum" for v, row mode
+"max" for w) are the degree-0 case of the polynomial weights of thm1/thm2
+(``synth_poly``).  A failed Kamke check is the reason given for any
+failure.  What differs:
 
   ================  =====================  ==============================
   weights           constant vector        polynomial family
   ================  =====================  ==============================
   report mode       sum, max               poly-sum, poly-max
   variable bounds   [1, V_CAP]             [-COEFF_CAP, COEFF_CAP]
-  extra rows        none                   f*theta', axis positivity, x*
+  rows add          nothing                the f*theta' term; positivity
+                                           on the axes; rows at x*
   normalization     min(v) = 1             last leading coefficient = 1
   post-hoc check    cor1, cor2             thm1, thm2 (CertifyError is a
                                            failed result, not raised)
