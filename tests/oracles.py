@@ -188,3 +188,28 @@ def mu_limit(A: np.ndarray, ord, h: float = 1e-8) -> float:
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     return float((np.linalg.norm(np.eye(n) + h * A, ord) - 1.0) / h)
+
+
+def scaled_jacobian_at(fam, J, x, f) -> np.ndarray:
+    """Theta J Theta^-1 + diag(Theta' f) Theta^-1 at one point, by matrix
+    products with ``np.diag`` and ``np.linalg.inv``.
+
+    Theta_ii is theta_i(x_i) for a theta family and 1/omega_i(x_i) for an
+    omega family.  Each weight and its derivative are summed term by term in
+    Python floats, and every reciprocal goes through the quotient rule.
+    """
+    th, dth = [], []
+    for comp, xi in zip(fam.components, x):
+        xi = float(xi)
+        p = sum(c * xi ** k for k, c in enumerate(comp.coeffs))
+        dp = sum(k * c * xi ** (k - 1)
+                 for k, c in enumerate(comp.coeffs) if k)
+        if comp.reciprocal:
+            p, dp = 1.0 / p, -dp / (p * p)
+        if fam.kind == "omega":
+            p, dp = 1.0 / p, -dp / (p * p)
+        th.append(p)
+        dth.append(dp)
+    T = np.diag(th)
+    T_inv = np.linalg.inv(T)
+    return T @ np.asarray(J) @ T_inv + np.diag(np.asarray(dth) * f) @ T_inv

@@ -14,12 +14,13 @@ from monocert.certify import (
     check_cor1, check_cor2, check_cor3, check_kamke, check_thm1, check_thm2,
     grid_condition_values, grid_mu_values, partition, row_groups,
 )
-from monocert.measures import WeightFamily
+from monocert.measures import WeightFamily, mu1, mu_inf
 from monocert.synth import synth_const
 from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
 from conftest import CORPUS, linear_system, load_family, load_system
-from oracles import patterns_at
+from oracles import field_at, matrix_at, patterns_at, scaled_jacobian_at
+from test_measures import random_family
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -125,6 +126,28 @@ def test_ex1_cor3_goldens(ex1, ex1_theta, ex1_omega, ex1_box):
                                -1.0 / (1 + X2), atol=1e-12)
     np.testing.assert_allclose(grid_mu_values(ex1, ex1_omega, ex1_box, "linf"),
                                -1.0 / (1 + X2), atol=1e-12)
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_grid_mu_values_match_the_matrix_product_oracle(norm, ex1,
+                                                        multiagent):
+    """The batched cor3 measure at every grid point equals the measure of
+    Theta J Theta^-1 + diag(Theta' f) Theta^-1 built point by point."""
+    kind, mu = ("theta", mu1) if norm == "l1" else ("omega", mu_inf)
+    rng = np.random.default_rng(61 if norm == "l1" else 62)
+    for sys in (ex1, multiagent):
+        box = WorkingBox((0.0,) * sys.n, (1.0,) * sys.n, 5)
+        jb = jacobian(sys)
+        points = np.array(list(itertools.product(*box.axes())))
+        for _ in range(3):
+            fam = random_family(rng, kind, sys.n)
+            got = grid_mu_values(sys, fam, box, norm)
+            want = []
+            for x in points:
+                J = matrix_at(jb.branch_matrix(patterns_at(jb, x)[0]), x)
+                want.append(mu(scaled_jacobian_at(fam, J, x,
+                                                  field_at(sys, x))))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_ex1_kamke_plain_pass(ex1, ex1_box):

@@ -273,6 +273,19 @@ def test_contract_linear(tmp_path, capsys):
     assert "certified rate 1" in capsys.readouterr().out
 
 
+def test_contract_omega_linf(tmp_path):
+    code = main(["contract", "multiagent", "--omega",
+                 str(CORPUS / "multiagent.w.json"), "--norm", "linf",
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == EXIT_PASS
+    rep = _read(tmp_path / "contract-report.json")
+    assert rep["passed"] is True
+    # row 3 of the omega-scaled Jacobian: -1 + 1.5/1.7
+    assert rep["certified_rate"] == pytest.approx(2.0 / 17.0, rel=1e-12)
+    assert rep["certificate"]["condition"] == "cor3-linf"
+    assert rep["ratio_excess"] <= 1e-6
+
+
 def test_contract_needs_one_family(tmp_path):
     assert main(["contract", "linear_sym",
                  "--out", str(tmp_path)]) == EXIT_USAGE

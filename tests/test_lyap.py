@@ -295,6 +295,19 @@ def test_distance_quadrature_matches_log():
         assert got == pytest.approx(expect, abs=1e-12)
 
 
+def test_distance_constant_omega_closed_form():
+    """A constant omega integrates 1/omega_i by quadrature; the distance is
+    max_i |x_i - y_i| / omega_i."""
+    fam = load_family("multiagent.w.json")
+    w = np.array([1.0, 1.5, 1.7])
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        x, y = rng.uniform(-2.0, 2.0, size=(2, 3))
+        expect = float(np.max(np.abs(x - y) / w))
+        got = weighted_distance(fam, x, y, norm="linf")
+        assert got == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
 def test_distance_guards(ex1_theta, ex1_omega):
     with pytest.raises(LyapError, match="theta family"):
         weighted_distance(ex1_omega, [0, 0], [1, 1], norm="l1")

@@ -9,7 +9,7 @@ from monocert.measures import (
     WeightComponent, WeightFamily, is_metzler, mu1, mu_inf, weighted_jacobian,
 )
 
-from oracles import mu_limit, spectral_abscissa
+from oracles import mu_limit, scaled_jacobian_at, spectral_abscissa
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +270,29 @@ def test_weighted_jacobian_rejects_nonpositive_scaling():
     fam = WeightFamily("theta", ((-1.0, 1.0),))  # theta = x - 1
     with pytest.raises(ValueError, match="positive"):
         weighted_jacobian(np.array([[-1.0]]), fam, [0.5], [0.0])
+
+
+def random_family(rng, kind: str, n: int) -> WeightFamily:
+    """Polynomial and reciprocal weights of degree <= 3, positive on [0, 1]:
+    constant term in [1, 2], higher coefficients in [-0.2, 0.2]."""
+    comps = []
+    for _ in range(n):
+        coeffs = [rng.uniform(1.0, 2.0)]
+        coeffs += list(rng.uniform(-0.2, 0.2, size=rng.integers(0, 4)))
+        comps.append(WeightComponent(tuple(coeffs),
+                                     reciprocal=bool(rng.integers(2))))
+    return WeightFamily(kind, tuple(comps))
+
+
+@pytest.mark.parametrize("kind", ["theta", "omega"])
+def test_weighted_jacobian_matches_matrix_product_oracle(kind):
+    rng = np.random.default_rng(47 if kind == "theta" else 48)
+    for n in (1, 2, 3, 4):
+        fam = random_family(rng, kind, n)
+        for _ in range(25):
+            J = rng.normal(size=(n, n))
+            x = rng.uniform(0.0, 1.0, size=n)
+            f = rng.normal(size=n)
+            np.testing.assert_allclose(weighted_jacobian(J, fam, x, f),
+                                       scaled_jacobian_at(fam, J, x, f),
+                                       rtol=1e-12, atol=1e-12)

@@ -516,6 +516,48 @@ def test_contraction_rate_rejects_expansion():
     assert rep.fitted_rate == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_contraction_rate_omega_linf(multiagent):
+    """omega = (1, 1.5, 1.7) scales row i of J by 1/omega_i and column j by
+    omega_j; row 3 is the worst, -1 + 1.5/1.7 = -2/17."""
+    fam = load_family("multiagent.w.json")
+    rep = estimate_contraction_rate(multiagent, fam, norm="linf", pairs=4,
+                                    t_end=2.0, dt=1e-3, seed=3)
+    assert rep.certificate.condition == "cor3-linf"
+    assert rep.certified_rate == pytest.approx(2.0 / 17.0, rel=1e-12)
+    assert rep.passed
+    assert rep.ratio_excess <= 1e-6
+    assert rep.flow_ratio_excess <= 1e-6
+    assert rep.fitted_rate >= rep.certified_rate
+
+
+def test_contraction_rate_accepts_mixed_kind_and_norm(linear_sym):
+    """The measure check and the contraction check take either kind with
+    either norm; the distance, the grid measure and the Lyapunov builder
+    reject mixing."""
+    theta = load_family("linear_sym.theta.json")
+    # identity weights on the symmetric A: row sums -1 as well
+    rep = estimate_contraction_rate(linear_sym, theta, norm="linf", pairs=4,
+                                    t_end=2.0, dt=1e-3, seed=3)
+    assert rep.certificate.condition == "cor3-linf"
+    assert rep.certified_rate == 1.0
+    assert rep.passed
+    assert rep.ratio_excess <= 1e-6
+    assert rep.fitted_rate >= 0.99
+    omega = mc.WeightFamily.constant("omega", [1.0, 1.0])
+    rep = estimate_contraction_rate(linear_sym, omega, norm="l1", pairs=4,
+                                    t_end=2.0, dt=1e-3, seed=3)
+    assert rep.certificate.condition == "cor3-l1"
+    assert rep.certified_rate == 1.0
+    assert rep.passed
+    box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0), 5)
+    with pytest.raises(mc.CertifyError, match="omega"):
+        mc.grid_mu_values(linear_sym, theta, box, "linf")
+    with pytest.raises(mc.LyapError, match="omega family"):
+        mc.weighted_distance(theta, [0.0, 0.0], [1.0, 1.0], norm="linf")
+    with pytest.raises(mc.LyapError, match="needs kind 'omega'"):
+        build_lyapunov(linear_sym, theta, "state-max")
+
+
 def test_contraction_report_jsonable(linear_sym):
     fam = load_family("linear_sym.theta.json")
     rep = estimate_contraction_rate(linear_sym, fam, norm="l1", pairs=2,
