@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import WeightFamily
+from .measures import WeightFamily, _measure_terms, _scaled_jacobian
 from .sysdsl import SystemDef, jacobian, JacobianBranches, TIE_TOL
 
 __all__ = [
@@ -295,8 +295,7 @@ class _Sample:
         got = self._weights.get(id(fam))
         if got is None:
             got = self._weights[id(fam)] = (
-                _family_axis_values(fam, self.X),
-                _family_axis_values(fam, self.X, deriv=True))
+                fam.axis_values(self.X), fam.axis_values(self.X, deriv=True))
         return got
 
     def jacobian(self, pattern: tuple) -> np.ndarray:
@@ -400,14 +399,6 @@ def _eval_at_point(jb: JacobianBranches, x: Sequence[float],
 # Condition evaluators: (_Sample, J) -> (m, components) array
 # ---------------------------------------------------------------------------
 
-def _family_axis_values(fam: WeightFamily, X: np.ndarray,
-                        deriv: bool = False) -> np.ndarray:
-    out = np.empty_like(X)
-    for i, comp in enumerate(fam.components):
-        out[:, i] = comp.deriv(X[:, i]) if deriv else comp.value(X[:, i])
-    return out
-
-
 def _kamke_eval(s: _Sample, J: np.ndarray) -> np.ndarray:
     m, n, _ = J.shape
     off = -J.reshape(m, n * n)
@@ -438,19 +429,9 @@ def _make_weighted_eval(fam: WeightFamily, mode: str):
 
 
 def _make_mu_eval(fam: WeightFamily, norm: str):
-    idx = np.arange(fam.n)
-
     def ev(s: _Sample, J: np.ndarray) -> np.ndarray:
-        th, dth = s.weights(fam)
-        if fam.kind == "omega":
-            dth = -dth / (th * th)
-            th = 1.0 / th
-        Jt = (th[:, :, None] / th[:, None, :]) * J
-        Jt[:, idx, idx] += dth * s.f / th
-        d = Jt[:, idx, idx]
-        if norm == "l1":
-            return np.sum(np.abs(Jt), axis=1) - np.abs(d) + d  # per column
-        return np.sum(np.abs(Jt), axis=2) - np.abs(d) + d      # per row
+        Jt = _scaled_jacobian(fam.kind, J, *s.weights(fam), s.f)
+        return _measure_terms(Jt, norm)   # per column (l1) or row (linf)
 
     return ev
 

@@ -16,9 +16,11 @@ local statements near x* unless the uniform "<= -eps everywhere" addendum
 was certified, in which case pass ``uniform=True`` to record global scope.
 Building a candidate performs no certification — run the checks first.
 
-``weighted_distance`` evaluates the underlying separable Finsler distance
-itself: d(x, y) aggregates per-coordinate integrals of the metric density
-(sum for l1/theta, max for linf/omega).
+Each quantity has one batched routine: ``_distance`` is the separable
+Finsler distance of paired states, aggregating per-coordinate integrals of
+the metric density (sum for l1, max for linf), and ``_flow_norm`` the
+weighted norm of f.  State variants are the distance to x*, flow variants
+the flow norm, and ``weighted_distance`` is the one-pair distance.
 """
 
 from __future__ import annotations
@@ -56,25 +58,20 @@ def _gl_rule():
 # ---------------------------------------------------------------------------
 
 class _Density:
-    """Metric density rho_i(s) for one coordinate with a fixed base point.
+    """Metric density rho_i(s) for one coordinate: theta_i or 1/omega_i.
 
-    Polynomial densities integrate exactly (antiderivative coefficients are
-    stored with the base-point value subtracted); anything else falls back
-    to 32-node Gauss-Legendre quadrature, which is exact well past the
-    polynomial degrees in play and accurate to machine precision for the
-    smooth reciprocal densities.
+    Polynomial densities integrate exactly through their antiderivative;
+    anything else falls back to 32-node Gauss-Legendre quadrature on
+    [base, x], which is exact well past the polynomial degrees in play and
+    accurate to machine precision for the smooth reciprocal densities.
     """
 
-    def __init__(self, comp: WeightComponent, kind: str, base: float):
-        self.base = float(base)
+    def __init__(self, comp: WeightComponent, kind: str):
         # density is theta_i for sum-type weights, 1/omega_i for max-type
         invert = (kind == "omega")
         poly_density = comp.reciprocal == invert
         if poly_density:
-            self._coeffs = np.asarray(comp.coeffs, dtype=float)
-            anti = P.polyint(self._coeffs)
-            anti[0] = -P.polyval(self.base, anti)
-            self._anti = anti
+            self._anti = P.polyint(np.asarray(comp.coeffs, dtype=float))
             self._fn = None
         else:
             # either omega = p (density 1/p) or theta = 1/p (density 1/p)
@@ -82,20 +79,50 @@ class _Density:
             p = np.asarray(comp.coeffs, dtype=float)
             self._fn = lambda s: 1.0 / P.polyval(s, p)
 
-    def integral(self, x) -> np.ndarray:
-        """integral from base to x of rho(s) ds, elementwise over x."""
+    def integral(self, x, base) -> np.ndarray:
+        """integral from base to x of rho(s) ds, elementwise over x and base."""
         x = np.asarray(x, dtype=float)
         if self._anti is not None:
-            return P.polyval(x, self._anti)
+            return P.polyval(x, self._anti) - P.polyval(base, self._anti)
         nodes, wts = _gl_rule()
-        half = (x - self.base) / 2.0
-        mid = (x + self.base) / 2.0
+        half = (x - base) / 2.0
+        mid = (x + base) / 2.0
         s = half[..., None] * nodes + mid[..., None]
         return half * np.sum(wts * self._fn(s), axis=-1)
 
-    def describe(self, var: str) -> Optional[str]:
-        """Closed form of the integral when polynomial, else None."""
-        return None if self._anti is None else _poly_text(self._anti, var)
+    def describe(self, var: str, base: float) -> Optional[str]:
+        """Closed form of the integral from base when polynomial, else None."""
+        if self._anti is None:
+            return None
+        return _poly_text(P.polysub(self._anti, P.polyval(base, self._anti)),
+                          var)
+
+
+def _densities(family: WeightFamily) -> tuple:
+    return tuple(_Density(c, family.kind) for c in family.components)
+
+
+def _distance(densities: tuple, norm: str, X, Y) -> np.ndarray:
+    """Separable distance between paired states X and Y of shape (..., n):
+    the sum (l1) or max (linf) of |integral from y_i to x_i of rho_i|."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    T = np.stack([np.abs(d.integral(X[..., i], Y[..., i]))
+                  for i, d in enumerate(densities)], axis=-1)
+    return np.sum(T, axis=-1) if norm == "l1" else np.max(T, axis=-1)
+
+
+def _flow_norm(sys: SystemDef, family: WeightFamily, norm: str,
+               X) -> np.ndarray:
+    """Weighted norm of the vector field at states X (..., n) -> (...):
+    theta_i |f_i| or |f_i| / omega_i, summed (l1) or maxed (linf)."""
+    X = np.asarray(X, dtype=float)
+    flat = X.reshape(-1, X.shape[-1])
+    F = np.abs(sys.f_batch(flat))
+    w = family.axis_values(flat)
+    T = w * F if family.kind == "theta" else F / w
+    out = np.sum(T, axis=1) if norm == "l1" else np.max(T, axis=1)
+    return out.reshape(X.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +158,20 @@ class LyapFn:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise LyapError(f"expected points of dimension {self.n}")
+        norm = "l1" if self.variant.endswith("sum") else "linf"
         if self.variant.startswith("state"):
-            terms = np.stack(
-                [np.abs(d.integral(X[:, i]))
-                 for i, d in enumerate(self._densities)], axis=1)
-        else:
-            F = np.abs(self.sys.f_batch(X))
-            scale = np.stack(
-                [self.weights.components[i].value(X[:, i])
-                 for i in range(self.n)], axis=1)
-            if self.weights.kind == "theta":
-                terms = scale * F
-            else:
-                terms = F / scale
-        if self.variant.endswith("sum"):
-            return np.sum(terms, axis=1)
-        return np.max(terms, axis=1)
+            return _distance(self._densities, norm, X, self.xstar)
+        return _flow_norm(self.sys, self.weights, norm, X)
 
     def describe(self) -> str:
         names = self.sys.state_names
         if self.variant.startswith("state"):
             parts = []
             for i, d in enumerate(self._densities):
-                closed = d.describe(names[i])
+                closed = d.describe(names[i], self.xstar[i])
                 if closed is None:
                     dens = ("1/(" + self.weights.components[i].describe(names[i]) + ")")
-                    parts.append(f"|int_{format_number(d.base)}^{names[i]} {dens} ds|")
+                    parts.append(f"|int_{format_number(self.xstar[i])}^{names[i]} {dens} ds|")
                 else:
                     parts.append(f"|{closed}|")
         else:
@@ -209,14 +224,9 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     if sys.equilibrium is None:
         raise LyapError("system has no declared equilibrium")
     xstar = tuple(float(v) for v in sys.equilibrium)
-    densities = tuple(_Density(c, w.kind, xstar[i])
-                      for i, c in enumerate(w.components))
-    if variant.startswith("state"):
-        scope = "global"
-    else:
-        scope = "global" if uniform else "local"
+    scope = "global" if uniform or variant.startswith("state") else "local"
     return LyapFn(variant=variant, scope=scope, weights=w, xstar=xstar,
-                  sys=sys, _densities=densities)
+                  sys=sys, _densities=_densities(w))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +252,4 @@ def weighted_distance(family: WeightFamily, x: Sequence[float],
     y = np.asarray(y, dtype=float)
     if x.shape != (family.n,) or y.shape != (family.n,):
         raise LyapError("point dimension mismatch")
-    terms = np.empty(family.n)
-    for i, comp in enumerate(family.components):
-        d = _Density(comp, family.kind, y[i])
-        terms[i] = abs(float(d.integral(x[i])))
-    return float(np.sum(terms) if norm == "l1" else np.max(terms))
+    return float(_distance(_densities(family), norm, x, y))

@@ -12,12 +12,13 @@ sums.  A negative measure certifies Hurwitz stability — that one-sided
 implication is what all the certification checks are built on.
 
 :class:`WeightFamily` holds per-coordinate scalar weights (constants,
-polynomials, or reciprocals of polynomials in the single coordinate) and
-knows how to build the scaled Jacobian
+polynomials, or reciprocals of polynomials in the single coordinate).
+``_scaled_jacobian`` is the one routine, batched over points, that builds
 
     Jtilde = Thetadot * Theta^-1 + Theta * J * Theta^-1
 
-for a diagonal Theta(x) = diag(theta_i(x_i)) along a vector field.
+for Theta(x) = diag(theta_i(x_i)), or diag(1/omega_i(x_i)), along a
+vector field; ``weighted_jacobian`` is its one-point call.
 """
 
 from __future__ import annotations
@@ -36,20 +37,21 @@ __all__ = [
 ]
 
 
+def _measure_terms(A: np.ndarray, norm: str) -> np.ndarray:
+    """Column (l1) or row (linf) terms of the measure of matrices (..., n, n):
+    the diagonal entry plus the off-diagonal magnitudes.  Their max is mu."""
+    d = np.diagonal(A, axis1=-2, axis2=-1)
+    return np.sum(np.abs(A), axis=-2 if norm == "l1" else -1) - np.abs(d) + d
+
+
 def mu1(A: np.ndarray) -> float:
     """l1-induced matrix measure (column sums with off-diagonal magnitudes)."""
-    A = np.asarray(A, dtype=float)
-    d = np.diag(A)
-    col = np.sum(np.abs(A), axis=0) - np.abs(d) + d
-    return float(np.max(col))
+    return float(np.max(_measure_terms(np.asarray(A, dtype=float), "l1")))
 
 
 def mu_inf(A: np.ndarray) -> float:
     """linf-induced matrix measure (row sums with off-diagonal magnitudes)."""
-    A = np.asarray(A, dtype=float)
-    d = np.diag(A)
-    row = np.sum(np.abs(A), axis=1) - np.abs(d) + d
-    return float(np.max(row))
+    return float(np.max(_measure_terms(np.asarray(A, dtype=float), "linf")))
 
 
 def is_metzler(A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -186,28 +188,15 @@ class WeightFamily:
             return None
         return np.array([c.value(0.0) for c in self.components], dtype=float)
 
-    def values(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([float(c.value(v)) for c, v in zip(self.components, x)])
-
-    def theta_diag(self, x: Sequence[float]) -> np.ndarray:
-        """Diagonal of Theta(x) (reciprocal of the weights for kind 'omega')."""
-        vals = self.values(x)
-        return 1.0 / vals if self.kind == "omega" else vals
-
-    def theta_diag_deriv(self, x: Sequence[float]) -> np.ndarray:
-        """d Theta_ii / d x_i at x."""
-        if self.kind == "omega":
-            w = self.values(x)
-            dw = np.array([float(c.deriv(v))
-                           for c, v in zip(self.components, x)])
-            return -dw / (w * w)
-        return np.array([float(c.deriv(v))
-                         for c, v in zip(self.components, x)])
-
-    def metric_density(self, i: int, xi) -> np.ndarray:
-        """Integrand of the induced coordinate distance (theta_i or 1/omega_i)."""
-        v = self.components[i].value(xi)
-        return 1.0 / v if self.kind == "omega" else v
+    def axis_values(self, X, deriv: bool = False) -> np.ndarray:
+        """Weights (or with ``deriv`` their derivatives) at states X of
+        shape (..., n): entry i is component i at coordinate i."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty_like(X)
+        for i, comp in enumerate(self.components):
+            xi = X[..., i]
+            out[..., i] = comp.deriv(xi) if deriv else comp.value(xi)
+        return out
 
     def to_jsonable(self) -> dict:
         return {"kind": self.kind,
@@ -232,6 +221,27 @@ class WeightFamily:
         return f"{self.kind} = ({inner})"
 
 
+def _scaled_jacobian(kind: str, J: np.ndarray, w: np.ndarray, dw: np.ndarray,
+                     F: np.ndarray, check: bool = False) -> np.ndarray:
+    """Theta J Theta^-1 + Thetadot Theta^-1 at m points, shape (m, n, n).
+
+    ``J`` holds the (m, n, n) Jacobians; ``w``, ``dw`` and ``F`` are the
+    (m, n) weights of kind ``kind``, their derivatives and the vector field.
+    Theta = diag(w) for 'theta' and diag(1/w) for 'omega', and
+    Thetadot_ii = (d Theta_ii / d x_i) * f_i.  With ``check`` a Theta that
+    is not positive raises ValueError.
+    """
+    if kind == "omega":
+        dw = -dw / (w * w)
+        w = 1.0 / w
+    if check and np.any(w <= 0.0):
+        raise ValueError("diagonal scaling must stay positive on the domain")
+    idx = np.arange(J.shape[-1])
+    out = (w[:, :, None] / w[:, None, :]) * J
+    out[:, idx, idx] += dw * F / w
+    return out
+
+
 def weighted_jacobian(J: np.ndarray, weights: WeightFamily,
                       x: Sequence[float], f_at_x: Sequence[float]) -> np.ndarray:
     """Scaled Jacobian Thetadot Theta^-1 + Theta J Theta^-1 at one point.
@@ -241,12 +251,8 @@ def weighted_jacobian(J: np.ndarray, weights: WeightFamily,
     numeric.  Theta is the diagonal scaling of ``weights`` and
     Thetadot_ii = (d Theta_ii / d x_i) * f_i(x).
     """
-    J = np.asarray(J, dtype=float)
-    f = np.asarray(f_at_x, dtype=float)
-    th = weights.theta_diag(x)
-    dth = weights.theta_diag_deriv(x)
-    if np.any(th <= 0.0):
-        raise ValueError("diagonal scaling must stay positive on the domain")
-    out = (th[:, None] / th[None, :]) * J
-    out[np.diag_indices_from(out)] += dth * f / th
-    return out
+    X = np.asarray(x, dtype=float)[None, :]
+    return _scaled_jacobian(weights.kind, np.asarray(J, dtype=float)[None],
+                            weights.axis_values(X),
+                            weights.axis_values(X, deriv=True),
+                            np.asarray(f_at_x, dtype=float)[None], check=True)[0]

@@ -28,7 +28,6 @@ On top of the integrator:
   (per-step tolerance 1e-9 * (1 + V)), optionally reaching
   V(end) <= 1e-6 * V(0).
 * ``estimate_contraction_rate``  — certify a rate c from the weighted-
-
   Jacobian measure on a grid, then require sampled pairs to satisfy
   d(t) <= d(0) * exp(-c t) * (1 + 1e-6) and compare with a least-squares
   fit of the observed decay.
@@ -45,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certify import WorkingBox, check_cor3, CertReport, DEFAULT_EPS
-from .lyap import LyapFn, _Density
+from .lyap import LyapFn, _densities, _distance, _flow_norm
 from .measures import WeightFamily
 from .sysdsl import INVARIANCE_TOL, SystemDef
 
@@ -313,33 +312,6 @@ def verify_decrease(V: LyapFn, traj: Trajectory,
 # Contraction-rate validation
 # ---------------------------------------------------------------------------
 
-def _distance_series(fam: WeightFamily, norm: str,
-                     X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Weighted distance between paired states, vectorized.
-
-    X, Y have shape (..., n); the result drops the last axis.
-    """
-    terms = []
-    for i, comp in enumerate(fam.components):
-        dens = _Density(comp, fam.kind, 0.0)
-        terms.append(np.abs(dens.integral(X[..., i]) - dens.integral(Y[..., i])))
-    T = np.stack(terms, axis=-1)
-    return np.sum(T, axis=-1) if norm == "l1" else np.max(T, axis=-1)
-
-
-def _flow_norm_series(sys: SystemDef, fam: WeightFamily, norm: str,
-                      X: np.ndarray) -> np.ndarray:
-    """Weighted norm of the vector field along states (..., n) -> (...)."""
-    shape = X.shape[:-1]
-    flat = X.reshape(-1, X.shape[-1])
-    F = np.abs(sys.f_batch(flat))
-    scale = np.stack([fam.components[i].value(flat[:, i])
-                      for i in range(fam.n)], axis=1)
-    T = scale * F if fam.kind == "theta" else F / scale
-    out = np.sum(T, axis=1) if norm == "l1" else np.max(T, axis=1)
-    return out.reshape(shape)
-
-
 @dataclass
 class ContractionReport:
     certified_rate: float
@@ -393,22 +365,19 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
                             abort_on_failure=True)
     batch.raise_first_failure()
 
+    decay = np.exp(-rate * batch.t[:, None])
+
+    def excess(s: np.ndarray) -> float:
+        # max of s(t) / (s(0) e^{-ct}) - 1 over the columns s(0) > 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(s[0] > 1e-12, s / (s[0] * decay) - 1.0, -np.inf)
+        return float(np.max(out)) if out.size else 0.0
+
     A = batch.x[:, 0::2, :]   # (m, P, n)
     B = batch.x[:, 1::2, :]
-    d = _distance_series(fam, norm, A, B)          # (m, P)
-    tcol = batch.t[:, None]
-    bound = d[0][None, :] * np.exp(-rate * tcol)
-    live = d[0] > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = np.where(live[None, :], d / bound - 1.0, -np.inf)
-    ratio_excess = float(np.max(excess)) if excess.size else 0.0
-
-    g = _flow_norm_series(sys, fam, norm, batch.x)  # (m, 2P)
-    glive = g[0] > 1e-12
-    gbound = g[0][None, :] * np.exp(-rate * tcol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gexcess = np.where(glive[None, :], g / gbound - 1.0, -np.inf)
-    flow_ratio_excess = float(np.max(gexcess)) if gexcess.size else 0.0
+    d = _distance(_densities(fam), norm, A, B)     # (m, P)
+    ratio_excess = excess(d)
+    flow_ratio_excess = excess(_flow_norm(sys, fam, norm, batch.x))
 
     slopes = []
     for p in range(d.shape[1]):

@@ -16,8 +16,8 @@ import pytest
 
 from conftest import load_family, load_system
 from monocert import WeightFamily
-from monocert.lyap import (VARIANTS, LyapError, LyapFn, build_lyapunov,
-                           weighted_distance)
+from monocert.lyap import (VARIANTS, LyapError, LyapFn, _densities, _distance,
+                           build_lyapunov, weighted_distance)
 
 
 def test_variants_tuple():
@@ -306,6 +306,33 @@ def test_distance_constant_omega_closed_form():
         expect = float(np.max(np.abs(x - y) / w))
         got = weighted_distance(fam, x, y, norm="linf")
         assert got == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+def test_paired_distance_batch_matches_points(ex1_theta, ex1_omega):
+    """The batched distance over (..., n) pairs equals the one-point
+    distance at every pair, for either kind with either norm."""
+    rng = np.random.default_rng(37)
+    X, Y = rng.uniform(0.0, 3.0, size=(2, 4, 5, 2))
+    for fam in (ex1_theta, ex1_omega):
+        dens = _densities(fam)
+        for norm in ("l1", "linf"):
+            D = _distance(dens, norm, X, Y)
+            assert D.shape == (4, 5)
+            for k in np.ndindex(4, 5):
+                assert D[k] == float(_distance(dens, norm, X[k], Y[k]))
+    D = _distance(_densities(ex1_omega), "linf", X, Y)
+    for k in np.ndindex(4, 5):
+        assert D[k] == weighted_distance(ex1_omega, X[k], Y[k], norm="linf")
+
+
+def test_distance_constant_omega_closed_form_batch():
+    fam = load_family("multiagent.w.json")
+    w = np.array([1.0, 1.5, 1.7])
+    rng = np.random.default_rng(38)
+    X, Y = rng.uniform(-2.0, 2.0, size=(2, 50, 3))
+    np.testing.assert_allclose(_distance(_densities(fam), "linf", X, Y),
+                               np.max(np.abs(X - Y) / w, axis=-1),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_distance_guards(ex1_theta, ex1_omega):

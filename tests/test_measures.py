@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from monocert.lyap import _densities
 from monocert.measures import (
-    WeightComponent, WeightFamily, is_metzler, mu1, mu_inf, weighted_jacobian,
+    WeightComponent, WeightFamily, _scaled_jacobian, is_metzler, mu1, mu_inf,
+    weighted_jacobian,
 )
 
 from oracles import mu_limit, scaled_jacobian_at, spectral_abscissa
@@ -171,32 +173,50 @@ def test_family_constants():
     assert mixed.constants() is None
 
 
-def test_family_theta_diag_for_both_kinds(ex1_theta, ex1_omega):
-    x = [1.0, 2.0]
+def test_family_axis_values_for_both_kinds(ex1_theta, ex1_omega):
+    X = np.array([[1.0, 2.0], [0.0, 0.0]])
     # theta = (1, 1 + x2)
-    np.testing.assert_allclose(ex1_theta.theta_diag(x), [1.0, 3.0])
-    # omega = (2, 1/(1+x2)) scales as Theta = diag(1/omega)
-    np.testing.assert_allclose(ex1_omega.theta_diag(x), [0.5, 3.0])
-    np.testing.assert_allclose(ex1_omega.values(x), [2.0, 1.0 / 3.0])
+    np.testing.assert_allclose(ex1_theta.axis_values(X), [[1.0, 3.0], [1.0, 1.0]])
+    # omega = (2, 1/(1+x2))
+    np.testing.assert_allclose(ex1_omega.axis_values(X),
+                               [[2.0, 1.0 / 3.0], [2.0, 1.0]])
+    np.testing.assert_allclose(ex1_omega.axis_values(X[0]), [2.0, 1.0 / 3.0])
+    np.testing.assert_allclose(ex1_omega.axis_values(X, deriv=True),
+                               [[0.0, -1.0 / 9.0], [0.0, -1.0]])
+    # omega scales as Theta = diag(1/omega) = (0.5, 3): with J all ones and
+    # f = 0 the scaled Jacobian is Theta_i / Theta_j
+    x = X[:1]
+    out = _scaled_jacobian("omega", np.ones((1, 2, 2)), ex1_omega.axis_values(x),
+                           ex1_omega.axis_values(x, deriv=True), np.zeros((1, 2)))
+    np.testing.assert_allclose(out[0], [[1.0, 0.5 / 3.0], [6.0, 1.0]])
 
 
-def test_family_theta_diag_deriv_chain_rule(ex1_theta, ex1_omega):
-    # (Theta(x + h f) - Theta(x - h f)) / 2h ~= diag(dTheta_ii/dx_i * f_i)
+def test_family_axis_values_deriv_chain_rule(ex1_theta, ex1_omega):
+    # (Theta(x + h f) - Theta(x - h f)) / 2h ~= Theta'(x) f, and with J = 0
+    # the scaled Jacobian is diag(Theta'(x) f / Theta(x))
     f = np.array([0.7, -1.3])
     x = np.array([0.8, 1.4])
     h = 1e-6
     for fam in (ex1_theta, ex1_omega):
-        fwd = fam.theta_diag(x + h * f)
-        bwd = fam.theta_diag(x - h * f)
-        num = (fwd - bwd) / (2 * h)
-        sym = fam.theta_diag_deriv(x) * f
-        np.testing.assert_allclose(sym, num, atol=1e-6)
+        power = 1.0 if fam.kind == "theta" else -1.0
+        fwd = fam.axis_values(x + h * f) ** power
+        bwd = fam.axis_values(x - h * f) ** power
+        num = (fwd - bwd) / (2 * h) / fam.axis_values(x) ** power
+        X = x[None, :]
+        out = _scaled_jacobian(fam.kind, np.zeros((1, 2, 2)),
+                               fam.axis_values(X),
+                               fam.axis_values(X, deriv=True), f[None, :])
+        np.testing.assert_allclose(out[0], np.diag(num), atol=1e-6)
 
 
-def test_family_metric_density(ex1_theta, ex1_omega):
-    assert float(ex1_theta.metric_density(1, 2.0)) == 3.0    # theta_2 = 1+x2
-    assert float(ex1_omega.metric_density(1, 2.0)) == 3.0    # 1/omega_2 = 1+x2
-    assert float(ex1_omega.metric_density(0, 9.9)) == 0.5    # 1/omega_1
+def test_density_is_theta_or_reciprocal_omega(ex1_theta, ex1_omega):
+    """The distance integrand: theta_i, or 1/omega_i.  Over [x - h, x + h]
+    a density of degree <= 1 integrates to exactly 2h rho(x)."""
+    def density(fam, i, x, h=1e-3):
+        return float(_densities(fam)[i].integral(x + h, x - h)) / (2 * h)
+    assert density(ex1_theta, 1, 2.0) == pytest.approx(3.0, rel=1e-12)  # 1+x2
+    assert density(ex1_omega, 1, 2.0) == pytest.approx(3.0, rel=1e-12)  # 1/omega_2
+    assert density(ex1_omega, 0, 9.9) == pytest.approx(0.5, rel=1e-12)  # 1/omega_1
 
 
 def test_family_jsonable_roundtrip(ex1_omega):
@@ -296,3 +316,20 @@ def test_weighted_jacobian_matches_matrix_product_oracle(kind):
             np.testing.assert_allclose(weighted_jacobian(J, fam, x, f),
                                        scaled_jacobian_at(fam, J, x, f),
                                        rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["theta", "omega"])
+def test_scaled_jacobian_rows_match_matrix_product_oracle(kind):
+    """The batched routine on random rows against the per-point oracle."""
+    rng = np.random.default_rng(49 if kind == "theta" else 50)
+    for n in (1, 2, 3, 4):
+        fam = random_family(rng, kind, n)
+        J = rng.normal(size=(40, n, n))
+        X = rng.uniform(0.0, 1.0, size=(40, n))
+        F = rng.normal(size=(40, n))
+        out = _scaled_jacobian(kind, J, fam.axis_values(X),
+                               fam.axis_values(X, deriv=True), F)
+        for k in range(40):
+            np.testing.assert_allclose(
+                out[k], scaled_jacobian_at(fam, J[k], X[k], F[k]),
+                rtol=1e-12, atol=1e-12)
