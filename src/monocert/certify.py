@@ -480,11 +480,14 @@ def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
     hi = -math.inf
     for i, comp in enumerate(fam.components):
         vals = np.asarray(comp.value(axes[i]), dtype=float)
-        lo = min(lo, float(np.min(vals)))
+        k = int(np.argmin(vals))   # a NaN minimum is skipped, as by min()
+        if vals[k] < lo:
+            lo, where = float(vals[k]), (i + 1, axes[i][k])
         hi = max(hi, float(np.max(vals)))
     if lo <= 1e-12:
         raise CertifyError(
-            f"{fam.kind} positivity violated on the box: min value {lo:.3e}")
+            f"{fam.kind} positivity violated on the box: component "
+            f"{where[0]} reaches {lo:.6g} at x={where[1]:.6g}")
     return _bounds(fam.kind, lo, hi)
 
 

@@ -11,7 +11,9 @@ One routine, ``_synthesize``, does both kinds of weights: the constant
 vectors of cor1/cor2 (``synth_const``; column mode "sum" for v, row mode
 "max" for w) are the degree-0 case of the polynomial weights of thm1/thm2
 (``synth_poly``).  A failed Kamke check is the reason given for any
-failure.  What differs:
+failure.  Both refuse a system without a declared equilibrium before any
+work, since every post-hoc check needs it, and a CertifyError of the
+post-hoc check is a failed result, not raised.  What differs:
 
   ================  =====================  ==============================
   weights           constant vector        polynomial family
@@ -21,8 +23,7 @@ failure.  What differs:
   rows add          nothing                the f*theta' term; positivity
                                            on the axes; rows at x*
   normalization     min(v) = 1             last leading coefficient = 1
-  post-hoc check    cor1, cor2             thm1, thm2 (CertifyError is a
-                                           failed result, not raised)
+  post-hoc check    cor1, cor2             thm1, thm2
   ================  =====================  ==============================
 
 The LPs have many rows (grid points times components) and few columns
@@ -53,7 +54,8 @@ import numpy as np
 
 from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
                       check_cor2, check_kamke, check_thm1, check_thm2,
-                      DEFAULT_EPS, _CONDITIONS, partition, row_groups)
+                      DEFAULT_EPS, _CONDITIONS, _positivity_check, partition,
+                      row_groups)
 from .measures import WeightComponent, WeightFamily
 from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
                      SystemDef, TimeVar, Var, _fold, jacobian)
@@ -407,11 +409,10 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     if mode not in ("sum", "max"):
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
     poly = degree is not None
-    if poly:
-        if degree < 0:
-            raise SynthError("degree must be nonnegative")
-        if sys.equilibrium is None:
-            raise SynthError("synthesis needs a declared equilibrium")
+    if poly and degree < 0:
+        raise SynthError("degree must be nonnegative")
+    if sys.equilibrium is None:
+        raise SynthError("synthesis needs a declared equilibrium")
     if box is None:
         box = WorkingBox.default_for(sys)
     box.validate_for(sys)
@@ -546,9 +547,7 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     fine = box.with_resolution(2 * res - 1)
     try:
         post = check(sys, weights, fine, eps=min(eps, s / 2))
-    except CertifyError as exc:   # positivity broke between grid points
-        if not poly:
-            raise
+    except CertifyError as exc:   # a polynomial lost positivity off the grid
         return fail(s, f"post-hoc positivity failure: {exc}")
     margin = -post.worst_margin
     if not post.passed or margin <= 0:
@@ -988,14 +987,13 @@ def parse_sos_solution(sidecar, solver_output) -> WeightFamily:
     fam = WeightFamily(sidecar["kind"], tuple(comps))
 
     # positivity diagnosis on the finite parts of the declared bounds
-    for i, (lo, hi) in enumerate(sidecar["bounds"]):
-        a = lo if math.isfinite(lo) else (hi - 10.0 if math.isfinite(hi) else -10.0)
-        b = hi if math.isfinite(hi) else (lo + 10.0 if math.isfinite(lo) else 10.0)
-        samples = np.linspace(a, b, 101)
-        vals = fam.components[i].value(samples)
-        if np.min(vals) <= 0:
-            bad = samples[int(np.argmin(vals))]
-            raise SynthError(
-                f"recovered weights violate positivity: component {i + 1} "
-                f"reaches {np.min(vals):.6g} at x={bad:.6g}")
+    lo, hi = np.array(sidecar["bounds"], dtype=float).reshape(-1, 2).T
+    lows = np.where(np.isfinite(lo), lo,
+                    np.where(np.isfinite(hi), hi - 10.0, -10.0))
+    highs = np.where(np.isfinite(hi), hi,
+                     np.where(np.isfinite(lo), lo + 10.0, 10.0))
+    try:
+        _positivity_check(fam, WorkingBox(lows, highs, 101))
+    except CertifyError as exc:
+        raise SynthError(f"recovered weights: {exc}") from exc
     return fam

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from monocert.certify import WorkingBox, check_cor1
+from monocert import synth as synth_mod
 from monocert.measures import WeightFamily
 from monocert.synth import (
     COEFF_CAP, LPProblem, SynthError, V_CAP, export_sos_sdpa,
@@ -14,7 +15,7 @@ from monocert.synth import (
 )
 from monocert.sysdsl import parse_system
 
-from conftest import linear_system
+from conftest import linear_system, load_system
 from oracles import is_hurwitz
 
 
@@ -140,6 +141,20 @@ def test_lp_rejects_nonfinite_rows():
 # ---------------------------------------------------------------------------
 # constant-weight synthesis
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["sum", "max"])
+def test_synth_const_refuses_no_equilibrium_before_solving(mode, monkeypatch):
+    """Every post-hoc check needs x*, so a system without one is refused
+    before the LP is built or solved, as by synth_poly."""
+    calls = []
+    real = synth_mod.solve_lp
+    monkeypatch.setattr(synth_mod, "solve_lp",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    box = WorkingBox((-3.0,), (3.0,), 9)
+    with pytest.raises(SynthError, match="equilibrium"):
+        synth_const(load_system("entrain_linear"), box, mode=mode)
+    assert calls == []
+
 
 def test_synth_const_symmetric_linear(linear_sym):
     res = synth_const(linear_sym, mode="sum")
@@ -525,6 +540,22 @@ def test_parse_sos_solution_negative_weight(ex1_export):
     diag[0], diag[1] = 0.25, 0.75   # c_1_0 = -0.5
     text = fake_solver_output(sidecar, diag)
     with pytest.raises(SynthError, match="component 1 reaches -0.5"):
+        parse_sos_solution(sidecar, text)
+
+
+def test_parse_sos_solution_omega_negative_on_part_of_the_box(ex1, tmp_path):
+    """omega_2 = 1 - x2/2 is positive at x2 = 0 and negative beyond x2 = 2,
+    inside [0, 10], the finite part of x2's bounds [0, inf)."""
+    sidecar = export_sos_sdpa(ex1, degree=2, mode="max", eps=0.01,
+                              path=str(tmp_path / "ex1max.dat-s"))
+    assert sidecar["kind"] == "omega"
+    block = sidecar["blocks"][sidecar["diag_block"] - 1]
+    diag = [0.0] * block["size"]
+    for name, value in (("c_1_0", 2.0), ("c_2_0", 1.0), ("c_2_1", -0.5)):
+        spec = sidecar["coefficients"][name]
+        diag[spec["plus" if value > 0 else "minus"] - 1] = abs(value)
+    text = fake_solver_output(sidecar, diag)
+    with pytest.raises(SynthError, match="positivity"):
         parse_sos_solution(sidecar, text)
 
 
