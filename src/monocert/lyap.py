@@ -72,12 +72,10 @@ class _Density:
         poly_density = comp.reciprocal == invert
         if poly_density:
             self._anti = P.polyint(np.asarray(comp.coeffs, dtype=float))
-            self._fn = None
         else:
             # either omega = p (density 1/p) or theta = 1/p (density 1/p)
             self._anti = None
-            p = np.asarray(comp.coeffs, dtype=float)
-            self._fn = lambda s: 1.0 / P.polyval(s, p)
+            self._fn = lambda s: 1.0 / comp.poly_value(s)
 
     def integral(self, x, base) -> np.ndarray:
         """integral from base to x of rho(s) ds, elementwise over x and base."""
@@ -224,7 +222,10 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     if sys.equilibrium is None:
         raise LyapError("system has no declared equilibrium")
     xstar = tuple(float(v) for v in sys.equilibrium)
-    scope = "global" if uniform or variant.startswith("state") else "local"
+    if variant.startswith("state"):
+        scope = "global"
+    else:
+        scope = "global" if uniform else "local"
     return LyapFn(variant=variant, scope=scope, weights=w, xstar=xstar,
                   sys=sys, _densities=_densities(w))
 
