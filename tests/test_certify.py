@@ -527,6 +527,10 @@ def test_positivity_check_bounds():
     bad = WeightFamily("theta", ((0.0, 1.0),))  # theta_1 = x1 vanishes at 0
     with pytest.raises(CertifyError, match="positivity"):
         _positivity_check(bad, WorkingBox((0.0,), (1.0,), 5))
+    # the message names the component, its minimum and where it is reached
+    dip = WeightFamily("omega", ((0.5,), (1.0, -2.0, 1.0)))  # (1 - x2)^2
+    with pytest.raises(CertifyError, match=r"component 2 reaches 0 at x=1$"):
+        _positivity_check(dip, WorkingBox((0.0, 0.0), (3.0, 3.0), 7))
 
 
 def test_cor3_rejects_bad_norm(ex1, ex1_theta, ex1_box):

@@ -555,7 +555,8 @@ def test_parse_sos_solution_omega_negative_on_part_of_the_box(ex1, tmp_path):
         spec = sidecar["coefficients"][name]
         diag[spec["plus" if value > 0 else "minus"] - 1] = abs(value)
     text = fake_solver_output(sidecar, diag)
-    with pytest.raises(SynthError, match="positivity"):
+    with pytest.raises(SynthError,
+                       match="positivity.*component 2 reaches -4 at x=10"):
         parse_sos_solution(sidecar, text)
 
 
