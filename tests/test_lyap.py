@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import load_family, load_system
+import monocert as mc
 from monocert import WeightFamily
 from monocert.lyap import (VARIANTS, LyapError, LyapFn, _densities, _distance,
                            build_lyapunov, weighted_distance)
@@ -203,6 +204,34 @@ def test_describe_state_max_mixes_closed_form_and_integral(ex1, ex1_omega):
     # reciprocal omega does
     assert "int_0^x1" in s
     assert "|x2 + 0.5*x2^2|" in s
+
+
+def test_state_variants_from_a_nonzero_equilibrium():
+    """The integrals start at x* = (1, 2): theta = (1 + s, 2) gives
+    |x1 + x1^2/2 - 1.5| + |2 x2 - 4|, and a constant omega = 4 integrates
+    ds/4 by quadrature from 2."""
+    sysd = mc.parse_system("""
+    system shifted {
+        states x1 in [0, 4], x2 in [0, 4]
+        dx1 = -(x1 - 1)
+        dx2 = -(x2 - 2)
+        equilibrium (1, 2)
+    }
+    """)
+    theta = WeightFamily("theta", ((1.0, 1.0), (2.0,)))
+    V = build_lyapunov(sysd, theta, "state-sum")
+    assert V.describe() == "V(x) = |-1.5 + x1 + 0.5*x1^2| + |-4 + 2*x2|"
+    X = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 3.5]])
+    np.testing.assert_allclose(
+        V.evaluate_batch(X),
+        np.abs(X[:, 0] + X[:, 0] ** 2 / 2 - 1.5) + np.abs(2 * X[:, 1] - 4),
+        atol=1e-12)
+    omega = WeightFamily("omega", ((1.0,), (4.0,)))
+    Vm = build_lyapunov(sysd, omega, "state-max")
+    assert "|int_2^x2 1/(4) ds|" in Vm.describe()
+    np.testing.assert_allclose(
+        Vm.evaluate_batch(X),
+        np.maximum(np.abs(X[:, 0] - 1), np.abs(X[:, 1] - 2) / 4), atol=1e-12)
 
 
 def test_describe_flow_variants(ex1, ex1_theta, ex1_omega):
