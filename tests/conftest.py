@@ -19,6 +19,18 @@ def load_family(filename: str) -> mc.WeightFamily:
         json.loads((CORPUS / filename).read_text()))
 
 
+def random_family(rng, kind: str, n: int) -> mc.WeightFamily:
+    """Polynomial and reciprocal weights of degree <= 3, positive on [0, 1]:
+    constant term in [1, 2], higher coefficients in [-0.2, 0.2]."""
+    comps = []
+    for _ in range(n):
+        coeffs = [rng.uniform(1.0, 2.0)]
+        coeffs += list(rng.uniform(-0.2, 0.2, size=rng.integers(0, 4)))
+        comps.append(mc.WeightComponent(tuple(coeffs),
+                                        reciprocal=bool(rng.integers(2))))
+    return mc.WeightFamily(kind, tuple(comps))
+
+
 def linear_system(A, lo=-1.0, hi=1.0, name="lin") -> SystemDef:
     """dx = A x on a symmetric box, built directly from expression nodes."""
     A = np.asarray(A, dtype=float)

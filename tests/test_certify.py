@@ -18,9 +18,9 @@ from monocert.measures import WeightFamily, mu1, mu_inf
 from monocert.synth import synth_const
 from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
-from conftest import CORPUS, linear_system, load_family, load_system
+from conftest import (CORPUS, linear_system, load_family, load_system,
+                      random_family)
 from oracles import field_at, matrix_at, patterns_at, scaled_jacobian_at
-from test_measures import random_family
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -11,6 +11,7 @@ from monocert.measures import (
     weighted_jacobian,
 )
 
+from conftest import random_family
 from oracles import mu_limit, scaled_jacobian_at, spectral_abscissa
 
 
@@ -290,18 +291,6 @@ def test_weighted_jacobian_rejects_nonpositive_scaling():
     fam = WeightFamily("theta", ((-1.0, 1.0),))  # theta = x - 1
     with pytest.raises(ValueError, match="positive"):
         weighted_jacobian(np.array([[-1.0]]), fam, [0.5], [0.0])
-
-
-def random_family(rng, kind: str, n: int) -> WeightFamily:
-    """Polynomial and reciprocal weights of degree <= 3, positive on [0, 1]:
-    constant term in [1, 2], higher coefficients in [-0.2, 0.2]."""
-    comps = []
-    for _ in range(n):
-        coeffs = [rng.uniform(1.0, 2.0)]
-        coeffs += list(rng.uniform(-0.2, 0.2, size=rng.integers(0, 4)))
-        comps.append(WeightComponent(tuple(coeffs),
-                                     reciprocal=bool(rng.integers(2))))
-    return WeightFamily(kind, tuple(comps))
 
 
 @pytest.mark.parametrize("kind", ["theta", "omega"])
