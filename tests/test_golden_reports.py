@@ -7,6 +7,11 @@ and the LP built from every tied branch.  The two other synth reports pin
 both synthesis modes: constant weights (multiagent, max) and a polynomial
 family (ex1, poly-max at degree 2).  The ex1 certify report pins a
 run with two weight families, whose five checks share one grid pass.
+The comparison and multiagent certify reports pin the guard-free scan on
+exp terms and on n = 3: a constant theta (so cor1 runs too), a Kamke
+worst value of -0.0 tied between components, and (multiagent, linear
+with constant weights) sum and max checks whose worst value is attained at
+every grid point, so that the witness is the first one.
 The simulate, contract and entrain goldens pin the RK4 integrator bit for
 bit: every state is printed with 17 significant digits, and the reports
 carry step errors, fitted rates and spreads.
@@ -50,6 +55,16 @@ MULTI_FAMILY_CASES = {
         ["certify", "ex1", "--theta", str(CORPUS / "ex1.theta.json"),
          "--omega", str(CORPUS / "ex1.omega.json"), "--box", "0:3,0:3",
          "--resolution", "201"], "certify-report.json", EXIT_PASS),
+    "certify-multiagent-v-w-r41.json": (
+        ["certify", "multiagent", "--theta", str(CORPUS / "multiagent.v.json"),
+         "--omega", str(CORPUS / "multiagent.w.json"), "--resolution", "41"],
+        "certify-report.json", EXIT_PASS),
+}
+SMOOTH_CASES = {
+    "certify-comparison-v-r201.json": (
+        ["certify", "comparison", "--theta",
+         str(CORPUS / "comparison.v.json"), "--box", "0:2,0:2",
+         "--resolution", "201"], "certify-report.json", EXIT_PASS),
 }
 
 # golden directory -> (argv, exit code); it holds every file the command
@@ -82,6 +97,11 @@ def test_piecewise_report_matches_golden(golden, tmp_path):
 @pytest.mark.parametrize("golden", sorted(MULTI_FAMILY_CASES))
 def test_multi_family_report_matches_golden(golden, tmp_path):
     _assert_matches_golden(golden, MULTI_FAMILY_CASES[golden], tmp_path)
+
+
+@pytest.mark.parametrize("golden", sorted(SMOOTH_CASES))
+def test_smooth_report_matches_golden(golden, tmp_path):
+    _assert_matches_golden(golden, SMOOTH_CASES[golden], tmp_path)
 
 
 @pytest.mark.parametrize("golden", sorted(VALIDATION_CASES))
