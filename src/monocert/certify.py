@@ -29,13 +29,24 @@ condition — the reported value is the worst across tied branches.
 condition is evaluated once per pattern and chunk, tied points included.
 
 All the checks of one request share one pass over the grid: each chunk is
-partitioned once, and per group the branch Jacobian, the vector field and
-the weights are evaluated once and read by every condition.  Each check
-still sees exactly the rows and the arithmetic it would see on its own.
+partitioned once, and per group the branch Jacobian and the vector field
+are evaluated once and read by every condition.  Each check still sees
+exactly the points and the arithmetic it would see on its own.
+
+The scan is points-last: a chunk of m points carries its Jacobians as
+(n, n, m), its coordinates, vector field and weights as (n, m), and each
+condition as (components, m), so every numpy call runs along the point
+axis.  The weights are separable, so they are evaluated once per axis of
+the grid and gathered at each chunk by the points' grid indices; the
+positivity check reads the same tables, and the equilibrium is scanned as
+a grid of one point.
 
 The reduction is deterministic: worst margin, ties broken by the
-lexicographically smallest grid index.  A NaN condition value counts as
-worse than every number, so it fails the check.
+lexicographically smallest grid index, then by the first tied branch and
+the first component.  A NaN condition value counts as worse than every
+number, so it fails the check.  Rows are located on per-point maxima, and
+the value and component are read off the winning point alone, so the
+reported value keeps its bits, zero sign included.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ DEFAULT_RESOLUTION = 41
 # not handed back to the OS and page-faulted anew (at 65536 points that
 # churn made guard-free 1201^2 scans about 12% slower)
 _CHUNK = 4096
+_MAX_POINTS = 2 ** 63 - 1   # grid indices are int64
 
 
 class CertifyError(ValueError):
@@ -99,6 +111,10 @@ class WorkingBox:
                 raise CertifyError(f"empty box axis [{lo}, {hi}]")
         if self.resolution < 2:
             raise CertifyError("resolution must be at least 2")
+        if self.n_points > _MAX_POINTS:
+            raise CertifyError(
+                f"a grid of {self.resolution}^{len(lows)} points is larger "
+                "than 2^63 - 1 points")
 
     @property
     def n(self) -> int:
@@ -106,7 +122,7 @@ class WorkingBox:
 
     @property
     def n_points(self) -> int:
-        return self.resolution ** self.n
+        return int(self.resolution) ** self.n
 
     def axes(self) -> list:
         return [np.linspace(lo, hi, self.resolution)
@@ -122,6 +138,10 @@ class WorkingBox:
     def contains(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         return all(lo - tol <= float(v) <= hi + tol
                    for lo, hi, v in zip(self.lows, self.highs, x))
+
+    @cached_property
+    def _grid(self) -> "_Grid":
+        return _Grid(self.axes())
 
     def validate_for(self, sys: SystemDef) -> None:
         if self.n != sys.n:
@@ -213,16 +233,58 @@ class CertReport:
 # Grid engine
 # ---------------------------------------------------------------------------
 
-def _iter_chunks(axes: list):
-    """Yield the full grid in chunks of points, in C (lexicographic) order."""
-    shape = tuple(len(a) for a in axes)
-    total = int(np.prod(shape))
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop)
-        multi = np.unravel_index(flat, shape)
-        X = np.stack([axes[d][multi[d]] for d in range(len(axes))], axis=1)
-        yield X
+class _Grid:
+    """The points of a grid, points-last, and weight tables on its axes.
+
+    Every axis has the same number r of points, and ``points`` is their
+    (n, r) table.  A batch of m grid points is addressed by the (n, m)
+    offsets ``r * i + index_i`` into any (n, r) table, so its coordinates
+    and every weight at it are each one ``take``.  A family's values and
+    derivatives on the axes are evaluated once per grid, and read by the
+    positivity check and by every chunk.
+    """
+
+    def __init__(self, axes: Sequence):
+        self.points = np.array(axes, dtype=float)
+        n, r = self.points.shape
+        self.n_points = r ** n       # a Python int: it does not wrap
+        self._tables: dict = {}
+
+    @staticmethod
+    def at(x: Sequence[float]) -> "_Grid":
+        """The one-point grid of the state x."""
+        return _Grid([[float(v)] for v in x])
+
+    def chunks(self):
+        """Yield the (n, m) offsets of every point, at most _CHUNK at a
+        time, in C (lexicographic) order."""
+        n, r = self.points.shape
+        for start in range(0, self.n_points, _CHUNK):
+            rest = np.arange(start, min(start + _CHUNK, self.n_points))
+            flat = np.empty((n, len(rest)), dtype=rest.dtype)
+            # np.unravel_index, without its slower division
+            for i in range(n - 1, 0, -1):
+                div = rest // r
+                flat[i] = rest - div * r + r * i
+                rest = div
+            flat[0] = rest
+            yield flat
+
+    def tables(self, fam: WeightFamily) -> tuple:
+        """(values, derivatives) of ``fam`` on the axes, each (n, r).
+
+        Keyed by identity: equal families may still differ in the sign of a
+        zero coefficient, and so in the sign of a zero result.  The family
+        is kept beside its tables, so its id is not reused meanwhile.
+        """
+        got = self._tables.get(id(fam))
+        if got is None:
+            comps = fam.components
+            got = self._tables[id(fam)] = (
+                fam,
+                np.array([c.value(ax) for c, ax in zip(comps, self.points)]),
+                np.array([c.deriv(ax) for c, ax in zip(comps, self.points)]))
+        return got[1:]
 
 
 _SIDE_NAMES = ("left", "right")
@@ -254,7 +316,7 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     takes both sides, so a group with ties is listed once per tied branch,
     in ``itertools.product`` order over the guards.
     Returns ``[(pattern, rows, tied)]``; the entries of one tied group
-    share the same ``rows`` array.
+    share the same ``rows`` array, whose indices increase.
     """
     if jb.n_guards == 0:
         return [((), np.arange(X.shape[0]), False)]
@@ -273,33 +335,64 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
 
 
 class _Sample:
-    """The rows of one partition group: the vector field and the weights
-    there, each evaluated at most once and read by every condition on
-    every tied branch of the group."""
+    """The points of one partition group, points-last: coordinates X
+    (n, m), and the vector field and the weights there, each evaluated at
+    most once and read by every condition on every tied branch of the
+    group."""
 
-    def __init__(self, jb: JacobianBranches, X: np.ndarray):
+    def __init__(self, jb: JacobianBranches, grid: _Grid, flat: np.ndarray,
+                 X: np.ndarray):
         self.jb = jb
+        self.grid = grid
+        self.flat = flat
         self.X = X
         self._weights: dict = {}
 
     @cached_property
     def f(self) -> np.ndarray:
-        return self.jb.sys.f_batch(self.X)
+        return self.jb.sys.f_batch(self.X.T).T
 
     def weights(self, fam: WeightFamily) -> tuple:
-        """(values, derivatives) of ``fam`` at the rows, each (m, n).
-
-        Keyed by identity: equal families may still differ in the sign of a
-        zero coefficient, and so in the sign of a zero result.
-        """
+        """(values, derivatives) of ``fam`` at the points, each (n, m)."""
         got = self._weights.get(id(fam))
         if got is None:
-            got = self._weights[id(fam)] = (
-                fam.axis_values(self.X), fam.axis_values(self.X, deriv=True))
+            got = self._weights[id(fam)] = tuple(
+                t.take(self.flat) for t in self.grid.tables(fam))
         return got
 
     def jacobian(self, pattern: tuple) -> np.ndarray:
-        return self.jb.branch_matrix(pattern).evaluate_batch(self.X)
+        """The branch Jacobian at the points, (n, n, m)."""
+        J = self.jb.branch_matrix(pattern).evaluate_batch(self.X.T)
+        return np.moveaxis(J, 0, -1)
+
+
+def _blocks(jb: JacobianBranches, grid: _Grid, flat: np.ndarray,
+            evaluators: Sequence) -> tuple:
+    """Every evaluator's condition blocks on one chunk of grid points.
+
+    Each ``evaluator(sample, J)`` returns the (c, m) condition components
+    at a ``_Sample`` with the branch Jacobian J there; all of them read one
+    partition, and one evaluation of J, f and the weights, per group.
+    Returns (blocks, n_tied): ``blocks[e]`` lists (rows, cond) per branch
+    in partition order, cond being evaluator e's components at those rows
+    of the chunk; a tied row is in one block per tied branch.
+    """
+    X = grid.points.take(flat)
+    groups = partition(jb, X.T)
+    blocks = [[] for _ in evaluators]
+    n_tied = 0
+    group_rows = None
+    for pattern, rows, tied in groups:
+        # the branches of one tied group share its rows array
+        if rows is not group_rows:
+            group_rows = rows
+            sample = (_Sample(jb, grid, flat, X) if len(groups) == 1 else
+                      _Sample(jb, grid, flat[:, rows], X[:, rows]))
+            n_tied += len(rows) if tied else 0
+        J = sample.jacobian(pattern)
+        for ev, blk in zip(evaluators, blocks):
+            blk.append((rows, ev(sample, J)))
+    return blocks, n_tied
 
 
 def _worse(v, cur):
@@ -308,113 +401,91 @@ def _worse(v, cur):
     return (v > cur) | (np.isnan(v) & ~np.isnan(cur))
 
 
-def _worst_component(cond: np.ndarray) -> tuple:
-    """Per-row worst value and the component attaining it (first NaN wins)."""
-    comps = np.argmax(cond, axis=1)
-    return cond[np.arange(cond.shape[0]), comps], comps
+def _worst(m: int, blocks: list) -> tuple:
+    """The worst entry of condition blocks covering rows 0..m-1:
+    (row, component, value).
 
-
-def _reduce(jb: JacobianBranches, X: np.ndarray, evaluators: Sequence,
-            componentwise: bool = False) -> tuple:
-    """Condition values at the rows of X, worst over each row's tied branches.
-
-    Each ``evaluator(sample, J)`` returns the (m, c) condition components
-    at a ``_Sample`` with the branch Jacobian J there; all of them read one
-    partition, and one evaluation of J, f and the weights, per group.
-    Returns (results, n_tied) with one result per evaluator.  By default a
-    result is (vals (m,), comps (m,)): the worst component per point,
-    supplied by the first tied branch (in product order) attaining it.
-    With ``componentwise`` the evaluators must return n = sys.n components
-    and a result is (values (m, n), None), the componentwise max over tied
-    branches.
+    It is the entry that scanning argmax-first gives: the first row with
+    the worst value; at it, the first block (tied branch) attaining it; in
+    that, the first component.  A NaN is worse than every number.  Rows
+    are found on the blocks' per-row maxima, which may differ from the
+    entries in the sign of a zero, so the component and the value are
+    read off the one winning column.
     """
-    groups = partition(jb, X)
-    if len(groups) == 1 and not groups[0][2]:
-        # one untied group covers the chunk: no scatter needed
-        sample = _Sample(jb, X)
-        J = sample.jacobian(groups[0][0])
-        conds = [ev(sample, J) for ev in evaluators]
-        if componentwise:
-            return [(cond, None) for cond in conds], 0
-        return [_worst_component(cond) for cond in conds], 0
-
-    m = X.shape[0]
-    results = [(np.full((m, jb.sys.n) if componentwise else m, -np.inf),
-                None if componentwise else np.zeros(m, dtype=np.int64))
-               for _ in evaluators]
-    tied_rows = np.zeros(m, dtype=bool)
-    group_rows = None
-    for pattern, rows, tied in groups:
-        # the branches of one tied group share its rows array
-        if rows is not group_rows:
-            group_rows, sample = rows, _Sample(jb, X[rows])
-        if tied:
-            tied_rows[rows] = True
-        J = sample.jacobian(pattern)
-        for ev, (vals, comps) in zip(evaluators, results):
-            cond = ev(sample, J)
-            if componentwise:
-                vals[rows] = np.maximum(vals[rows], cond)
-                continue
-            v, c = _worst_component(cond)
-            at = rows
-            if tied:
-                upd = _worse(v, vals[rows])
-                at, v, c = rows[upd], v[upd], c[upd]
-            vals[at] = v
-            comps[at] = c
-    return results, int(tied_rows.sum())
+    if len(blocks) == 1:
+        (rows, cond), = blocks
+        k = int(np.argmax(cond.max(axis=0)))
+    else:
+        vals = np.full(m, -np.inf)
+        owner = np.full(m, -1)
+        for b, (rows, cond) in enumerate(blocks):
+            v = cond.max(axis=0)
+            upd = (owner[rows] < 0) | _worse(v, vals[rows])
+            vals[rows[upd]] = v[upd]
+            owner[rows[upd]] = b
+        r = int(np.argmax(vals))
+        rows, cond = blocks[owner[r]]
+        k = int(np.searchsorted(rows, r))
+    col = cond[:, k]
+    c = int(np.argmax(col))
+    return int(rows[k]), c, col[c]
 
 
-def _scan_grid(jb: JacobianBranches, box: WorkingBox,
-               evaluators: Sequence) -> tuple:
+def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence) -> tuple:
     """Worst value of every evaluator over the whole grid, in one pass.
 
-    Returns ([(worst, witness_point, witness_comp)], n_ties).
+    Returns ([(worst, witness_point, witness_comp)], n_tied).
     Deterministic: each witness is the first (lexicographically smallest)
     grid point attaining its worst value, or the first NaN.
     """
     worst = [(-np.inf, None, 0)] * len(evaluators)
-    n_ties = 0
-    for X in _iter_chunks(box.axes()):
-        results, ties = _reduce(jb, X, evaluators)
-        n_ties += ties
-        for e, (vals, comps) in enumerate(results):
-            k = int(np.argmax(vals))
+    n_tied = 0
+    for flat in grid.chunks():
+        blocks, tied = _blocks(jb, grid, flat, evaluators)
+        n_tied += tied
+        for e, blk in enumerate(blocks):
+            row, comp, value = _worst(flat.shape[1], blk)
             # even an all--inf grid (vacuous conditions) must produce a witness
-            if worst[e][1] is None or _worse(vals[k], worst[e][0]):
-                worst[e] = (float(vals[k]), X[k], int(comps[k]))
-    return worst, n_ties
-
-
-def _eval_at_point(jb: JacobianBranches, x: Sequence[float],
-                   evaluators: Sequence) -> list:
-    """Worst value of every evaluator at one point over all tied branches."""
-    X = np.asarray([list(map(float, x))])
-    results, _ = _reduce(jb, X, evaluators)
-    return [float(vals[0]) for vals, _ in results]
+            if worst[e][1] is None or _worse(value, worst[e][0]):
+                worst[e] = (float(value), grid.points.take(flat[:, row]), comp)
+    return worst, n_tied
 
 
 # ---------------------------------------------------------------------------
-# Condition evaluators: (_Sample, J) -> (m, components) array
+# Condition evaluators: (_Sample, J) -> (components, m) array
 # ---------------------------------------------------------------------------
 
 def _kamke_eval(s: _Sample, J: np.ndarray) -> np.ndarray:
-    m, n, _ = J.shape
-    off = -J.reshape(m, n * n)
+    n = J.shape[0]
+    off = -J.reshape(n * n, -1)
     # diagonal entries carry no Metzler constraint; mask them out (a
     # scalar system is vacuously Metzler)
-    off[:, ::n + 1] = -np.inf
+    off[::n + 1] = -np.inf
     return off
+
+
+def _column_sums(w: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """theta^T J: component j is the sum over i of w_i J_ij, in order of i."""
+    return sum(w[i] * J[i] for i in range(len(w)))
+
+
+def _row_sums(w: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """J omega: component i is the sum over j of J_ij w_j, as two partial
+    sums, over even and over odd j, added last."""
+    terms = [J[:, j] * w[j] for j in range(len(w))]
+    return sum(terms[0::2]) + sum(terms[1::2])
 
 
 # The weighted conditions, by mode: the weight kind, the contraction of the
 # weights w with the Jacobian J, and the sign of the wdot * f term.
 #   sum: theta^T J + thetadot^T   (component j: column j)
 #   max: J omega - omegadot       (component i: row i)
+# Both sums start from Python's 0 and add in the order np.einsum did on
+# points-first arrays, so every value keeps its bits, zero signs included
+# (checked for n <= 7).
 _CONDITIONS = {
-    "sum": ("theta", lambda w, J: np.einsum("mi,mij->mj", w, J), 1.0),
-    "max": ("omega", lambda w, J: np.einsum("mij,mj->mi", J, w), -1.0),
+    "sum": ("theta", _column_sums, 1.0),
+    "max": ("omega", _row_sums, -1.0),
 }
 
 
@@ -475,14 +546,13 @@ def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
     Violations are errors (the checks' hypotheses are simply absent), not
     fail verdicts.
     """
-    axes = box.axes()
+    grid = box._grid
     lo = math.inf
     hi = -math.inf
-    for i, comp in enumerate(fam.components):
-        vals = np.asarray(comp.value(axes[i]), dtype=float)
+    for i, vals in enumerate(grid.tables(fam)[0]):
         k = int(np.argmin(vals))   # a NaN minimum is skipped, as by min()
         if vals[k] < lo:
-            lo, where = float(vals[k]), (i + 1, axes[i][k])
+            lo, where = float(vals[k]), (i + 1, grid.points[i, k])
         hi = max(hi, float(np.max(vals)))
     if lo <= 1e-12:
         raise CertifyError(
@@ -581,12 +651,13 @@ def _certify(sys: SystemDef, box: WorkingBox, specs: Sequence[_Spec],
     """Run validated specs in one grid pass; one report per spec."""
     box.validate_for(sys)
     jb = jacobian(sys)
-    scans, ties = _scan_grid(jb, box, [s.evaluator for s in specs])
+    scans, ties = _scan(jb, box._grid, [s.evaluator for s in specs])
     eq_specs = [s for s in specs if s.needs_eq]
-    eq_margins = (_eval_at_point(jb, _require_equilibrium(sys),
-                                 [s.evaluator for s in eq_specs])
-                  if eq_specs else [])
-    eq = iter(eq_margins)
+    # the equilibrium is the one point of its own grid
+    eq_scans = (_scan(jb, _Grid.at(_require_equilibrium(sys)),
+                      [s.evaluator for s in eq_specs])[0]
+                if eq_specs else [])
+    eq = iter(value for value, _, _ in eq_scans)
     return [_finish(s, box, scan, ties, next(eq) if s.needs_eq else None, eps)
             for s, scan in zip(specs, scans)]
 
@@ -703,13 +774,26 @@ def certify_all(sys: SystemDef,
 
 def _grid_values(sys: SystemDef, box: WorkingBox, evaluator: Callable,
                  componentwise: bool = False) -> np.ndarray:
-    """One evaluator's per-point values over the grid, chunk by chunk."""
+    """One evaluator's values at every grid point, worst over the point's
+    tied branches: of its worst component, first max (points,), or with
+    ``componentwise`` of each component, (points, components)."""
     jb = jacobian(sys)
+    grid = box._grid
     out = []
-    for X in _iter_chunks(box.axes()):
-        [(vals, _)], _ = _reduce(jb, X, [evaluator], componentwise)
+    for flat in grid.chunks():
+        [blocks], _ = _blocks(jb, grid, flat, [evaluator])
+        m = flat.shape[1]
+        vals = np.full((len(blocks[0][1]), m) if componentwise else m,
+                       -np.inf)
+        for rows, cond in blocks:
+            if componentwise:
+                vals[:, rows] = np.maximum(vals[:, rows], cond)
+                continue
+            v = cond[np.argmax(cond, axis=0), np.arange(len(rows))]
+            upd = _worse(v, vals[rows])
+            vals[rows[upd]] = v[upd]
         out.append(vals)
-    return np.concatenate(out, axis=0)
+    return np.concatenate(out, axis=-1).T
 
 
 def grid_condition_values(sys: SystemDef, weights, box: WorkingBox,

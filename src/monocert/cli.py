@@ -112,7 +112,7 @@ def _resolve_box(cfg: RunConfig, sys: SystemDef) -> WorkingBox:
     try:
         box = (WorkingBox.from_string(cfg.box) if cfg.box
                else WorkingBox.default_for(sys))
-        if cfg.resolution:
+        if cfg.resolution is not None:
             box = box.with_resolution(cfg.resolution)
         box.validate_for(sys)
     except ValueError as exc:
@@ -377,6 +377,9 @@ def run(config: RunConfig) -> int:
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command: {config.command}")
+    # also where no box is built from it (simulate without --random)
+    if config.resolution is not None and config.resolution < 2:
+        raise UsageError("resolution must be at least 2")
     return handler(config)
 
 

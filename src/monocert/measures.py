@@ -13,12 +13,16 @@ implication is what all the certification checks are built on.
 
 :class:`WeightFamily` holds per-coordinate scalar weights (constants,
 polynomials, or reciprocals of polynomials in the single coordinate).
-``_scaled_jacobian`` is the one routine, batched over points, that builds
+``_scaled_jacobian`` is the one routine that builds
 
     Jtilde = Thetadot * Theta^-1 + Theta * J * Theta^-1
 
 for Theta(x) = diag(theta_i(x_i)), or diag(1/omega_i(x_i)), along a
-vector field; ``weighted_jacobian`` is its one-point call.
+vector field, and ``_measure_terms`` the one that reads the measure's
+column or row terms off it.  Both take matrices points-last: an (n, n)
+matrix, or (n, n, m) for m points, with (n,) or (n, m) vectors beside it,
+so every numpy call runs along the long point axis.  ``mu1``, ``mu_inf``
+and ``weighted_jacobian`` are their calls without a point axis.
 """
 
 from __future__ import annotations
@@ -37,12 +41,19 @@ __all__ = [
 ]
 
 
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """The diagonal of (n, n, ...) matrices as an (n, ...) view, when A is
+    contiguous: rows of a points-last stack, each contiguous itself."""
+    n = A.shape[0]
+    return A.reshape((n * n,) + A.shape[2:])[::n + 1]
+
+
 def _measure_terms(A: np.ndarray, norm: str) -> np.ndarray:
-    """Column (l1) or row (linf) terms of the measure of matrices (..., n, n):
-    the diagonal entry plus the off-diagonal magnitudes.  Their max is mu."""
-    idx = np.arange(A.shape[-1])
-    d = A[..., idx, idx]   # a copy: the strided np.diagonal view is slower
-    return np.sum(np.abs(A), axis=-2 if norm == "l1" else -1) - np.abs(d) + d
+    """Column (l1) or row (linf) terms of the measure of matrices (n, n, ...):
+    the diagonal entry plus the off-diagonal magnitudes, shape (n, ...).
+    Their max is mu."""
+    d = _diagonal(A)
+    return np.sum(np.abs(A), axis=0 if norm == "l1" else 1) - np.abs(d) + d
 
 
 def mu1(A: np.ndarray) -> float:
@@ -224,22 +235,21 @@ class WeightFamily:
 
 def _scaled_jacobian(kind: str, J: np.ndarray, w: np.ndarray, dw: np.ndarray,
                      F: np.ndarray, check: bool = False) -> np.ndarray:
-    """Theta J Theta^-1 + Thetadot Theta^-1 at m points, shape (m, n, n).
+    """Theta J Theta^-1 + Thetadot Theta^-1, shape (n, n, ...) as ``J``.
 
-    ``J`` holds the (m, n, n) Jacobians; ``w``, ``dw`` and ``F`` are the
-    (m, n) weights of kind ``kind``, their derivatives and the vector field.
-    Theta = diag(w) for 'theta' and diag(1/w) for 'omega', and
-    Thetadot_ii = (d Theta_ii / d x_i) * f_i.  With ``check`` a Theta that
-    is not positive raises ValueError.
+    ``J`` is one (n, n) Jacobian or (n, n, m) at m points; ``w``, ``dw``
+    and ``F`` are the (n,) or (n, m) weights of kind ``kind``, their
+    derivatives and the vector field.  Theta = diag(w) for 'theta' and
+    diag(1/w) for 'omega', and Thetadot_ii = (d Theta_ii / d x_i) * f_i.
+    With ``check`` a Theta that is not positive raises ValueError.
     """
     if kind == "omega":
         dw = -dw / (w * w)
         w = 1.0 / w
     if check and np.any(w <= 0.0):
         raise ValueError("diagonal scaling must stay positive on the domain")
-    idx = np.arange(J.shape[-1])
-    out = (w[:, :, None] / w[:, None, :]) * J
-    out[:, idx, idx] += dw * F / w
+    out = (w[:, None] / w[None, :]) * J
+    _diagonal(out)[...] += dw * F / w
     return out
 
 
@@ -252,8 +262,8 @@ def weighted_jacobian(J: np.ndarray, weights: WeightFamily,
     numeric.  Theta is the diagonal scaling of ``weights`` and
     Thetadot_ii = (d Theta_ii / d x_i) * f_i(x).
     """
-    X = np.asarray(x, dtype=float)[None, :]
-    return _scaled_jacobian(weights.kind, np.asarray(J, dtype=float)[None],
-                            weights.axis_values(X),
-                            weights.axis_values(X, deriv=True),
-                            np.asarray(f_at_x, dtype=float)[None], check=True)[0]
+    x = np.asarray(x, dtype=float)
+    return _scaled_jacobian(weights.kind, np.asarray(J, dtype=float),
+                            weights.axis_values(x),
+                            weights.axis_values(x, deriv=True),
+                            np.asarray(f_at_x, dtype=float), check=True)

@@ -462,6 +462,12 @@ def compile_expr(e) -> Callable:
     stack-slot local, so the generated code has no nesting that grows with
     the expression, and a whole vector field or matrix costs one Python
     call.  Each call builds a new kernel; callers keep it.
+
+    The storage is component-major, the nesting's shape plus (m,), so each
+    entry is written as one contiguous row; the kernel returns the (m, ...)
+    view of it, and ``np.moveaxis(out, 0, -1)`` is that storage again.
+    A column ``X[:, i]`` is read fastest when X is itself the transposed
+    view of an (n, m) array.
     """
     entries = np.array(e, dtype=object)    # expressions are its scalars
     consts: dict = {}
@@ -471,11 +477,12 @@ def compile_expr(e) -> Callable:
                 "        raise ValueError('expression references t but no "
                 "time was given')"]
     src += ["    X = np.asarray(X, dtype=float)",
-            f"    out = np.empty((X.shape[0],) + {entries.shape!r})"]
+            f"    out = np.empty({entries.shape!r} + (X.shape[0],))"]
     for idx, entry in np.ndenumerate(entries):
         _emit(entry, src, consts)
-        src.append(f"    out[{', '.join([':', *map(str, idx)])}] = _s0")
-    src.append("    return out")
+        src.append(f"    out[{', '.join([*map(str, idx), ':'])}] = _s0")
+    points_first = (entries.ndim, *range(entries.ndim))
+    src.append(f"    return out.transpose({points_first!r})")
     return _define(src, consts)["_f"]
 
 

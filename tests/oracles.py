@@ -12,7 +12,9 @@ Expressions are evaluated here by a recursive tree walk in Python floats
 active branch patterns of a point come from the per-point tie rule.  The
 package evaluates only through generated numpy kernels and finds branches
 only through ``certify.partition``, so these are independent references
-for both.  The RK4 references are the four-call form of a step over
+for both.  The worst entry of condition blocks is found by an
+argmax-first scan in Python floats, one entry at a time, where the package
+locates rows on numpy maxima first.  The RK4 references are the four-call form of a step over
 ``f_batch`` (bit for bit what the step kernel must give) and one step of one
 point in Python floats.
 """
@@ -213,3 +215,28 @@ def scaled_jacobian_at(fam, J, x, f) -> np.ndarray:
     T = np.diag(th)
     T_inv = np.linalg.inv(T)
     return T @ np.asarray(J) @ T_inv + np.diag(np.asarray(dth) * f) @ T_inv
+
+
+def worst_entry(m: int, blocks) -> tuple:
+    """The worst entry of condition blocks by an argmax-first scan:
+    (row, component, value).
+
+    ``blocks`` lists (rows, cond), cond[c][k] being component c at row
+    rows[k]; a row may lie in several blocks (its tied branches), and the
+    blocks cover rows 0..m-1.  The scan visits the rows in order, at each
+    row its blocks in list order, in each block the components in order.
+    An entry replaces the worst so far when it is larger, or when it is a
+    NaN and the worst so far is not, so the first entry attaining the worst
+    value wins and its value is returned as it is, zero sign included.
+    """
+    best = None
+    for r in range(m):
+        for rows, cond in blocks:
+            hits = [k for k, row in enumerate(rows) if row == r]
+            for k in hits:
+                for c in range(len(cond)):
+                    v = float(cond[c][k])
+                    if best is None or v > best[2] or (
+                            math.isnan(v) and not math.isnan(best[2])):
+                        best = (r, c, v)
+    return best

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monocert import sysdsl
+from monocert import certify, sysdsl
 from monocert.certify import (
-    DEFAULT_EPS, CertifyError, WorkingBox, _positivity_check, certify_all,
+    _CONDITIONS, DEFAULT_EPS, CertifyError, WorkingBox, _positivity_check,
+    _worst, certify_all,
     check_cor1, check_cor2, check_cor3, check_kamke, check_thm1, check_thm2,
     grid_condition_values, grid_mu_values, partition, row_groups,
 )
@@ -20,7 +23,8 @@ from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
 from conftest import (CORPUS, linear_system, load_family, load_system,
                       random_family)
-from oracles import field_at, matrix_at, patterns_at, scaled_jacobian_at
+from oracles import (field_at, matrix_at, patterns_at, scaled_jacobian_at,
+                     worst_entry)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -46,6 +50,18 @@ def test_box_from_string_rejects(bad):
 def test_box_resolution_floor():
     with pytest.raises(CertifyError, match="resolution"):
         WorkingBox((0.0,), (1.0,), resolution=1)
+
+
+def test_box_point_count_is_exact_and_bounded():
+    """Grids are counted in Python ints and refused above int64 indices:
+    2^63 - 1 points is the largest grid, 65537^4 ~ 1.8e19 is refused."""
+    assert WorkingBox((0.0,), (1.0,), 2 ** 63 - 1).n_points == 2 ** 63 - 1
+    assert WorkingBox((0.0,) * 3, (1.0,) * 3, 2 ** 21 - 1).n_points == \
+        (2 ** 21 - 1) ** 3
+    for n, resolution in ((1, 2 ** 63), (3, 2 ** 21), (4, 65536),
+                          (4, 65537), (64, 3)):
+        with pytest.raises(CertifyError, match="2\\^63 - 1"):
+            WorkingBox((0.0,) * n, (1.0,) * n, resolution)
 
 
 def test_box_refined_is_superset():
@@ -316,6 +332,74 @@ def test_partition_matches_tree_walking_patterns(traffic4, resolution, ties):
     assert covering == [patterns_at(jb, x) for x in X]
     assert sum(len(p) > 1 for p in covering) == ties
     assert check_kamke(traffic4, box).branch_ties == ties
+
+
+# condition values with NaN, both zeros and repeated maxima
+_TIE_VALUES = st.sampled_from([np.nan, 0.0, -0.0, 1.0, -1.0, 2.0, -np.inf,
+                               np.inf])
+
+
+@st.composite
+def _condition_blocks(draw):
+    """m rows split into groups (not in row order), each group with 1 to 3
+    blocks (tied branches) of c components."""
+    m = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 4))
+    group_of = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    blocks = []
+    for g in draw(st.permutations(sorted(set(group_of)))):
+        rows = np.array([r for r in range(m) if group_of[r] == g])
+        for _ in range(draw(st.integers(1, 3))):
+            vals = draw(st.lists(_TIE_VALUES, min_size=c * len(rows),
+                                 max_size=c * len(rows)))
+            blocks.append((rows, np.array(vals).reshape(c, len(rows))))
+    return m, blocks
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_condition_blocks())
+def test_worst_entry_matches_the_argmax_first_oracle(case):
+    """Rows are located on numpy maxima, whose zero sign may differ from
+    the entries' (np.maximum(0.0, -0.0) can return -0.0), so the row, the
+    component and the value bits must still be the argmax-first scan's."""
+    m, blocks = case
+    row, comp, value = _worst(m, blocks)
+    want_row, want_comp, want_value = worst_entry(m, blocks)
+    assert (row, comp) == (want_row, want_comp)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_contractions_keep_the_points_first_einsum_bits(n):
+    """theta^T J and J omega on points-last arrays give, bit for bit and
+    zero signs included, what np.einsum gave on (m, n, n) Jacobians, so
+    reports do not move with the layout."""
+    rng = np.random.default_rng(60 + n)
+    J = rng.normal(size=(257, n, n)) * 10.0 ** rng.integers(-8, 9, (257, n, n))
+    w = rng.normal(size=(257, n)) * 10.0 ** rng.integers(-8, 9, (257, n))
+    for a in (J, w):
+        a[rng.random(a.shape) < 0.15] = 0.0
+        a[rng.random(a.shape) < 0.15] = -0.0
+    for mode, spec in (("sum", "mi,mij->mj"), ("max", "mij,mj->mi")):
+        got = _CONDITIONS[mode][1](w.T, np.moveaxis(J, 0, -1)).T
+        want = np.einsum(spec, *((w, J) if mode == "sum" else (J, w)))
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), mode
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_reports_do_not_depend_on_the_chunk_size(traffic4, chunk, monkeypatch):
+    """The first worst point wins across chunk boundaries too: tied
+    traffic4 grids, with both families, give the same reports in chunks of
+    1, 5 and 64 points as in one chunk."""
+    box = WorkingBox.default_for(traffic4, 7)
+    fams = [load_family("traffic4.v.json"),
+            WeightFamily.from_jsonable(
+                json.loads((GOLDEN / "traffic4.w.json").read_text()))]
+    monkeypatch.setattr(certify, "_CHUNK", box.n_points)
+    want = [r.to_jsonable() for r in certify_all(traffic4, fams, box)]
+    monkeypatch.setattr(certify, "_CHUNK", chunk)
+    got = [r.to_jsonable() for r in certify_all(traffic4, fams, box)]
+    assert json.dumps(got) == json.dumps(want)
 
 
 def _hole_system(at: int, hi: int):

@@ -353,6 +353,28 @@ def test_run_config_unknown_command():
         run(RunConfig(command="fly", system="ex1"))
 
 
+@pytest.mark.parametrize("resolution", ["-1", "0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "linear_sym"],
+    ["synth", "linear_sym"],
+    ["simulate", "linear_sym", "--x0", "1,1", "--t-end", "0.01"],
+    ["contract", "linear_sym", "--theta", LINEAR_THETA, "--pairs", "1"],
+])
+def test_resolution_below_two_is_usage(argv, resolution, tmp_path, capsys):
+    code = main(argv + ["--resolution", resolution, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "resolution must be at least 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_beyond_int64_is_usage(tmp_path, capsys):
+    """65536^4 = 2^64 points; counted in int64 they wrap to 0."""
+    code = main(["certify", "traffic4", "--resolution", "65536",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "2^63 - 1" in capsys.readouterr().err
+
+
 def test_bad_vector_is_usage(tmp_path, capsys):
     code = main(["simulate", "ex1", "--x0", "one,two", "--t-end", "0.1",
                  "--out", str(tmp_path)])

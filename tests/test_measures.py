@@ -187,9 +187,11 @@ def test_family_axis_values_for_both_kinds(ex1_theta, ex1_omega):
     # omega scales as Theta = diag(1/omega) = (0.5, 3): with J all ones and
     # f = 0 the scaled Jacobian is Theta_i / Theta_j
     x = X[:1]
-    out = _scaled_jacobian("omega", np.ones((1, 2, 2)), ex1_omega.axis_values(x),
-                           ex1_omega.axis_values(x, deriv=True), np.zeros((1, 2)))
-    np.testing.assert_allclose(out[0], [[1.0, 0.5 / 3.0], [6.0, 1.0]])
+    out = _scaled_jacobian("omega", np.ones((2, 2, 1)),
+                           ex1_omega.axis_values(x).T,
+                           ex1_omega.axis_values(x, deriv=True).T,
+                           np.zeros((2, 1)))
+    np.testing.assert_allclose(out[..., 0], [[1.0, 0.5 / 3.0], [6.0, 1.0]])
 
 
 def test_family_axis_values_deriv_chain_rule(ex1_theta, ex1_omega):
@@ -204,10 +206,10 @@ def test_family_axis_values_deriv_chain_rule(ex1_theta, ex1_omega):
         bwd = fam.axis_values(x - h * f) ** power
         num = (fwd - bwd) / (2 * h) / fam.axis_values(x) ** power
         X = x[None, :]
-        out = _scaled_jacobian(fam.kind, np.zeros((1, 2, 2)),
-                               fam.axis_values(X),
-                               fam.axis_values(X, deriv=True), f[None, :])
-        np.testing.assert_allclose(out[0], np.diag(num), atol=1e-6)
+        out = _scaled_jacobian(fam.kind, np.zeros((2, 2, 1)),
+                               fam.axis_values(X).T,
+                               fam.axis_values(X, deriv=True).T, f[:, None])
+        np.testing.assert_allclose(out[..., 0], np.diag(num), atol=1e-6)
 
 
 def test_density_is_theta_or_reciprocal_omega(ex1_theta, ex1_omega):
@@ -316,9 +318,10 @@ def test_scaled_jacobian_rows_match_matrix_product_oracle(kind):
         J = rng.normal(size=(40, n, n))
         X = rng.uniform(0.0, 1.0, size=(40, n))
         F = rng.normal(size=(40, n))
-        out = _scaled_jacobian(kind, J, fam.axis_values(X),
-                               fam.axis_values(X, deriv=True), F)
+        out = _scaled_jacobian(kind, np.moveaxis(J, 0, -1),
+                               fam.axis_values(X).T,
+                               fam.axis_values(X, deriv=True).T, F.T)
         for k in range(40):
             np.testing.assert_allclose(
-                out[k], scaled_jacobian_at(fam, J[k], X[k], F[k]),
+                out[..., k], scaled_jacobian_at(fam, J[k], X[k], F[k]),
                 rtol=1e-12, atol=1e-12)
