@@ -55,7 +55,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -77,7 +77,9 @@ DEFAULT_RESOLUTION = 41
 # max grid points evaluated per batch; small enough that one batch's numpy
 # temporaries are served again from the allocator's heap by the next batch,
 # not handed back to the OS and page-faulted anew (at 65536 points that
-# churn made guard-free 1201^2 scans about 12% slower)
+# churn made guard-free 1201^2 scans about 12% slower).  On the points-last
+# scan, 8192 and 16384 made the guard-free benchmark 10-25% slower and its
+# peak RSS 2-5 MB higher, though the tied traffic4 grids 10-15% faster.
 _CHUNK = 4096
 _MAX_POINTS = 2 ** 63 - 1   # grid indices are int64
 
@@ -255,9 +257,15 @@ class _Grid:
         """The one-point grid of the state x."""
         return _Grid([[float(v)] for v in x])
 
+    def point(self, index: int) -> np.ndarray:
+        """The point with grid index ``index`` in C order."""
+        n, r = self.points.shape
+        return self.points[np.arange(n), np.unravel_index(index, (r,) * n)]
+
     def chunks(self):
-        """Yield the (n, m) offsets of every point, at most _CHUNK at a
-        time, in C (lexicographic) order."""
+        """Yield (start, offsets) for every point, at most _CHUNK at a
+        time, in C (lexicographic) order: the (n, m) offsets of the points
+        with grid indices start, start + 1, ..."""
         n, r = self.points.shape
         for start in range(0, self.n_points, _CHUNK):
             rest = np.arange(start, min(start + _CHUNK, self.n_points))
@@ -268,7 +276,7 @@ class _Grid:
                 flat[i] = rest - div * r + r * i
                 rest = div
             flat[0] = rest
-            yield flat
+            yield start, flat
 
     def tables(self, fam: WeightFamily) -> tuple:
         """(values, derivatives) of ``fam`` on the axes, each (n, r).
@@ -336,9 +344,9 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
 
 class _Sample:
     """The points of one partition group, points-last: coordinates X
-    (n, m), and the vector field and the weights there, each evaluated at
-    most once and read by every condition on every tied branch of the
-    group."""
+    (n, m), the vector field there, evaluated at most once, and the weights,
+    gathered at most once; each is read by every condition on every tied
+    branch of the group."""
 
     def __init__(self, jb: JacobianBranches, grid: _Grid, flat: np.ndarray,
                  X: np.ndarray):
@@ -363,36 +371,22 @@ class _Sample:
     def jacobian(self, pattern: tuple) -> np.ndarray:
         """The branch Jacobian at the points, (n, n, m)."""
         J = self.jb.branch_matrix(pattern).evaluate_batch(self.X.T)
-        return np.moveaxis(J, 0, -1)
+        return J.transpose(1, 2, 0)
 
 
-def _blocks(jb: JacobianBranches, grid: _Grid, flat: np.ndarray,
-            evaluators: Sequence) -> tuple:
-    """Every evaluator's condition blocks on one chunk of grid points.
-
-    Each ``evaluator(sample, J)`` returns the (c, m) condition components
-    at a ``_Sample`` with the branch Jacobian J there; all of them read one
-    partition, and one evaluation of J, f and the weights, per group.
-    Returns (blocks, n_tied): ``blocks[e]`` lists (rows, cond) per branch
-    in partition order, cond being evaluator e's components at those rows
-    of the chunk; a tied row is in one block per tied branch.
-    """
+def _groups(jb: JacobianBranches, grid: _Grid, flat: np.ndarray):
+    """Yield (rows, tied, sample, patterns) for every partition group of a
+    chunk of grid points: the group's rows of the chunk, whether a guard
+    ties there, its ``_Sample`` and its branch patterns in product order."""
     X = grid.points.take(flat)
     groups = partition(jb, X.T)
-    blocks = [[] for _ in evaluators]
-    n_tied = 0
-    group_rows = None
-    for pattern, rows, tied in groups:
-        # the branches of one tied group share its rows array
-        if rows is not group_rows:
-            group_rows = rows
-            sample = (_Sample(jb, grid, flat, X) if len(groups) == 1 else
-                      _Sample(jb, grid, flat[:, rows], X[:, rows]))
-            n_tied += len(rows) if tied else 0
-        J = sample.jacobian(pattern)
-        for ev, blk in zip(evaluators, blocks):
-            blk.append((rows, ev(sample, J)))
-    return blocks, n_tied
+    # the branches of one tied group share its rows array
+    for _, entries in groupby(groups, key=lambda g: id(g[1])):
+        entries = list(entries)
+        _, rows, tied = entries[0]
+        sample = (_Sample(jb, grid, flat, X) if len(groups) == 1 else
+                  _Sample(jb, grid, flat[:, rows], X[:, rows]))
+        yield rows, tied, sample, [pattern for pattern, _, _ in entries]
 
 
 def _worse(v, cur):
@@ -401,54 +395,49 @@ def _worse(v, cur):
     return (v > cur) | (np.isnan(v) & ~np.isnan(cur))
 
 
-def _worst(m: int, blocks: list) -> tuple:
-    """The worst entry of condition blocks covering rows 0..m-1:
-    (row, component, value).
+def _worst(best: Optional[tuple], rows: np.ndarray,
+           cond: np.ndarray) -> tuple:
+    """The worst entry so far, (row, component, value), after one more
+    condition block: cond (c, len(rows)) holds the components at ``rows``.
 
-    It is the entry that scanning argmax-first gives: the first row with
-    the worst value; at it, the first block (tied branch) attaining it; in
-    that, the first component.  A NaN is worse than every number.  Rows
-    are found on the blocks' per-row maxima, which may differ from the
-    entries in the sign of a zero, so the component and the value are
-    read off the one winning column.
+    Folded over the blocks of a partition, the tied branches of a group in
+    product order, it gives the entry that an argmax-first scan gives: the first row with the
+    worst value; at it, the first block (tied branch) attaining it; in
+    that, the first component.  A NaN is worse than every number.  Each
+    block's row is found on its per-row maxima, which may differ from the
+    entries in the sign of a zero, so the component and the value are read
+    off that one column.
     """
-    if len(blocks) == 1:
-        (rows, cond), = blocks
-        k = int(np.argmax(cond.max(axis=0)))
-    else:
-        vals = np.full(m, -np.inf)
-        owner = np.full(m, -1)
-        for b, (rows, cond) in enumerate(blocks):
-            v = cond.max(axis=0)
-            upd = (owner[rows] < 0) | _worse(v, vals[rows])
-            vals[rows[upd]] = v[upd]
-            owner[rows[upd]] = b
-        r = int(np.argmax(vals))
-        rows, cond = blocks[owner[r]]
-        k = int(np.searchsorted(rows, r))
+    k = int(np.argmax(cond.max(axis=0)))
     col = cond[:, k]
     c = int(np.argmax(col))
-    return int(rows[k]), c, col[c]
+    if (best is None or _worse(col[c], best[2])
+            or (not _worse(best[2], col[c]) and rows[k] < best[0])):
+        return int(rows[k]), c, col[c]
+    return best
 
 
 def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence) -> tuple:
     """Worst value of every evaluator over the whole grid, in one pass.
 
+    Each ``evaluator(sample, J)`` returns the (c, m) condition components
+    at a ``_Sample`` with the branch Jacobian J there; all of them read one
+    partition, and one evaluation of J, f and the weights, per group.
     Returns ([(worst, witness_point, witness_comp)], n_tied).
     Deterministic: each witness is the first (lexicographically smallest)
     grid point attaining its worst value, or the first NaN.
     """
-    worst = [(-np.inf, None, 0)] * len(evaluators)
+    worst = [None] * len(evaluators)
     n_tied = 0
-    for flat in grid.chunks():
-        blocks, tied = _blocks(jb, grid, flat, evaluators)
-        n_tied += tied
-        for e, blk in enumerate(blocks):
-            row, comp, value = _worst(flat.shape[1], blk)
-            # even an all--inf grid (vacuous conditions) must produce a witness
-            if worst[e][1] is None or _worse(value, worst[e][0]):
-                worst[e] = (float(value), grid.points.take(flat[:, row]), comp)
-    return worst, n_tied
+    for start, flat in grid.chunks():
+        for rows, tied, sample, patterns in _groups(jb, grid, flat):
+            n_tied += len(rows) if tied else 0
+            at = start + rows       # grid indices
+            for pattern in patterns:
+                J = sample.jacobian(pattern)
+                for e, ev in enumerate(evaluators):
+                    worst[e] = _worst(worst[e], at, ev(sample, J))
+    return [(float(v), grid.point(row), c) for row, c, v in worst], n_tied
 
 
 # ---------------------------------------------------------------------------
@@ -780,18 +769,20 @@ def _grid_values(sys: SystemDef, box: WorkingBox, evaluator: Callable,
     jb = jacobian(sys)
     grid = box._grid
     out = []
-    for flat in grid.chunks():
-        [blocks], _ = _blocks(jb, grid, flat, [evaluator])
-        m = flat.shape[1]
-        vals = np.full((len(blocks[0][1]), m) if componentwise else m,
-                       -np.inf)
-        for rows, cond in blocks:
-            if componentwise:
-                vals[:, rows] = np.maximum(vals[:, rows], cond)
-                continue
-            v = cond[np.argmax(cond, axis=0), np.arange(len(rows))]
-            upd = _worse(v, vals[rows])
-            vals[rows[upd]] = v[upd]
+    for _, flat in grid.chunks():
+        vals = None
+        for rows, _, sample, patterns in _groups(jb, grid, flat):
+            for pattern in patterns:
+                cond = evaluator(sample, sample.jacobian(pattern))
+                if not componentwise:
+                    cond = cond[np.argmax(cond, axis=0), np.arange(len(rows))]
+                if vals is None:
+                    vals = np.full(cond.shape[:-1] + flat.shape[1:], -np.inf)
+                if componentwise:
+                    vals[:, rows] = np.maximum(vals[:, rows], cond)
+                else:
+                    upd = _worse(cond, vals[rows])
+                    vals[rows[upd]] = cond[upd]
         out.append(vals)
     return np.concatenate(out, axis=-1).T
 

@@ -42,8 +42,8 @@ __all__ = [
 
 
 def _diagonal(A: np.ndarray) -> np.ndarray:
-    """The diagonal of (n, n, ...) matrices as an (n, ...) view, when A is
-    contiguous: rows of a points-last stack, each contiguous itself."""
+    """The diagonal of (n, n, ...) matrices, (n, ...): a view when A is
+    C-contiguous, whose rows are contiguous in a points-last stack."""
     n = A.shape[0]
     return A.reshape((n * n,) + A.shape[2:])[::n + 1]
 
@@ -248,7 +248,8 @@ def _scaled_jacobian(kind: str, J: np.ndarray, w: np.ndarray, dw: np.ndarray,
         w = 1.0 / w
     if check and np.any(w <= 0.0):
         raise ValueError("diagonal scaling must stay positive on the domain")
-    out = (w[:, None] / w[None, :]) * J
+    # C order, so that the diagonal written below is a view of out
+    out = np.multiply(w[:, None] / w[None, :], J, order="C")
     _diagonal(out)[...] += dw * F / w
     return out
 

@@ -359,11 +359,15 @@ def _condition_blocks(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(_condition_blocks())
 def test_worst_entry_matches_the_argmax_first_oracle(case):
-    """Rows are located on numpy maxima, whose zero sign may differ from
-    the entries' (np.maximum(0.0, -0.0) can return -0.0), so the row, the
-    component and the value bits must still be the argmax-first scan's."""
+    """Folded over the blocks, the reduction gives the argmax-first scan's
+    row, component and value bits, though it locates rows on numpy maxima,
+    whose zero sign may differ from the entries' (np.maximum(0.0, -0.0) can
+    return -0.0)."""
     m, blocks = case
-    row, comp, value = _worst(m, blocks)
+    best = None
+    for rows, cond in blocks:
+        best = _worst(best, rows, cond)
+    row, comp, value = best
     want_row, want_comp, want_value = worst_entry(m, blocks)
     assert (row, comp) == (want_row, want_comp)
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
