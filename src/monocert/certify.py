@@ -401,12 +401,12 @@ def _worst(best: Optional[tuple], rows: np.ndarray,
     condition block: cond (c, len(rows)) holds the components at ``rows``.
 
     Folded over the blocks of a partition, the tied branches of a group in
-    product order, it gives the entry that an argmax-first scan gives: the first row with the
-    worst value; at it, the first block (tied branch) attaining it; in
-    that, the first component.  A NaN is worse than every number.  Each
-    block's row is found on its per-row maxima, which may differ from the
-    entries in the sign of a zero, so the component and the value are read
-    off that one column.
+    product order, it gives the entry that an argmax-first scan gives: the
+    first row with the worst value; at it, the first block (tied branch)
+    attaining it; in that, the first component.  A NaN is worse than every
+    number.  Each block's row is found on its per-row maxima, which may
+    differ from the entries in the sign of a zero, so the component and the
+    value are read off that one column.
     """
     k = int(np.argmax(cond.max(axis=0)))
     col = cond[:, k]
@@ -422,8 +422,8 @@ def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence) -> tuple:
 
     Each ``evaluator(sample, J)`` returns the (c, m) condition components
     at a ``_Sample`` with the branch Jacobian J there; all of them read one
-    partition, and one evaluation of J, f and the weights, per group.
-    Returns ([(worst, witness_point, witness_comp)], n_tied).
+    partition, one evaluation of J and f and one gather of the weights per
+    group.  Returns ([(worst, witness_point, witness_comp)], n_tied).
     Deterministic: each witness is the first (lexicographically smallest)
     grid point attaining its worst value, or the first NaN.
     """
@@ -765,24 +765,22 @@ def _grid_values(sys: SystemDef, box: WorkingBox, evaluator: Callable,
                  componentwise: bool = False) -> np.ndarray:
     """One evaluator's values at every grid point, worst over the point's
     tied branches: of its worst component, first max (points,), or with
-    ``componentwise`` of each component, (points, components)."""
+    ``componentwise`` of each of its n = sys.n components, (points, n)."""
     jb = jacobian(sys)
     grid = box._grid
     out = []
     for _, flat in grid.chunks():
-        vals = None
+        m = flat.shape[1]
+        vals = np.full((sys.n, m) if componentwise else m, -np.inf)
         for rows, _, sample, patterns in _groups(jb, grid, flat):
             for pattern in patterns:
                 cond = evaluator(sample, sample.jacobian(pattern))
-                if not componentwise:
-                    cond = cond[np.argmax(cond, axis=0), np.arange(len(rows))]
-                if vals is None:
-                    vals = np.full(cond.shape[:-1] + flat.shape[1:], -np.inf)
                 if componentwise:
                     vals[:, rows] = np.maximum(vals[:, rows], cond)
-                else:
-                    upd = _worse(cond, vals[rows])
-                    vals[rows[upd]] = cond[upd]
+                    continue
+                v = cond[np.argmax(cond, axis=0), np.arange(len(rows))]
+                upd = _worse(v, vals[rows])
+                vals[rows[upd]] = v[upd]
         out.append(vals)
     return np.concatenate(out, axis=-1).T
 

@@ -14,9 +14,9 @@ package evaluates only through generated numpy kernels and finds branches
 only through ``certify.partition``, so these are independent references
 for both.  The worst entry of condition blocks is found by an
 argmax-first scan in Python floats, one entry at a time, where the package
-locates rows on numpy maxima first.  The RK4 references are the four-call form of a step over
-``f_batch`` (bit for bit what the step kernel must give) and one step of one
-point in Python floats.
+locates rows on numpy maxima first.  The RK4 references are the four-call
+form of a step over ``f_batch`` (bit for bit what the step kernel must
+give) and one step of one point in Python floats.
 """
 
 import math
