@@ -324,7 +324,7 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     takes both sides, so a group with ties is listed once per tied branch,
     in ``itertools.product`` order over the guards.
     Returns ``[(pattern, rows, tied)]``; the entries of one tied group
-    share the same ``rows`` array, whose indices increase.
+    share the same ``rows`` array.
     """
     if jb.n_guards == 0:
         return [((), np.arange(X.shape[0]), False)]
