@@ -1,25 +1,31 @@
 """Expression AST and a small text format for ODE systems.
 
 The expression language is deliberately tiny: constants, state variables,
-the time variable ``t``, unary negation, the binary operators ``+ - * / ^``
-(``^`` only with a nonnegative integer literal exponent), binary ``min`` /
-``max``, ``abs`` (read as ``max(e, -e)``), and the unary functions ``exp``,
-``sin``, ``cos``.  Everything a vector field built from these can do —
-symbolic differentiation, branch-aware Jacobians for the piecewise-smooth
-``min``/``max`` constructs, vectorized evaluation over sample batches —
-lives in this module.
+the time variable ``t``, unary negation, the binary operators ``+ - * / ^``,
+binary ``min`` / ``max``, ``abs`` (read as ``max(e, -e)``), and the unary
+functions ``exp``, ``sin``, ``cos``.  Everything a vector field built from
+these can do — symbolic differentiation, branch-aware Jacobians for the
+piecewise-smooth ``min``/``max`` constructs, vectorized evaluation over
+sample batches — lives in this module.
 
-Every tree walk runs on one explicit-stack walker (``_fold``), so the depth
-of an expression costs no Python recursion (``==`` and ``hash`` of a node
-compare a flat key that walker builds), and every numeric evaluation
-runs through kernels generated by one emitter (``_emit``): ``compile_expr``
-for expressions, vector fields and matrices, and ``compile_step`` for RK4,
-whose one kernel loops over up to K steps with the domain check inside and
-whose other returns the full and two half steps of an error estimate.  In
-every kernel, a constant next to a state-dependent operand, and the
-exponent (other than 2) of a state-dependent power, is a 0-d float64 array
-bound once in the kernel's namespace; subtrees of constants and ``t`` alone
-keep Python floats.
+The parser reads exactly this: ``^`` takes one nonnegative integer literal
+and does not chain (``x1^2^2`` is an error); unary minus binds tighter
+than ``*`` and looser than ``^``, so ``-2^2`` is -(2^2); a sign folds into
+a bare literal (``-2`` is the constant -2, ``--2`` its negation, ``-(2)``
+a negation of 2); a literal ``float`` cannot read (``1.2.3``) is an error.
+
+Parsing is one operator-precedence loop on explicit stacks
+(``_Parser.expr``), and every tree walk runs on one explicit-stack walker
+(``_fold``), so the depth of an expression costs no Python recursion
+(``==`` and ``hash`` of a node compare a flat key that walker builds).
+Every numeric evaluation runs through kernels generated by one emitter
+(``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
+and ``compile_step`` for RK4, whose one kernel loops over up to K steps
+with the domain check inside and whose other returns the full and two half
+steps of an error estimate.  In every kernel, a constant next to a
+state-dependent operand, and the exponent (other than 2) of a
+state-dependent power, is a 0-d float64 array bound once in the kernel's
+namespace; subtrees of constants and ``t`` alone keep Python floats.
 
 A system is declared in a block like::
 
@@ -233,8 +239,14 @@ class Cos(Expr):
     arg: Expr
 
 
+# the functions of the language by name: (builder, number of arguments);
+# the parser reads its names here, and ``abs`` has no node of its own
+_FUNCTIONS = {"exp": (Exp, 1), "sin": (Sin, 1), "cos": (Cos, 1),
+              "min": (Min, 2), "max": (Max, 2),
+              "abs": (lambda a: Max(a, Neg(a)), 1)}
 _BINOPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_FUNCS = {Exp: "exp", Sin: "sin", Cos: "cos", Min: "min", Max: "max"}
+_FUNCS = {build: name for name, (build, _) in _FUNCTIONS.items()
+          if name != "abs"}
 _NP_FUNCS = {Exp: "np.exp", Sin: "np.sin", Cos: "np.cos",
              Min: "np.minimum", Max: "np.maximum"}
 
@@ -335,20 +347,17 @@ def references_time(e: Expr) -> bool:
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
+# how tightly each operator binds, for the parser and the printer alike
+_PRECEDENCE = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL,
+               Div: _PREC_MUL, Neg: _PREC_NEG, Pow: _PREC_POW}
+
+
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
     if isinstance(e, Const) and e.value < 0:
         # prints with a leading minus, so textually it binds like unary minus
         # (otherwise "-2^2" would re-parse as -(2^2))
         return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PRECEDENCE.get(type(e), _PREC_ATOM)
 
 
 def format_number(v: float) -> str:
@@ -1004,6 +1013,12 @@ def _tokenize(text: str) -> list:
                         j += 1
                     col += j - i
                     i = j
+            # "1.2.3" and "2²" scan as one token but are no number
+            try:
+                float(text[start:i])
+            except ValueError:
+                raise DslError(f"malformed number {text[start:i]!r}",
+                               line, start_col) from None
             toks.append(_Tok("NUM", text[start:i], line, start_col))
             continue
         if ch.isalpha() or ch == "_":
@@ -1029,7 +1044,8 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 _RESERVED = {"system", "states", "in", "equilibrium", "period", "inf",
-             "min", "max", "abs", "exp", "sin", "cos", "t"}
+             "t", *_FUNCTIONS}
+_INFIX = {op: node for node, op in _BINOPS.items()}  # binary ops by token
 
 
 class _Parser:
@@ -1065,9 +1081,10 @@ class _Parser:
             raise DslError(f"expected {want!r}, got {got!r}", tok.line, tok.col)
         return tok
 
-    def err(self, msg: str) -> DslError:
-        tok = self.peek()
-        return DslError(msg, tok.line, tok.col)
+    def at(self, text: str, ahead: int = 0) -> bool:
+        """Whether the token ``ahead`` places on is the punctuation ``text``."""
+        tok = self.toks[self.pos + ahead]
+        return tok.kind == "PUNCT" and tok.text == text
 
     # -- numbers -----------------------------------------------------------
     def signed_number(self) -> float:
@@ -1080,105 +1097,87 @@ class _Parser:
         return sign * float(tok.text)
 
     # -- expressions -------------------------------------------------------
-    # ``first``, when given, is the already parsed leading atom of the
-    # expression: the group of a run of opening parentheses (see ``atom``)
-    def expr(self, first: Optional[Expr] = None) -> Expr:
-        node = self.term(first)
+    def expr(self) -> Expr:
+        """One expression, by operator precedence on explicit stacks.
+
+        ``ops`` holds the node types of pending operators, and ``groups``
+        open parentheses and calls as [function name or None, the token the
+        group expects next, height of ``ops`` at its start].
+        """
+        operands: list = []
+        ops: list = []
+        groups: list = []
+
+        def reduce(prec: int) -> None:
+            # apply the innermost group's operators that bind as tight as prec
+            floor = groups[-1][2] if groups else 0
+            while len(ops) > floor and _PRECEDENCE[ops[-1]] >= prec:
+                node = ops.pop()
+                k = 1 if node is Neg else 2
+                operands[-k:] = [node(*operands[-k:])]
+
         while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "+-":
+            # an operand: signs and openings up to an atom
+            tok = self.next()
+            if tok.kind == "PUNCT" and tok.text == "-":
+                # the innermost sign folds into a literal unless the literal
+                # is the base of a power: "-2^2" is -(2^2), as in Python
+                num = self.peek()
+                if num.kind != "NUM" or self.at("^", ahead=1):
+                    ops.append(Neg)
+                    continue
                 self.next()
-                rhs = self.term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self, first: Optional[Expr] = None) -> Expr:
-        node = self.factor() if first is None else self.power(first)
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "*/":
-                self.next()
-                rhs = self.factor()
-                node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        # a run of unary minus signs is counted, not recursed on
-        signs = 0
-        while (tok := self.peek()).kind == "PUNCT" and tok.text == "-":
-            self.next()
-            signs += 1
-        node = None
-        # the innermost sign folds into a literal unless the literal is the
-        # base of a power (so "-2^2" keeps Python's reading, -(2^2))
-        if signs and tok.kind == "NUM":
-            after = self.toks[self.pos + 1]
-            if not (after.kind == "PUNCT" and after.text == "^"):
-                self.next()
-                node = Const(-float(tok.text))
-                signs -= 1
-        if node is None:
-            node = self.power()
-        for _ in range(signs):
-            node = Neg(node)
-        return node
-
-    def power(self, base: Optional[Expr] = None) -> Expr:
-        if base is None:
-            base = self.atom()
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == "^":
-            self.next()
-            etok = self.expect("NUM")
-            if "." in etok.text or "e" in etok.text or "E" in etok.text:
-                raise DslError("exponent must be a nonnegative integer",
-                               etok.line, etok.col)
-            return Pow(base, int(etok.text))
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "NUM":
-            return Const(float(tok.text))
-        if tok.kind == "PUNCT" and tok.text == "(":
-            # a run of opening parentheses is counted, not recursed on: the
-            # innermost group is parsed first, and each closed group is
-            # the leading atom of the expression around it
-            depth = 1
-            while (tok := self.peek()).kind == "PUNCT" and tok.text == "(":
-                self.next()
-                depth += 1
-            node = self.expr()
-            self.expect("PUNCT", ")")
-            for _ in range(depth - 1):
-                node = self.expr(node)
-                self.expect("PUNCT", ")")
-            return node
-        if tok.kind == "IDENT":
-            name = tok.text
-            if name == "t":
-                return TimeVar()
-            if name in ("min", "max"):
+                operands.append(Const(-float(num.text)))
+            elif tok.kind == "PUNCT" and tok.text == "(":
+                groups.append([None, ")", len(ops)])
+                continue
+            elif tok.kind == "NUM":
+                operands.append(Const(float(tok.text)))
+            elif tok.kind != "IDENT":
+                got = tok.text if tok.text else tok.kind
+                raise DslError(f"expected an expression, got {got!r}",
+                               tok.line, tok.col)
+            elif tok.text == "t":
+                operands.append(TimeVar())
+            elif tok.text in _FUNCTIONS:
                 self.expect("PUNCT", "(")
-                a = self.expr()
-                self.expect("PUNCT", ",")
-                b = self.expr()
-                self.expect("PUNCT", ")")
-                return Min(a, b) if name == "min" else Max(a, b)
-            if name in ("exp", "sin", "cos", "abs"):
-                self.expect("PUNCT", "(")
-                a = self.expr()
-                self.expect("PUNCT", ")")
-                if name == "abs":
-                    return Max(a, Neg(a))
-                return {"exp": Exp, "sin": Sin, "cos": Cos}[name](a)
-            if name in self.state_index:
-                return Var(self.state_index[name])
-            raise DslError(f"unknown identifier {name!r}", tok.line, tok.col)
-        got = tok.text if tok.text else tok.kind
-        raise DslError(f"expected an expression, got {got!r}", tok.line, tok.col)
+                arity = _FUNCTIONS[tok.text][1]
+                groups.append([tok.text, "," if arity == 2 else ")", len(ops)])
+                continue
+            elif tok.text in self.state_index:
+                operands.append(Var(self.state_index[tok.text]))
+            else:
+                raise DslError(f"unknown identifier {tok.text!r}",
+                               tok.line, tok.col)
+
+            # after an atom: one ``^``, then an operator or a group's end
+            while True:
+                if self.at("^"):
+                    self.next()
+                    etok = self.expect("NUM")
+                    if not etok.text.isdigit():
+                        raise DslError("exponent must be a nonnegative integer",
+                                       etok.line, etok.col)
+                    operands[-1] = Pow(operands[-1], int(etok.text))
+                tok = self.peek()
+                if tok.kind == "PUNCT" and tok.text in _INFIX:
+                    self.next()
+                    node = _INFIX[tok.text]
+                    reduce(_PRECEDENCE[node])
+                    ops.append(node)
+                    break
+                reduce(0)
+                if not groups:
+                    return operands.pop()
+                group = groups[-1]
+                self.expect("PUNCT", group[1])
+                if group[1] == ",":
+                    group[1] = ")"
+                    break
+                groups.pop()
+                if group[0] is not None:
+                    build, arity = _FUNCTIONS[group[0]]
+                    operands[-arity:] = [build(*operands[-arity:])]
 
     # -- system blocks -----------------------------------------------------
     def interval(self) -> Interval:
@@ -1232,8 +1231,7 @@ class _Parser:
             names.append(tok.text)
             self.expect("IDENT", "in")
             bounds.append(self.interval())
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.text == ",":
+            if self.at(","):
                 self.next()
                 continue
             break
@@ -1258,7 +1256,7 @@ class _Parser:
                     raise DslError("duplicate equilibrium", tok.line, tok.col)
                 self.expect("PUNCT", "(")
                 pts = [self.signed_number()]
-                while self.peek().kind == "PUNCT" and self.peek().text == ",":
+                while self.at(","):
                     self.next()
                     pts.append(self.signed_number())
                 self.expect("PUNCT", ")")
@@ -1277,8 +1275,7 @@ class _Parser:
                 self.expect("PUNCT", "=")
                 odes[state] = self.expr()
                 nl = self.peek()
-                if nl.kind not in ("NEWLINE", "EOF") and \
-                        not (nl.kind == "PUNCT" and nl.text == "}"):
+                if nl.kind not in ("NEWLINE", "EOF") and not self.at("}"):
                     raise DslError(f"unexpected {nl.text!r} after equation",
                                    nl.line, nl.col)
                 continue
@@ -1303,23 +1300,22 @@ class _Parser:
         return sysdef
 
 
-def parse_system(text: str) -> SystemDef:
-    """Parse a ``system { ... }`` block; errors carry line/column info."""
-    parser = _Parser(_tokenize(text))
-    sysdef = parser.system()
+def _parse(text: str, read: Callable, state_names=None):
+    """Run the parser method ``read`` over all of ``text``."""
+    parser = _Parser(_tokenize(text), state_names)
+    result = read(parser)
     trailing = parser.peek(skip_newlines=True)
     if trailing.kind != "EOF":
         raise DslError(f"unexpected trailing {trailing.text!r}",
                        trailing.line, trailing.col)
-    return sysdef
+    return result
+
+
+def parse_system(text: str) -> SystemDef:
+    """Parse a ``system { ... }`` block; errors carry line/column info."""
+    return _parse(text, _Parser.system)
 
 
 def parse_expr(text: str, state_names: Sequence[str]) -> Expr:
     """Parse a bare expression over the given state names."""
-    parser = _Parser(_tokenize(text), state_names)
-    node = parser.expr()
-    trailing = parser.peek(skip_newlines=True)
-    if trailing.kind != "EOF":
-        raise DslError(f"unexpected trailing {trailing.text!r}",
-                       trailing.line, trailing.col)
-    return node
+    return _parse(text, _Parser.expr, state_names)

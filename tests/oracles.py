@@ -16,7 +16,9 @@ for both.  The worst entry of condition blocks is found by an
 argmax-first scan in Python floats, one entry at a time, where the package
 locates rows on numpy maxima first.  The RK4 references are the four-call
 form of a step over ``f_batch`` (bit for bit what the step kernel must
-give) and one step of one point in Python floats.
+give) and one step of one point in Python floats.  Expressions are parsed
+here by plain recursive descent, one function per grammar level, where the
+package reads them with one operator-precedence loop on explicit stacks.
 """
 
 import math
@@ -25,8 +27,9 @@ from itertools import product
 import numpy as np
 
 from monocert.sim import INVARIANCE_TOL
-from monocert.sysdsl import (TIE_TOL, Add, Const, Cos, Div, Exp, Max, Min,
-                             Mul, Neg, Pow, Sin, Sub, TimeVar, Var)
+from monocert.sysdsl import (TIE_TOL, Add, Const, Cos, Div, DslError, Exp,
+                             Max, Min, Mul, Neg, Pow, Sin, Sub, TimeVar, Var,
+                             _tokenize)
 
 
 def evaluate(e, x, t=None) -> float:
@@ -240,3 +243,120 @@ def worst_entry(m: int, blocks) -> tuple:
                             math.isnan(v) and not math.isnan(best[2])):
                         best = (r, c, v)
     return best
+
+
+def parse_expr_rd(text: str, state_names) -> object:
+    """``text`` parsed by recursive descent over the grammar
+
+        expr   := term (('+' | '-') term)*
+        term   := factor (('*' | '/') factor)*
+        factor := '-' factor | power
+        power  := atom ('^' digits)?
+        atom   := number | 't' | state | '(' expr ')'
+                | ('exp' | 'sin' | 'cos' | 'abs') '(' expr ')'
+                | ('min' | 'max') '(' expr ',' expr ')'
+
+    where a '-' right before a literal folds into it unless the literal is
+    the base of '^', and ``abs(e)`` is ``max(e, -e)``.  It recurses on
+    depth, as a grammar read straight does, and raises the ``DslError`` the
+    package gives for a bad input.  The tokens are the package's
+    (``sysdsl._tokenize``): this is a reference for the parser only.
+    """
+    toks = _tokenize(text)
+    index = {name: i for i, name in enumerate(state_names)}
+    pos = 0
+
+    def got(tok) -> str:
+        return repr(tok.text if tok.text else tok.kind)
+
+    def is_punct(tok, text) -> bool:
+        return tok.kind == "PUNCT" and tok.text == text
+
+    def take():
+        nonlocal pos
+        tok = toks[pos]
+        if tok.kind != "EOF":
+            pos += 1
+        return tok
+
+    def expect(text):
+        tok = take()
+        if not is_punct(tok, text):
+            raise DslError(f"expected {text!r}, got {got(tok)}",
+                           tok.line, tok.col)
+
+    def expr():
+        node = term()
+        while is_punct(toks[pos], "+") or is_punct(toks[pos], "-"):
+            op = take().text
+            node = (Add if op == "+" else Sub)(node, term())
+        return node
+
+    def term():
+        node = factor()
+        while is_punct(toks[pos], "*") or is_punct(toks[pos], "/"):
+            op = take().text
+            node = (Mul if op == "*" else Div)(node, factor())
+        return node
+
+    def factor():
+        if not is_punct(toks[pos], "-"):
+            return power()
+        take()
+        if toks[pos].kind == "NUM" and not is_punct(toks[pos + 1], "^"):
+            return Const(-float(take().text))
+        return Neg(factor())
+
+    def power():
+        base = atom()
+        if not is_punct(toks[pos], "^"):
+            return base
+        take()
+        tok = take()
+        if tok.kind != "NUM":
+            raise DslError(f"expected 'NUM', got {got(tok)}",
+                           tok.line, tok.col)
+        if any(ch in tok.text for ch in ".eE"):
+            raise DslError("exponent must be a nonnegative integer",
+                           tok.line, tok.col)
+        return Pow(base, int(tok.text))
+
+    def call(name):
+        expect("(")
+        a = expr()
+        if name in ("min", "max"):
+            expect(",")
+            b = expr()
+            expect(")")
+            return (Min if name == "min" else Max)(a, b)
+        expect(")")
+        if name == "abs":
+            return Max(a, Neg(a))
+        return {"exp": Exp, "sin": Sin, "cos": Cos}[name](a)
+
+    def atom():
+        tok = take()
+        if tok.kind == "NUM":
+            return Const(float(tok.text))
+        if is_punct(tok, "("):
+            node = expr()
+            expect(")")
+            return node
+        if tok.kind != "IDENT":
+            raise DslError(f"expected an expression, got {got(tok)}",
+                           tok.line, tok.col)
+        if tok.text == "t":
+            return TimeVar()
+        if tok.text in ("exp", "sin", "cos", "abs", "min", "max"):
+            return call(tok.text)
+        if tok.text in index:
+            return Var(index[tok.text])
+        raise DslError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+
+    node = expr()
+    while toks[pos].kind == "NEWLINE":
+        pos += 1
+    if toks[pos].kind != "EOF":
+        raise DslError(f"unexpected trailing {toks[pos].text!r}",
+                       toks[pos].line, toks[pos].col)
+    return node

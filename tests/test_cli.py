@@ -120,6 +120,32 @@ def test_parse_error_is_usage(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_malformed_number_is_usage(tmp_path, capsys):
+    bad = tmp_path / "bad.sys"
+    bad.write_text("system x { states a in [0, 1.2.3]\n da = -a }")
+    code = main(["certify", str(bad), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "line 1, col 28: malformed number '1.2.3'" in capsys.readouterr().err
+
+
+def test_deeply_nested_signs_certify_like_one(tmp_path):
+    """dx1 = -(-(...(x1)...)) with 10,001 signs is dx1 = -x1: certify reads
+    it at the default recursion limit and writes the same report."""
+    theta = tmp_path / "one.theta.json"
+    theta.write_text('{"kind": "theta", "weights": [[1]]}')
+    reports = []
+    for k, rhs in enumerate(["-(" * 10_001 + "x1" + ")" * 10_001, "-x1"]):
+        path = tmp_path / f"neg{k}.sys"
+        path.write_text("system neg {\n  states x1 in [0, 1]\n"
+                        f"  dx1 = {rhs}\n  equilibrium (0)\n}}\n")
+        out = tmp_path / f"out{k}"
+        code = main(["certify", str(path), "--theta", str(theta),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_PASS
+        reports.append((out / "certify-report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

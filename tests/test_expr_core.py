@@ -1,11 +1,15 @@
-"""The expression core: the one walker and the one kernel compiler.
+"""The expression core: the parser, the one walker and the one kernel
+compiler.
 
 Random trees from hypothesis are checked against the tree-walking oracle in
-``tests/oracles.py``; deep trees check that no walk recurses.  The property
-tests are derandomized, so every run sees the same examples.
+``tests/oracles.py``, and random inputs of the parser against its
+recursive-descent oracle there; deep trees check that neither parsing nor
+any walk recurses.  The property tests are derandomized, so every run sees
+the same examples.
 """
 
 import math
+from sys import getrecursionlimit
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from monocert.sysdsl import (
     parse_system, pretty,
 )
 
-from oracles import evaluate
+from oracles import evaluate, parse_expr_rd
 
 NAMES = ["x1", "x2", "x3"]
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -185,6 +189,93 @@ def test_nested_parentheses_parse_without_recursion():
     deep = "(" * 3000 + "x1 + 1) * 2)^2" + " - x1)" * 2998
     flat = "((x1 + 1) * 2)^2" + " - x1" * 2998
     assert pretty(parse_expr(deep, ["x1"])) == flat
+
+
+DEPTH = 10_000
+
+
+@pytest.mark.parametrize("opening, closing, printed", [
+    ("exp(", ")", None),
+    ("sin(", ")", None),
+    ("min(x1, ", ")", None),
+    ("max(", ", x1)", None),            # nested in the first argument
+    ("2 * (", ")", "2 * (" * (DEPTH - 1) + "2 * x1" + ")" * (DEPTH - 1)),
+    ("-(", ")", "-" * DEPTH + "x1"),
+    ("(x1 + ", ")", "x1 + " + "(x1 + " * (DEPTH - 1) + "x1" + ")" * (DEPTH - 1)),
+], ids=["exp", "sin", "min", "max", "times", "minus", "plus"])
+def test_deep_nesting_parses_without_recursion(opening, closing, printed):
+    """10,000 nested calls, groups and signs parse at the default recursion
+    limit into the tree they spell: ``pretty`` prints it back as written,
+    up to the parentheses it leaves out."""
+    assert getrecursionlimit() < DEPTH
+    text = opening * DEPTH + "x1" + closing * DEPTH
+    assert pretty(parse_expr(text, ["x1"])) == (printed or text)
+
+
+# atoms of the parser inputs, and what an edit may insert or put in place
+# of a token
+ATOMS = st.sampled_from(["x1", "x2", "t", "0", "2", "3.5", "1e3", ".5", "٣",
+                         "2^3", "x1^2"])
+NOISE = st.sampled_from(["-", "+", "*", "/", "^", "^", "(", ")", ",", "\n",
+                         "2", "x1", "min", "exp", "abs", "y", "inf", "2.5e-1",
+                         "1.2.3", "²", "$"])
+INFIX = st.sampled_from("+-*/")
+CALL = st.sampled_from(["exp", "sin", "cos", "abs", "min", "max"])
+
+
+@st.composite
+def _parser_inputs(draw):
+    """Well-formed expressions up to 30 levels deep, each level wrapping the
+    one below in an operator, a group or a call, with an atom beside it; and
+    the same with up to three tokens deleted, inserted or replaced.  The
+    tokens are joined with spaces, or with nothing, which glues them into
+    new ones."""
+    toks = [draw(ATOMS)]
+    for _ in range(draw(st.integers(0, 30))):
+        wrap = draw(st.integers(0, 4))
+        if wrap == 0:
+            toks = toks + [draw(INFIX), draw(ATOMS)]
+        elif wrap == 1:
+            toks = [draw(ATOMS), draw(INFIX)] + toks
+        elif wrap == 2:
+            toks = ["-"] + toks
+        elif wrap == 3:
+            toks = ["("] + toks + [")"] + draw(st.sampled_from([[], ["^2"]]))
+        elif (name := draw(CALL)) not in ("min", "max"):
+            toks = [name, "("] + toks + [")"]
+        elif draw(st.booleans()):
+            toks = [name, "("] + toks + [",", draw(ATOMS), ")"]
+        else:
+            toks = [name, "(", draw(ATOMS), ","] + toks + [")"]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(toks)))
+        edit = draw(st.integers(0, 2))
+        if edit == 0 and at < len(toks):
+            del toks[at]
+        elif edit == 1 and at < len(toks):
+            toks[at] = draw(NOISE)
+        else:
+            toks.insert(at, draw(NOISE))
+    return draw(st.sampled_from([" ", " ", ""])).join(toks)
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text, ["x1", "x2"]))
+    except DslError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_parser_inputs())
+@example("-2^2 - --2 * -(2)")
+@example("x1^2^2")
+@example("min(x1\n, 2)")
+@example("abs(x1 - ٣) + exp(")
+def test_parser_matches_the_recursive_descent_oracle(text):
+    """The same tree, or the same error at the same place, as a recursive
+    descent reading of the grammar."""
+    assert _outcome(parse_expr, text) == _outcome(parse_expr_rd, text)
 
 
 def test_deep_guard_hashes_and_certifies():

@@ -1,10 +1,13 @@
 """Parser, AST, symbolic differentiation and branch-Jacobian tests."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from monocert import sysdsl
 from monocert.certify import partition
 from monocert.sysdsl import (
     Add, BranchRequiredError, Const, Cos, Div, DslError, Exp, Interval, Max,
@@ -96,6 +99,38 @@ def test_bad_expressions_raise(bad, fragment):
     with pytest.raises(DslError) as exc:
         parse_expr(bad, ["x1", "x2"])
     assert fragment.lower() in str(exc.value).lower()
+
+
+@pytest.mark.parametrize("text, line, col, literal", [
+    ("1.2.3", 1, 1, "1.2.3"),
+    ("x1 + 1..", 1, 6, "1.."),
+    (".5. * x1", 1, 1, ".5."),
+    ("2²", 1, 1, "2²"),
+    ("x1^²", 1, 4, "²"),
+    ("system s {\n  states x1 in [0, 1.2.3]\n  dx1 = -x1\n}", 2, 20, "1.2.3"),
+])
+def test_malformed_numbers_are_dsl_errors(text, line, col, literal):
+    """A literal ``float`` cannot read is rejected where it stands, in a
+    bare expression and in a system file alike."""
+    parse = parse_system if text.startswith("system") else \
+        lambda src: parse_expr(src, ["x1"])
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert f"malformed number {literal!r}" in str(exc.value)
+
+
+def test_unicode_digits_still_parse():
+    assert parse_expr("٣ * x1", ["x1"]) == Mul(Const(3.0), Var(0))
+    assert parse_expr("x1^٣", ["x1"]) == Pow(Var(0), 3)
+
+
+def test_readme_lists_the_functions_the_parser_reads():
+    """README's expression sentence names the functions of the parser's
+    table, no more and no fewer."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"the functions `([^`]*)`", readme).group(1).split()
+    assert sorted(listed) == sorted(sysdsl._FUNCTIONS)
 
 
 def test_error_carries_line_and_col():
