@@ -15,6 +15,11 @@ every grid point, so that the witness is the first one.
 The simulate, contract and entrain goldens pin the RK4 integrator bit for
 bit: every state is printed with 17 significant digits, and the reports
 carry step errors, fitted rates and spreads.
+The export-sos goldens pin the SOS program byte for byte: the .dat-s file
+and its JSON sidecar.  One of them is a system written here, with a
+nonzero equilibrium, a half-bounded and an unbounded axis, since the
+corpus equilibria are all 0 and that hides the order in which the
+equilibrium rows are summed.
 To regenerate a golden, run its command with ``--out DIR`` and copy the
 report (for a golden directory, every file written) over the golden.
 """
@@ -82,11 +87,45 @@ VALIDATION_CASES = {
         EXIT_PASS),
 }
 
+# a polynomial system with equilibrium (1.5, 0.7), x1 half-bounded and x2
+# unbounded
+SHIFTED_SYS = """
+system shifted {
+  states x1 in [1, inf), x2 in (-inf, inf)
+  dx1 = -0.7*x1 + 1.05 + 0.3*(x2 - 0.7)^2 + 0.2*x1*(x2 - 0.7)
+  dx2 = 0.77 - 1.1*x2 - 0.2*(x2 - 0.7)^3 + 0.1*x1*(x2 - 0.7)
+  equilibrium (1.5, 0.7)
+}
+"""
+
+# golden directory -> (system, export-sos options); the directory holds
+# every file the command writes
+EXPORT_CASES = {
+    "export-sos-ex1-d2-sum-m0": (
+        "ex1", ["--degree", "2", "--mode", "sum", "--multiplier-degree", "0"]),
+    "export-sos-ex1-d4-max-m2": (
+        "ex1", ["--degree", "4", "--mode", "max", "--multiplier-degree", "2"]),
+    "export-sos-multiagent-d2-sum-m2": (
+        "multiagent", ["--degree", "2", "--mode", "sum",
+                       "--multiplier-degree", "2"]),
+    "export-sos-shifted-d3-sum-m2": (
+        SHIFTED_SYS, ["--degree", "3", "--mode", "sum",
+                      "--multiplier-degree", "2", "--eps", "0.05"]),
+}
+
 
 def _assert_matches_golden(golden, case, tmp_path):
     argv, report, code = case
     assert main(argv + ["--quiet", "--out", str(tmp_path)]) == code
     assert (tmp_path / report).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _assert_directory_matches_golden(golden, outdir):
+    names = sorted(p.name for p in (GOLDEN / golden).iterdir())
+    assert sorted(p.name for p in outdir.iterdir()) == names
+    for name in names:
+        got = (outdir / name).read_bytes()
+        assert got == (GOLDEN / golden / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
@@ -108,8 +147,16 @@ def test_smooth_report_matches_golden(golden, tmp_path):
 def test_validation_output_matches_golden(golden, tmp_path):
     argv, code = VALIDATION_CASES[golden]
     assert main(argv + ["--quiet", "--out", str(tmp_path)]) == code
-    names = sorted(p.name for p in (GOLDEN / golden).iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
-    for name in names:
-        got = (tmp_path / name).read_bytes()
-        assert got == (GOLDEN / golden / name).read_bytes(), name
+    _assert_directory_matches_golden(golden, tmp_path)
+
+
+@pytest.mark.parametrize("golden", sorted(EXPORT_CASES))
+def test_sos_export_matches_golden(golden, tmp_path):
+    system, options = EXPORT_CASES[golden]
+    if system == SHIFTED_SYS:
+        system = str(tmp_path / "shifted.sys")
+        (tmp_path / "shifted.sys").write_text(SHIFTED_SYS)
+    out = tmp_path / "out"
+    assert main(["export-sos", system, *options, "--quiet",
+                 "--out", str(out)]) == EXIT_PASS
+    _assert_directory_matches_golden(golden, out)

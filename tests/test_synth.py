@@ -462,6 +462,86 @@ def test_sos_export_requires_equilibrium(tmp_path):
         export_sos_sdpa(sysd, path=str(tmp_path / "x"))
 
 
+def _sdpa_rows(path):
+    """The block sizes, right-hand sides and rows of a .dat-s file, each row
+    as {(block, a, b): value} with 1-based upper-triangular positions."""
+    lines = path.read_text().split("\n")
+    sizes = [int(v) for v in lines[2].split()]
+    rhs = [float(v) for v in lines[3].split()]
+    rows = [{} for _ in rhs]
+    for line in filter(None, lines[4:]):
+        r, blk, a, b, v = line.split()
+        rows[int(r) - 1][(int(blk), int(a), int(b))] = float(v)
+    return sizes, rhs, rows
+
+
+def _worst_residual(sizes, rhs, rows, Y):
+    """max over rows of |<F_r, Y> - rhs_r|, an upper-triangular entry off the
+    diagonal standing for both of its symmetric places."""
+    worst = 0.0
+    for ent, b in zip(rows, rhs):
+        lhs = math.fsum(v * Y[blk - 1][a - 1, c - 1] * (1 if a == c else 2)
+                        for (blk, a, c), v in ent.items())
+        worst = max(worst, abs(lhs - b))
+    return worst
+
+
+def _certificate_point(sidecar, sizes, grams, coeffs, slack):
+    """The block-diagonal Y of a certificate: ``grams`` maps a block name to
+    the value of its constant-monomial diagonal entry, ``coeffs`` a
+    coefficient name to its value (split into plus and minus parts)."""
+    Y = [np.zeros((abs(s), abs(s))) for s in sizes]
+    for bi, blk in enumerate(sidecar["blocks"]):
+        if blk["name"] in grams:
+            const = [i for i, mono in enumerate(blk["basis"])
+                     if not np.any(mono)]
+            assert len(const) == 1
+            Y[bi][const[0], const[0]] = grams[blk["name"]]
+    diag = Y[sidecar["diag_block"] - 1]
+    for name, value in coeffs.items():
+        spec = sidecar["coefficients"][name]
+        pos = spec["plus"] if value > 0 else spec["minus"]
+        diag[pos - 1, pos - 1] = abs(value)
+    for pos in sidecar["slacks"]:
+        diag[pos - 1, pos - 1] = slack
+    return Y
+
+
+# hand-derived certificates: theta = (1, 1 + x2) for ex1 in sum mode, where
+# -cond = (1, 1), theta_1 - eps = P_1 and theta_2 - eps = P_2 + 1 * x2 with
+# x2 >= 0 the domain polynomial of axis 2; omega = (1, 1) for linear_sym in
+# max mode, where -cond = (2 - 1, 2 - 1).  Q_j = 1, the slacks are 1 - eps.
+HAND_CERTIFICATES = {
+    "ex1-sum": ("ex1", "sum", {"c_1_0": 1.0, "c_2_0": 1.0, "c_2_1": 1.0},
+                {"S_2": 1.0}),
+    "linear_sym-max": ("linear_sym", "max", {"c_1_0": 1.0, "c_2_0": 1.0}, {}),
+}
+
+
+@pytest.mark.parametrize("multiplier_degree", [0, 2])
+@pytest.mark.parametrize("case", sorted(HAND_CERTIFICATES))
+def test_sos_program_holds_at_a_hand_certificate(case, multiplier_degree,
+                                                 tmp_path):
+    name, mode, coeffs, multipliers = HAND_CERTIFICATES[case]
+    eps = 0.01
+    path = tmp_path / f"{name}.dat-s"
+    sidecar = export_sos_sdpa(load_system(name), degree=2, eps=eps,
+                              path=str(path), mode=mode,
+                              multiplier_degree=multiplier_degree)
+    sizes, rhs, rows = _sdpa_rows(path)
+    assert len(rows) == sidecar["n_constraints"]
+    grams = {"P_1": 1.0 - eps, "P_2": 1.0 - eps, "Q_1": 1.0, "Q_2": 1.0,
+             **multipliers}
+    Y = _certificate_point(sidecar, sizes, grams, coeffs, 1.0 - eps)
+    for block in Y:
+        assert np.all(np.linalg.eigvalsh(block) >= 0.0)
+    assert _worst_residual(sizes, rhs, rows, Y) <= 1e-12
+    # moving one coefficient by 0.1 leaves the program
+    plus = sidecar["coefficients"]["c_2_1"]["plus"]
+    Y[sidecar["diag_block"] - 1][plus - 1, plus - 1] += 0.1
+    assert _worst_residual(sizes, rhs, rows, Y) >= 0.05
+
+
 # ---------------------------------------------------------------------------
 # reading solver output back
 # ---------------------------------------------------------------------------
