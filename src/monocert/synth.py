@@ -901,38 +901,32 @@ def _parse_sdpa_blocks(text: str) -> list:
     """Parse "{ blk, blk, ... }" into arrays.
 
     Flat blocks ("{1, 2}") become 1-D arrays; nested blocks (matrices
-    printed row-wise, "{{1,2},{2,3}}") become 2-D arrays.
+    printed row-wise, "{{1,2},{2,3}}") become 2-D arrays.  One pass keeps
+    the open braces on a stack, each with the text offset after it and the
+    arrays closed inside it: depth 1 is the list of blocks, 2 a block and 3
+    a matrix row, and a brace opened deeper is malformed.
     """
-    depth = 0
-    start = None
-    spans = []
-    closed = False
+    stack: list = []
     for i, ch in enumerate(text):
         if ch == "{":
-            depth += 1
-            if depth == 2 and start is None:
-                start = i
-        elif ch == "}":
-            if depth == 2 and start is not None:
-                spans.append(text[start:i + 1])
-                start = None
-            depth -= 1
-            if depth == 0:
-                closed = True
-                break
-    if not closed:
-        raise SynthError("malformed solver output: unbalanced braces in yMat")
-    out = []
-    for btxt in spans:
-        try:
-            if "{" in btxt[1:-1]:
-                out.append(np.vstack(_parse_sdpa_blocks(btxt)))
-            else:
-                vals = btxt.strip("{} \n\t").replace(",", " ").split()
-                out.append(np.array([float(v) for v in vals]))
-        except ValueError as exc:
-            raise SynthError(f"malformed solver output: {exc}")
-    return out
+            if len(stack) == 3:
+                raise SynthError("malformed solver output: yMat nests deeper "
+                                 "than a matrix")
+            stack.append((i + 1, []))
+        elif ch == "}" and stack:
+            start, inner = stack.pop()
+            if not stack:
+                return inner
+            try:
+                if inner:
+                    value = np.vstack(inner)
+                else:
+                    vals = text[start:i].replace(",", " ").split()
+                    value = np.array([float(v) for v in vals])
+            except ValueError as exc:
+                raise SynthError(f"malformed solver output: {exc}")
+            stack[-1][1].append(value)
+    raise SynthError("malformed solver output: unbalanced braces in yMat")
 
 
 def parse_sos_solution(sidecar, solver_output) -> WeightFamily:

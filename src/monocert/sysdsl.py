@@ -46,6 +46,7 @@ reference ``t``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
@@ -459,6 +460,42 @@ def _emit(e: Expr, lines: list, consts: dict, var: str = "X[:, {}]",
     root = _fold(e, leave)
     if isinstance(root, float):
         lines.append(f"    _s0 = ({root!r})")
+
+
+_PY_BINOPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+              Div: operator.truediv}
+
+
+def _check_constants(e: Expr, where: str) -> None:
+    """Raise DslError where a kernel of ``e`` would raise: a subtree of
+    constants alone that divides by zero or whose power overflows.
+
+    Kernels keep such subtrees as Python floats (``_emit``), and Python's
+    ``/`` and ``**`` raise where numpy's give inf or nan.  A function call
+    returns a numpy scalar, which never raises, and so does every node
+    above it.
+    """
+
+    def leave(node: Expr, args: list, slot: int) -> Optional[float]:
+        # the node's Python float value, or None when it cannot raise
+        if isinstance(node, Const):
+            return node.value
+        if (not isinstance(node, (Neg, Pow, *_PY_BINOPS))
+                or any(v is None for v in args)):
+            return None
+        try:
+            if isinstance(node, Neg):
+                return -args[0]
+            if isinstance(node, Pow):
+                return args[0] ** node.exponent
+            return _PY_BINOPS[type(node)](*args)
+        except ZeroDivisionError:
+            raise DslError(f"{where}: a constant subexpression divides by "
+                           "zero") from None
+        except OverflowError:
+            raise DslError(f"{where}: a constant power overflows") from None
+
+    _fold(e, leave)
 
 
 def compile_expr(e) -> Callable:
@@ -941,6 +978,7 @@ class SystemDef:
             if bad:
                 raise DslError(f"equation for d{self.state_names[i]} references "
                                f"undeclared state index {bad[0]}")
+            _check_constants(f, f"equation for d{self.state_names[i]}")
         if self.equilibrium is not None:
             if len(self.equilibrium) != n:
                 raise DslError("equilibrium dimension mismatch")
@@ -1056,12 +1094,14 @@ class _Parser:
                             if state_names is not None else {})
 
     # -- token plumbing ----------------------------------------------------
-    def peek(self, skip_newlines: bool = False) -> _Tok:
+    def peek(self, skip_newlines: bool = False, ahead: int = 0) -> _Tok:
+        """The token at the cursor, or ``ahead`` places past it; newlines
+        at the cursor are passed over first when ``skip_newlines``."""
         p = self.pos
         if skip_newlines:
             while self.toks[p].kind == "NEWLINE":
                 p += 1
-        return self.toks[p]
+        return self.toks[p + ahead]
 
     def next(self, skip_newlines: bool = False) -> _Tok:
         if skip_newlines:
@@ -1205,9 +1245,9 @@ class _Parser:
             self.next(skip_newlines=True)
             return math.inf
         if tok.kind == "PUNCT" and tok.text == "-":
-            nxt = self.toks[self.pos + 1]
+            nxt = self.peek(skip_newlines=True, ahead=1)
             if nxt.kind == "IDENT" and nxt.text == "inf":
-                self.next()
+                self.next(skip_newlines=True)
                 self.next()
                 return -math.inf
         return self.signed_number()

@@ -128,6 +128,22 @@ def test_malformed_number_is_usage(tmp_path, capsys):
     assert "line 1, col 28: malformed number '1.2.3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, equilibrium", [
+    (["certify"], "  equilibrium (0)\n"),
+    (["certify"], ""),
+    (["simulate", "--x0", "0.5"], ""),
+], ids=["certify-equilibrium", "certify", "simulate"])
+def test_constant_division_by_zero_is_usage(argv, equilibrium, tmp_path,
+                                            capsys):
+    bad = tmp_path / "bad.sys"
+    bad.write_text("system z {\n  states x1 in [0, 1]\n  dx1 = -x1 + 1 / 0\n"
+                   + equilibrium + "}\n")
+    code = main([argv[0], str(bad), *argv[1:], "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert ("equation for dx1: a constant subexpression divides by zero"
+            in capsys.readouterr().err)
+
+
 def test_deeply_nested_signs_certify_like_one(tmp_path):
     """dx1 = -(-(...(x1)...)) with 10,001 signs is dx1 = -x1: certify reads
     it at the default recursion limit and writes the same report."""

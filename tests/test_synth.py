@@ -640,6 +640,21 @@ def test_parse_sos_solution_omega_negative_on_part_of_the_box(ex1, tmp_path):
         parse_sos_solution(sidecar, text)
 
 
+def test_solver_output_nested_deeper_than_a_matrix_is_malformed(ex1_export):
+    with pytest.raises(SynthError, match="malformed solver output: .*deeper"):
+        synth_mod._parse_sdpa_blocks("{ {{{1}}} }")
+    with pytest.raises(SynthError, match="malformed solver output: .*deeper"):
+        synth_mod._parse_sdpa_blocks("{" * 3000 + "}" * 3000)
+    # one block too deep among the right number of blocks
+    _, sidecar = ex1_export
+    text = fake_solver_output(sidecar, GOLDEN_DIAG)
+    row = "{" + ",".join(["0.0"] * 3) + "}"
+    matrix = "{" + ",".join([row] * 3) + "}"
+    assert matrix in text
+    with pytest.raises(SynthError, match="malformed solver output: .*deeper"):
+        parse_sos_solution(sidecar, text.replace(matrix, "{" + matrix + "}", 1))
+
+
 def test_parse_sos_solution_missing_ymat(ex1_export):
     _, sidecar = ex1_export
     with pytest.raises(SynthError, match="no yMat"):

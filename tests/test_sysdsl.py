@@ -120,6 +120,41 @@ def test_malformed_numbers_are_dsl_errors(text, line, col, literal):
     assert f"malformed number {literal!r}" in str(exc.value)
 
 
+@pytest.mark.parametrize("rhs, fault", [
+    ("-x1 + 1 / 0", "divides by zero"),
+    ("-x1 + x1 * (1 / 0)", "divides by zero"),
+    ("-x1 + 0 / (2 - 2)", "divides by zero"),
+    ("-x1 + (1e200)^2", "power overflows"),
+    ("-x1 + 2 * (1e200)^3 - 1", "power overflows"),
+])
+def test_raising_constant_is_a_dsl_error_naming_the_equation(rhs, fault):
+    text = f"system s {{\n  states x1 in [0, 1]\n  dx1 = {rhs}\n}}"
+    with pytest.raises(DslError, match=f"equation for dx1: .*{fault}"):
+        parse_system(text)
+
+
+@pytest.mark.parametrize("rhs", [
+    "-x1 + x1 / 0",            # 0-d array operand: numpy gives inf
+    "-x1 + exp(0) / 0",        # numpy scalar from the call
+    "-x1 + 1e200 * 1e200",     # Python's * gives inf without raising
+    "-x1 + t / 0",             # depends on t
+])
+def test_constants_that_evaluate_still_parse(rhs):
+    sysd = parse_system(f"system s {{\n  states x1 in [0, 1]\n"
+                        f"  dx1 = {rhs}\n}}")
+    with np.errstate(all="ignore"):
+        sysd.f_batch(np.array([[0.5]]), np.array([1.0]))
+
+
+def test_minus_inf_endpoint_after_a_newline():
+    sysd = parse_system("system s {\n  states x1 in (\n  -inf, 0]\n"
+                        "  dx1 = -x1\n}")
+    assert sysd.bounds[0].lo == -math.inf
+    with pytest.raises(DslError, match="-inf endpoint must be open"):
+        parse_system("system s {\n  states x1 in [\n  -inf, 0]\n"
+                     "  dx1 = -x1\n}")
+
+
 def test_unicode_digits_still_parse():
     assert parse_expr("٣ * x1", ["x1"]) == Mul(Const(3.0), Var(0))
     assert parse_expr("x1^٣", ["x1"]) == Pow(Var(0), 3)
