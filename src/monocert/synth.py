@@ -35,11 +35,14 @@ rows it makes tight.  When the dual is infeasible, a second dual solve of
 the feasibility problem (minimise the largest row violation) tells an
 unbounded LP from an infeasible one.
 
-``export_sos_sdpa`` writes the exact sum-of-squares feasibility program for
-the same positivity/condition/strictness constraints in SDPA sparse format
-(.dat-s) for an external SDP solver, with a JSON sidecar mapping decision
-variables to block positions; ``parse_sos_solution`` reads the solver's
-output back into a weight family.
+The exact sum-of-squares feasibility program for the same positivity,
+condition and strictness constraints is built once, as data, by
+``_sos_program``: its blocks, and rows matching the coefficients of
+polynomials held as {exponent tuple: coefficient}.  ``export_sos_sdpa``
+writes it in SDPA sparse format (.dat-s) for an external SDP solver, with
+a JSON sidecar mapping decision variables to block positions;
+``parse_sos_solution`` reads the solver's output back into a weight
+family.
 """
 
 from __future__ import annotations
@@ -559,8 +562,18 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
 
 
 # ---------------------------------------------------------------------------
-# Multivariate polynomial extraction (for the SOS export)
+# Polynomials as {exponent tuple: coefficient} (for the SOS program)
 # ---------------------------------------------------------------------------
+
+def _poly_mul(pa: dict, pb: dict) -> dict:
+    """The product of two polynomials, zero terms kept."""
+    out: dict = {}
+    for ka, va in pa.items():
+        for kb, vb in pb.items():
+            key = tuple(a + b for a, b in zip(ka, kb))
+            out[key] = out.get(key, 0.0) + va * vb
+    return out
+
 
 def _poly_dict(e: Expr, n: int) -> dict:
     """Exponent-tuple -> coefficient for a polynomial expression.
@@ -583,21 +596,11 @@ def _poly_dict(e: Expr, n: int) -> dict:
                 f"non-polynomial vector field: {type(node).__name__}")
         return node
 
-    def times(pa: dict, pb: dict) -> dict:
-        out: dict = {}
-        for ka, va in pa.items():
-            for kb, vb in pb.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, 0.0) + va * vb
-        return out
-
     def leave(node: Expr, args: list, slot: int) -> dict:
         if isinstance(node, Const):
             return {(0,) * n: node.value} if node.value != 0.0 else {}
         if isinstance(node, Var):
-            exp = [0] * n
-            exp[node.index] = 1
-            return {tuple(exp): 1.0}
+            return {_axis_mono(n, node.index, 1): 1.0}
         if isinstance(node, Neg):
             return {k: -v for k, v in args[0].items()}
         if isinstance(node, Div):
@@ -608,55 +611,196 @@ def _poly_dict(e: Expr, n: int) -> dict:
             for k, v in args[1].items():
                 out[k] = out.get(k, 0.0) + sign * v
         elif isinstance(node, Mul):
-            out = times(args[0], args[1])
+            out = _poly_mul(args[0], args[1])
         else:
             out = {(0,) * n: 1.0}
             for _ in range(node.exponent):
-                out = times(out, args[0])
+                out = _poly_mul(out, args[0])
         return {k: v for k, v in out.items() if v != 0.0}
 
     return _fold(e, leave, enter)
 
 
-def _shift_poly(p: dict, axis: int, by: int, scale: float = 1.0) -> dict:
-    """Multiply polynomial dict by scale * x_axis^by."""
-    out = {}
-    for k, v in p.items():
-        kk = list(k)
-        kk[axis] += by
-        out[tuple(kk)] = v * scale
-    return out
+def _axis_mono(n: int, axis: int, power: int) -> tuple:
+    """The exponent tuple of x_axis^power in n variables."""
+    return tuple(power if a == axis else 0 for a in range(n))
+
+
+def _grlex(mono: tuple) -> tuple:
+    """Sort key of graded lexicographic order: by total degree, then
+    x1^2 before x1*x2 before x2^2."""
+    return sum(mono), tuple(-e for e in mono)
 
 
 def _monomials_upto(n: int, deg: int) -> list:
-    """All exponent tuples with total degree <= deg, graded lexicographic."""
-    out = []
-    for total in range(deg + 1):
-        level = [k for k in itertools.product(range(total + 1), repeat=n)
-                 if sum(k) == total]
-        level.sort(reverse=True)   # lex within the grade
-        out.extend(level)
-    return out
+    """All exponent tuples with total degree <= deg, in grlex order."""
+    return sorted((k for k in itertools.product(range(deg + 1), repeat=n)
+                   if sum(k) <= deg), key=_grlex)
 
 
 # ---------------------------------------------------------------------------
-# SOS feasibility program export (SDPA sparse format)
+# SOS feasibility program: one builder, and a writer for SDPA sparse format
 # ---------------------------------------------------------------------------
 
-def _domain_poly(lo: float, hi: float) -> Optional[list]:
-    """Univariate d(x) >= 0 encoding of [lo, hi]; None when unconstrained.
+def _domain_poly(lo: float, hi: float, n: int, axis: int) -> Optional[dict]:
+    """d(x) >= 0 encoding [lo, hi] on ``axis``; None when unconstrained.
 
-    Ascending coefficients: (x-lo)(hi-x), x-lo, or hi-x for the
-    finite/semi-infinite cases.
+    (x-lo)(hi-x), x-lo, or hi-x for the finite/semi-infinite cases, zero
+    coefficients dropped.
     """
     lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
     if lo_f and hi_f:
-        return [-lo * hi, lo + hi, -1.0]
-    if lo_f:
-        return [-lo, 1.0]
-    if hi_f:
-        return [hi, -1.0]
-    return None
+        coeffs = [-lo * hi, lo + hi, -1.0]
+    elif lo_f:
+        coeffs = [-lo, 1.0]
+    elif hi_f:
+        coeffs = [hi, -1.0]
+    else:
+        return None
+    return {_axis_mono(n, axis, t): c for t, c in enumerate(coeffs)
+            if c != 0.0}
+
+
+def _diag_positions(n: int, d1: int) -> tuple:
+    """1-based positions in the diagonal block: {(i, k): (plus, minus)} of
+    coefficient c_{i,k} = plus - minus, then the slack of each component."""
+    coeffs = {(i, k): (2 * (i * d1 + k) + 1, 2 * (i * d1 + k) + 2)
+              for i in range(n) for k in range(d1)}
+    return coeffs, [2 * n * d1 + j + 1 for j in range(n)]
+
+
+def _gram(block: int, basis: list, multiplier: dict) -> dict:
+    """monomial -> {(block, a, b): coefficient} of multiplier * z'Gz, z the
+    monomials of ``basis`` and G the block, over its upper triangle."""
+    out: dict = {}
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            zz = {tuple(x + y for x, y in zip(basis[a], basis[b])): 1.0}
+            for mono, v in _poly_mul(zz, multiplier).items():
+                out.setdefault(mono, {})[(block, a + 1, b + 1)] = v
+    return out
+
+
+def _sos_program(sys: SystemDef, degree: int, eps: float, mode: str,
+                 multiplier_degree: int) -> tuple:
+    """The SOS feasibility program of ``export_sos_sdpa`` as data.
+
+    Returns ``(blocks, rows, rhs)``: ``blocks`` lists (name, size, basis)
+    in block order, the basis a list of exponent tuples, or None for the
+    diagonal block, which comes last; row r says  sum of value * Y[block][a,
+    b] over its entries {(block, a, b): value} = rhs[r],  with 1-based
+    block numbers and upper-triangular 1-based positions a <= b, an entry
+    off the diagonal standing for both of its symmetric places.  The
+    arguments are those ``export_sos_sdpa`` has checked.
+    """
+    n = sys.n
+    d1 = degree + 1
+    xstar = np.asarray(sys.equilibrium, dtype=float)
+
+    jb = jacobian(sys)
+    if jb.n_guards:
+        raise SynthError("non-polynomial vector field: min/max branches")
+    J_polys = [[_poly_dict(jb.branch_matrix(())[i, j], n) for j in range(n)]
+               for i in range(n)]
+    f_polys = [_poly_dict(fi, n) for fi in sys.odes]
+    domains = [_domain_poly(b.lo, b.hi, n, i) for i, b in enumerate(sys.bounds)]
+    one = {(0,) * n: 1.0}
+
+    # linear coefficient polynomials: cond_j = sum_{i,k} c_{i,k} * L[j][i, k]
+    sign = _CONDITIONS[mode][2]
+    L = [{} for _ in range(n)]
+    for j, i, k in itertools.product(range(n), range(n), range(d1)):
+        # theta_i J[i, j] (sum) or J[j, i] omega_i (max), x_i^k each
+        p = _poly_mul(J_polys[i][j] if mode == "sum" else J_polys[j][i],
+                      {_axis_mono(n, i, k): 1.0})
+        if i == j and k >= 1:
+            extra = _poly_mul(f_polys[j], {_axis_mono(n, j, k - 1): sign * k})
+            for key, v in extra.items():
+                p[key] = p.get(key, 0.0) + v
+        L[j][i, k] = {key: v for key, v in p.items() if v != 0.0}
+
+    # ---- block layout -----------------------------------------------------
+    blocks: list = []
+
+    def block(name: str, basis: Optional[list], size: int = 0) -> int:
+        blocks.append((name, size or len(basis), basis))
+        return len(blocks)
+
+    def univariate(i: int, deg: int) -> list:
+        return [_axis_mono(n, i, p) for p in range(deg // 2 + 1)]
+
+    def q_degree(j: int) -> int:
+        deg = max((sum(key) for p in L[j].values() for key in p), default=0)
+        return max([deg] + [multiplier_degree + max(map(sum, dom))
+                            for dom in domains if dom is not None])
+
+    P = [block(f"P_{i + 1}", univariate(i, degree)) for i in range(n)]
+    S = {i: block(f"S_{i + 1}", univariate(i, multiplier_degree))
+         for i in range(n) if domains[i] is not None}
+    q_basis = [_monomials_upto(n, q_degree(j) // 2) for j in range(n)]
+    Q = [block(f"Q_{j + 1}", q_basis[j]) for j in range(n)]
+    sig_basis = _monomials_upto(n, multiplier_degree // 2)
+    sigma = {(j, i): block(f"sigma_{j + 1}_{i + 1}", sig_basis)
+             for j in range(n) for i in range(n) if domains[i] is not None}
+    diag = block("coeffs_and_slacks", None, 2 * n * d1 + n)
+    coeff_pos, slack_pos = _diag_positions(n, d1)
+
+    # ---- constraint rows ----------------------------------------------------
+    rows: list = []
+    rhs: list = []
+
+    def add_coeff(ent: dict, i: int, k: int, v: float) -> None:
+        """Add v * c_{i,k}, that is v * (plus - minus), to the row ``ent``."""
+        plus, minus = coeff_pos[i, k]
+        ent[(diag, plus, plus)] = v
+        ent[(diag, minus, minus)] = -v
+
+    def identity(grams: list, linear: dict, const: float) -> None:
+        """Rows matching, monomial by monomial in grlex order, the Gram
+        terms ``grams`` plus sum c_{i,k} * linear[i, k] to ``const``."""
+        per_mono: dict = {}
+        for g in grams:
+            for mono, ent in g.items():
+                per_mono.setdefault(mono, {}).update(ent)
+        for mono in sorted(set(per_mono).union(*linear.values()),
+                           key=_grlex):
+            ent = per_mono.get(mono, {})
+            for (i, k), p in linear.items():
+                lv = p.get(mono, 0.0)
+                if lv != 0.0:
+                    add_coeff(ent, i, k, lv)
+            rows.append(ent)
+            rhs.append(0.0 if any(mono) else const)
+
+    # positivity: P_i + S_i d_i - theta_i = -eps
+    for i in range(n):
+        grams = [_gram(P[i], univariate(i, degree), one)]
+        if i in S:
+            grams.append(_gram(S[i], univariate(i, multiplier_degree),
+                               domains[i]))
+        identity(grams, {(i, k): {_axis_mono(n, i, k): -1.0}
+                         for k in range(d1)}, -eps)
+
+    # conditions: Q_j + sum_i sigma_ji d_i + cond_j = 0
+    for j in range(n):
+        grams = [_gram(Q[j], q_basis[j], one)]
+        grams += [_gram(sigma[j, i], sig_basis, domains[i])
+                  for i in range(n) if (j, i) in sigma]
+        identity(grams, L[j], 0.0)
+
+    # equilibrium strictness rows: -cond_j(x*) - slack_j = eps
+    for j in range(n):
+        ent = {}
+        for (i, k), p in L[j].items():
+            val = 0.0
+            for mono, cv in p.items():
+                val += cv * float(np.prod(xstar ** np.asarray(mono)))
+            if val != 0.0:
+                add_coeff(ent, i, k, -val)
+        ent[(diag, slack_pos[j], slack_pos[j])] = -1.0
+        rows.append(ent)
+        rhs.append(eps)
+    return blocks, rows, rhs
 
 
 def export_sos_sdpa(sys: SystemDef, degree: int = 2,
@@ -674,8 +818,13 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     nonnegative entries; all constraints are linear coefficient-matching
     equalities on the block-diagonal PSD variable.
 
-    Returns the sidecar mapping (also written to ``path`` + ".json") needed
-    by ``parse_sos_solution``.
+    ``_sos_program`` builds that program as data; this function checks the
+    arguments and writes it out: the .dat-s file (rows in order, each
+    row's entries sorted, values to 12 significant digits) and the JSON
+    sidecar ``path`` + ".json", whose mapping it returns.  The sidecar
+    locates every block, coefficient and slack, as ``parse_sos_solution``
+    needs, and prints the bases of the univariate blocks P_i and S_i as
+    degrees.
     """
     if mode not in ("sum", "max"):
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
@@ -685,208 +834,38 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
         raise SynthError("multiplier degree must be even (it is a SOS degree)")
     if sys.equilibrium is None:
         raise SynthError("SOS export needs a declared equilibrium")
-    n = sys.n
-    d1 = degree + 1
-    xstar = np.asarray(sys.equilibrium, dtype=float)
+    blocks, rows, rhs = _sos_program(sys, degree, eps, mode, multiplier_degree)
 
-    jb = jacobian(sys)
-    if jb.n_guards:
-        raise SynthError("non-polynomial vector field: min/max branches")
-    J_polys = [[_poly_dict(jb.branch_matrix(())[i, j], n) for j in range(n)]
-               for i in range(n)]
-    f_polys = [_poly_dict(fi, n) for fi in sys.odes]
-
-    domains = [_domain_poly(b.lo, b.hi) for b in sys.bounds]
-
-    # linear coefficient polynomials: cond_j = sum_{i,k} c_{i,k} * L[j][i][k]
-    sign = _CONDITIONS[mode][2]
-    L = [[[None] * d1 for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(d1):
-                # theta_i J[i, j] (sum) or J[j, i] omega_i (max), x_i^k each
-                p = _shift_poly(J_polys[i][j] if mode == "sum"
-                                else J_polys[j][i], i, k)
-                if i == j and k >= 1:
-                    extra = _shift_poly(f_polys[j], j, k - 1, sign * k)
-                    for key, v in extra.items():
-                        p[key] = p.get(key, 0.0) + v
-                L[j][i][k] = {key: v for key, v in p.items() if v != 0.0}
-
-    # ---- block layout -----------------------------------------------------
-    blocks = []          # (name, size, basis or None)
-    g_pos = degree // 2
-    pos_basis = list(range(g_pos + 1))
-    for i in range(n):
-        blocks.append((f"P_{i + 1}", g_pos + 1, pos_basis))
-    mult_size = multiplier_degree // 2 + 1
-    s_block_of = {}
-    for i in range(n):
-        if domains[i] is not None:
-            s_block_of[i] = len(blocks)
-            blocks.append((f"S_{i + 1}", mult_size, list(range(mult_size))))
-    q_block_of = {}
-    q_basis = {}
-    for j in range(n):
-        deg_j = 0
-        for i in range(n):
-            for k in range(d1):
-                for key in L[j][i][k]:
-                    deg_j = max(deg_j, sum(key))
-        for i in range(n):
-            if domains[i] is not None:
-                deg_j = max(deg_j, multiplier_degree + len(domains[i]) - 1)
-        basis = _monomials_upto(n, deg_j // 2)
-        q_block_of[j] = len(blocks)
-        q_basis[j] = basis
-        blocks.append((f"Q_{j + 1}", len(basis), basis))
-    sig_block_of = {}
-    sig_basis = _monomials_upto(n, multiplier_degree // 2)
-    for j in range(n):
-        for i in range(n):
-            if domains[i] is not None:
-                sig_block_of[(j, i)] = len(blocks)
-                blocks.append((f"sigma_{j + 1}_{i + 1}", len(sig_basis),
-                               sig_basis))
-    diag_block = len(blocks)
-    diag_size = 2 * n * d1 + n
-    blocks.append(("coeffs_and_slacks", diag_size, None))
-
-    def coeff_pos(i: int, k: int):
-        base = 2 * (i * d1 + k)
-        return base + 1, base + 2          # 1-based plus, minus
-
-    def slack_pos(j: int):
-        return 2 * n * d1 + j + 1
-
-    def add_coeff(ent: dict, i: int, k: int, v: float) -> None:
-        """Add v * c_{i,k}, that is v * (plus - minus), to the row ``ent``."""
-        p, q = coeff_pos(i, k)
-        ent[(diag_block, p, p)] = ent.get((diag_block, p, p), 0.0) + v
-        ent[(diag_block, q, q)] = ent.get((diag_block, q, q), 0.0) - v
-
-    # ---- constraint rows ----------------------------------------------------
-    # each row: {(blk, a, b): coeff}, rhs; entries upper-triangular 1-based
-    rows: list = []
-    rhs: list = []
-
-    def gram_entries(blk: int, basis: list, target: dict,
-                     mono_filter=None, conv: Optional[list] = None):
-        """Add Gram contributions of block ``blk`` into ``target`` dict of
-        rows keyed by monomial.  ``conv`` convolves with a univariate domain
-        poly on axis ``conv[0]`` with coefficients conv[1]."""
-        size = len(basis)
-        for a in range(size):
-            for b in range(a, size):
-                if isinstance(basis[a], tuple):
-                    mono = tuple(x + y for x, y in zip(basis[a], basis[b]))
-                else:
-                    mono = basis[a] + basis[b]
-                if conv is None:
-                    target.setdefault(mono, {})[(blk, a + 1, b + 1)] = 1.0
-                else:
-                    axis, dcoef = conv
-                    for t, dv in enumerate(dcoef):
-                        if dv == 0.0:
-                            continue
-                        if isinstance(mono, tuple):
-                            mm = list(mono)
-                            mm[axis] += t
-                            key = tuple(mm)
-                        else:
-                            key = mono + t
-                        ent = target.setdefault(key, {})
-                        ent[(blk, a + 1, b + 1)] = ent.get((blk, a + 1, b + 1),
-                                                           0.0) + dv
-
-    # positivity constraints, one per coordinate (univariate, monomial = power)
-    for i in range(n):
-        per_mono: dict = {}
-        gram_entries(i, pos_basis, per_mono)
-        if domains[i] is not None:
-            gram_entries(s_block_of[i], list(range(mult_size)), per_mono,
-                         conv=(None, domains[i]))
-        powers = sorted(set(list(per_mono.keys()) + list(range(d1))))
-        for m in powers:
-            ent = dict(per_mono.get(m, {}))
-            if m < d1:
-                add_coeff(ent, i, m, -1.0)
-            rows.append(ent)
-            rhs.append(-eps if m == 0 else 0.0)
-
-    # condition constraints, one per component (multivariate)
-    for j in range(n):
-        per_mono: dict = {}
-        gram_entries(q_block_of[j], q_basis[j], per_mono)
-        for i in range(n):
-            if domains[i] is not None:
-                gram_entries(sig_block_of[(j, i)], sig_basis, per_mono,
-                             conv=(i, domains[i]))
-        monos = set(per_mono.keys())
-        for i in range(n):
-            for k in range(d1):
-                monos.update(L[j][i][k].keys())
-        for mono in sorted(monos, key=lambda m: (sum(m), tuple(-e for e in m))):
-            ent = dict(per_mono.get(mono, {}))
-            for i in range(n):
-                for k in range(d1):
-                    lv = L[j][i][k].get(mono, 0.0)
-                    if lv != 0.0:
-                        add_coeff(ent, i, k, lv)
-            if not ent:
-                continue
-            rows.append(ent)
-            rhs.append(0.0)
-
-    # equilibrium strictness rows: -cond_j(x*) - slack_j = eps
-    for j in range(n):
-        ent = {}
-        for i in range(n):
-            for k in range(d1):
-                val = 0.0
-                for mono, cv in L[j][i][k].items():
-                    val += cv * float(np.prod(xstar ** np.asarray(mono)))
-                if val != 0.0:
-                    add_coeff(ent, i, k, -val)
-        sp = slack_pos(j)
-        ent[(diag_block, sp, sp)] = -1.0
-        rows.append(ent)
-        rhs.append(eps)
-
-    # ---- write .dat-s -------------------------------------------------------
-    m_total = len(rows)
-    lines = [f"{m_total}", f"{len(blocks)}"]
-    sizes = []
-    for name, size, _ in blocks:
-        sizes.append(str(-size) if name == "coeffs_and_slacks" else str(size))
-    lines.append(" ".join(sizes))
-    lines.append(" ".join(f"{v:.12g}" for v in rhs))
+    lines = [f"{len(rows)}", f"{len(blocks)}",
+             " ".join(str(size if basis is not None else -size)
+                      for _, size, basis in blocks),
+             " ".join(f"{v:.12g}" for v in rhs)]
     for r, ent in enumerate(rows, start=1):
         for (blk, a, b), v in sorted(ent.items()):
-            lines.append(f"{r} {blk + 1} {a} {b} {v:.12g}")
+            lines.append(f"{r} {blk} {a} {b} {v:.12g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
+    coeff_pos, slack_pos = _diag_positions(sys.n, degree + 1)
     sidecar = {
         "kind": "theta" if mode == "sum" else "omega",
         "mode": mode,
         "degree": degree,
         "multiplier_degree": multiplier_degree,
         "epsilon": eps,
-        "n": n,
+        "n": sys.n,
         "monomial_order": "grlex",
-        "blocks": [{"name": name, "index": bi + 1, "size": size,
-                    "basis": ([list(b) if isinstance(b, tuple) else b
-                               for b in basis] if basis is not None else None)}
-                   for bi, (name, size, basis) in enumerate(blocks)],
-        "diag_block": diag_block + 1,
-        "coefficients": {
-            f"c_{i + 1}_{k}": {"plus": coeff_pos(i, k)[0],
-                               "minus": coeff_pos(i, k)[1]}
-            for i in range(n) for k in range(d1)},
-        "slacks": [slack_pos(j) for j in range(n)],
+        "blocks": [{"name": name, "index": bi, "size": size,
+                    "basis": None if basis is None else
+                    [sum(m) if name[:2] in ("P_", "S_") else list(m)
+                     for m in basis]}
+                   for bi, (name, size, basis) in enumerate(blocks, start=1)],
+        "diag_block": len(blocks),
+        "coefficients": {f"c_{i + 1}_{k}": {"plus": plus, "minus": minus}
+                         for (i, k), (plus, minus) in coeff_pos.items()},
+        "slacks": slack_pos,
         "bounds": [[b.lo, b.hi] for b in sys.bounds],
-        "n_constraints": m_total,
+        "n_constraints": len(rows),
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

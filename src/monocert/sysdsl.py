@@ -13,6 +13,8 @@ and does not chain (``x1^2^2`` is an error); unary minus binds tighter
 than ``*`` and looser than ``^``, so ``-2^2`` is -(2^2); a sign folds into
 a bare literal (``-2`` is the constant -2, ``--2`` its negation, ``-(2)``
 a negation of 2); a literal ``float`` cannot read (``1.2.3``) is an error.
+A system whose equation holds a subtree of constants that divides by zero
+or overflows in ``^`` is an error naming the equation (``_check_constants``).
 
 Parsing is one operator-precedence loop on explicit stacks
 (``_Parser.expr``), and every tree walk runs on one explicit-stack walker
@@ -462,33 +464,29 @@ def _emit(e: Expr, lines: list, consts: dict, var: str = "X[:, {}]",
         lines.append(f"    _s0 = ({root!r})")
 
 
-_PY_BINOPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv}
+_PY_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+           Mul: operator.mul, Div: operator.truediv}
 
 
 def _check_constants(e: Expr, where: str) -> None:
     """Raise DslError where a kernel of ``e`` would raise: a subtree of
-    constants alone that divides by zero or whose power overflows.
+    constants alone that divides by zero or has a power that overflows.
 
-    Kernels keep such subtrees as Python floats (``_emit``), and Python's
-    ``/`` and ``**`` raise where numpy's give inf or nan.  A function call
-    returns a numpy scalar, which never raises, and so does every node
-    above it.
+    Kernels keep such subtrees as Python floats (``_emit``), whose ``/`` and
+    ``**`` raise where numpy's give inf or nan.  A call returns a numpy
+    scalar, which never raises, and neither does any node above it.
     """
 
     def leave(node: Expr, args: list, slot: int) -> Optional[float]:
         # the node's Python float value, or None when it cannot raise
         if isinstance(node, Const):
             return node.value
-        if (not isinstance(node, (Neg, Pow, *_PY_BINOPS))
-                or any(v is None for v in args)):
+        if None in args or not isinstance(node, (Pow, *_PY_OPS)):
             return None
         try:
-            if isinstance(node, Neg):
-                return -args[0]
             if isinstance(node, Pow):
                 return args[0] ** node.exponent
-            return _PY_BINOPS[type(node)](*args)
+            return _PY_OPS[type(node)](*args)
         except ZeroDivisionError:
             raise DslError(f"{where}: a constant subexpression divides by "
                            "zero") from None

@@ -16,10 +16,10 @@ The simulate, contract and entrain goldens pin the RK4 integrator bit for
 bit: every state is printed with 17 significant digits, and the reports
 carry step errors, fitted rates and spreads.
 The export-sos goldens pin the SOS program byte for byte: the .dat-s file
-and its JSON sidecar.  One of them is a system written here, with a
-nonzero equilibrium, a half-bounded and an unbounded axis, since the
-corpus equilibria are all 0 and that hides the order in which the
-equilibrium rows are summed.
+and its JSON sidecar.  Two of them are systems written here, with nonzero
+equilibria, a half-bounded and an unbounded axis, since the corpus
+equilibria are all 0 and that hides the order in which the equilibrium
+rows are summed; in one, that order changes the bytes.
 To regenerate a golden, run its command with ``--out DIR`` and copy the
 report (for a golden directory, every file written) over the golden.
 """
@@ -98,6 +98,19 @@ system shifted {
 }
 """
 
+# equilibrium (1, 1), where the terms of the Jacobian entry -0.5 + 1e17*x2
+# - 1e17*x1 sum to 0 left to right and to -0.5 right to left: the
+# equilibrium rows show the order of their sums
+CANCEL_SYS = """
+system cancel {
+  states x1 in [1, inf), x2 in (-inf, inf)
+  dx1 = 0.5 - 0.5*x1 + 1e17*x1*x2 - 5e16*x1^2 - 5e16*x2^2
+  dx2 = x1 - x2
+  equilibrium (1, 1)
+}
+"""
+INLINE_SYSTEMS = {"shifted": SHIFTED_SYS, "cancel": CANCEL_SYS}
+
 # golden directory -> (system, export-sos options); the directory holds
 # every file the command writes
 EXPORT_CASES = {
@@ -109,8 +122,11 @@ EXPORT_CASES = {
         "multiagent", ["--degree", "2", "--mode", "sum",
                        "--multiplier-degree", "2"]),
     "export-sos-shifted-d3-sum-m2": (
-        SHIFTED_SYS, ["--degree", "3", "--mode", "sum",
-                      "--multiplier-degree", "2", "--eps", "0.05"]),
+        "shifted", ["--degree", "3", "--mode", "sum",
+                    "--multiplier-degree", "2", "--eps", "0.05"]),
+    "export-sos-cancel-d2-sum-m2": (
+        "cancel", ["--degree", "2", "--mode", "sum",
+                   "--multiplier-degree", "2"]),
 }
 
 
@@ -153,9 +169,9 @@ def test_validation_output_matches_golden(golden, tmp_path):
 @pytest.mark.parametrize("golden", sorted(EXPORT_CASES))
 def test_sos_export_matches_golden(golden, tmp_path):
     system, options = EXPORT_CASES[golden]
-    if system == SHIFTED_SYS:
-        system = str(tmp_path / "shifted.sys")
-        (tmp_path / "shifted.sys").write_text(SHIFTED_SYS)
+    if system in INLINE_SYSTEMS:
+        (tmp_path / f"{system}.sys").write_text(INLINE_SYSTEMS[system])
+        system = str(tmp_path / f"{system}.sys")
     out = tmp_path / "out"
     assert main(["export-sos", system, *options, "--quiet",
                  "--out", str(out)]) == EXIT_PASS

@@ -542,6 +542,23 @@ def test_sos_program_holds_at_a_hand_certificate(case, multiplier_degree,
     assert _worst_residual(sizes, rhs, rows, Y) >= 0.05
 
 
+@pytest.mark.parametrize("name, mode", [("ex1", "max"), ("multiagent", "sum")])
+def test_sos_export_writes_the_program_the_builder_returns(name, mode,
+                                                           tmp_path):
+    sysd = load_system(name)
+    blocks, rows, rhs = synth_mod._sos_program(sysd, 3, 0.01, mode, 2)
+    path = tmp_path / f"{name}.dat-s"
+    sidecar = export_sos_sdpa(sysd, degree=3, eps=0.01, path=str(path),
+                              mode=mode, multiplier_degree=2)
+    sizes, file_rhs, file_rows = _sdpa_rows(path)
+    assert sizes == [size for _, size, _ in blocks[:-1]] + [-blocks[-1][1]]
+    assert [b["name"] for b in sidecar["blocks"]] == [b[0] for b in blocks]
+    assert sidecar["diag_block"] == len(blocks) and blocks[-1][2] is None
+    assert file_rhs == [float(f"{v:.12g}") for v in rhs]
+    assert file_rows == [{key: float(f"{v:.12g}") for key, v in ent.items()}
+                         for ent in rows]
+
+
 # ---------------------------------------------------------------------------
 # reading solver output back
 # ---------------------------------------------------------------------------
