@@ -16,7 +16,10 @@ for both.  The worst entry of condition blocks is found by an
 argmax-first scan in Python floats, one entry at a time, where the package
 locates rows on numpy maxima first.  The RK4 references are the four-call
 form of a step over ``f_batch`` (bit for bit what the step kernel must
-give) and one step of one point in Python floats.  Expressions are parsed
+give) and one step of one point in Python floats; a whole run of the
+integrator is referenced by those steps taken one row at a time, with the
+error estimate, domain check and sampling applied step by step in Python
+(``integrate_reference``).  Expressions are parsed
 here by plain recursive descent, one function per grammar level, where the
 package reads them with one operator-precedence loop on explicit stacks.
 """
@@ -115,6 +118,67 @@ def domain_failure(sys, j, x, k, t):
             f"trajectory {j} left the domain at t={t:.6g}: "
             f"{sys.state_names[i]}={x[i]:.6g} violates {sys.bounds[i]} "
             f"by {worst:.3e} (not clamping)")
+
+
+def integrate_reference(sys, X0, t_end, dt, t0=0.0, save_every=1,
+                        abort_on_failure=False) -> tuple:
+    """A whole run of ``integrate_batch``, one row and one step at a time:
+    ``(t, x, max_step_error, failures)``.
+
+    The run takes floor(span/dt + 1e-9) steps of dt and, when more than
+    1e-12 is left, one remainder step, the time advancing by ``t += h``.
+    Each live row steps alone by ``rk4_four_calls``.  On every 16th step of
+    the run, and on the last, the row's step-doubling estimate
+    max_i |full_i - half_i| / 15, with ``half`` two four-call steps of h/2,
+    raises its worst error unless the estimate is NaN.  A row that
+    ``domain_failure`` flags, at the start (step -1) or after a step, stops
+    there; its samples from then on are NaN, the start aside.  A sample is
+    kept after every ``save_every``-th step and after the last; with
+    ``abort_on_failure`` the run ends after the first step, or at the start,
+    at which a row fails.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    span = float(t_end) - float(t0)
+    n_full = math.floor(span / dt + 1e-9)
+    rem = span - n_full * dt
+    n_steps = n_full + (1 if rem > 1e-12 else 0)
+    live, failures = {}, {}
+    for j, x in enumerate(X0):
+        fail = domain_failure(sys, j, x.tolist(), -1, t0)
+        if fail is None:
+            live[j] = x
+        else:
+            failures[j] = fail
+    err = [0.0] * len(X0)
+    t = float(t0)
+    ts, xs = [t], [X0.copy()]
+    for k in range(n_steps):
+        if abort_on_failure and failures:
+            break
+        h = dt if k < n_full else rem
+        for j in sorted(live):
+            x = live[j][None, :]
+            full = rk4_four_calls(sys, x, t, h)[0]
+            if k % 16 == 0 or k == n_steps - 1:
+                mid = rk4_four_calls(sys, x, t, h / 2)
+                half = rk4_four_calls(sys, mid, t + h / 2, h / 2)[0]
+                gaps = [abs(a - b) for a, b in zip(full, half)]
+                if not any(math.isnan(g) for g in gaps):
+                    err[j] = max(err[j], max(gaps) / 15.0)
+            live[j] = full
+        t += h
+        for j in sorted(live):
+            fail = domain_failure(sys, j, live[j].tolist(), k, t)
+            if fail is not None:
+                failures[j] = fail
+                del live[j]
+        if (k + 1) % save_every == 0 or k + 1 == n_steps:
+            sample = np.full(X0.shape, np.nan)
+            for j, x in live.items():
+                sample[j] = x
+            ts.append(t)
+            xs.append(sample)
+    return np.array(ts), np.array(xs), np.array(err), failures
 
 
 def matrix_at(mat, x, t=None) -> np.ndarray:

@@ -13,7 +13,8 @@ from monocert.sim import (BatchTrajectories, ContractionReport,
                           Trajectory, entrainment_test,
                           estimate_contraction_rate, integrate,
                           integrate_batch, verify_decrease)
-from oracles import domain_failure, rk4_at, rk4_four_calls
+from oracles import (domain_failure, integrate_reference, rk4_at,
+                     rk4_four_calls)
 
 
 def _scalar(body: str, lo="-inf", hi="inf", extra="") -> mc.SystemDef:
@@ -129,6 +130,67 @@ def test_rk4_step_matches_the_four_call_form(name):
             assert np.array_equal(
                 _bits(half),
                 _bits(rk4_four_calls(sys, mid, 0.7 + h / 2, h / 2)))
+
+
+def _assert_matches_reference(sys, X0, t_end, dt, t0, save_every, abort):
+    with np.errstate(all="ignore"):
+        got = integrate_batch(sys, X0, t_end, dt=dt, t0=t0,
+                              save_every=save_every, abort_on_failure=abort)
+        t, x, err, failures = integrate_reference(
+            sys, X0, t_end, dt, t0=t0, save_every=save_every,
+            abort_on_failure=abort)
+    assert np.array_equal(_bits(got.t), _bits(t))
+    assert got.x.shape == x.shape
+    assert np.array_equal(_bits(got.x), _bits(x))
+    assert np.array_equal(_bits(got.max_step_error), _bits(err))
+    assert got.failures == failures
+
+
+def _edge_starts(rng, sys, X0):
+    """Put coordinates of some rows on a bounded domain's edge, past it by
+    half of ``INVARIANCE_TOL`` (kept) or by twice it (dropped)."""
+    tol = mc.sim.INVARIANCE_TOL
+    edges = [(i, e, s) for i, b in enumerate(sys.bounds)
+             for e, s in ((b.lo, -1.0), (b.hi, 1.0)) if math.isfinite(e)]
+    for r in range(X0.shape[0]):
+        if edges and rng.random() < 0.4:
+            i, e, s = edges[rng.integers(len(edges))]
+            X0[r, i] = e + s * tol * rng.choice([0.0, 0.5, 2.0])
+    return X0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.sys")))
+def test_integrate_batch_matches_the_whole_run_reference(name, seed):
+    """Seeded runs: batch sizes 1 to 20, runs with and without a remainder
+    step, two start times, four sample spacings, both abort settings and
+    starts on or just past a bounded edge; a step as long as 0.25 lets
+    some rows blow up or leave."""
+    sys = load_system(name)
+    rng = np.random.default_rng([seed, len(name)])
+    lo = np.array([max(b.lo, -5.0) for b in sys.bounds])
+    hi = np.array([min(b.hi, 5.0) for b in sys.bounds])
+    for _ in range(3):
+        B = int(rng.choice([1, 2, 3, 7, 20]))
+        X0 = _edge_starts(rng, sys, lo + (hi - lo) * rng.random((B, sys.n)))
+        dt = float(rng.choice([1e-2, 0.05, 0.25]))
+        t0 = float(rng.choice([0.0, 0.3]))
+        steps = int(rng.choice([1, 2, 16, 17, 40, 75]))
+        t_end = t0 + (steps + float(rng.choice([0.0, 0.37]))) * dt
+        _assert_matches_reference(sys, X0, t_end, dt, t0,
+                                  int(rng.choice([1, 3, 16, 50])),
+                                  bool(rng.integers(2)))
+
+
+@pytest.mark.parametrize("name", ["ex1", "entrain_cubic", "rotation"])
+def test_long_run_matches_the_whole_run_reference(name):
+    """Runs of over 2,000 steps with a remainder step; in rotation one
+    start leaves the domain mid-run."""
+    sys = load_system(name)
+    X0 = np.array([[0.9] * sys.n, [0.3] * sys.n])
+    for save_every, abort in ((1, False), (50, True)):
+        _assert_matches_reference(sys, X0, 0.3 + 2100.5 * 1e-3, 1e-3, 0.3,
+                                  save_every, abort)
 
 
 def _failures_by_rule(sys, X0, t_end, dt):
