@@ -1,26 +1,26 @@
 """Trajectory-based validation of certificates.
 
-Integration is classical fixed-step RK4 through the system's two compiled
-kernels (see ``sysdsl.compile_step``), which run the four stages inline and
-are bit for bit the same arithmetic as four calls of the vector field.
-Every 16th step, and the last, is a step-doubling error estimate: one call
-of ``SystemDef.rk4_check`` returns the full step and two half steps, whose
-difference scaled by 1/15 is sampled and the worst value reported on the
-trajectory; the state itself always advances by the plain full step, so
-convergence stays exactly fourth order.  The plain steps between two
-estimates run as one block, in one call of ``SystemDef.rk4_run`` that loops
-over up to K = 15 steps and writes each step's states to a buffer, from
-which the saved samples are copied.
+Integration is classical fixed-step RK4 through the system's one compiled
+kernel (see ``sysdsl.compile_step``), which runs the four stages inline and
+is bit for bit the same arithmetic as four calls of the vector field.  One
+call of ``SystemDef.rk4_run`` runs a block of up to ``_BLOCK`` steps and
+writes each step's states to a buffer, from which the kept samples are
+sliced; a remainder step that ends the run on t_end is a block of its own.
+On every 16th step of the run, and on the last, the kernel also takes a
+step-doubling error estimate from two half steps, whose difference from
+the full step scaled by 1/15 raises the trajectory's worst step error; the
+state itself always advances by the plain full step, so convergence stays
+exactly fourth order.
 
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain
 by more than ``INVARIANCE_TOL`` stops with its own diagnostic while the
-others continue.  While every row is inside, the domain check is one
-reduction over the batch; the block kernel applies it after each step and
-returns at the first step that fails it, so no step past a failure is
-computed, and the per-row diagnostics then run on that step's states before
-the block goes on.  States are never clamped back in, because a clamped
-trajectory would silently invalidate every conclusion drawn from it.
+others continue.  The kernel applies the domain check after each step, one
+reduction over the batch, and returns at the first step that fails it, so
+no step past a failure is computed; the per-row diagnostics then run on
+that step's states before the next block starts.  States are never clamped
+back in, because a clamped trajectory would silently invalidate every
+conclusion drawn from it.
 
 On top of the integrator:
 
@@ -55,7 +55,7 @@ __all__ = [
     "entrainment_test", "EntrainReport", "INVARIANCE_TOL",
 ]
 
-_ERROR_CHECK_EVERY = 16
+_BLOCK = 256   # steps per kernel call, measured against 16 to 4,096
 
 
 class SimulationError(RuntimeError):
@@ -168,9 +168,6 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
         """The live rows of X and their indices, recording each failure."""
         nonlocal lo, hi
         viol = np.maximum(lo - X, X - hi)
-        # one reduction while every row is in; NaN fails it and falls through
-        if not X.size or viol.max() <= INVARIANCE_TOL:
-            return X, rows
         worst = viol.max(axis=1)
         ok = worst <= INVARIANCE_TOL   # False on NaN as well
         for r in np.flatnonzero(~ok):
@@ -195,44 +192,35 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     xs = np.full((n_saved, B, sys.n), np.nan)
     ts[0] = t0
     xs[0] = X0
-    t = float(t0)
-    X, rows = drop_failed(X0.copy(), np.arange(B), -1, t)
+    X, rows = drop_failed(X0, np.arange(B), -1, t0)
     max_err = np.zeros(B)
-    saved = 1
-    S = np.empty((_ERROR_CHECK_EVERY - 1, B, sys.n))   # one block's states
-    k = 0
+    S = np.empty((min(_BLOCK, n_steps), B, sys.n))   # one block's states
+    saved, k, t = 1, 0, float(t0)
     while k < n_steps and not (abort_on_failure and failures):
-        if k % _ERROR_CHECK_EVERY == 0 or k == n_steps - 1:
-            h = dt if k < n_full else rem
-            if rows.size:
-                full, half = sys.rk4_check(X, t, h)
-                err = np.abs(full - half).max(axis=1) / 15.0
-                # fmax keeps the old worst where a row's estimate is NaN
-                max_err[rows] = np.fmax(max_err[rows], err)
-                X, rows = drop_failed(full, rows, k, t + h)
-            block, failed = (X,), None
-        else:
-            # the plain steps up to the next error check, in one call that
-            # returns at the first step leaving the domain
-            h = dt
-            K = min(k - k % _ERROR_CHECK_EVERY + _ERROR_CHECK_EVERY,
-                    n_steps - 1) - k
-            if S.shape[1] != rows.size:
-                S = np.empty((_ERROR_CHECK_EVERY - 1, rows.size, sys.n))
-            failed = sys.rk4_run(X, t, h, K, S, lo, hi) if rows.size else K
-            block = S[:min(failed + 1, K)]
-        for j, X in enumerate(block):
-            t += h
-            k += 1
-            if j == failed:
-                X, rows = drop_failed(X, rows, k - 1, t)
-            if k % save_every == 0 or k == n_steps:
-                ts[saved] = t
-                if rows.size == B:
-                    xs[saved] = X
-                else:
-                    xs[saved, rows] = X
-                saved += 1
+        # whole steps up to a block, then the remainder step alone
+        h, K = (dt, min(len(S), n_full - k)) if k < n_full else (rem, 1)
+        m, failed = rows.size, False
+        if m:
+            err = max_err[rows]
+            done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
+                               n_steps - 1)
+            max_err[rows] = err
+            failed, K = done < K, min(done + 1, K)
+        T = np.cumsum([t] + [h] * K)[1:]   # t += h, step by step
+        # the kept samples before the block's last step, then that step,
+        # whose failures leave the live set first
+        first = (-k - 1) % save_every
+        n_kept = len(range(first, K - 1, save_every))
+        ts[saved:saved + n_kept] = T[first:K - 1:save_every]
+        xs[saved:saved + n_kept, rows] = S[first:K - 1:save_every, :m]
+        saved += n_kept
+        k, t, X = k + K, T[-1], S[K - 1, :m].copy()
+        if failed:
+            X, rows = drop_failed(X, rows, k - 1, t)
+        if k % save_every == 0 or k == n_steps:
+            ts[saved] = t
+            xs[saved, rows] = X
+            saved += 1
 
     return BatchTrajectories(t=ts[:saved], x=xs[:saved], dt=dt,
                              max_step_error=max_err,

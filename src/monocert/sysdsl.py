@@ -22,12 +22,12 @@ Parsing is one operator-precedence loop on explicit stacks
 (``==`` and ``hash`` of a node compare a flat key that walker builds).
 Every numeric evaluation runs through kernels generated by one emitter
 (``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
-and ``compile_step`` for RK4, whose one kernel loops over up to K steps
-with the domain check inside and whose other returns the full and two half
-steps of an error estimate.  In every kernel, a constant next to a
-state-dependent operand, and the exponent (other than 2) of a
-state-dependent power, is a 0-d float64 array bound once in the kernel's
-namespace; subtrees of constants and ``t`` alone keep Python floats.
+and ``compile_step`` for RK4, whose one kernel loops over a block of
+steps with the step-doubling error estimate and the domain check inside.
+In every kernel, a constant next to a state-dependent operand, and the
+exponent (other than 2) of a state-dependent power, is a 0-d float64 array
+bound once in the kernel's namespace; subtrees of constants and ``t``
+alone keep Python floats.
 
 A system is declared in a block like::
 
@@ -68,6 +68,9 @@ __all__ = [
 TIE_TOL = 1e-9  # relative tie tolerance for min/max branch guards
 # how far outside its domain an integrated state may lie before it fails
 INVARIANCE_TOL = 1e-9
+# the RK4 kernel estimates the step error on every this many steps of a
+# run, and on its last
+_ESTIMATE_EVERY = 16
 
 
 class DslError(ValueError):
@@ -540,19 +543,22 @@ def _define(src: list, consts: dict) -> dict:
     return ns
 
 
-def compile_step(odes) -> tuple:
-    """Compile classical RK4 for ``odes`` to two kernels, ``(run, check)``.
+def compile_step(odes) -> Callable:
+    """Compile classical RK4 for ``odes`` to one kernel,
+    ``run(X, t, h, S, lo, hi, err, k0, last)``.
 
-    ``run(X, t, h, K, S, lo, hi)`` takes up to K steps of length ``h`` from
-    the states X (m, n) at time ``t``, in one generated loop over (m,)
-    column locals, and writes the states after step k to ``S[k]``.  After
-    each step it applies the domain check
+    It takes up to K = len(S) steps of length ``h`` from the states X
+    (m, n) at time ``t``, in one generated loop over (m,) column locals,
+    and writes the states after step k to ``S[k]``.  Step k is step k0 + k
+    of the run, and on every 16th step of the run and on its last (index
+    ``last``) it also takes the step-doubling error estimate: two steps of
+    length h/2 from X, the first sharing the full step's first stage
+    f(X, t), and max_i |full_i - half_i| / 15 folded into the (m,) array
+    ``err`` by ``np.fmax``, which keeps the old value where the estimate
+    is NaN.  After each step it applies the domain check
     ``max(lo - S[k], S[k] - hi) <= INVARIANCE_TOL``, one reduction over
     (m, n) bounds that a NaN fails too, and at the first step that fails it
     returns k, so no step past it is computed; otherwise it returns K.
-
-    ``check(X, t, h)`` returns ``(full, half)``: one step of length ``h``
-    and two of length h/2, which share the first stage f(X, t).
 
     A step runs the arithmetic, in the order, of
 
@@ -560,10 +566,11 @@ def compile_step(odes) -> tuple:
         k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
         X + (h/6) (k1 + 2 k2 + 2 k3 + k4)
 
-    and the time advances by ``t += h``, so every state is bit for bit what
-    that four-call form gives.  The factors h, h/2 and h/6 are 0-d arrays,
-    made once per call, which numpy applies to small arrays faster than
-    Python numbers, with the same result.
+    and the time advances by ``t += h``, so every state, and each half
+    step, is bit for bit what that four-call form gives.  The factors h,
+    h/2, h/4, h/6 and h/12 are 0-d arrays, made once per call, which numpy
+    applies to small arrays faster than Python numbers, with the same
+    result.
     """
     n = len(odes)
     consts: dict = {}
@@ -590,34 +597,32 @@ def compile_step(odes) -> tuple:
         src += [f"    {out}{i} = {x}{i} + {h6} * (a{i} + _TWO * b{i}"
                 f" + _TWO * c{i} + d{i})" for i in range(n)]
 
-    loop: list = []
-    if timed:
-        loop += ["    t2 = t + hh", "    t4 = t + h"]
-    step(loop, "x", "x", ("t", "t2", "t4"), ("h1", "h2", "h6"))
-    loop.append("    s = S[k]")
-    loop += [f"    s[:, {i}] = x{i}" for i in range(n)]
-    if timed:
-        loop.append("    t = t4")
-    loop += ["    if not np.maximum(lo - s, s - hi).max() <= _TOL:",
+    # the times only where the field reads them
+    loop = ["    t2, t4 = t + hh, t + h"] if timed else []
+    step(loop, "x", "f", ("t", "t2", "t4"), ("h1", "h2", "h6"))
+    estimate = (["    u2, v2, v4 = t + hh / 2, t2 + hh / 2, t2 + hh"]
+                if timed else [])
+    step(estimate, "x", "m", ("t", "u2", "t2"), ("h2", "q2", "q6"),
+         first=False)
+    step(estimate, "m", "g", ("t2", "v2", "v4"), ("h2", "q2", "q6"))
+    estimate += ["    e = abs(f0 - g0)",
+                 *(f"    e = np.maximum(e, abs(f{i} - g{i}))"
+                   for i in range(1, n)),
+                 "    np.fmax(err, e / 15.0, out=err)"]
+    loop += [f"    if (k0 + k) % {_ESTIMATE_EVERY} == 0 or k0 + k == last:",
+             *("    " + line for line in estimate),
+             *(f"    x{i} = f{i}" for i in range(n)),
+             "    s = S[k]", *(f"    s[:, {i}] = x{i}" for i in range(n)),
+             *(["    t = t4"] if timed else []),
+             "    if not np.maximum(lo - s, s - hi).max() <= _TOL:",
              "        return k"]
-    columns = [f"    x{i} = X[:, {i}]" for i in range(n)]
-    factors = "    h1, h2, h6 = np.array(h), np.array(hh), np.array(h / 6)"
-    src = ["def _run(X, t, h, K, S, lo, hi):", "    hh = h / 2", factors,
-           *columns, "    for k in range(K):",
-           *("    " + line for line in loop), "    return K",
-           "def _check(X, t, h):", "    hh = h / 2", factors,
+    src = ["def _run(X, t, h, S, lo, hi, err, k0, last):", "    hh = h / 2",
+           "    h1, h2, h6 = np.array(h), np.array(hh), np.array(h / 6)",
            "    q2, q6 = np.array(hh / 2), np.array(hh / 6)",
-           "    t2, t4 = t + hh, t + h",
-           "    u2, v2, v4 = t + hh / 2, t2 + hh / 2, t2 + hh", *columns]
-    step(src, "x", "f", ("t", "t2", "t4"), ("h1", "h2", "h6"))
-    step(src, "x", "m", ("t", "u2", "t2"), ("h2", "q2", "q6"), first=False)
-    step(src, "m", "g", ("t2", "v2", "v4"), ("h2", "q2", "q6"))
-    src += ["    full, half = np.empty(X.shape), np.empty(X.shape)",
-            *(f"    full[:, {i}], half[:, {i}] = f{i}, g{i}"
-              for i in range(n)),
-            "    return full, half"]
-    ns = _define(src, consts)
-    return ns["_run"], ns["_check"]
+           *(f"    x{i} = X[:, {i}]" for i in range(n)),
+           "    for k in range(len(S)):",
+           *("    " + line for line in loop), "    return len(S)"]
+    return _define(src, consts)["_run"]
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +937,8 @@ class SystemDef:
     # the field and RK4 kernels and the branch Jacobian, built on first use
     _f_batch: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
-    _rk4: Optional[tuple] = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _rk4: Optional[Callable] = field(default=None, init=False, repr=False,
+                                     compare=False)
     _jacobian: Optional[JacobianBranches] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -951,21 +956,17 @@ class SystemDef:
             self._f_batch = compile_expr(self.odes)
         return self._f_batch(X, t)
 
-    def rk4_run(self, X: np.ndarray, t: float, h: float, K: int,
-                S: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
-        """Up to K RK4 steps of the rows of X (m, n) from time t, each state
-        written to S[k] and checked against lo/hi (m, n); returns the first
-        step that leaves the domain, or K (see ``compile_step``)."""
+    def rk4_run(self, X: np.ndarray, t: float, h: float, S: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, err: np.ndarray, k0: int,
+                last: int) -> int:
+        """Up to len(S) RK4 steps of the rows of X (m, n) from time t, each
+        state written to S[k] and checked against lo/hi (m, n), and the
+        error estimates of the scheduled steps folded into err (m,);
+        returns the first step that leaves the domain, or len(S) (see
+        ``compile_step``)."""
         if self._rk4 is None:
             self._rk4 = compile_step(self.odes)
-        return self._rk4[0](X, t, h, K, S, lo, hi)
-
-    def rk4_check(self, X: np.ndarray, t: float, h: float) -> tuple:
-        """One RK4 step of the rows of X (m, n) from time t, and two half
-        steps: ``(full, half)``."""
-        if self._rk4 is None:
-            self._rk4 = compile_step(self.odes)
-        return self._rk4[1](X, t, h)
+        return self._rk4(X, t, h, S, lo, hi, err, k0, last)
 
     def validate(self) -> None:
         n = self.n

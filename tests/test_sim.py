@@ -96,10 +96,11 @@ def _bits(a: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize(
     "name", sorted(p.stem for p in CORPUS.glob("*.sys")) + ["mixed"])
 def test_rk4_step_matches_the_four_call_form(name):
-    """K steps of the block kernel are bit for bit K rounds of four
-    ``f_batch`` calls, and close to K steps in Python floats over the
-    tree-walking oracle; the check kernel's full step and two half steps
-    are bit for bit three such steps."""
+    """K steps of the kernel are bit for bit K rounds of four ``f_batch``
+    calls, and close to K steps in Python floats over the tree-walking
+    oracle; each error estimate it folds in is bit for bit
+    max_i |full_i - half_i| / 15 over such steps, ``half`` being two steps
+    of h/2."""
     sys = _mixed_field() if name == "mixed" else load_system(name)
     rng = np.random.default_rng(23)
     lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
@@ -108,28 +109,40 @@ def test_rk4_step_matches_the_four_call_form(name):
     for h in (1e-2, 1e-2 / 2, 0.7 - 2 * 0.3):
         for B in (1, 3, 20):
             X = lo + (hi - lo) * rng.random((B, sys.n))
-            want, t, Y = [], 0.7, X
+            want, starts, t, Y = [], [], 0.7, X
             for _ in range(15):
+                starts.append((Y, t))
                 Y = rk4_four_calls(sys, Y, t, h)
                 want.append(Y)
                 t += h
+            estimates = []
+            for (Y, t), full in zip(starts, want):
+                mid = rk4_four_calls(sys, Y, t, h / 2)
+                half = rk4_four_calls(sys, mid, t + h / 2, h / 2)
+                estimates.append(np.abs(full - half).max(axis=1) / 15.0)
             inf = np.full((B, sys.n), np.inf)
             for K in (1, 2, 15):
+                # run steps 15 .. 14 + K, of which step 16 (the block's
+                # second) and the last take the estimate
                 S = np.full((K, B, sys.n), np.nan)
-                assert sys.rk4_run(X, 0.7, h, K, S, -inf, inf) == K
+                err = np.zeros(B)
+                assert sys.rk4_run(X, 0.7, h, S, -inf, inf, err, 15,
+                                   14 + K) == K
                 assert np.array_equal(_bits(S), _bits(np.array(want[:K])))
+                scheduled = sorted({1, K - 1} & set(range(K)))
+                assert np.array_equal(_bits(err), _bits(np.fmax.reduce(
+                    [np.zeros(B)] + [estimates[k] for k in scheduled])))
             exact, t = [list(x) for x in X[:3]], 0.7
             for k in range(15):
                 exact = [rk4_at(sys, x, t, h) for x in exact]
                 t += h
                 np.testing.assert_allclose(S[k, :3], exact, rtol=1e-12, atol=0)
-            full, half = sys.rk4_check(X, 0.7, h)
-            assert np.array_equal(_bits(full),
-                                  _bits(rk4_four_calls(sys, X, 0.7, h)))
-            mid = rk4_four_calls(sys, X, 0.7, h / 2)
-            assert np.array_equal(
-                _bits(half),
-                _bits(rk4_four_calls(sys, mid, 0.7 + h / 2, h / 2)))
+            # a single estimate, on the run's first step
+            err = np.zeros(B)
+            S = np.empty((1, B, sys.n))
+            assert sys.rk4_run(X, 0.7, h, S, -inf, inf, err, 0, 7) == 1
+            assert np.array_equal(_bits(S[0]), _bits(want[0]))
+            assert np.array_equal(_bits(err), _bits(estimates[0]))
 
 
 def _assert_matches_reference(sys, X0, t_end, dt, t0, save_every, abort):
@@ -278,7 +291,7 @@ def test_block_kernel_returns_at_the_step_that_leaves(rotation):
         want = _failures_by_rule(rotation, X0, 2.0, dt)
         assert set(want) == {0} and want[0][0] == k_out
         assert integrate_batch(rotation, X0, 2.0, dt=dt).failures == want
-        # the block holds steps k0 .. k0 + 14, after the check at k0 - 1
+        # a block of 15 steps k0 .. k0 + 14 around the step that leaves
         k0 = k_out - k_out % 16 + 1
         X, t, states = X0[:1], 0.0, []
         for _ in range(k0 + 15):
@@ -290,7 +303,8 @@ def test_block_kernel_returns_at_the_step_that_leaves(rotation):
             t += dt
         S = np.full((15, 1, 2), np.nan)
         one = np.ones((1, 2))
-        done = rotation.rk4_run(states[k0 - 1], t, dt, 15, S, -one, one)
+        done = rotation.rk4_run(states[k0 - 1], t, dt, S, -one, one,
+                                np.zeros(1), k0, 199)
         assert done == k_out - k0
         assert np.array_equal(_bits(S[:done + 1]),
                               _bits(np.array(states[k0:k_out + 1])))
@@ -402,27 +416,24 @@ def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
     fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
     box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0))
     ends = []
-    rk4_run, rk4_check = mc.SystemDef.rk4_run, mc.SystemDef.rk4_check
+    rk4_run = mc.SystemDef.rk4_run
 
-    def counted_run(self, X, t, h, K, S, lo, hi):
-        done = rk4_run(self, X, t, h, K, S, lo, hi)
-        for _ in range(min(done + 1, K)):    # the steps it computed
+    def counted_run(self, X, t, h, S, lo, hi, err, k0, last):
+        done = rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
+        for k in range(min(done + 1, len(S))):    # the steps it computed
+            if (k0 + k) % 16 == 0 or k0 + k == last:
+                ends.extend([t + h / 2, t + h])   # the two half steps
             t += h
             ends.append(t)
         return done
 
-    def counted_check(self, X, t, h):
-        ends.extend([t + h, t + h / 2, t + h])
-        return rk4_check(self, X, t, h)
-
     monkeypatch.setattr(mc.SystemDef, "rk4_run", counted_run)
-    monkeypatch.setattr(mc.SystemDef, "rk4_check", counted_check)
     with pytest.raises(SimulationError,
                        match=r"^trajectory 3 left the domain at t=0\.21:"):
         estimate_contraction_rate(rotation, fam, pairs=4, box=box,
                                   t_end=3.0, seed=2)
-    # one end a step, three on every 16th (the error check's full step and
-    # two half steps)
+    # one end a step, three on every 16th (the full step and the error
+    # estimate's two half steps)
     steps = 210
     assert steps < len(ends) <= steps + 2 * (steps // 16 + 1)
     assert max(ends) < 0.2105
