@@ -5,9 +5,10 @@ timestamps, so a fixed seed reproduces them byte for byte.  Exit codes:
 0 = all checks passed / synthesis succeeded, 1 = a check failed or the
 problem is infeasible, 2 = usage or parse error.
 
-Bare system names (no path separator, no file on disk) resolve against the
-bundled corpus, e.g. ``monocert certify ex1 --theta ...`` — append ``.sys``
-automatically.
+Each command reads the parsed arguments, so the parser's defaults are the
+only defaults.  Bare system names (no path separator, no file on disk)
+resolve against the bundled corpus, e.g. ``monocert certify ex1 --theta
+...`` — append ``.sys`` automatically.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import argparse
 import json
 import math
 import sys as _stdsys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .sim import (SimulationError, entrainment_test,
 from .synth import SynthError, export_sos_sdpa, synth_const, synth_poly
 from .sysdsl import DslError, SystemDef, parse_system
 
-__all__ = ["RunConfig", "run", "main",
-           "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE"]
+__all__ = ["main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -41,34 +39,6 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     """Bad flags, missing files, or unparsable inputs."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; unused fields keep their defaults."""
-    command: str
-    system: str
-    box: Optional[str] = None          # "lo:hi,lo:hi" override
-    resolution: Optional[int] = None
-    eps: float = DEFAULT_EPS
-    theta: Optional[str] = None        # weight JSON paths
-    omega: Optional[str] = None
-    outdir: str = "."
-    seed: int = 0
-    mode: str = "sum"                  # synth: sum | max | poly-sum | poly-max
-    degree: int = 2
-    variant: str = "state-sum"         # lyap/simulate V column
-    uniform: bool = False
-    x0: Optional[str] = None           # "1,0.5"
-    x0_set: Optional[str] = None       # "-2;0;2"
-    n_random: int = 0                  # simulate: seeded random ICs
-    t_end: float = 10.0
-    dt: float = 1e-3
-    pairs: int = 10
-    norm: str = "l1"
-    periods: int = 40
-    multiplier_degree: int = 0
-    quiet: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +78,7 @@ def _load_family(path: str, kind: str) -> WeightFamily:
     return fam
 
 
-def _resolve_box(cfg: RunConfig, sys: SystemDef) -> WorkingBox:
+def _resolve_box(cfg: argparse.Namespace, sys: SystemDef) -> WorkingBox:
     try:
         box = (WorkingBox.from_string(cfg.box) if cfg.box
                else WorkingBox.default_for(sys))
@@ -120,7 +90,7 @@ def _resolve_box(cfg: RunConfig, sys: SystemDef) -> WorkingBox:
     return box
 
 
-def _families(cfg: RunConfig) -> list:
+def _families(cfg: argparse.Namespace) -> list:
     fams = []
     if cfg.theta:
         fams.append(_load_family(cfg.theta, "theta"))
@@ -129,7 +99,7 @@ def _families(cfg: RunConfig) -> list:
     return fams
 
 
-def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
+def _write_report(cfg: argparse.Namespace, name: str, payload: dict) -> Path:
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
@@ -161,7 +131,7 @@ def _clean_nan(obj):
     return obj
 
 
-def _say(cfg: RunConfig, msg: str) -> None:
+def _say(cfg: argparse.Namespace, msg: str) -> None:
     if not cfg.quiet:
         print(msg)
 
@@ -170,7 +140,7 @@ def _say(cfg: RunConfig, msg: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_certify(cfg: RunConfig) -> int:
+def _cmd_certify(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     box = _resolve_box(cfg, sys)
     fams = _families(cfg)
@@ -186,18 +156,16 @@ def _cmd_certify(cfg: RunConfig) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
+def _cmd_synth(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     box = _resolve_box(cfg, sys)
     if cfg.mode in ("sum", "max"):
         result = synth_const(sys, box, mode=cfg.mode, eps=cfg.eps,
                              resolution=cfg.resolution)
-    elif cfg.mode in ("poly-sum", "poly-max"):
+    else:   # poly-sum or poly-max, as the parser allows
         result = synth_poly(sys, box, degree=cfg.degree,
                             mode=cfg.mode.removeprefix("poly-"),
                             eps=cfg.eps, resolution=cfg.resolution)
-    else:
-        raise UsageError(f"unknown synthesis mode: {cfg.mode}")
     payload = _clean_nan(result.to_jsonable())
     payload["system"] = sys.name
     path = _write_report(cfg, "synth-report.json", payload)
@@ -219,7 +187,7 @@ def _cmd_synth(cfg: RunConfig) -> int:
     return EXIT_FAIL
 
 
-def _cmd_lyap(cfg: RunConfig) -> int:
+def _cmd_lyap(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     fams = _families(cfg)
     if len(fams) != 1:
@@ -245,7 +213,7 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     return v
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     starts = []
     if cfg.x0:
@@ -304,7 +272,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return code
 
 
-def _cmd_contract(cfg: RunConfig) -> int:
+def _cmd_contract(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     box = _resolve_box(cfg, sys)
     fams = _families(cfg)
@@ -323,7 +291,7 @@ def _cmd_contract(cfg: RunConfig) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_entrain(cfg: RunConfig) -> int:
+def _cmd_entrain(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     if not cfg.x0_set:
         raise UsageError("entrain needs --x0-set \"a;b;c\" "
@@ -344,17 +312,14 @@ def _cmd_entrain(cfg: RunConfig) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _cmd_export_sos(cfg: RunConfig) -> int:
+def _cmd_export_sos(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(cfg.system).stem
     path = out / f"{stem}.dat-s"
-    mode = cfg.mode.removeprefix("poly-")
-    if mode not in ("sum", "max"):
-        raise UsageError(f"export-sos mode must be sum or max, got {cfg.mode}")
     sidecar = export_sos_sdpa(sys, degree=cfg.degree, eps=cfg.eps,
-                              path=path, mode=mode,
+                              path=path, mode=cfg.mode,
                               multiplier_degree=cfg.multiplier_degree)
     _say(cfg, f"wrote {path} ({sidecar['n_constraints']} constraints, "
               f"{len(sidecar['blocks'])} blocks) and {path}.json")
@@ -370,17 +335,6 @@ _COMMANDS = {
     "entrain": _cmd_entrain,
     "export-sos": _cmd_export_sos,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command: {config.command}")
-    # also where no box is built from it (simulate without --random)
-    if config.resolution is not None and config.resolution < 2:
-        raise UsageError("resolution must be at least 2")
-    return handler(config)
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, system=args.system)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -481,9 +427,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
     try:
-        return run(cfg)
+        # also where no box is built from it (simulate without --random)
+        resolution = getattr(args, "resolution", None)
+        if resolution is not None and resolution < 2:
+            raise UsageError("resolution must be at least 2")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"monocert: {exc}", file=_stdsys.stderr)
         return EXIT_USAGE

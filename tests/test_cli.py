@@ -4,15 +4,19 @@ Everything runs in-process through ``monocert.cli.main`` so coverage and
 debuggability stay intact; each test writes into its own tmp directory.
 """
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, load_family, load_system
-from monocert.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, RunConfig, main, run
+from monocert.certify import certify_all
+from monocert.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _build_parser, main
 from monocert.lyap import build_lyapunov
-from monocert.sim import integrate
+from monocert.sim import (entrainment_test, estimate_contraction_rate,
+                          integrate)
+from monocert.synth import export_sos_sdpa, synth_const, synth_poly
 
 EX1 = str(CORPUS / "ex1.sys")
 EX1_THETA = str(CORPUS / "ex1.theta.json")
@@ -390,9 +394,44 @@ def test_missing_command_is_usage(capsys):
     capsys.readouterr()
 
 
-def test_run_config_unknown_command():
-    with pytest.raises(Exception, match="unknown command"):
-        run(RunConfig(command="fly", system="ex1"))
+def test_unknown_command_is_usage(capsys):
+    assert main(["fly", "ex1"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
+
+
+_SX0 = ["--x0-set", "0;1"]
+
+
+@pytest.mark.parametrize("argv,option,fn,param", [
+    (["contract"], "t_end", estimate_contraction_rate, "t_end"),
+    (["contract"], "dt", estimate_contraction_rate, "dt"),
+    (["contract"], "pairs", estimate_contraction_rate, "pairs"),
+    (["contract"], "norm", estimate_contraction_rate, "norm"),
+    (["contract"], "seed", estimate_contraction_rate, "seed"),
+    (["entrain", *_SX0], "periods", entrainment_test, "horizon_periods"),
+    (["entrain", *_SX0], "dt", entrainment_test, "dt"),
+    (["synth"], "mode", synth_const, "mode"),
+    (["synth"], "degree", synth_poly, "degree"),
+    (["export-sos"], "mode", export_sos_sdpa, "mode"),
+    (["export-sos"], "degree", export_sos_sdpa, "degree"),
+    (["export-sos"], "multiplier_degree", export_sos_sdpa,
+     "multiplier_degree"),
+    (["certify"], "eps", certify_all, "eps"),
+    (["synth"], "eps", synth_const, "eps"),
+    (["synth"], "eps", synth_poly, "eps"),
+    (["lyap"], "eps", certify_all, "eps"),
+    (["simulate"], "eps", certify_all, "eps"),
+    (["contract"], "eps", estimate_contraction_rate, "eps"),
+    (["entrain", *_SX0], "eps", certify_all, "eps"),
+    (["export-sos"], "eps", export_sos_sdpa, "eps"),
+])
+def test_parser_defaults_are_the_library_defaults(argv, option, fn, param):
+    """Each option's default is the default of the parameter it feeds; an
+    --eps that feeds none (lyap, simulate, entrain) is certify's."""
+    args = _build_parser().parse_args([argv[0], "ex1", *argv[1:]])
+    want = inspect.signature(fn).parameters[param].default
+    assert getattr(args, option) == want
+    assert type(getattr(args, option)) is type(want)
 
 
 @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
