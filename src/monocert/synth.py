@@ -792,9 +792,9 @@ def _sos_program(sys: SystemDef, degree: int, eps: float, mode: str,
     for j in range(n):
         ent = {}
         for (i, k), p in L[j].items():
-            val = 0.0
-            for mono, cv in p.items():
-                val += cv * float(np.prod(xstar ** np.asarray(mono)))
+            # fsum: large cancelling terms must not swallow small ones
+            val = math.fsum(cv * float(np.prod(xstar ** np.asarray(mono)))
+                            for mono, cv in p.items())
             if val != 0.0:
                 add_coeff(ent, i, k, -val)
         ent[(diag, slack_pos[j], slack_pos[j])] = -1.0
@@ -881,19 +881,30 @@ def _parse_sdpa_blocks(text: str) -> list:
 
     Flat blocks ("{1, 2}") become 1-D arrays; nested blocks (matrices
     printed row-wise, "{{1,2},{2,3}}") become 2-D arrays.  One pass keeps
-    the open braces on a stack, each with the text offset after it and the
-    arrays closed inside it: depth 1 is the list of blocks, 2 a block and 3
-    a matrix row, and a brace opened deeper is malformed.
+    the open braces on a stack, each with the text offset after its last
+    brace and the arrays closed inside it: depth 1 is the list of blocks,
+    2 a block and 3 a matrix row, and a brace opened deeper is malformed,
+    as is a number beside the blocks or beside a block's rows.
     """
+    def separators_only(start: int, end: int) -> None:
+        if text[start:end].replace(",", " ").split():
+            raise SynthError("malformed solver output: "
+                             f"{text[start:end].strip()!r} stands beside "
+                             "yMat blocks or rows")
+
     stack: list = []
     for i, ch in enumerate(text):
         if ch == "{":
             if len(stack) == 3:
                 raise SynthError("malformed solver output: yMat nests deeper "
                                  "than a matrix")
-            stack.append((i + 1, []))
+            if stack:
+                separators_only(stack[-1][0], i)
+            stack.append([i + 1, []])
         elif ch == "}" and stack:
             start, inner = stack.pop()
+            if inner or not stack:
+                separators_only(start, i)
             if not stack:
                 return inner
             try:
@@ -904,6 +915,7 @@ def _parse_sdpa_blocks(text: str) -> list:
                     value = np.array([float(v) for v in vals])
             except ValueError as exc:
                 raise SynthError(f"malformed solver output: {exc}")
+            stack[-1][0] = i + 1
             stack[-1][1].append(value)
     raise SynthError("malformed solver output: unbalanced braces in yMat")
 

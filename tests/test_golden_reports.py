@@ -19,7 +19,7 @@ The export-sos goldens pin the SOS program byte for byte: the .dat-s file
 and its JSON sidecar.  Two of them are systems written here, with nonzero
 equilibria, a half-bounded and an unbounded axis, since the corpus
 equilibria are all 0 and that hides the order in which the equilibrium
-rows are summed; in one, that order changes the bytes.
+rows are summed; in one, a sum that is not exact changes the bytes.
 To regenerate a golden, run its command with ``--out DIR`` and copy the
 report (for a golden directory, every file written) over the golden.
 """
@@ -100,7 +100,7 @@ system shifted {
 
 # equilibrium (1, 1), where the terms of the Jacobian entry -0.5 + 1e17*x2
 # - 1e17*x1 sum to 0 left to right and to -0.5 right to left: the
-# equilibrium rows show the order of their sums
+# equilibrium rows show whether their sums are exact
 CANCEL_SYS = """
 system cancel {
   states x1 in [1, inf), x2 in (-inf, inf)

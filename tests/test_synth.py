@@ -672,6 +672,20 @@ def test_solver_output_nested_deeper_than_a_matrix_is_malformed(ex1_export):
         parse_sos_solution(sidecar, text.replace(matrix, "{" + matrix + "}", 1))
 
 
+@pytest.mark.parametrize("text", ["{ 7, {1} }", "{ {5, {1,2}} }",
+                                  "{ {1}, 7 }", "{ {{1,2}, 5} }", "{ 7 }"])
+def test_number_beside_blocks_or_rows_is_malformed(text):
+    with pytest.raises(SynthError,
+                       match="malformed solver output: .* stands beside"):
+        synth_mod._parse_sdpa_blocks(text)
+
+
+def test_blocks_and_rows_parse_beside_separators():
+    blocks = synth_mod._parse_sdpa_blocks("{ {1, 2} ,\n{ {1,2},{3, 4} }, {} }")
+    assert [b.tolist() for b in blocks] == [[1.0, 2.0], [[1.0, 2.0],
+                                                         [3.0, 4.0]], []]
+
+
 def test_parse_sos_solution_missing_ymat(ex1_export):
     _, sidecar = ex1_export
     with pytest.raises(SynthError, match="no yMat"):
