@@ -267,6 +267,55 @@ def test_multiagent_constant_certificates(multiagent):
     assert r2.worst_margin == pytest.approx(-0.2, abs=1e-12)
 
 
+def _constant_vector_worst(sys, box, v, rows):
+    """The worst entry of v^T J (columns) or J v (rows) over the grid and
+    at the equilibrium, with J evaluated point by point by the oracle."""
+    jb = jacobian(sys)
+
+    def worst(points):
+        out = -np.inf
+        for x in points:
+            J = matrix_at(jb.branch_matrix(patterns_at(jb, x)[0]), x)
+            out = max(out, *(J @ v if rows else v @ J))
+        return out
+
+    return (worst(itertools.product(*box.axes())),
+            worst([sys.equilibrium]))
+
+
+@pytest.mark.parametrize("check,name,rows", [(check_cor1, "cor1", False),
+                                             (check_cor2, "cor2", True)])
+def test_global_flag_demands_strictness_on_the_whole_box(check, name, rows):
+    """dx = -x + x^2/2 on [0, 1]: J = x - 1 reaches 0 at x = 1 and is -1 at
+    the equilibrium 0, which passes the corollary and fails its global
+    form; on linear_sym, v = (1, 1) gives -1 everywhere."""
+    sys = parse_system("""
+    system s {
+      states x in [0, 1]
+      dx = -x + 0.5*x^2
+      equilibrium (0)
+    }
+    """)
+    box = WorkingBox((0.0,), (1.0,), 11)
+    want, want_eq = _constant_vector_worst(sys, box, np.ones(1), rows)
+    assert (want, want_eq) == (0.0, -1.0)
+    for flag, condition, verdict in ((False, name, "pass"),
+                                     (True, f"{name}-global", "fail")):
+        rep = check(sys, [1.0], box, global_flag=flag)
+        assert (rep.condition, rep.verdict) == (condition, verdict)
+        assert rep.worst_margin == want
+        assert rep.equilibrium_margin == want_eq
+    linear_sym = load_system("linear_sym")
+    box = WorkingBox.default_for(linear_sym, 11)
+    want, want_eq = _constant_vector_worst(linear_sym, box, np.ones(2), rows)
+    assert (want, want_eq) == (-1.0, -1.0)
+    rep = check(linear_sym, [1.0, 1.0], box, global_flag=True)
+    assert (rep.condition, rep.verdict) == (f"{name}-global",
+                                            "pass-with-margin")
+    assert rep.worst_margin == want
+    assert rep.equilibrium_margin == want_eq
+
+
 def test_comparison_system_near_tight_pass(comparison):
     box = WorkingBox.from_string("0:4,0:4", resolution=41)
     rep = check_cor1(comparison, [1.9, 1.0], box)
