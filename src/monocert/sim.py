@@ -214,7 +214,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
         ts[saved:saved + n_kept] = T[first:K - 1:save_every]
         xs[saved:saved + n_kept, rows] = S[first:K - 1:save_every, :m]
         saved += n_kept
-        k, t, X = k + K, T[-1], S[K - 1, :m].copy()
+        k, t, X = k + K, float(T[-1]), S[K - 1, :m].copy()
         if failed:
             X, rows = drop_failed(X, rows, k - 1, t)
         if k % save_every == 0 or k == n_steps:
