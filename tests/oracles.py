@@ -19,7 +19,9 @@ form of a step over ``f_batch`` (bit for bit what the step kernel must
 give) and one step of one point in Python floats; a whole run of the
 integrator is referenced by those steps taken one row at a time, with the
 error estimate, domain check and sampling applied step by step in Python
-(``integrate_reference``).  Expressions are parsed
+(``integrate_reference``).  The synthesis LP's condition, positivity and
+equilibrium rows are built one grid point, branch and component at a time
+in Python floats (``synthesis_rows``).  Expressions are parsed
 here by plain recursive descent, one function per grammar level, where the
 package reads them with one operator-precedence loop on explicit stacks.
 """
@@ -203,6 +205,63 @@ def patterns_at(jb, x, t=None, tie_tol: float = TIE_TOL) -> list:
             take_left = (a < b) if g.is_min else (a > b)
             options.append(("left",) if take_left else ("right",))
     return list(product(*options))
+
+
+def synthesis_rows(sys, jb, box, res, mode, degree, eps,
+                   strict_radius=math.inf) -> tuple:
+    """The rows and right-hand sides of the synthesis LP, before dedupe.
+
+    The variables are the coefficients c_{i,k} of x_i^k in weight i, at
+    column i * (degree + 1) + k, then the margin s; ``degree`` None is the
+    constant-vector LP (one coefficient per weight, no positivity or
+    equilibrium rows).  At every point x of the C-order linspace grid of
+    ``res`` points per axis, and every branch pattern active there,
+    condition component j gives the row  cond_j(x) + s * strict(x) <= 0:
+    cond_j is sum_i theta_i J_ij + theta_j' f_j (mode "sum") or
+    sum_i J_ji omega_i - omega_j' f_j (mode "max"), and strict(x) is 1
+    within ``strict_radius`` of x* in sup norm, else 0.  The positivity
+    rows  -theta_i(a) <= -eps  run over each axis's grid, and the
+    equilibrium rows  cond_j(x*) <= -eps  over the patterns at x*.
+    """
+    n = sys.n
+    d1 = 1 if degree is None else degree + 1
+    n_vars = n * d1 + 1
+    xstar = [float(v) for v in sys.equilibrium]
+    axes = [np.linspace(lo, hi, res) for lo, hi in zip(box.lows, box.highs)]
+    rows, rhs = [], []
+
+    def conditions(x, strict, bound):
+        f = None if degree is None else field_at(sys, x)
+        for pattern in patterns_at(jb, x):
+            J = matrix_at(jb.branch_matrix(pattern), x)
+            for j in range(n):
+                row = [0.0] * n_vars
+                for i in range(n):
+                    coupling = J[i][j] if mode == "sum" else J[j][i]
+                    for k in range(d1):
+                        row[i * d1 + k] = coupling * x[i] ** k
+                if degree is not None:
+                    sign = 1.0 if mode == "sum" else -1.0
+                    for k in range(1, d1):
+                        row[j * d1 + k] += sign * k * x[j] ** (k - 1) * f[j]
+                row[-1] = strict
+                rows.append(row)
+                rhs.append(bound)
+
+    for x in product(*axes):
+        x = [float(v) for v in x]
+        near = max(abs(a - b) for a, b in zip(x, xstar)) <= strict_radius
+        conditions(x, 1.0 if degree is None or near else 0.0, 0.0)
+    if degree is not None:
+        for i, ax in enumerate(axes):
+            for a in ax:
+                row = [0.0] * n_vars
+                for k in range(d1):
+                    row[i * d1 + k] = -float(a) ** k
+                rows.append(row)
+                rhs.append(-eps)
+        conditions(xstar, 0.0, -eps)
+    return np.array(rows), np.array(rhs)
 
 
 def char_poly(A: np.ndarray) -> np.ndarray:

@@ -6,17 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from monocert.certify import WorkingBox, check_cor1
+from monocert.certify import WorkingBox, check_cor1, check_kamke
 from monocert import synth as synth_mod
 from monocert.measures import WeightFamily
 from monocert.synth import (
     COEFF_CAP, LPProblem, SynthError, V_CAP, export_sos_sdpa,
     parse_sos_solution, solve_lp, synth_const, synth_poly,
 )
-from monocert.sysdsl import parse_system
+from monocert.sysdsl import jacobian, parse_system
 
 from conftest import linear_system, load_system
-from oracles import is_hurwitz
+from oracles import is_hurwitz, synthesis_rows
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,58 @@ def test_lp_iteration_limit_is_the_pivot_count(problem):
 def test_lp_rejects_nonfinite_rows():
     with pytest.raises(SynthError, match="finite"):
         lp([1], [[np.inf]], [0], [0], [1])
+
+
+# ---------------------------------------------------------------------------
+# the synthesis LP's rows, against a point-by-point oracle
+# ---------------------------------------------------------------------------
+
+def _near_every_row(A, B, tol=1e-9):
+    """Every row of A lies within ``tol`` (max norm) of some row of B."""
+    for start in range(0, len(A), 128):
+        gap = np.abs(A[start:start + 128, None, :] - B[None, :, :])
+        assert gap.max(axis=2).min(axis=1).max() <= tol
+
+
+# (system, box or None for the declared bounds, report mode, degree)
+SYNTH_ROW_CASES = {
+    "ex1-poly-sum-d2": ("ex1", ((0.0, 0.0), (3.0, 3.0)), "sum", 2),
+    "ex1-poly-max-d2": ("ex1", ((0.0, 0.0), (3.0, 3.0)), "max", 2),
+    "traffic4-sum": ("traffic4", None, "sum", None),
+    "comparison-poly-max-d2": ("comparison", ((0.0, 0.0), (2.0, 2.0)),
+                               "max", 2),
+    "multiagent-poly-sum-d1": ("multiagent", None, "sum", 1),
+    "rotation-poly-sum-d1": ("rotation", None, "sum", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_ROW_CASES))
+def test_synthesis_lp_rows_match_the_pointwise_oracle(case, monkeypatch):
+    """The LP handed to the solver holds the condition rows of every grid
+    point and tied branch, the positivity rows and the equilibrium rows,
+    as the oracle builds them one point at a time; and the Kamke report
+    is the one check_kamke gives on the synthesis grid."""
+    name, lims, mode, degree = SYNTH_ROW_CASES[case]
+    sysd = load_system(name)
+    box = (WorkingBox.default_for(sysd) if lims is None
+           else WorkingBox(*lims, 41))
+    lps = []
+    real = synth_mod.solve_lp
+    monkeypatch.setattr(synth_mod, "solve_lp",
+                        lambda lp, *a, **k: lps.append(lp) or real(lp, *a, **k))
+    if degree is None:
+        res = synth_const(sysd, box, mode=mode)
+    else:
+        res = synth_poly(sysd, box, degree=degree, mode=mode)
+    assert len(lps) == 1
+    rows, rhs = synthesis_rows(sysd, jacobian(sysd), box, res.resolution,
+                               mode, degree, 0.01)
+    want = np.column_stack([rows, rhs])
+    got = np.column_stack([lps[0].rows, lps[0].rhs])
+    _near_every_row(want, got)
+    _near_every_row(got, want)
+    assert res.kamke.to_jsonable() == check_kamke(
+        sysd, box.with_resolution(res.resolution)).to_jsonable()
 
 
 # ---------------------------------------------------------------------------
