@@ -28,10 +28,12 @@ condition — the reported value is the worst across tied branches.
 ``partition`` groups the grid points by active branch pattern, so each
 condition is evaluated once per pattern and chunk, tied points included.
 
-All the checks of one request share one pass over the grid: each chunk is
-partitioned once, and per group the branch Jacobian and the vector field
-are evaluated once and read by every condition.  Each check still sees
-exactly the points and the arithmetic it would see on its own.
+All the checks of one request share one pass over the grid: ``_groups``,
+the only code that chunks and partitions a grid, walks it, and per group
+the branch Jacobian and the vector field are evaluated once and read by
+every condition and by an optional ``visit(sample, J)`` (synthesis builds
+its LP rows there).  Each check still sees exactly the points and the
+arithmetic it would see on its own.
 
 The scan is points-last: a chunk of m points carries its Jacobians as
 (n, n, m), its coordinates, vector field and weights as (n, m), and each
@@ -60,7 +62,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import WeightFamily, _measure_terms, _scaled_jacobian
+from .measures import (NORM_KIND, PAIRING, WeightFamily, _measure_terms,
+                       _scaled_jacobian)
 from .sysdsl import SystemDef, jacobian, JacobianBranches, TIE_TOL
 
 __all__ = [
@@ -374,19 +377,21 @@ class _Sample:
         return J.transpose(1, 2, 0)
 
 
-def _groups(jb: JacobianBranches, grid: _Grid, flat: np.ndarray):
-    """Yield (rows, tied, sample, patterns) for every partition group of a
-    chunk of grid points: the group's rows of the chunk, whether a guard
-    ties there, its ``_Sample`` and its branch patterns in product order."""
-    X = grid.points.take(flat)
-    groups = partition(jb, X.T)
-    # the branches of one tied group share its rows array
-    for _, entries in groupby(groups, key=lambda g: id(g[1])):
-        entries = list(entries)
-        _, rows, tied = entries[0]
-        sample = (_Sample(jb, grid, flat, X) if len(groups) == 1 else
-                  _Sample(jb, grid, flat[:, rows], X[:, rows]))
-        yield rows, tied, sample, [pattern for pattern, _, _ in entries]
+def _groups(jb: JacobianBranches, grid: _Grid):
+    """Walk the whole grid: partition each chunk of it, and yield (at,
+    tied, sample, patterns) for every group, the group's grid indices,
+    whether a guard ties there, its ``_Sample`` and its branch patterns in
+    product order.  The only code that chunks and partitions a grid."""
+    for start, flat in grid.chunks():
+        X = grid.points.take(flat)
+        groups = partition(jb, X.T)
+        # the branches of one tied group share its rows array
+        for _, entries in groupby(groups, key=lambda g: id(g[1])):
+            entries = list(entries)
+            _, rows, tied = entries[0]
+            sample = (_Sample(jb, grid, flat, X) if len(groups) == 1 else
+                      _Sample(jb, grid, flat[:, rows], X[:, rows]))
+            yield start + rows, tied, sample, [p for p, _, _ in entries]
 
 
 def _worse(v, cur):
@@ -417,26 +422,28 @@ def _worst(best: Optional[tuple], rows: np.ndarray,
     return best
 
 
-def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence) -> tuple:
+def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
+          visit: Optional[Callable] = None) -> tuple:
     """Worst value of every evaluator over the whole grid, in one pass.
 
     Each ``evaluator(sample, J)`` returns the (c, m) condition components
     at a ``_Sample`` with the branch Jacobian J there; all of them read one
     partition, one evaluation of J and f and one gather of the weights per
-    group.  Returns ([(worst, witness_point, witness_comp)], n_tied).
+    group, as does ``visit(sample, J)``, when given, once per branch of
+    every group.  Returns ([(worst, witness_point, witness_comp)], n_tied).
     Deterministic: each witness is the first (lexicographically smallest)
     grid point attaining its worst value, or the first NaN.
     """
     worst = [None] * len(evaluators)
     n_tied = 0
-    for start, flat in grid.chunks():
-        for rows, tied, sample, patterns in _groups(jb, grid, flat):
-            n_tied += len(rows) if tied else 0
-            at = start + rows       # grid indices
-            for pattern in patterns:
-                J = sample.jacobian(pattern)
-                for e, ev in enumerate(evaluators):
-                    worst[e] = _worst(worst[e], at, ev(sample, J))
+    for at, tied, sample, patterns in _groups(jb, grid):
+        n_tied += len(at) if tied else 0
+        for pattern in patterns:
+            J = sample.jacobian(pattern)
+            if visit is not None:
+                visit(sample, J)
+            for e, ev in enumerate(evaluators):
+                worst[e] = _worst(worst[e], at, ev(sample, J))
     return [(float(v), grid.point(row), c) for row, c, v in worst], n_tied
 
 
@@ -473,8 +480,8 @@ def _row_sums(w: np.ndarray, J: np.ndarray) -> np.ndarray:
 # points-first arrays, so every value keeps its bits, zero signs included
 # (checked for n <= 7).
 _CONDITIONS = {
-    "sum": ("theta", _column_sums, 1.0),
-    "max": ("omega", _row_sums, -1.0),
+    "sum": (PAIRING["sum"][0], _column_sums, 1.0),
+    "max": (PAIRING["max"][0], _row_sums, -1.0),
 }
 
 
@@ -594,11 +601,16 @@ def _weighted_spec(sys: SystemDef, box: WorkingBox, condition: str,
                  uniform=global_flag, positivity=pos)
 
 
-def _mu_spec(sys: SystemDef, box: WorkingBox, w, norm: str) -> _Spec:
-    if norm not in ("l1", "linf"):
+def _norm_family(w, norm: str) -> WeightFamily:
+    """``w``, or the constant family of the kind ``norm`` takes."""
+    if norm not in NORM_KIND:
         raise CertifyError(f"norm must be 'l1' or 'linf', got {norm!r}")
-    fam = w if isinstance(w, WeightFamily) else WeightFamily.constant(
-        "theta" if norm == "l1" else "omega", w)
+    return (w if isinstance(w, WeightFamily)
+            else WeightFamily.constant(NORM_KIND[norm], w))
+
+
+def _mu_spec(sys: SystemDef, box: WorkingBox, w, norm: str) -> _Spec:
+    fam = _norm_family(w, norm)
     if fam.n != sys.n:
         raise CertifyError("weight dimension mismatch")
     pos = _positivity_check(fam, box)
@@ -636,11 +648,12 @@ def _finish(spec: _Spec, box: WorkingBox, scan: tuple, ties: int,
 
 
 def _certify(sys: SystemDef, box: WorkingBox, specs: Sequence[_Spec],
-             eps: float) -> list:
-    """Run validated specs in one grid pass; one report per spec."""
+             eps: float, visit: Optional[Callable] = None) -> list:
+    """Run validated specs in one grid pass, which ``visit`` rides as in
+    ``_scan``; one report per spec."""
     box.validate_for(sys)
     jb = jacobian(sys)
-    scans, ties = _scan(jb, box._grid, [s.evaluator for s in specs])
+    scans, ties = _scan(jb, box._grid, [s.evaluator for s in specs], visit)
     eq_specs = [s for s in specs if s.needs_eq]
     # the equilibrium is the one point of its own grid
     eq_scans = (_scan(jb, _Grid.at(_require_equilibrium(sys)),
@@ -711,10 +724,11 @@ def check_cor3(sys: SystemDef, w: WeightFamily, norm: str = "l1",
 
 
 # The checks certify_all runs per weight kind: the theorem and its mode,
-# the constant-vector corollary and its argument name, the measure's norm.
+# the constant-vector corollary and its argument name; the measure check
+# runs in the norm the mode pairs with.
 _FAMILY_CHECKS = {
-    "theta": ("thm1", "sum", "cor1", "v", "l1"),
-    "omega": ("thm2", "max", "cor2", "w", "linf"),
+    PAIRING["sum"][0]: ("thm1", "sum", "cor1", "v"),
+    PAIRING["max"][0]: ("thm2", "max", "cor2", "w"),
 }
 
 
@@ -744,7 +758,8 @@ def certify_all(sys: SystemDef,
 
     specs = [_kamke_spec(sys, box)]
     for k, fam in enumerate(fams):
-        thm, mode, cor, vector, norm = _FAMILY_CHECKS[fam.kind]
+        thm, mode, cor, vector = _FAMILY_CHECKS[fam.kind]
+        norm = PAIRING[mode][1]
         fam_specs = [_weighted_spec(sys, box, thm, mode, fam)]
         if fam.is_constant:
             fam_specs.append(_weighted_spec(sys, box, cor, mode,
@@ -766,23 +781,18 @@ def _grid_values(sys: SystemDef, box: WorkingBox, evaluator: Callable,
     """One evaluator's values at every grid point, worst over the point's
     tied branches: of its worst component, first max (points,), or with
     ``componentwise`` of each of its n = sys.n components, (points, n)."""
-    jb = jacobian(sys)
-    grid = box._grid
-    out = []
-    for _, flat in grid.chunks():
-        m = flat.shape[1]
-        vals = np.full((sys.n, m) if componentwise else m, -np.inf)
-        for rows, _, sample, patterns in _groups(jb, grid, flat):
-            for pattern in patterns:
-                cond = evaluator(sample, sample.jacobian(pattern))
-                if componentwise:
-                    vals[:, rows] = np.maximum(vals[:, rows], cond)
-                    continue
-                v = cond[np.argmax(cond, axis=0), np.arange(len(rows))]
-                upd = _worse(v, vals[rows])
-                vals[rows[upd]] = v[upd]
-        out.append(vals)
-    return np.concatenate(out, axis=-1).T
+    m = box.n_points
+    vals = np.full((sys.n, m) if componentwise else m, -np.inf)
+    for at, _, sample, patterns in _groups(jacobian(sys), box._grid):
+        for pattern in patterns:
+            cond = evaluator(sample, sample.jacobian(pattern))
+            if componentwise:
+                vals[:, at] = np.maximum(vals[:, at], cond)
+                continue
+            v = cond[np.argmax(cond, axis=0), np.arange(len(at))]
+            upd = _worse(v, vals[at])
+            vals[at[upd]] = v[upd]
+    return vals.T
 
 
 def grid_condition_values(sys: SystemDef, weights, box: WorkingBox,
@@ -807,10 +817,7 @@ def grid_mu_values(sys: SystemDef, weights, box: WorkingBox,
     'l1' expects theta weights, 'linf' omega weights; branch ties take the
     worst (largest) value across tied branches.
     """
-    if norm == "l1":
-        fam = _as_family(weights, "theta")
-    elif norm == "linf":
-        fam = _as_family(weights, "omega")
-    else:
+    if norm not in NORM_KIND:
         raise CertifyError("norm must be 'l1' or 'linf'")
+    fam = _as_family(weights, NORM_KIND[norm])
     return _grid_values(sys, box, _make_mu_eval(fam, norm))

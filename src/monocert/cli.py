@@ -24,7 +24,7 @@ import numpy as np
 
 from .certify import (CertifyError, DEFAULT_EPS, WorkingBox, certify_all)
 from .lyap import VARIANTS, LyapError, build_lyapunov
-from .measures import WeightFamily
+from .measures import PAIRING, WeightFamily
 from .sim import (SimulationError, entrainment_test,
                   estimate_contraction_rate, integrate_batch, verify_decrease)
 from .synth import SynthError, export_sos_sdpa, synth_const, synth_poly
@@ -173,8 +173,7 @@ def _cmd_synth(cfg: argparse.Namespace) -> int:
         if isinstance(result.weights, WeightFamily):
             fam = result.weights
         else:
-            kind = "theta" if cfg.mode == "sum" else "omega"
-            fam = WeightFamily.constant(kind, result.weights)
+            fam = WeightFamily.constant(PAIRING[cfg.mode][0], result.weights)
         wpath = _write_report(cfg, "synth-weights.json", fam.to_jsonable())
         _say(cfg, f"synthesized {fam.describe(sys.state_names)}")
         _say(cfg, f"certified margin {result.margin:.6g} "

@@ -33,7 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .measures import WeightComponent, WeightFamily, _poly_text
+from .measures import (NORM_KIND, PAIRING, WeightComponent, WeightFamily,
+                       _poly_text)
 from .sysdsl import SystemDef, format_number
 
 __all__ = ["LyapFn", "LyapError", "build_lyapunov",
@@ -156,7 +157,7 @@ class LyapFn:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise LyapError(f"expected points of dimension {self.n}")
-        norm = "l1" if self.variant.endswith("sum") else "linf"
+        norm = PAIRING[self.variant[-3:]][1]
         if self.variant.startswith("state"):
             return _distance(self._densities, norm, X, self.xstar)
         return _flow_norm(self.sys, self.weights, norm, X)
@@ -213,7 +214,7 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     """
     if variant not in VARIANTS:
         raise LyapError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    need = "theta" if variant.endswith("sum") else "omega"
+    need = PAIRING[variant[-3:]][0]   # every variant ends in its mode
     if w.kind != need:
         raise LyapError(
             f"variant {variant!r} needs kind {need!r} weights, got {w.kind!r}")
@@ -241,14 +242,12 @@ def weighted_distance(family: WeightFamily, x: Sequence[float],
     l1 uses a theta family: d = sum_i |int_{y_i}^{x_i} theta_i|.
     linf uses an omega family: d = max_i |int_{y_i}^{x_i} 1/omega_i|.
     """
-    if norm == "l1":
-        if family.kind != "theta":
-            raise LyapError("l1 distance requires a theta family")
-    elif norm == "linf":
-        if family.kind != "omega":
-            raise LyapError("linf distance requires an omega family")
-    else:
+    kind = NORM_KIND.get(norm)
+    if kind is None:
         raise LyapError(f"norm must be 'l1' or 'linf', got {norm!r}")
+    if family.kind != kind:
+        article = "an" if kind == "omega" else "a"
+        raise LyapError(f"{norm} distance requires {article} {kind} family")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (family.n,) or y.shape != (family.n,):

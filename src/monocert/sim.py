@@ -43,7 +43,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import WorkingBox, check_cor3, CertReport, DEFAULT_EPS
+from .certify import (WorkingBox, check_cor3, CertReport, DEFAULT_EPS,
+                      _norm_family)
 from .lyap import LyapFn, _densities, _distance, _flow_norm
 from .measures import WeightFamily
 from .sysdsl import INVARIANCE_TOL, SystemDef
@@ -202,8 +203,14 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
         m, failed = rows.size, False
         if m:
             err = max_err[rows]
-            done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
-                               n_steps - 1)
+            try:
+                done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
+                                   n_steps - 1)
+            except ArithmeticError as exc:
+                # kernels keep subtrees of constants and t as Python floats
+                raise SimulationError(
+                    "the vector field cannot be evaluated between "
+                    f"t={t:.6g} and t={t + K * h:.6g}: {exc}") from exc
             max_err[rows] = err
             failed, K = done < K, min(done + 1, K)
         T = np.cumsum([t] + [h] * K)[1:]   # t += h, step by step
@@ -338,8 +345,7 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     """
     if box is None:
         box = WorkingBox.default_for(sys)
-    fam = (w if isinstance(w, WeightFamily)
-           else WeightFamily.constant("theta" if norm == "l1" else "omega", w))
+    fam = _norm_family(w, norm)
     cert = check_cor3(sys, fam, norm=norm, box=box, eps=eps)
     rate = max(0.0, -cert.worst_margin)
 

@@ -26,6 +26,12 @@ post-hoc check is a failed result, not raised.  What differs:
   post-hoc check    cor1, cor2             thm1, thm2
   ================  =====================  ==============================
 
+One walk of the synthesis grid gives the Kamke report and the condition
+rows: a visitor on the certify pass writes, points-last, the rows of each
+group of points and branch from X, f and the branch Jacobian there; it
+gives the equilibrium rows on the one-point grid of x*.  ``_dedupe`` sorts
+the rows, so the order of the walk does not reach the LP.
+
 The LPs have many rows (grid points times components) and few columns
 (weights plus the margin), so ``solve_lp`` solves the dual: a dense
 two-phase simplex with Bland's rule — deterministic and cycling-free — on a
@@ -51,15 +57,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
-                      check_cor2, check_kamke, check_thm1, check_thm2,
-                      DEFAULT_EPS, _CONDITIONS, _positivity_check, partition,
-                      row_groups)
-from .measures import WeightComponent, WeightFamily
+                      check_cor2, check_thm1, check_thm2, DEFAULT_EPS,
+                      _CONDITIONS, _Grid, _certify, _kamke_spec,
+                      _positivity_check, _scan, row_groups)
+from .measures import PAIRING, WeightComponent, WeightFamily
 from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
                      SystemDef, TimeVar, Var, _fold, jacobian)
 
@@ -298,27 +304,6 @@ def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
 # Constraint-row assembly over the synthesis grid
 # ---------------------------------------------------------------------------
 
-def _synth_resolution(box: WorkingBox, n: int,
-                      resolution: Optional[int]) -> int:
-    if resolution is not None:
-        return resolution
-    return min(box.resolution, 21 if n <= 2 else 9)
-
-
-def _grid_points(box: WorkingBox, resolution: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, resolution)
-            for lo, hi in zip(box.lows, box.highs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _by_component(J: np.ndarray, mode: str) -> np.ndarray:
-    """Jacobians laid out so that row j of each matrix multiplies the
-    weights in condition component j: columns of J for mode "sum", rows for
-    mode "max"."""
-    return np.transpose(J, (0, 2, 1)) if mode == "sum" else J
-
-
 def _dedupe(rows: np.ndarray, rhs: np.ndarray):
     """The distinct rows of [rows | rhs] rounded to 12 decimals, sorted."""
     stacked = np.round(np.column_stack([rows, rhs]), 12)
@@ -409,7 +394,7 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
                 degree: Optional[int], strict_radius: float) -> SynthResult:
     """The synthesis LP of ``synth_const`` (``degree`` None) and
     ``synth_poly``: rows, solve, normalisation and the post-hoc check."""
-    if mode not in ("sum", "max"):
+    if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
     poly = degree is not None
     if poly and degree < 0:
@@ -421,68 +406,63 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     box.validate_for(sys)
     n = sys.n
     d1 = degree + 1 if poly else 1   # coefficients per weight
-    res = _synth_resolution(box, n, resolution)
-    kamke = check_kamke(sys, box.with_resolution(res))
+    # by default at most 21 points per axis in the plane, 9 above it
+    res = (resolution if resolution is not None
+           else min(box.resolution, 21 if n <= 2 else 9))
     label = f"poly-{mode}" if poly else mode
 
     n_vars = n * d1 + 1      # coefficients + s
     s_col = n * d1
-
-    jb = jacobian(sys)
     kind, _, sign = _CONDITIONS[mode]
+    xstar = np.asarray(sys.equilibrium, dtype=float)
+    blocks, rhs = [], []     # (n_vars, rows) blocks of the LP, their bounds
 
-    def cond_rows(X: np.ndarray, strict: np.ndarray) -> np.ndarray:
-        """(m*n, n_vars) rows: condition components <= -s_struct."""
-        out = []
-        for pattern, idx, _ in partition(jb, X):
-            Xs = X[idx]
-            m = Xs.shape[0]
-            J = _by_component(jb.branch_matrix(pattern).evaluate_batch(Xs),
-                              mode)
-            pw = np.stack([Xs ** k for k in range(d1)], axis=2)  # (m, n, d1)
-            block = np.zeros((m, n, n_vars))
+    def condition_rows(radius: float, bound: float):
+        """A grid-walk visitor adding, at the points of a sample on one
+        branch, the rows  cond_j + s <= bound  within ``radius`` of x* (sup
+        norm), and  cond_j <= bound  beyond it."""
+        def visit(sample, J: np.ndarray) -> None:
+            X, m = sample.X, sample.X.shape[1]
+            pw = np.stack([X ** k for k in range(d1)], axis=1)  # (n, d1, m)
+            block = np.zeros((n_vars, n, m))
             # component j gets theta_i(x_i) * J[i, j] (sum) or
             # J[j, i] * omega_i(x_i) (max), in column i * d1 + k for x_i^k
-            block[:, :, :s_col] += (J[:, :, :, None] * pw[:, None, :, :]
-                                    ).reshape(m, n, s_col)
+            W = J if mode == "sum" else J.transpose(1, 0, 2)
+            block[:s_col] += (W[:, None] * pw[:, :, None]).reshape(s_col, n, m)
             if poly:
                 # component i gets +theta_i'(x_i) * f_i or -omega_i'(x_i) * f_i
-                F = sys.f_batch(Xs)
                 dpw = np.zeros_like(pw)
                 for k in range(1, d1):
-                    dpw[:, :, k] = k * Xs ** (k - 1)
+                    dpw[:, k] = k * X ** (k - 1)
                 for i in range(n):
-                    sl = slice(i * d1, (i + 1) * d1)
-                    block[:, i, sl] += sign * (dpw[:, i, :] * F[:, i, None])
-            block[:, :, s_col] = strict[idx, None]
-            out.append(block.reshape(m * n, n_vars))
-        return np.concatenate(out, axis=0)
+                    block[i * d1:(i + 1) * d1, i] += sign * (dpw[i]
+                                                             * sample.f[i])
+            block[s_col] = np.max(np.abs(X - xstar[:, None]), axis=0) <= radius
+            blocks.append(block.reshape(n_vars, n * m))
+            rhs.append(np.full(n * m, bound))
 
-    X = _grid_points(box, res)
-    strict = np.ones(X.shape[0])
-    if poly:
-        xstar = np.asarray(sys.equilibrium, dtype=float)
-        strict = (np.max(np.abs(X - xstar), axis=1)
-                  <= strict_radius).astype(float)
-    rows = [cond_rows(X, strict)]
-    rhs = [np.zeros(rows[0].shape[0])]
+        return visit
+
+    # one walk of the synthesis grid gives the Kamke report and the rows
+    grid_box = box.with_resolution(res)
+    kamke, = _certify(sys, grid_box, [_kamke_spec(sys, grid_box)],
+                      DEFAULT_EPS, condition_rows(strict_radius, 0.0))
 
     if poly:
         # positivity on the axis grids: -theta_i(a) <= -eps
-        for i in range(n):
-            ax = np.linspace(box.lows[i], box.highs[i], res)
-            block = np.zeros((ax.size, n_vars))
+        for i, ax in enumerate(grid_box._grid.points):
+            block = np.zeros((n_vars, ax.size))
             for k in range(d1):
-                block[:, i * d1 + k] = -(ax ** k)
-            rows.append(block)
+                block[i * d1 + k] = -(ax ** k)
+            blocks.append(block)
             rhs.append(np.full(ax.size, -eps))
 
-        # equilibrium strictness: condition components at x* <= -eps
-        eq_rows = cond_rows(xstar[None, :], np.zeros(1))
-        rows.append(eq_rows)
-        rhs.append(np.full(eq_rows.shape[0], -eps))
+        # equilibrium strictness: condition components at x* <= -eps,
+        # without s (x* is within no radius)
+        _scan(jacobian(sys), _Grid.at(xstar), [],
+              condition_rows(-math.inf, -eps))
 
-    all_rows, all_rhs = _dedupe(np.concatenate(rows, axis=0),
+    all_rows, all_rhs = _dedupe(np.concatenate(blocks, axis=1).T,
                                 np.concatenate(rhs))
 
     c = np.zeros(n_vars)
@@ -515,13 +495,10 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     # non-constant coefficients at round-off level are zeros of the vertex
     coeffs[:, 1:][np.abs(coeffs[:, 1:]) <= 1e-12] = 0.0
 
-    # normalize by the leading coefficient of the last non-constant weight
-    lead = None
-    for i in range(n - 1, -1, -1):
-        nz = np.flatnonzero(coeffs[i, 1:])
-        if nz.size:
-            lead = coeffs[i, 1 + nz[-1]]
-            break
+    # normalize by the leading coefficient of the last non-constant weight,
+    # the last nonzero of the non-constant coefficients in C order
+    nz = np.flatnonzero(coeffs[:, 1:])
+    lead = coeffs[:, 1:].flat[nz[-1]] if nz.size else None
     if lead is not None:
         if lead > 0:
             coeffs = coeffs / lead
@@ -695,7 +672,7 @@ def _sos_program(sys: SystemDef, degree: int, eps: float, mode: str,
     """
     n = sys.n
     d1 = degree + 1
-    xstar = np.asarray(sys.equilibrium, dtype=float)
+    xs = [float(v) for v in sys.equilibrium]
 
     jb = jacobian(sys)
     if jb.n_guards:
@@ -792,8 +769,9 @@ def _sos_program(sys: SystemDef, degree: int, eps: float, mode: str,
     for j in range(n):
         ent = {}
         for (i, k), p in L[j].items():
-            # fsum: large cancelling terms must not swallow small ones
-            val = math.fsum(cv * float(np.prod(xstar ** np.asarray(mono)))
+            # fsum: large cancelling terms must not swallow small ones; the
+            # powers in Python floats, the same under every numpy dispatch
+            val = math.fsum(cv * math.prod(v ** e for v, e in zip(xs, mono))
                             for mono, cv in p.items())
             if val != 0.0:
                 add_coeff(ent, i, k, -val)
@@ -826,7 +804,7 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     needs, and prints the bases of the univariate blocks P_i and S_i as
     degrees.
     """
-    if mode not in ("sum", "max"):
+    if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
     if degree < 0 or multiplier_degree < 0:
         raise SynthError("degrees must be nonnegative")
@@ -848,7 +826,7 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
 
     coeff_pos, slack_pos = _diag_positions(sys.n, degree + 1)
     sidecar = {
-        "kind": "theta" if mode == "sum" else "omega",
+        "kind": PAIRING[mode][0],
         "mode": mode,
         "degree": degree,
         "multiplier_degree": multiplier_degree,

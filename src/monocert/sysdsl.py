@@ -505,10 +505,11 @@ def compile_expr(e) -> Callable:
     ``e`` is an expression, or a tuple (of tuples) of them; the kernel
     returns an array of shape (m,) plus the shape of that nesting.  ``X``
     has shape (m, n); ``T`` is a scalar or an (m,) array, and may be None
-    when nothing references ``t``.  Every node becomes one statement on a
-    stack-slot local, so the generated code has no nesting that grows with
-    the expression, and a whole vector field or matrix costs one Python
-    call.  Each call builds a new kernel; callers keep it.
+    when nothing references ``t`` (else the kernel raises DslError).  Every
+    node becomes one statement on a stack-slot local, so the generated code
+    has no nesting that grows with the expression, and a whole vector field
+    or matrix costs one Python call.  Each call builds a new kernel; callers
+    keep it.
 
     The storage is component-major, the nesting's shape plus (m,), so each
     entry is written as one contiguous row; the kernel returns the (m, ...)
@@ -521,7 +522,7 @@ def compile_expr(e) -> Callable:
     src = ["def _f(X, T=None):"]
     if any(references_time(entry) for entry in entries.flat):
         src += ["    if T is None:",
-                "        raise ValueError('expression references t but no "
+                "        raise DslError('expression references t but no "
                 "time was given')"]
     src += ["    X = np.asarray(X, dtype=float)",
             f"    out = np.empty({entries.shape!r} + (X.shape[0],))"]
@@ -537,7 +538,8 @@ def _define(src: list, consts: dict) -> dict:
     """Execute generated source; return its namespace, in which each name
     of ``consts`` is bound to its constant as a 0-d float64 array."""
     ns: dict = {"np": np, "inf": math.inf, "nan": math.nan,
-                "_TWO": np.array(2.0), "_TOL": INVARIANCE_TOL}
+                "_TWO": np.array(2.0), "_TOL": INVARIANCE_TOL,
+                "DslError": DslError}
     ns.update((name, np.array(float(text))) for text, name in consts.items())
     exec("\n".join(src) + "\n", ns)
     return ns

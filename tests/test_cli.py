@@ -148,6 +148,35 @@ def test_constant_division_by_zero_is_usage(argv, equilibrium, tmp_path,
             in capsys.readouterr().err)
 
 
+TIME_VARYING_SYS = """system tv {
+  states x1 in [-1, 1], x2 in [-1, 1]
+  dx1 = -x1 + 0.1*sin(t)*x2
+  dx2 = -x2
+  equilibrium (0, 0)
+}
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"], ["synth"], ["contract", "--theta", LINEAR_THETA],
+], ids=["certify", "synth", "contract"])
+def test_time_varying_jacobian_is_usage(argv, tmp_path, capsys):
+    """A declared equilibrium does not make a field that references t
+    autonomous: the grid checks cannot evaluate its Jacobian."""
+    tv = tmp_path / "tv.sys"
+    tv.write_text(TIME_VARYING_SYS)
+    code = main([argv[0], str(tv), *argv[1:], "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert ("monocert: expression references t but no time was given"
+            in capsys.readouterr().err)
+
+
+def test_time_varying_field_with_autonomous_jacobian_certifies(tmp_path):
+    code = main(["certify", "entrain_linear", "--box=-3:3",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_PASS
+
+
 def test_deeply_nested_signs_certify_like_one(tmp_path):
     """dx1 = -(-(...(x1)...)) with 10,001 signs is dx1 = -x1: certify reads
     it at the default recursion limit and writes the same report."""
@@ -279,6 +308,21 @@ def test_simulate_escaping_trajectory_fails(tmp_path, capsys):
     assert "left the domain" in capsys.readouterr().out
     rep = _read(tmp_path / "simulate-report.json")
     assert rep["files"] == []
+
+
+def test_simulate_field_with_a_pole_in_time_fails(tmp_path, capsys):
+    """A stage that reaches t = 0.5 exactly divides a Python float by
+    zero; every trajectory fails with the time span of its block."""
+    pole = tmp_path / "pole.sys"
+    pole.write_text("system pole {\n  states x in (-inf, inf)\n"
+                    "  dx = 0*x + 1/(t - 0.5)\n}\n")
+    code = main(["simulate", str(pole), "--x0", "0", "--t-end", "1",
+                 "--dt", str(2.0 ** -10), "--out", str(tmp_path)])
+    assert code == EXIT_FAIL
+    assert ("trajectory 0: the vector field cannot be evaluated between "
+            "t=0.25 and t=0.5: float division by zero"
+            in capsys.readouterr().out)
+    assert _read(tmp_path / "simulate-report.json")["files"] == []
 
 
 @pytest.mark.parametrize("argv,weights", [
