@@ -28,12 +28,12 @@ condition — the reported value is the worst across tied branches.
 ``partition`` groups the grid points by active branch pattern, so each
 condition is evaluated once per pattern and chunk, tied points included.
 
-All the checks of one request share one pass over the grid: ``_groups``,
-the only code that chunks and partitions a grid, walks it, and per group
-the branch Jacobian and the vector field are evaluated once and read by
-every condition and by an optional ``visit(sample, J)`` (synthesis builds
-its LP rows there).  Each check still sees exactly the points and the
-arithmetic it would see on its own.
+All the checks of one request share one pass over the grid (``_groups``,
+the only code that chunks and partitions one): per group the branch
+Jacobian and the vector field are evaluated once and read by every
+condition, and by a ``visit`` callback on which synthesis builds its LP.
+Each check still sees exactly the points and the arithmetic it would see
+on its own.
 
 The scan is points-last: a chunk of m points carries its Jacobians as
 (n, n, m), its coordinates, vector field and weights as (n, m), and each
@@ -378,10 +378,9 @@ class _Sample:
 
 
 def _groups(jb: JacobianBranches, grid: _Grid):
-    """Walk the whole grid: partition each chunk of it, and yield (at,
-    tied, sample, patterns) for every group, the group's grid indices,
-    whether a guard ties there, its ``_Sample`` and its branch patterns in
-    product order.  The only code that chunks and partitions a grid."""
+    """Partition the grid chunk by chunk, and yield (at, tied, sample,
+    patterns) for every group: its grid indices, whether a guard ties
+    there, its ``_Sample`` and its branch patterns in product order."""
     for start, flat in grid.chunks():
         X = grid.points.take(flat)
         groups = partition(jb, X.T)

@@ -165,9 +165,8 @@ class WeightComponent:
         return body
 
 
-# The paper's two pairings, by condition mode, for every module: sum-type
-# conditions (thm1, cor1) take theta weights and the l1 norm, max-type
-# ones (thm2, cor2) omega weights and the linf norm.  NORM_KIND inverts it.
+# The paper's pairings, by condition mode, for every module: sum-type (thm1,
+# cor1) takes theta weights and the l1 norm, max-type omega and linf.
 PAIRING = {"sum": ("theta", "l1"), "max": ("omega", "linf")}
 NORM_KIND = {norm: kind for kind, norm in PAIRING.values()}
 

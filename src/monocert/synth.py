@@ -26,11 +26,9 @@ post-hoc check is a failed result, not raised.  What differs:
   post-hoc check    cor1, cor2             thm1, thm2
   ================  =====================  ==============================
 
-One walk of the synthesis grid gives the Kamke report and the condition
-rows: a visitor on the certify pass writes, points-last, the rows of each
-group of points and branch from X, f and the branch Jacobian there; it
-gives the equilibrium rows on the one-point grid of x*.  ``_dedupe`` sorts
-the rows, so the order of the walk does not reach the LP.
+One certify pass over the synthesis grid gives the Kamke report, and a
+visitor on it writes the condition rows of each group and branch; ``_dedupe``
+sorts the rows, so the order of the walk does not reach the LP.
 
 The LPs have many rows (grid points times components) and few columns
 (weights plus the margin), so ``solve_lp`` solves the dual: a dense
@@ -495,10 +493,13 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     # non-constant coefficients at round-off level are zeros of the vertex
     coeffs[:, 1:][np.abs(coeffs[:, 1:]) <= 1e-12] = 0.0
 
-    # normalize by the leading coefficient of the last non-constant weight,
-    # the last nonzero of the non-constant coefficients in C order
-    nz = np.flatnonzero(coeffs[:, 1:])
-    lead = coeffs[:, 1:].flat[nz[-1]] if nz.size else None
+    # normalize by the leading coefficient of the last non-constant weight
+    lead = None
+    for i in range(n - 1, -1, -1):
+        nz = np.flatnonzero(coeffs[i, 1:])
+        if nz.size:
+            lead = coeffs[i, 1 + nz[-1]]
+            break
     if lead is not None:
         if lead > 0:
             coeffs = coeffs / lead
