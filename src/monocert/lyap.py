@@ -157,7 +157,7 @@ class LyapFn:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise LyapError(f"expected points of dimension {self.n}")
-        norm = PAIRING[self.variant[-3:]][1]
+        norm = PAIRING[self.variant.split("-")[1]][1]
         if self.variant.startswith("state"):
             return _distance(self._densities, norm, X, self.xstar)
         return _flow_norm(self.sys, self.weights, norm, X)
@@ -214,7 +214,7 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     """
     if variant not in VARIANTS:
         raise LyapError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    need = PAIRING[variant[-3:]][0]   # every variant ends in its mode
+    need = PAIRING[variant.split("-")[1]][0]   # variant: "<form>-<mode>"
     if w.kind != need:
         raise LyapError(
             f"variant {variant!r} needs kind {need!r} weights, got {w.kind!r}")
