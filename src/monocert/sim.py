@@ -1,10 +1,18 @@
 """Trajectory-based validation of certificates.
 
-Integration is classical fixed-step RK4 through the system's one compiled
-kernel (see ``sysdsl.compile_step``), which runs the four stages inline and
-is bit for bit the same arithmetic as four calls of the vector field.  One
-call of ``SystemDef.rk4_run`` runs a block of up to ``_BLOCK`` steps and
-writes each step's states to a buffer, from which the kept samples are
+Integration is classical fixed-step RK4 through the system's compiled
+block kernel (see ``sysdsl.compile_step``), which runs the four stages
+inline and is bit for bit the same arithmetic as four calls of the vector
+field.  One emitter generates it in two shapes: on (m,) column arrays, and
+on Python floats one row at a time, whose exactly rounded operations and
+scalar ufunc calls give the same bits.  A numpy call costs about the same
+on 3 rows as on 20, so ``SystemDef.rk4_run`` takes the row kernel for a
+block of m live rows when m (u + p / R) < U: U numpy calls per step of the
+column kernel against u numpy calls and p Python float operations per row
+and step of the row kernel, R = 16 operations costing about one call.  So
+``simulate`` of a few starts and ``entrain`` run on rows, ``contract`` with
+its 20 starts on columns.  One call runs a block of up to ``_BLOCK`` steps
+and writes each step's states to a buffer, from which the kept samples are
 sliced; a remainder step that ends the run on t_end is a block of its own.
 On every 16th step of the run, and on the last, the kernel also takes a
 step-doubling error estimate from two half steps, whose difference from
@@ -15,12 +23,14 @@ exactly fourth order.
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain
 by more than ``INVARIANCE_TOL`` stops with its own diagnostic while the
-others continue.  The kernel applies the domain check after each step, one
-reduction over the batch, and returns at the first step that fails it, so
-no step past a failure is computed; the per-row diagnostics then run on
-that step's states before the next block starts.  States are never clamped
-back in, because a clamped trajectory would silently invalidate every
-conclusion drawn from it.
+others continue.  The kernel applies the domain check after each step and
+returns at the first step that any row fails, so no step past a failure
+is computed; the per-row diagnostics then run on that step's states
+before the next block starts.  Overflow and NaN are reported by those
+diagnostics alone: the run is under ``np.errstate``, so numpy prints no
+RuntimeWarning, whichever kernel runs.  States are never clamped back in,
+because a clamped trajectory would silently invalidate every conclusion
+drawn from it.
 
 On top of the integrator:
 
@@ -56,7 +66,9 @@ __all__ = [
     "entrainment_test", "EntrainReport", "INVARIANCE_TOL",
 ]
 
-_BLOCK = 256   # steps per kernel call, measured against 16 to 4,096
+# steps per kernel call: against 16 to 4,096, both shapes run as fast at
+# 256 as at 4,096 within the noise; 16 costs the row kernel about 35%
+_BLOCK = 256
 
 
 class SimulationError(RuntimeError):
@@ -193,41 +205,43 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     xs = np.full((n_saved, B, sys.n), np.nan)
     ts[0] = t0
     xs[0] = X0
-    X, rows = drop_failed(X0, np.arange(B), -1, t0)
     max_err = np.zeros(B)
     S = np.empty((min(_BLOCK, n_steps), B, sys.n))   # one block's states
     saved, k, t = 1, 0, float(t0)
-    while k < n_steps and not (abort_on_failure and failures):
-        # whole steps up to a block, then the remainder step alone
-        h, K = (dt, min(len(S), n_full - k)) if k < n_full else (rem, 1)
-        m, failed = rows.size, False
-        if m:
-            err = max_err[rows]
-            try:
-                done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
-                                   n_steps - 1)
-            except ArithmeticError as exc:
-                # kernels keep subtrees of constants and t as Python floats
-                raise SimulationError(
-                    "the vector field cannot be evaluated between "
-                    f"t={t:.6g} and t={t + K * h:.6g}: {exc}") from exc
-            max_err[rows] = err
-            failed, K = done < K, min(done + 1, K)
-        T = np.cumsum([t] + [h] * K)[1:]   # t += h, step by step
-        # the kept samples before the block's last step, then that step,
-        # whose failures leave the live set first
-        first = (-k - 1) % save_every
-        n_kept = len(range(first, K - 1, save_every))
-        ts[saved:saved + n_kept] = T[first:K - 1:save_every]
-        xs[saved:saved + n_kept, rows] = S[first:K - 1:save_every, :m]
-        saved += n_kept
-        k, t, X = k + K, float(T[-1]), S[K - 1, :m].copy()
-        if failed:
-            X, rows = drop_failed(X, rows, k - 1, t)
-        if k % save_every == 0 or k == n_steps:
-            ts[saved] = t
-            xs[saved, rows] = X
-            saved += 1
+    # overflow and NaN are reported per row by drop_failed, not by numpy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        X, rows = drop_failed(X0, np.arange(B), -1, t0)
+        while k < n_steps and not (abort_on_failure and failures):
+            # whole steps up to a block, then the remainder step alone
+            h, K = (dt, min(len(S), n_full - k)) if k < n_full else (rem, 1)
+            m, failed = rows.size, False
+            if m:
+                err = max_err[rows]
+                try:
+                    done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
+                                       n_steps - 1)
+                except ArithmeticError as exc:
+                    # kernels keep subtrees of constants and t as Python floats
+                    raise SimulationError(
+                        "the vector field cannot be evaluated between "
+                        f"t={t:.6g} and t={t + K * h:.6g}: {exc}") from exc
+                max_err[rows] = err
+                failed, K = done < K, min(done + 1, K)
+            T = np.cumsum([t] + [h] * K)[1:]   # t += h, step by step
+            # the kept samples before the block's last step, then that step,
+            # whose failures leave the live set first
+            first = (-k - 1) % save_every
+            n_kept = len(range(first, K - 1, save_every))
+            ts[saved:saved + n_kept] = T[first:K - 1:save_every]
+            xs[saved:saved + n_kept, rows] = S[first:K - 1:save_every, :m]
+            saved += n_kept
+            k, t, X = k + K, float(T[-1]), S[K - 1, :m].copy()
+            if failed:
+                X, rows = drop_failed(X, rows, k - 1, t)
+            if k % save_every == 0 or k == n_steps:
+                ts[saved] = t
+                xs[saved, rows] = X
+                saved += 1
 
     return BatchTrajectories(t=ts[:saved], x=xs[:saved], dt=dt,
                              max_step_error=max_err,

@@ -6,6 +6,9 @@ debuggability stay intact; each test writes into its own tmp directory.
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -325,6 +328,29 @@ def test_simulate_field_with_a_pole_in_time_fails(tmp_path, capsys):
     assert _read(tmp_path / "simulate-report.json")["files"] == []
 
 
+def test_simulate_overflow_prints_only_its_diagnostic(tmp_path):
+    """x^2 * x^2 from 3 overflows within 14 ms.  The row's diagnostic is
+    the only message, whichever kernel runs: numpy's RuntimeWarnings from
+    the kernel and the domain check are not printed (run in a fresh
+    interpreter, where Python's warning filters apply)."""
+    quartic = tmp_path / "quartic.sys"
+    quartic.write_text("system quartic {\n  states x in (-inf, inf)\n"
+                       "  dx = x^2 * x^2\n}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("PYTHONWARNINGS", None)
+    for x0 in ("3", "3 --random 20 --box=-1:1"):
+        run = subprocess.run(
+            [sys.executable, "-m", "monocert.cli", "simulate", str(quartic),
+             "--x0", *x0.split(), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert run.returncode == EXIT_FAIL
+        assert run.stderr == ""
+        assert run.stdout.startswith(
+            "trajectory 0: non-finite state at t=0.014\n")
+
 @pytest.mark.parametrize("argv,weights", [
     (["ex1", "--x0", "2,1", "--random", "3", "--box", "0:3,0:3",
       "--theta", EX1_THETA], "ex1.theta.json"),
@@ -491,6 +517,31 @@ def test_resolution_below_two_is_usage(argv, resolution, tmp_path, capsys):
     assert "resolution must be at least 2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "linear_sym", "--x0", "1,1", "--t-end", "0.01"],
+    ["contract", "linear_sym", "--theta", LINEAR_THETA, "--pairs", "1"],
+    ["entrain", "entrain_cubic", "--x0-set=-2;2", "--periods", "1"],
+])
+def test_step_not_positive_is_usage(argv, dt, tmp_path, capsys):
+    """The parent raised ZeroDivisionError under contract and entrain at
+    --dt 0, and exited 1 once per trajectory under simulate."""
+    code = main(argv + ["--dt", dt, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "monocert: dt must be positive\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_usage(pairs, tmp_path, capsys):
+    """--pairs 0 passed with nothing integrated, and -1 raised
+    ValueError."""
+    code = main(["contract", "linear_sym", "--theta", LINEAR_THETA,
+                 "--pairs", pairs, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "monocert: pairs must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 def test_grid_beyond_int64_is_usage(tmp_path, capsys):
     """65536^4 = 2^64 points; counted in int64 they wrap to 0."""

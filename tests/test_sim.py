@@ -13,6 +13,8 @@ from monocert.sim import (BatchTrajectories, ContractionReport,
                           Trajectory, entrainment_test,
                           estimate_contraction_rate, integrate,
                           integrate_batch, verify_decrease)
+from monocert.sysdsl import (Add, Const, Cos, Div, Exp, Max, Min, Mul, Neg,
+                             Pow, Sin, Sub, TimeVar, Var, compile_step)
 from oracles import (domain_failure, integrate_reference, rk4_at,
                      rk4_four_calls)
 
@@ -100,14 +102,27 @@ def test_rk4_step_matches_the_four_call_form(name):
     calls, and close to K steps in Python floats over the tree-walking
     oracle; each error estimate it folds in is bit for bit
     max_i |full_i - half_i| / 15 over such steps, ``half`` being two steps
-    of h/2."""
+    of h/2.  ``rk4_run`` takes the row kernel for 1 and 3 rows and the
+    column kernel for 20 and 64, past every system's crossover, so both
+    shapes are checked on every system."""
     sys = _mixed_field() if name == "mixed" else load_system(name)
+    kernels, ran = compile_step(sys.odes), []
+
+    def recorded(shape):
+        def run(*args):
+            ran.append(shape)
+            return getattr(kernels, shape)(*args)
+        return run
+
+    sys._rk4 = kernels._replace(columns=recorded("columns"),
+                                rows=recorded("rows"))
     rng = np.random.default_rng(23)
     lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
     hi = np.array([min(b.hi, 3.0) for b in sys.bounds])
     # a full step, a half step and a remainder step (0.7 - 2 * 0.3)
     for h in (1e-2, 1e-2 / 2, 0.7 - 2 * 0.3):
-        for B in (1, 3, 20):
+        for B in (1, 3, 20, 64):
+            ran.clear()
             X = lo + (hi - lo) * rng.random((B, sys.n))
             want, starts, t, Y = [], [], 0.7, X
             for _ in range(15):
@@ -143,6 +158,157 @@ def test_rk4_step_matches_the_four_call_form(name):
             assert sys.rk4_run(X, 0.7, h, S, -inf, inf, err, 0, 7) == 1
             assert np.array_equal(_bits(S[0]), _bits(want[0]))
             assert np.array_equal(_bits(err), _bits(estimates[0]))
+            assert set(ran) == {"rows" if B <= 3 else "columns"}
+
+
+def _premise_values() -> np.ndarray:
+    """About 20k seeded values: signed zeros, infinities, NaN, huge and
+    subnormal numbers, then normal, wide uniform and log-uniform samples."""
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-310,
+               -5e-324, 1.0, -1.0, 2.0 ** 1023, 0.5]
+    scale = np.sign(rng.standard_normal(10_000)) * 10.0 ** rng.uniform(
+        -320, 308, 10_000)
+    return np.concatenate([special, rng.standard_normal(5_000) * 10,
+                           rng.uniform(-800, 800, 5_000), scale])
+
+
+def test_scalar_calls_give_the_array_bits():
+    """The premise of the row kernel.  Each ufunc it calls on a Python
+    float returns the bits of the same ufunc on an array; Python's
+    ``+ - *`` and ``v*v`` are numpy's add, subtract, multiply and square."""
+    v = _premise_values()
+    w = v[::-1].copy()
+    # against v's first values 0, -0, inf, -inf, NaN, 1e200, -1e200 and
+    # 1e-310: signed-zero ties, zero and infinite divisors, NaN either side
+    w[:8] = [-0.0, 0.0, np.inf, -np.inf, 1.0, np.nan, 0.0, -0.0]
+
+    def same(array, scalars):
+        assert np.array_equal(_bits(array), _bits(np.array(scalars)))
+
+    with np.errstate(all="ignore"):
+        for k in (0, 1, 3, 4, 5, 6, 7, 10, 25):
+            c = np.array(float(k))   # the 0-d exponent both kernels pass
+            same(np.power(v, c), [float(np.power(x, c)) for x in v.tolist()])
+        for ufunc in (np.exp, np.sin, np.cos):
+            same(ufunc(v), [float(ufunc(x)) for x in v.tolist()])
+        pairs = list(zip(v.tolist(), w.tolist()))
+        for ufunc in (np.true_divide, np.minimum, np.maximum):
+            same(ufunc(v, w), [float(ufunc(x, y)) for x, y in pairs])
+        same(np.add(v, w), [x + y for x, y in pairs])
+        same(np.subtract(v, w), [x - y for x, y in pairs])
+        same(np.multiply(v, w), [x * y for x, y in pairs])
+        same(v ** 2, [x * x for x in v.tolist()])
+
+
+_KINDS = (Neg, Add, Sub, Mul, Div, Pow, Min, Max, Exp, Sin, Cos)
+
+
+def _random_field(rng, n: int, root=None, depth: int = 4):
+    """A random expression, of type ``root`` at the top when given.  Its
+    leaves are states, ``t`` and constants, zero among them, so that zero
+    divisors and subtrees of ``t`` alone turn up."""
+    def grow(d, kind=None):
+        if kind is None:
+            if d == 0 or rng.random() < 0.3:
+                pick = int(rng.integers(6))
+                if pick < 3:
+                    return Var(int(rng.integers(n)))
+                if pick == 3:
+                    return TimeVar()
+                return Const(float(rng.choice([0.0, -0.5, 1.5, 3.0])))
+            kind = _KINDS[rng.integers(len(_KINDS))]
+        if kind is Pow:
+            return Pow(grow(d - 1), int(rng.integers(5)))
+        if kind in (Neg, Exp, Sin, Cos):
+            return kind(grow(d - 1))
+        return kind(grow(d - 1), grow(d - 1))
+    return grow(depth, root)
+
+
+def _assert_shapes_agree(odes, X, t, h, K, lo, hi, err, k0, last):
+    """Both kernel shapes of ``odes`` return the same step, or raise the
+    same ArithmeticError, and leave the same bits in S and err.  A NaN
+    compares as NaN: its sign and payload are never observable."""
+    kernels = compile_step(odes)
+    seen = []
+    for run in (kernels.columns, kernels.rows):
+        S, e = np.full((K,) + X.shape, np.nan), err.copy()
+        try:
+            with np.errstate(all="ignore"):
+                got = run(X, t, h, S, lo, hi, e, k0, last)
+        except ArithmeticError as exc:
+            got = (type(exc), str(exc))
+        seen.append((got, _bits(np.where(np.isnan(S), np.nan, S)),
+                     _bits(e)))
+    (a, S_a, e_a), (b, S_b, e_b) = seen
+    assert a == b
+    assert np.array_equal(S_a, S_b)
+    assert np.array_equal(e_a, e_b)
+    return a
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_kernel_matches_the_column_kernel(seed):
+    """Random fields with every node type at the top of one equation, on
+    x1 in [-3, 3] and x2, x3 free: rows that blow up or leave mid-block,
+    zero divisors, subtrees of ``t`` alone, blocks with and without an
+    error estimate, and errors that start at NaN."""
+    rng = np.random.default_rng([seed, 43])
+    returns = set()
+    for root in _KINDS:
+        n = int(rng.integers(1, 4))
+        odes = [_random_field(rng, n, root)]
+        odes += [_random_field(rng, n) for _ in range(n - 1)]
+        for m in (1, 2, 5):
+            X = rng.uniform(-2.5, 2.5, (m, n))
+            lo = np.tile([-3.0] + [-np.inf] * (n - 1), (m, 1))
+            hi = np.tile([3.0] + [np.inf] * (n - 1), (m, 1))
+            err = rng.choice([0.0, 1e-3, np.nan], m)
+            h = float(rng.choice([1e-2, 0.1, 0.3]))
+            k0 = int(rng.integers(0, 20))
+            returns.add(_assert_shapes_agree(
+                odes, X, float(rng.choice([0.0, 0.3])), h, 24, lo, hi, err,
+                k0, k0 + int(rng.integers(0, 26))))
+    assert 24 in returns and len(returns) > 2   # some blocks stop early
+
+
+def test_both_shapes_keep_the_error_where_a_component_is_nan():
+    """Where x2 overflows to inf in the full step and in the half steps,
+    their difference is NaN: numpy's maximum makes the row's estimate NaN,
+    and fmax keeps its old error in both shapes."""
+    odes = (Neg(Var(0)), Mul(Pow(Var(1), 2), Const(1e300)))
+    X = np.array([[1.0, 1.0], [1.0, 0.0]])
+    inf = np.full((2, 2), np.inf)
+    err = np.zeros(2)
+    assert _assert_shapes_agree(odes, X, 0.0, 0.1, 3, -inf, inf, err, 0,
+                                2) == 0
+    S = np.empty((3, 2, 2))
+    with np.errstate(all="ignore"):
+        compile_step(odes).columns(X, 0.0, 0.1, S, -inf, inf, err, 0, 2)
+    assert err[0] == 0 and np.isinf(S[0, 0, 1]) and err[1] > 0
+
+@pytest.mark.parametrize("field,exc", [
+    # t runs 0.5, 0.75, 1.0, ...: t + h reaches 1 on the second step
+    (Add(Var(0), Div(Const(1.0), Sub(TimeVar(), Const(1.0)))),
+     ZeroDivisionError),
+    # (t * 1e154)^2 overflows once t passes about 1.34
+    (Sub(Neg(Var(0)), Mul(Const(1e-300), Pow(Mul(TimeVar(), Const(1e154)),
+                                             2))), OverflowError),
+    # the error estimate's own time t + h/4 reaches 1.5 on step 3
+    (Sub(Var(0), Div(Const(1.0), Sub(TimeVar(), Const(1.5)))),
+     ZeroDivisionError),
+])
+def test_both_shapes_raise_at_the_same_step(field, exc):
+    """A subtree of ``t`` alone keeps Python's ``/`` and ``**``: both shapes
+    raise its error at the same step, with the same states and errors
+    written before it."""
+    X = np.array([[0.5], [-0.25], [1.0]])
+    for m in (1, 3):
+        got = _assert_shapes_agree(
+            (field,), X[:m], 0.5, 0.25, 12, np.full((m, 1), -np.inf),
+            np.full((m, 1), np.inf), np.zeros(m), 0, 11)
+        assert got[0] is exc
 
 
 def _assert_matches_reference(sys, X0, t_end, dt, t0, save_every, abort):
