@@ -431,8 +431,8 @@ def main(argv=None) -> int:
         resolution = getattr(args, "resolution", None)
         if resolution is not None and resolution < 2:
             raise UsageError("resolution must be at least 2")
-        if not getattr(args, "dt", 1.0) > 0:   # NaN too
-            raise UsageError("dt must be positive")
+        if not 0 < getattr(args, "dt", 1.0) < math.inf:   # NaN too
+            raise UsageError("dt must be positive and finite")
         if getattr(args, "pairs", 1) < 1:
             raise UsageError("pairs must be at least 1")
         return _COMMANDS[args.command](args)

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 # steps per kernel call: against 16 to 4,096, both shapes run as fast at
-# 256 as at 4,096 within the noise; 16 costs the row kernel about 35%
+# 256 as at 4,096 within the noise; 16 costs the row kernel about 40%
 _BLOCK = 256
 
 

@@ -518,24 +518,26 @@ def test_resolution_below_two_is_usage(argv, resolution, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+@pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["simulate", "linear_sym", "--x0", "1,1", "--t-end", "0.01"],
     ["contract", "linear_sym", "--theta", LINEAR_THETA, "--pairs", "1"],
     ["entrain", "entrain_cubic", "--x0-set=-2;2", "--periods", "1"],
 ])
 def test_step_not_positive_is_usage(argv, dt, tmp_path, capsys):
-    """The parent raised ZeroDivisionError under contract and entrain at
-    --dt 0, and exited 1 once per trajectory under simulate."""
+    """Before, contract and entrain raised ZeroDivisionError at --dt 0,
+    simulate exited 1 once per trajectory, and --dt inf took no step and
+    passed."""
     code = main(argv + ["--dt", dt, "--out", str(tmp_path)])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "monocert: dt must be positive\n"
+    assert (capsys.readouterr().err
+            == "monocert: dt must be positive and finite\n")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_pairs_below_one_is_usage(pairs, tmp_path, capsys):
-    """--pairs 0 passed with nothing integrated, and -1 raised
+    """Before, --pairs 0 passed with nothing integrated, and -1 raised
     ValueError."""
     code = main(["contract", "linear_sym", "--theta", LINEAR_THETA,
                  "--pairs", pairs, "--out", str(tmp_path)])
