@@ -650,6 +650,8 @@ def _certify(sys: SystemDef, box: WorkingBox, specs: Sequence[_Spec],
              eps: float, visit: Optional[Callable] = None) -> list:
     """Run validated specs in one grid pass, which ``visit`` rides as in
     ``_scan``; one report per spec."""
+    if not 0 < eps < math.inf:   # NaN too
+        raise CertifyError("eps must be positive and finite")
     box.validate_for(sys)
     jb = jacobian(sys)
     scans, ties = _scan(jb, box._grid, [s.evaluator for s in specs], visit)

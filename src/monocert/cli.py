@@ -431,10 +431,21 @@ def main(argv=None) -> int:
         resolution = getattr(args, "resolution", None)
         if resolution is not None and resolution < 2:
             raise UsageError("resolution must be at least 2")
-        if not 0 < getattr(args, "dt", 1.0) < math.inf:   # NaN too
+        # written as "not 0 < v < inf" so that NaN fails too
+        if not 0 < getattr(args, "dt", 1.0) < math.inf:
             raise UsageError("dt must be positive and finite")
+        if not 0 < getattr(args, "t_end", 1.0) < math.inf:
+            raise UsageError("t-end must be positive and finite")
+        if not 0 < args.eps < math.inf:
+            raise UsageError("eps must be positive and finite")
         if getattr(args, "pairs", 1) < 1:
             raise UsageError("pairs must be at least 1")
+        if getattr(args, "periods", 1) < 1:
+            raise UsageError("periods must be at least 1")
+        if args.seed < 0:
+            raise UsageError("seed must be nonnegative")
+        if getattr(args, "n_random", 0) < 0:
+            raise UsageError("random must be nonnegative")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"monocert: {exc}", file=_stdsys.stderr)

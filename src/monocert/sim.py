@@ -167,6 +167,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     if dt <= 0:
         raise SimulationError("dt must be positive")
     span = float(t_end) - float(t0)
+    if not math.isfinite(span):   # an infinite or NaN t_end or t0
+        raise SimulationError("t_end and t0 must be finite")
     if span <= 0:
         raise SimulationError("t_end must exceed the start time")
 

@@ -394,6 +394,8 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     ``synth_poly``: rows, solve, normalisation and the post-hoc check."""
     if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
+    if not 0 < eps < math.inf:   # NaN too
+        raise SynthError("eps must be positive and finite")
     poly = degree is not None
     if poly and degree < 0:
         raise SynthError("degree must be nonnegative")

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -98,20 +98,46 @@ class BranchRequiredError(ValueError):
 # AST nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+# The nodes are plain slotted classes, not dataclasses: as dataclasses,
+# creating these 15 classes cost 8-10 ms of every interpreter's import,
+# against 0.2 ms now.  A node's fields are its ``_fields``, which are also
+# its slots.  ``__init__`` is written out once per shape (leaf, unary,
+# binary) because parsing and differentiation build many nodes: a loop over
+# ``_fields`` would cost 0.4 us more per node.
+
+_set = object.__setattr__
+
+
 class Expr:
     """Base class for expression nodes.  All nodes are immutable/hashable.
 
     A node hashes and compares by a flat key (see ``_structure``) built once
     and kept on it, so a deep tree costs no recursion.  Equality is that of
-    the trees' fields: ``Const(0.0) == Const(-0.0)``.
+    the trees' fields: ``Const(0.0) == Const(-0.0)``.  Its ``repr``, and a
+    failed assignment, read as those of a frozen dataclass.
     """
 
+    __slots__ = ("_k",)
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
     def _key(self) -> tuple:
-        key = self.__dict__.get("_k")
+        key = getattr(self, "_k", None)
         if key is None:
             key = _structure(self)
-            object.__setattr__(self, "_k", key)
+            _set(self, "_k", key)
         return key
 
     def __eq__(self, other):
@@ -164,90 +190,90 @@ def _as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
-@dataclass(frozen=True, eq=False)
+class _Unary(Expr):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+
+
+class _Binary(Expr):
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: Expr, b: Expr):
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+
 class Const(Expr):
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        _set(self, "value", float(value))
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Expr):
     """State variable, identified by its index in the system's state order."""
-    index: int
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True, eq=False)
 class TimeVar(Expr):
     """The time variable ``t``."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Neg(Expr):
-    arg: Expr
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Add(Expr):
-    a: Expr
-    b: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Sub(Expr):
-    a: Expr
-    b: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Mul(Expr):
-    a: Expr
-    b: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Div(Expr):
-    a: Expr
-    b: Expr
+class Div(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+    def __init__(self, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
             raise DslError("power exponent must be a nonnegative integer, "
-                           f"got {self.exponent!r}")
+                           f"got {exponent!r}")
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, eq=False)
-class Min(Expr):
-    a: Expr
-    b: Expr
+class Min(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Max(Expr):
-    a: Expr
-    b: Expr
+class Max(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Exp(Expr):
-    arg: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Sin(Expr):
-    arg: Expr
+class Sin(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Cos(Expr):
-    arg: Expr
+class Cos(_Unary):
+    __slots__ = ()
 
 
 # the functions of the language by name: (builder, number of arguments);

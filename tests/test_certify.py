@@ -64,6 +64,18 @@ def test_box_point_count_is_exact_and_bounded():
             WorkingBox((0.0,) * n, (1.0,) * n, resolution)
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_eps_not_positive_is_a_certify_error(eps):
+    """Before, a negative eps turned failing equilibrium checks into
+    pass-with-margin, and a NaN one failed them all."""
+    traffic4 = load_system("traffic4")
+    fam = load_family("traffic4.v.json")
+    with pytest.raises(CertifyError, match="eps must be positive and finite"):
+        certify_all(traffic4, [fam], eps=eps)
+    with pytest.raises(CertifyError, match="eps must be positive and finite"):
+        check_thm1(traffic4, fam, eps=eps)
+
+
 def test_box_refined_is_superset():
     box = WorkingBox((0.0, -1.0), (3.0, 2.0), resolution=41)
     fine = box.refined()

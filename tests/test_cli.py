@@ -545,6 +545,63 @@ def test_pairs_below_one_is_usage(pairs, tmp_path, capsys):
     assert capsys.readouterr().err == "monocert: pairs must be at least 1\n"
     assert list(tmp_path.iterdir()) == []
 
+
+TRAFFIC4_V = str(CORPUS / "traffic4.v.json")
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "traffic4", "--theta", TRAFFIC4_V],
+    ["synth", "ex1", "--box", "0:3,0:3"],
+    ["contract", "linear_sym", "--theta", LINEAR_THETA, "--pairs", "1"],
+    ["export-sos", "ex1"],
+])
+def test_eps_not_positive_is_usage(argv, eps, tmp_path, capsys):
+    """Before, certify traffic4 --eps -1 turned thm1, cor1 and cor3-l1
+    from fail into pass-with-margin and exited 0, and --eps nan failed
+    every equilibrium check."""
+    code = main(argv + ["--eps", eps, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert (capsys.readouterr().err
+            == "monocert: eps must be positive and finite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "linear_sym", "--x0", "1,1", "--random", "2"],
+    ["contract", "linear_sym", "--theta", LINEAR_THETA, "--pairs", "1"],
+])
+def test_t_end_not_positive_is_usage(argv, t_end, tmp_path, capsys):
+    """Before, --t-end inf raised OverflowError and nan ValueError, and
+    simulate --t-end 0 exited 1 once per trajectory."""
+    code = main(argv + ["--t-end", t_end, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert (capsys.readouterr().err
+            == "monocert: t-end must be positive and finite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "linear_sym", "--random", "2", "--t-end", "0.01",
+      "--seed", "-1"], "seed must be nonnegative"),
+    (["contract", "linear_sym", "--theta", LINEAR_THETA, "--pairs", "1",
+      "--t-end", "0.01", "--seed", "-1"], "seed must be nonnegative"),
+    (["simulate", "linear_sym", "--x0", "1,1", "--t-end", "0.01",
+      "--random", "-2"], "random must be nonnegative"),
+    (["entrain", "entrain_cubic", "--x0-set=-2;2", "--periods", "0"],
+     "periods must be at least 1"),
+    (["entrain", "entrain_cubic", "--x0-set=-2;2", "--periods", "-1"],
+     "periods must be at least 1"),
+])
+def test_negative_counts_are_usage(argv, message, tmp_path, capsys):
+    """Before, a negative seed or --random raised ValueError, and entrain
+    --periods 0 named t_end."""
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"monocert: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_grid_beyond_int64_is_usage(tmp_path, capsys):
     """65536^4 = 2^64 points; counted in int64 they wrap to 0."""
     code = main(["certify", "traffic4", "--resolution", "65536",

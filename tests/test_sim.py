@@ -670,6 +670,15 @@ def test_bad_timespan_and_step(ex1):
         integrate(ex1, [1.0, 1.0], 1.0, dt=0.0)
 
 
+@pytest.mark.parametrize("t_end,t0", [(math.inf, 0.0), (math.nan, 0.0),
+                                      (1.0, math.nan), (1.0, -math.inf)])
+def test_non_finite_timespan_is_a_simulation_error(ex1, t_end, t0):
+    """Before, an infinite t_end raised OverflowError and a NaN one
+    ValueError."""
+    with pytest.raises(SimulationError, match="t_end and t0 must be finite"):
+        integrate_batch(ex1, [[1.0, 1.0]], t_end, t0=t0)
+
+
 def test_bad_initial_condition_shape(ex1):
     with pytest.raises(SimulationError, match=r"\(B, 2\)"):
         integrate_batch(ex1, np.zeros((3, 5)), 1.0)

@@ -222,6 +222,17 @@ def test_synth_const_refuses_no_equilibrium_before_solving(mode, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+def test_eps_not_positive_is_a_synth_error(eps):
+    """Before, eps -1 or 0 gave a success certified at that eps, and
+    nan or inf a post-hoc failure after the LP was solved."""
+    ex1 = load_system("ex1")
+    box = WorkingBox((0.0, 0.0), (3.0, 3.0), 11)
+    for synth in (synth_const, synth_poly):
+        with pytest.raises(SynthError, match="eps must be positive"):
+            synth(ex1, box, eps=eps)
+
+
 def test_synth_const_symmetric_linear(linear_sym):
     res = synth_const(linear_sym, mode="sum")
     assert res.success

@@ -1,6 +1,8 @@
 """Parser, AST, symbolic differentiation and branch-Jacobian tests."""
 
+import copy
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -226,6 +228,76 @@ def test_trailing_garbage_rejected():
         }
         stray
         """)
+
+
+# ---------------------------------------------------------------------------
+# expression nodes
+# ---------------------------------------------------------------------------
+
+_X, _Y = Var(0), Var(1)
+# each node type with its repr as that of the frozen dataclasses the nodes
+# once were
+NODE_REPRS = [
+    (Const(1), "Const(value=1.0)"),
+    (Const(-0.0), "Const(value=-0.0)"),
+    (Var(2), "Var(index=2)"),
+    (TimeVar(), "TimeVar()"),
+    (Neg(_X), "Neg(arg=Var(index=0))"),
+    (Add(_X, Const(1.0)), "Add(a=Var(index=0), b=Const(value=1.0))"),
+    (Sub(_X, _Y), "Sub(a=Var(index=0), b=Var(index=1))"),
+    (Mul(Const(2.5), _X), "Mul(a=Const(value=2.5), b=Var(index=0))"),
+    (Div(_X, TimeVar()), "Div(a=Var(index=0), b=TimeVar())"),
+    (Pow(_X, 3), "Pow(base=Var(index=0), exponent=3)"),
+    (Min(_X, _Y), "Min(a=Var(index=0), b=Var(index=1))"),
+    (Max(_X, Neg(_X)), "Max(a=Var(index=0), b=Neg(arg=Var(index=0)))"),
+    (Exp(_X), "Exp(arg=Var(index=0))"),
+    (Sin(TimeVar()), "Sin(arg=TimeVar())"),
+    (Cos(Add(_X, _Y)), "Cos(arg=Add(a=Var(index=0), b=Var(index=1)))"),
+    (parse_expr("abs(x1 - 2) + x2^2 * exp(-t)", ["x1", "x2"]),
+     "Add(a=Max(a=Sub(a=Var(index=0), b=Const(value=2.0)), "
+     "b=Neg(arg=Sub(a=Var(index=0), b=Const(value=2.0)))), "
+     "b=Mul(a=Pow(base=Var(index=1), exponent=2), "
+     "b=Exp(arg=Neg(arg=TimeVar()))))"),
+]
+
+
+@pytest.mark.parametrize("node,text", NODE_REPRS)
+def test_node_repr(node, text):
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("node", [n for n, _ in NODE_REPRS])
+def test_nodes_are_frozen(node):
+    hash(node)   # a cached key is no way around the freeze either
+    for name in (*node._fields, "_k", "other"):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(node, name, 1)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(node, name)
+    assert repr(node) == dict(NODE_REPRS)[node]
+
+
+@pytest.mark.parametrize("node", [n for n, _ in NODE_REPRS])
+def test_nodes_survive_pickle_and_deepcopy(node):
+    for again in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node),
+                  copy.copy(node)):
+        assert type(again) is type(node)
+        assert again == node and hash(again) == hash(node)
+        assert repr(again) == repr(node)
+    assert repr(pickle.loads(pickle.dumps(Const(-0.0)))) == "Const(value=-0.0)"
+
+
+def test_const_holds_a_float():
+    assert type(Const(1).value) is float
+    assert type(Const(True).value) is float
+    assert Const(1) == Const(1.0)
+
+
+@pytest.mark.parametrize("exponent", [-1, 2.0, 1.5, "2", None])
+def test_pow_rejects_a_negative_or_non_int_exponent(exponent):
+    with pytest.raises(DslError, match="power exponent must be a "
+                                       "nonnegative integer"):
+        Pow(_X, exponent)
 
 
 # ---------------------------------------------------------------------------
