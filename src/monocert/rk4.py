@@ -1,0 +1,329 @@
+"""Classical RK4 on blocks of steps, compiled for a system in two shapes
+with the same bits.
+
+``compile_step`` generates, from the one emitter of ``sysdsl``
+(``_emit``), a kernel that runs up to K steps of m rows in lockstep, with
+the step-doubling error estimate on every 16th step and the domain check
+after every step inside.  Both shapes run stage-major, each stage for all
+rows before the next, so a step costs numpy calls per node of the vector
+field, not per row or per component:
+
+* on columns, the state and the stages are (n, m) arrays.  Each field's
+  root writes its slope row by ``out=``, and each RK4 update, the final
+  sum, the copy into the output, the domain check and the estimate's max
+  over the components is a few numpy calls on all components at once;
+* on rows, the state is a tuple of Python floats per row.  ``+ - *`` are
+  Python float operations, run in one loop over the rows for each stretch
+  of them; each ``^k`` (k other than 2), ``/``, ``min`` and ``max`` node is
+  one numpy call per stage on the list of all rows' operands, between
+  such loops (``_row_loops`` places every node as early as its operands
+  allow).  ``exp``, ``sin`` and ``cos`` call their ufunc on each row's
+  float, which costs a fifth of a call on a list.  A field without a
+  batched node runs one loop per step.
+
+The shapes give the same bits: numpy's ``+ - *`` are IEEE operations,
+exactly rounded as Python's are; a ufunc called on a Python float runs the
+loop it runs on an array; and numpy converts a list of Python floats into
+exactly the float64 array whose loop the column kernel runs.  A numpy call
+costs about as much on 3 rows as on 20, so the row kernel is faster for a
+few rows and the column kernel for many; ``StepKernels.pick`` chooses by
+counts known when the kernels are generated.
+
+``SystemDef.rk4_run`` imports this module on first use, so a program that
+never integrates does not compile it.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from typing import Callable, NamedTuple
+
+from .sysdsl import _define, _emit, _lift_state_free
+
+__all__ = ["StepKernels", "compile_step"]
+
+# the kernel estimates the step error on every this many steps of a run,
+# and on its last
+_ESTIMATE_EVERY = 16
+
+
+class StepKernels(NamedTuple):
+    """One system's RK4 block kernel in its two shapes, and its counts per
+    step, known when they are generated, that choose between them.
+
+    ``pick`` takes the row kernel for m rows when
+
+        m (p + 8u) / 24 + 2 (u + L) < U + 4,
+
+    a cost in units of one of the column kernel's U numpy calls per step:
+    p Python float operations per row cost 1/24 each (a ufunc call on a
+    float counts 8), each of the u batched calls and L loops over the rows
+    costs about 2, and a batched call's list conversion 1/3 per row.  The
+    constants are a fit to both kernels' times on 256-step blocks of every
+    corpus system at m = 1 to 64 (min of 10 runs, two runs, a 2-vCPU
+    x86-64 host, numpy 2.4).  The crossover is the first m at which the
+    columns were as fast as the rows in each run:
+
+        system            U   u    p  L   crossover   pick: columns from
+        comparison       70   0  106  1     16, 17     17
+        entrain_cubic    30   4   25  4      9, 10      8
+        entrain_linear   26   0   25  1     26, 27     27
+        entrain_zero     22   0   17  1     30, 30     34
+        ex1              34   0   50  1     19, 19     18
+        linear_sym       34   0   50  1     20, 19     18
+        multiagent       42   0   75  1     17, 18     15
+        rotation         26   0   38  1     19, 19     18
+        traffic4        126  28  112  5      5,  4      5
+    """
+    columns: Callable
+    rows: Callable
+    column_calls: int   # U: numpy calls of the column kernel
+    row_calls: int      # u: batched numpy calls of the row kernel
+    row_ops: int        # p: its Python float operations per row
+    row_loops: int      # L: its loops over the rows
+
+    def pick(self, m: int) -> Callable:
+        """The row kernel for m rows when m (p + 8u) / 24 + 2 (u + L) <
+        U + 4, else the column kernel."""
+        cost = m * (self.row_ops + 8 * self.row_calls) / 24 + 2 * (
+            self.row_calls + self.row_loops)
+        return self.rows if cost < self.column_calls + 4 else self.columns
+
+
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _row_loops(records: list, inputs: dict, keep: list,
+               export: tuple = ()) -> tuple:
+    """Source that runs ``records`` (see ``_emit``) on all rows, and the
+    number of its loops over them.  ``inputs`` maps a list of rows to what
+    a row unpacks to.  Each record is placed as early as the names it
+    reads allow (those of ``keep`` together): a call between loops, on the
+    lists ``v_`` of the rows' operands, the others in a loop, which leaves
+    the rows of ``keep`` in ``nxt`` and what a later place reads (or
+    ``export``) in lists ``v_``."""
+    inputs = dict(inputs)
+    where = {w: seq for seq, row in inputs.items() for w in _NAME.findall(row)}
+
+    def place(floor: dict) -> list:
+        pos, placed = dict.fromkeys(where, -1), []
+        for name, rhs, call in records:
+            p = max([pos[w] for w in _NAME.findall(rhs) if w in pos]
+                    + [floor.get(name, -1)])
+            pos[name] = p = p | 1 if call else p + (p & 1)   # loops: even
+            placed.append((p, name, rhs))
+        return placed
+
+    placed = place({})
+    placed = place(dict.fromkeys(keep, max(p for p, name, _ in placed
+                                           if name in keep)))
+    last = {w: p for p, _, rhs in sorted(placed, key=lambda r: r[0])
+            for w in _NAME.findall(rhs)}   # the last place reading w
+    last.update(dict.fromkeys(export, math.inf))
+    rowwise = {name for _, name, _ in placed} | set(where)
+    src, loops = [], 0
+    for p in sorted({p for p, _, _ in placed}):
+        here = {name: rhs for q, name, rhs in placed if q == p}
+        reads = dict.fromkeys(w for rhs in here.values()
+                              for w in _NAME.findall(rhs)
+                              if w in rowwise and w not in here)
+        if p % 2:   # the rows that the calls read, split into lists first
+            for seq in dict.fromkeys(where[w] for w in reads if w in where):
+                names = _NAME.findall(inputs.pop(seq))
+                src.append(f"    {''.join(w + '_, ' for w in names)}= "
+                           f"zip(*{seq})")
+                for w in names:
+                    del where[w]
+            src += [f"    {name}_ = " + _NAME.sub(
+                lambda w: w[0] + "_" * (w[0] in rowwise), rhs) + ".tolist()"
+                for name, rhs in here.items()]
+            continue
+        loops += 1
+        sources = {where.get(w, w + "_"): inputs.get(where.get(w), w)
+                   for w in reads}
+        row = f"({''.join(w + ', ' for w in keep if w in here)})"
+        outs = [w for w in here if w not in keep and last.get(w, p) > p]
+        made = ["nxt"] * (row != "()") + [w + "_" for w in outs]
+        src += [f"    {', '.join(made)}, = {'[], ' * len(made)}",
+                *(f"    _a{j} = {w}_.append" for j, w in enumerate(outs)),
+                f"    for {', '.join(sources.values())}, in zip("
+                f"{', '.join(sources)}):",
+                *(f"        {name} = {rhs}" if name else f"        {rhs}"
+                  for name, rhs in here.items()),
+                *(f"        _a{j}({w})" for j, w in enumerate(outs))]
+        if row != "()":
+            src.append(f"        nxt += {row},")
+            inputs["nxt"] = row
+            where.update(dict.fromkeys(_NAME.findall(row), "nxt"))
+    return src, loops
+
+
+def compile_step(odes) -> StepKernels:
+    """Compile classical RK4 for ``odes`` to one block kernel in two shapes,
+    each ``run(X, t, h, S, lo, hi, err, k0, last)``.
+
+    It takes up to K = len(S) steps of ``h`` from the states X (m, n) at
+    time ``t``, and writes the states after step k to ``S[k]``.  On every
+    16th step of the run (step k is k0 + k) and on its last (``last``) it
+    folds the step-doubling error estimate max_i |full_i - half_i| / 15
+    into ``err`` (m,) by ``np.fmax``, the half steps sharing the first
+    stage.  After each step it checks ``lo - s <= INVARIANCE_TOL`` and ``s -
+    hi <= INVARIANCE_TOL`` for each component s (NaN fails) and returns k
+    at the first that any row fails, else K.  Each state is bit for bit
+
+        k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
+        k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
+        X + (h/6) (k1 + 2 k2 + 2 k3 + k4),  then t += h.
+
+    Both shapes finish a stage for all rows before the next.  The column
+    kernel keeps the state and stages in (n, m) arrays, which the fields'
+    roots write by ``out=``, and takes each RK4 update, the sum, the copy
+    into S[k], the check and the estimate's max for all components in a
+    few calls, with h, h/2, h/4, h/6 and h/12 as 0-d arrays.  The row
+    kernel works on Python floats (``_row_loops``), in one loop per step
+    when no node is batched.  The bits agree: Python's ``+ - *`` are
+    numpy's, exactly rounded, a ufunc on a float runs its array loop, and
+    numpy converts a list of floats into exactly that array.  A subtree of
+    constants and ``t`` alone is computed once per stage time, as a Python
+    float (a 0-d array on columns) that keeps Python's ``/`` and ``**``: an
+    ArithmeticError it raises is raised at its step, with S and err
+    written up to the step before.
+    """
+    n = len(odes)
+    fields, lifted = _lift_state_free(odes)
+
+    def listed(name: str) -> str:
+        return "".join(f"{name}{i}, " for i in range(n))
+
+    def generate(rows: bool) -> tuple:
+        """The kernel, and its counts per step: U, or u, p and L."""
+        consts: dict = {}
+        counts = {"calls": 0, "ops": 0}
+
+        def at(src, time):   # the lifted subtrees at ``time``
+            for j, e in enumerate(lifted):
+                _emit(e, src, consts, time=time)
+                src.append(f"    _p{j}_{time} = "
+                           f"{'float' if rows else 'np.array'}(_s0)")
+
+        def stage(body, col, slope, time):
+            """f at col0, col1, ...: into the rows of the array ``slope``,
+            or on rows the texts of its components."""
+            texts = []
+            for i, fi in enumerate(fields):
+                calls, ops, text = _emit(
+                    fi, body, consts, rows=rows, out=None if rows else
+                    f"{slope}{i}", var=lambda j: f"{col}{j}" if j < n else
+                    f"_p{j - n}_{time}")
+                counts["calls"] += calls
+                counts["ops"] += ops
+                texts.append(text)
+            return texts if rows else slope
+
+        def step(body, x, out, times, factors, first=None):
+            """A step from x0, x1, ...: to out0, out1, ... on rows, else
+            its increment to the array ``out``; returns its k1."""
+            h1, h2, h6 = factors
+            k = [first or stage(body, x, "a", times[0])]
+            for slope, time, factor in zip("bcd", (1, 1, 2), (h2, h2, h1)):
+                y = f"{out}{slope}" if rows else "y"
+                body += [(f"{y}{i}", f"{x}{i} + {factor} * {s}", False)
+                         for i, s in enumerate(k[-1])] if rows else [
+                    f"    np.multiply({factor}, {k[-1]}, out=y)",
+                    f"    np.add({x}, y, out=y)"]
+                k.append(stage(body, y, slope, times[time]))
+            body += [(f"{out}{i}", f"{x}{i} + {h6} * ({a} + 2.0 * {b} + "
+                      f"2.0 * {c} + {d})", False) for i, (a, b, c, d) in
+                     enumerate(zip(*k))] if rows else [
+                f"    {out} = {h6} * (a + _TWO * b + _TWO * c + d)"]
+            return k[0]
+
+        body: list = []
+        first = step(body, "x", "f" if rows else "F", ("t", "t2", "t4"),
+                     ("h1", "h2", "h6"))
+        full, tally = len(body), dict(counts)
+        step(body, "x", "m" if rows else "M", ("t", "u2", "t2"),
+             ("h2", "q2", "q6"), first)
+        body += [] if rows else ["    np.add(x, M, out=m)"]
+        step(body, "m", "g" if rows else "G", ("t2", "v2", "v4"),
+             ("h2", "q2", "q6"))
+        # the lifted values: at t before the loop, at t + h/2 and t + h on
+        # each step, and at the estimate's own times on its steps
+        start, times, estimate_times, carry = [], [], [], []
+        if lifted:
+            at(start, "t")
+            times = ["    t2, t4 = t + hh, t + h"]
+            at(times, "t2")
+            at(times, "t4")
+            estimate_times = ["    u2, v2, v4 = t + hh / 2, t2 + hh / 2, "
+                              "t2 + hh"]
+            for time in ("u2", "v2", "v4"):
+                at(estimate_times, time)
+            carry = [*(f"    _p{j}_t = _p{j}_t4" for j in range(len(lifted))),
+                     "    t = t4"]
+        src = ["def _run(X, t, h, S, lo, hi, err, k0, last):",
+               "    hh = h / 2",
+               f"    h1, h2, h6, q2, q6 = map("
+               f"{'float' if rows else 'np.array'}, "
+               "(h, hh, h / 6, hh / 2, hh / 6))"]
+        scheduled = (f"    if (k0 + k) % {_ESTIMATE_EVERY} == 0 or "
+                     "k0 + k == last:")
+        if rows:
+            tally["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
+            check = (None, "if not (" + " and ".join(
+                f"lo{i} - f{i} <= _TOL and f{i} - hi{i} <= _TOL"
+                for i in range(n)) + "): ok = False", False)
+            # the max over components as np.maximum's (a NaN wins), into E
+            # as np.fmax's (a NaN keeps E)
+            estimate = [("e0", "abs(f0 - g0)", False), *(
+                (f"e{i}", f"d if (d := abs(f{i} - g{i})) > e{i - 1} or d != d"
+                 f" else e{i - 1}", False) for i in range(1, n)),
+                ("En", f"q if (q := e{n - 1} / 15.0) > E or E != E else E",
+                 False)]
+            inputs = {"live": f"({listed('x')})", "E_": "E",
+                      "box": f"({listed('lo')}{listed('hi')})"}
+            keep = [f"f{i}" for i in range(n)]
+            plain, tally["loops"] = _row_loops(body[:full] + [check],
+                                               inputs, keep)
+            each, _ = _row_loops(body + estimate + [check], inputs, keep,
+                                 ("En",))
+            loop = [*times, "    ok = True", scheduled,
+                    *("    " + line for line in estimate_times + each),
+                    "        E_ = En_", "    else:",
+                    *("    " + line for line in plain),
+                    "    out += nxt", "    live = nxt", *carry,
+                    "    if not ok:", "        return k"]
+            src += ["    live, E_, out = X.tolist(), err.tolist(), []",
+                    "    box = [a + b for a, b in zip(lo.tolist(), "
+                    "hi.tolist())]",
+                    "    try:", *("    " + line for line in start),
+                    "        for k in range(len(S)):",
+                    *("        " + line for line in loop),
+                    "        return len(S)",
+                    "    finally:",
+                    "        S[:len(out) // len(X)] = np.fromiter(chain."
+                    "from_iterable(out), float).reshape(-1, *X.shape)",
+                    "        err[:] = E_"]
+        else:
+            tally["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
+            loop = [*times, *body[:full], scheduled,
+                    *("    " + line for line in estimate_times + body[full:]),
+                    "        np.fmax(err, np.maximum.reduce(abs(x + F - "
+                    "(m + G))) / 15.0, out=err)",
+                    "    np.add(x, F, out=x)", *carry, "    S[k] = xt",
+                    "    if not np.maximum.reduce(np.maximum(lo - x, x - hi),"
+                    " None) <= _TOL:",
+                    "        return k"]
+            src += ["    x = X.T.copy()",
+                    "    a, b, c, d, y, m = np.empty((6,) + x.shape)",
+                    *(f"    {listed(v)}= {v}" for v in "xabcdym"),
+                    "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
+                    "    for k in range(len(S)):",
+                    *("    " + line for line in loop), "    return len(S)"]
+        return _define(src, consts)["_run"], tally
+
+    columns, column = generate(rows=False)
+    rows, row = generate(rows=True)
+    return StepKernels(columns, rows, column["calls"], row["calls"],
+                       row["ops"], row["loops"])

@@ -1,19 +1,24 @@
 """Trajectory-based validation of certificates.
 
 Integration is classical fixed-step RK4 through the system's compiled
-block kernel (see ``sysdsl.compile_step``), which runs the four stages
-inline and is bit for bit the same arithmetic as four calls of the vector
-field.  One emitter generates it in two shapes: on (m,) column arrays, and
-on Python floats one row at a time, whose exactly rounded operations and
-scalar ufunc calls give the same bits.  A numpy call costs about the same
-on 3 rows as on 20, so ``SystemDef.rk4_run`` takes the row kernel for a
-block of m live rows when m (u + p / R) < U: U numpy calls per step of the
-column kernel against u numpy calls and p Python float operations per row
-and step of the row kernel, R = 16 operations costing about one call.  So
-``simulate`` of a few starts and ``entrain`` run on rows, ``contract`` with
-its 20 starts on columns.  One call runs a block of up to ``_BLOCK`` steps
-and writes each step's states to a buffer, from which the kept samples are
-sliced; a remainder step that ends the run on t_end is a block of its own.
+block kernel (see ``rk4.compile_step``), which runs the four stages inline
+and is bit for bit the same arithmetic as four calls of the vector field.
+One emitter generates it in two shapes, both stage-major, taking each
+stage for all live rows before the next: on (n, m) arrays, with a few
+numpy calls per step for all components; and on Python floats, with
+``+ - *`` in one loop over the rows per stretch of them and each ``^k``,
+``/``, ``min`` and ``max`` node one numpy call per stage on the list of the
+rows' operands, which numpy converts into exactly the array whose loop the
+other shape runs.  A numpy call costs about the same on 3 rows as on 20,
+so ``SystemDef.rk4_run`` takes the row kernel for a block of m live rows
+when m (p + 8u) / 24 + 2 (u + L) < U + 4 (``rk4.StepKernels.pick``): U
+numpy calls per step of the column kernel, against u batched calls, p
+Python float operations per row and L loops over the rows per step of the
+row kernel.  So ``simulate`` of a few starts and ``entrain`` run on rows,
+``contract`` with its 20 starts on columns.  One call runs a block of up
+to ``_BLOCK`` steps and writes each step's states to a buffer, from which
+the kept samples are sliced; a remainder step that ends the run on t_end
+is a block of its own.
 On every 16th step of the run, and on the last, the kernel also takes a
 step-doubling error estimate from two half steps, whose difference from
 the full step scaled by 1/15 raises the trajectory's worst step error; the
@@ -73,6 +78,12 @@ _BLOCK = 256
 
 class SimulationError(RuntimeError):
     """Integration left the declared domain or the request is malformed."""
+
+
+def _positive_finite(value: float, name: str) -> None:
+    # refused as the command line refuses it; "not 0 < v < inf" fails NaN
+    if not 0 < value < math.inf:
+        raise SimulationError(f"{name} must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +175,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
         raise SimulationError(f"initial conditions must be (B, {sys.n})")
-    if dt <= 0:
-        raise SimulationError("dt must be positive")
+    _positive_finite(dt, "dt")
     span = float(t_end) - float(t0)
     if not math.isfinite(span):   # an infinite or NaN t_end or t0
         raise SimulationError("t_end and t0 must be finite")
@@ -359,6 +369,10 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     the slowest (minimum) is reported.  The weighted flow norm is held to
     the same exponential bound along each single trajectory.
     """
+    _positive_finite(dt, "dt")
+    _positive_finite(t_end, "t-end")
+    if not pairs >= 1:
+        raise SimulationError("pairs must be at least 1")
     if box is None:
         box = WorkingBox.default_for(sys)
     fam = _norm_family(w, norm)
@@ -440,6 +454,9 @@ def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
     ``final_tol``.  Per-trajectory period-to-period increments are reported
     for convergence diagnostics.
     """
+    _positive_finite(dt, "dt")
+    if not horizon_periods >= 1:
+        raise SimulationError("periods must be at least 1")
     if sys.period is None:
         raise SimulationError("entrainment needs a system with a declared period")
     X0 = np.asarray(x0_set, dtype=float)

@@ -809,6 +809,8 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     """
     if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
+    if not 0 < eps < math.inf:   # NaN too
+        raise SynthError("eps must be positive and finite")
     if degree < 0 or multiplier_degree < 0:
         raise SynthError("degrees must be nonnegative")
     if multiplier_degree % 2:

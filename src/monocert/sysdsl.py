@@ -22,15 +22,9 @@ Parsing is one operator-precedence loop on explicit stacks
 (``==`` and ``hash`` of a node compare a flat key that walker builds).
 Every numeric evaluation runs through kernels generated by one emitter
 (``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
-and ``compile_step`` for RK4.  Its block kernel loops over a block of
-steps with the step-doubling error estimate and the domain check inside,
-in two shapes from the same emitter: on (m,) column arrays, and on Python
-floats one row at a time, with the same bits (see ``compile_step``).
-``SystemDef.rk4_run`` takes the row kernel when there are few rows, by
-counts the emitter returns.  In every kernel, a constant next to a
-state-dependent numpy operand, and the exponent (other than 2) of a
-state-dependent power, is a 0-d float64 array bound once in the kernel's
-namespace; subtrees of constants and ``t`` alone keep Python floats.
+and ``compile_step`` for blocks of RK4 steps, in two shapes with the same
+bits, on arrays and on rows of Python floats; ``SystemDef.rk4_run`` picks
+one by counts the emitter returns (``StepKernels.pick``).
 
 A system is declared in a block like::
 
@@ -53,8 +47,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, product
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,11 +65,6 @@ __all__ = [
 TIE_TOL = 1e-9  # relative tie tolerance for min/max branch guards
 # how far outside its domain an integrated state may lie before it fails
 INVARIANCE_TOL = 1e-9
-# the RK4 kernel estimates the step error on every this many steps of a
-# run, and on its last
-_ESTIMATE_EVERY = 16
-# Python float operations that cost about one numpy call on a few rows
-_OPS_PER_CALL = 16
 
 
 class DslError(ValueError):
@@ -284,11 +273,10 @@ _FUNCTIONS = {"exp": (Exp, 1), "sin": (Sin, 1), "cos": (Cos, 1),
 _BINOPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _FUNCS = {build: name for name, (build, _) in _FUNCTIONS.items()
           if name != "abs"}
-_NP_FUNCS = {Exp: "np.exp", Sin: "np.sin", Cos: "np.cos",
-             Min: "np.minimum", Max: "np.maximum"}
-# the ufunc a row kernel calls on Python floats for each node that is not
-# exactly rounded in Python (a square is ``v*v``)
-_ROW_UFUNCS = {**_NP_FUNCS, Div: "np.true_divide", Pow: "np.power"}
+_UFUNCS = {Exp: "np.exp", Sin: "np.sin", Cos: "np.cos", Min: "np.minimum",
+           Max: "np.maximum", Div: "np.true_divide", Pow: "np.power",
+           Add: "np.add", Sub: "np.subtract", Mul: "np.multiply",
+           Neg: "np.negative"}
 
 
 def _children(e: Expr) -> tuple:
@@ -449,77 +437,95 @@ def pretty(e: Expr, names: Optional[Sequence[str]] = None) -> str:
 
 def _emit(e: Expr, lines: list, consts: dict,
           var: Callable = "X[:, {}]".format, time: str = "T",
-          rows: bool = False) -> tuple:
-    """Append one statement per node of ``e`` that leaves its value in _s0;
-    return the numpy calls and the Python float operations among them.
+          rows: bool = False, out: Optional[str] = None) -> tuple:
+    """Write a statement per node of ``e``; return the numpy calls and the
+    Python float operations among them, and the text of its value.
 
-    A node's value goes to the local ``_s<slot>``; its children's values
-    are in ``_s<slot>``, ``_s<slot + 1>``, ...  ``Var(i)`` reads ``var(i)``
-    and ``t`` reads ``time``: by default rows ``X`` (m, n) and time ``T``.
-    A constant is written into its parent's statement.  Where its sibling
-    depends on the state, and as the exponent (other than 2) of a power
-    whose base does, it is a 0-d float64 array instead, named in
-    ``consts`` (its repr -> name; ``_define`` binds the names): numpy
-    applies that to a small array in about half the time of a Python
-    number, with the same bits.  Subtrees of constants and ``t`` alone keep
-    Python floats, because Python's ``**`` and numpy's ``power`` may differ
-    in the last bit.
+    On arrays a node's value goes to ``_s<slot>``, where its parent finds
+    it, so that of ``e`` ends in ``_s0``, or with ``out`` its root's ufunc
+    writes it there.  ``Var(i)`` reads ``var(i)`` and ``t`` reads ``time``.
+    A constant next to a state-dependent operand, or as the exponent (not
+    2) of a state-dependent power, is a 0-d array named in ``consts`` (repr
+    -> name, bound by ``_define``), which numpy applies to a small array in
+    half the time of a Python number, with the same bits.  Subtrees of
+    constants and ``t`` alone keep Python floats, because Python's ``**``
+    and numpy's ``power`` may differ in the last bit.
 
-    With ``rows`` the state is Python floats, one row at a time.  The
-    exactly rounded operations (``+ - *``, negation and ``^2`` as ``v*v``)
-    stay Python operations, which give numpy's bits; every other
-    state-dependent node calls its numpy ufunc on the scalar, as in
-    ``float(np.power(v, _c0))``, because ``math`` and Python's ``**`` may
-    differ from numpy in the last bit and Python's ``/`` raises on zero.
-    A constant is a 0-d array there only where it goes to a ufunc.
+    With ``rows`` the state is Python floats, one value per row, and each
+    node appends ``(name, rhs, call)`` to ``lines`` for ``rk4._row_loops``
+    to place, or reuses the name of an equal ``rhs`` there: the same
+    operation on the same values.  ``+ - *``, negation and ``^2`` (as
+    ``v*v``) are Python operations on a row's floats, exactly rounded as
+    numpy's are.  ``^k``, ``/``, ``min`` and ``max`` are each a ``call``
+    made once per stage on the lists ``v_`` of all rows' operands, as
+    ``np.power(v_, _c0)``: their ufunc costs about 0.7 us on two floats
+    and 1 us on two lists of a few, and numpy converts such a list into
+    exactly the array whose loop it runs on a column.  ``exp``, ``sin`` and
+    ``cos`` call their ufunc on each row's float, about 0.2 us, a fifth of
+    a call on a list.  Python's ``**`` and ``math`` may differ from numpy in
+    the last bit, and Python's ``/`` raises on zero.  A constant is a 0-d
+    array there only where it goes to a ufunc.
     """
     tally = {"calls": 0, "ops": 0}
+    seen = {rhs: name for name, rhs, _ in lines} if rows else {}
 
     def hoisted(value: float) -> str:
         return consts.setdefault(repr(value), f"_c{len(consts)}")
 
     def leave(node: Expr, args: list, slot: int):
-        # a child's result is its constant (a float, not yet written) or
-        # whether it depends on the state (its value is in its slot)
+        # a child's result is its constant (a float, not yet written), or
+        # the text of its value and whether that depends on the state
         if isinstance(node, Const):
             return node.value
-        state = isinstance(node, Var) or any(v is True for v in args)
-        power = node.exponent if isinstance(node, Pow) else None
-        ufunc = rows and state and type(node) in _ROW_UFUNCS and power != 2
-        ops = [(hoisted(v) if state and (ufunc or not rows) else f"({v!r})")
-               if isinstance(v, float) else f"_s{slot + k}"
-               for k, v in enumerate(args)]
-        if isinstance(node, Var):
-            rhs = var(node.index)
-        elif isinstance(node, TimeVar):
-            rhs = time
-        elif ufunc:
-            if power is not None:
-                ops.append(hoisted(float(power)))
-            rhs = f"float({_ROW_UFUNCS[type(node)]}({', '.join(ops)}))"
-        elif isinstance(node, Neg):
+        if isinstance(node, (Var, TimeVar)):
+            return (var(node.index), True) if isinstance(node, Var) else (
+                time, False)
+        kind, power = type(node), getattr(node, "exponent", None)
+        state = any(v[1] for v in args if not isinstance(v, float))
+        square = power == 2 and state
+        call = rows and state and kind in (Min, Max, Div, Pow) and not square
+        ops = [(hoisted(v) if state and (call or not rows) else f"({v!r})")
+               if isinstance(v, float) else v[0] for v in args]
+        if power is not None and not square:
+            ops.append(hoisted(float(power)) if state else str(power))
+        ufunc = f"{'np.square' if square else _UFUNCS[kind]}({', '.join(ops)}"
+        if node is e and out is not None and state:
+            rhs = f"{ufunc}, out={out})"
+        elif call or kind in (Exp, Sin, Cos, Min, Max):
+            rhs = f"float({ufunc}))" if rows and not call else f"{ufunc})"
+        elif kind is Neg:
             rhs = f"-{ops[0]}"
-        elif power == 2 and state and rows:
-            rhs = f"{ops[0]} * {ops[0]}"
-        elif power is not None:
+        elif square:
             # numpy squares for ``** 2``, as fast as the 0-d power on a few
             # rows and twice as fast on a grid
-            if state and power != 2:
-                power = hoisted(float(power))
-            rhs = f"{ops[0]} ** {power}"
-        elif type(node) in _BINOPS:
-            rhs = f"{ops[0]} {_BINOPS[type(node)]} {ops[1]}"
+            rhs = f"{ops[0]} * {ops[0]}" if rows else f"{ops[0]} ** 2"
+        elif power is not None:
+            rhs = f"{ops[0]} ** {ops[1]}"
         else:
-            rhs = f"{_NP_FUNCS[type(node)]}({', '.join(ops)})"
-        lines.append(f"    _s{slot} = {rhs}")
-        if state and not isinstance(node, Var):
-            tally["ops" if rows and not ufunc else "calls"] += 1
-        return state
+            rhs = f"{ops[0]} {_BINOPS[kind]} {ops[1]}"
+        if rows and rhs in seen:
+            return seen[rhs], True
+        if state:   # a ufunc on a row's float costs about 8 operations
+            tally["calls" if call or not rows else "ops"] += (
+                8 if rows and kind in (Exp, Sin, Cos) else 1)
+        if rows:
+            seen[rhs] = f"_v{len(lines)}"
+            lines.append((seen[rhs], rhs, call))
+            return seen[rhs], True
+        lines.append(f"    {rhs}" if node is e and out is not None and state
+                     else f"    _s{slot} = {rhs}")
+        return f"_s{slot}", state
 
     root = _fold(e, leave)
-    if isinstance(root, float):
-        lines.append(f"    _s0 = ({root!r})")
-    return tally["calls"], tally["ops"]
+    text = f"({root!r})" if isinstance(root, float) else root[0]
+    if rows or text == "_s0" and (out is None or root[1]):
+        return tally["calls"], tally["ops"], text
+    # a constant, a lone variable or a subtree of them alone, written as
+    # an item assignment, which costs less than np.copyto
+    tally["calls"] += out is not None
+    lines.append(f"    {out}{'[...]' * out.isidentifier()} = {text}" if out
+                 else f"    _s0 = {text}")
+    return tally["calls"], tally["ops"], text
 
 
 _PY_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
@@ -582,8 +588,8 @@ def compile_expr(e) -> Callable:
     src += ["    X = np.asarray(X, dtype=float)",
             f"    out = np.empty({entries.shape!r} + (X.shape[0],))"]
     for idx, entry in np.ndenumerate(entries):
-        _emit(entry, src, consts)
-        src.append(f"    out[{', '.join([*map(str, idx), ':'])}] = _s0")
+        _emit(entry, src, consts,
+              out=f"out[{', '.join([*map(str, idx), ':'])}]")
     points_first = (entries.ndim, *range(entries.ndim))
     src.append(f"    return out.transpose({points_first!r})")
     return _define(src, consts)["_f"]
@@ -592,7 +598,7 @@ def compile_expr(e) -> Callable:
 def _define(src: list, consts: dict) -> dict:
     """Execute generated source; return its namespace, in which each name
     of ``consts`` is bound to its constant as a 0-d float64 array."""
-    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan,
+    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan, "chain": chain,
                 "_TWO": np.array(2.0), "_TOL": INVARIANCE_TOL,
                 "DslError": DslError}
     ns.update((name, np.array(float(text))) for text, name in consts.items())
@@ -626,208 +632,14 @@ def _lift_state_free(odes) -> tuple:
     return fields, lifted
 
 
-class StepKernels(NamedTuple):
-    """One system's RK4 block kernel in its two shapes, and the per-step
-    counts, known when they are generated, that choose between them."""
-    columns: Callable
-    rows: Callable
-    column_calls: int   # numpy calls of the column kernel, U
-    row_calls: int      # numpy calls of the row kernel per row, u
-    row_ops: int        # Python float operations of it per row, p
-
-    def pick(self, m: int) -> Callable:
-        """The row kernel for m rows when m (u + p / R) < U, R Python float
-        operations costing about one numpy call on a few rows."""
-        row_cost = m * (self.row_calls + self.row_ops / _OPS_PER_CALL)
-        return self.rows if row_cost < self.column_calls else self.columns
-
-
-def compile_step(odes) -> StepKernels:
-    """Compile classical RK4 for ``odes`` to one block kernel in two shapes,
-    each ``run(X, t, h, S, lo, hi, err, k0, last)``.
-
-    It takes up to K = len(S) steps of length ``h`` from the states X
-    (m, n) at time ``t``, the rows in lockstep, and writes the states after
-    step k to ``S[k]``.  Step k is step k0 + k of the run, and on every
-    16th step of the run and on its last (index ``last``) it also takes the
-    step-doubling error estimate: two steps of length h/2 from X, the first
-    sharing the full step's first stage f(X, t), and max_i |full_i -
-    half_i| / 15 folded into the (m,) array ``err`` by ``np.fmax``, which
-    keeps the old value where the estimate is NaN.  After each step it
-    applies the domain check ``lo - s <= INVARIANCE_TOL`` and ``s - hi <=
-    INVARIANCE_TOL`` to every component s against lo/hi (m, n), which a
-    NaN fails too, and at the first step that any row fails it returns k,
-    so no step past it is computed; otherwise it returns K.
-
-    A step runs the arithmetic, in the order, of
-
-        k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
-        k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
-        X + (h/6) (k1 + 2 k2 + 2 k3 + k4)
-
-    and the time advances by ``t += h``, so every state, and each half
-    step, is bit for bit what that four-call form gives.
-
-    The column kernel runs each step on (m,) column arrays; the factors h,
-    h/2, h/4, h/6 and h/12 are 0-d arrays, made once per call, which numpy
-    applies to small arrays faster than Python numbers, with the same
-    result.  The row kernel runs the same statements on Python floats, one
-    row after another within a step (see ``_emit``), keeps the rows'
-    states in one flat list per step and writes the block's states into S
-    once, from the list of them.  The bits match because numpy's ``+ - *`` are IEEE
-    operations, exactly rounded as Python's are, and a ufunc called on a
-    scalar runs the loop it runs on an array.  A NumPy call costs about as
-    much on 3 rows as on 20, so the column kernel's cost per step is nearly
-    flat in m and the row kernel's grows with m; ``StepKernels.pick``
-    chooses between them by the counts of ``_emit``.
-
-    In both shapes, each subtree of constants and ``t`` alone is computed
-    once per distinct stage time: t + h/2 serves stages 2 and 3, and the
-    value at t + h is carried into the next step's first stage.  The
-    column kernel keeps these values as 0-d arrays, the row kernel as
-    Python floats.  Such a subtree keeps Python's ``/`` and ``**``, so an
-    ArithmeticError it raises is raised at the step it belongs to, with S
-    and err written up to the step before it in either shape.
-    """
-    n = len(odes)
-    fields, lifted = _lift_state_free(odes)
-
-    def generate(rows: bool) -> tuple:
-        """The kernel and its numpy calls and Python float operations per
-        step (per row and step in the row shape)."""
-        consts: dict = {}
-        counts = {"calls": 0, "ops": 0}
-        kind = "ops" if rows else "calls"   # what an arithmetic line costs
-        two = "2.0" if rows else "_TWO"
-
-        def at(src, time):
-            """The lifted subtrees' values at ``time``."""
-            for j, e in enumerate(lifted):
-                _emit(e, src, consts, time=time)
-                src.append(f"    _p{j}_{time} = "
-                           f"{'float' if rows else 'np.array'}(_s0)")
-
-        def stage(src, col, slope, time, tally):
-            def var(i):
-                return f"{col}{i}" if i < n else f"_p{i - n}_{time}"
-            for i, fi in enumerate(fields):
-                calls, ops = _emit(fi, src, consts, var=var, rows=rows)
-                counts["calls"] += tally * calls
-                counts["ops"] += tally * ops
-                src.append(f"    {slope}{i} = _s0")
-
-        def step(src, x, out, times, factors, first=True, tally=False):
-            """One step from x0, x1, ... to out0, out1, ...; the first
-            stage's slopes a0, a1, ... are already there unless ``first``."""
-            t, t2, t4 = times
-            h1, h2, h6 = factors
-            if first:
-                stage(src, x, "a", t, tally)
-            for slope, nxt, time, factor, nxt_slope in (
-                    ("a", "y", t2, h2, "b"), ("b", "z", t2, h2, "c"),
-                    ("c", "w", t4, h1, "d")):
-                src += [f"    {nxt}{i} = {x}{i} + {factor} * {slope}{i}"
-                        for i in range(n)]
-                stage(src, nxt, nxt_slope, time, tally)
-            src += [f"    {out}{i} = {x}{i} + {h6} * (a{i} + {two} * b{i}"
-                    f" + {two} * c{i} + d{i})" for i in range(n)]
-            counts[kind] += tally * 13 * n   # 2 per update, 7 per sum
-
-        full = []
-        step(full, "x", "f", ("t", "t2", "t4"), ("h1", "h2", "h6"),
-             tally=True)
-        half = []
-        step(half, "x", "m", ("t", "u2", "t2"), ("h2", "q2", "q6"),
-             first=False)
-        step(half, "m", "g", ("t2", "v2", "v4"), ("h2", "q2", "q6"))
-        # the lifted values: at t before the loop, at t + h/2 and t + h on
-        # each step, and at the estimate's own times on its steps
-        start, times, estimate_times = [], [], []
-        if lifted:
-            at(start, "t")
-            times = ["    t2, t4 = t + hh, t + h"]
-            at(times, "t2")
-            at(times, "t4")
-            estimate_times = ["    u2, v2, v4 = t + hh / 2, t2 + hh / 2, "
-                              "t2 + hh"]
-            for time in ("u2", "v2", "v4"):
-                at(estimate_times, time)
-        carry = [f"    _p{j}_t = _p{j}_t4" for j in range(len(lifted))]
-        carry += ["    t = t4"] if lifted else []
-        scheduled = (f"(k0 + k) % {_ESTIMATE_EVERY} == 0 or "
-                     "k0 + k == last")
-        if rows:
-            xs = "".join(f"x{i}, " for i in range(n))
-            bounds = ", ".join([*(f"lo{i}" for i in range(n)),
-                                *(f"hi{i}" for i in range(n))])
-            check = " and ".join(f"lo{i} - f{i} <= _TOL and f{i} - hi{i} "
-                                 "<= _TOL" for i in range(n))
-            counts["ops"] += 4 * n
-            estimate = ["    e = abs(f0 - g0)"]
-            for i in range(1, n):
-                # np.maximum: a NaN wins
-                estimate += [f"    ei = abs(f{i} - g{i})",
-                             "    if ei > e or ei != ei:", "        e = ei"]
-            # np.fmax: the old value stays where the estimate is NaN
-            estimate += ["    e = e / 15.0",
-                         "    if e > E[r] or E[r] != E[r]:",
-                         "        E[r] = e"]
-            row = [*full, "    if scheduled:",
-                   *("    " + line for line in half + estimate),
-                   f"    if not ({check}):", "        ok = False",
-                   f"    nxt += {''.join(f'f{i}, ' for i in range(n))}"]
-            loop = [*times, f"    scheduled = {scheduled}",
-                    *(["    if scheduled:"] if lifted else []),
-                    *("    " + line for line in estimate_times),
-                    "    nxt, ok = [], True",
-                    f"    for r, (({xs}), ({bounds})) in "
-                    f"enumerate(zip(zip(*[iter(live)] * {n}), box)):",
-                    *("    " + line for line in row),
-                    "    out += nxt", "    live = nxt", *carry,
-                    "    if not ok:", "        return k"]
-            src = ["def _run(X, t, h, S, lo, hi, err, k0, last):",
-                   "    hh = h / 2", "    h1, h2, h6 = h, hh, h / 6",
-                   "    q2, q6 = hh / 2, hh / 6",
-                   "    live, E, out = X.ravel().tolist(), err.tolist(), []",
-                   "    box = [a + b for a, b in zip(lo.tolist(), "
-                   "hi.tolist())]",
-                   "    try:", *("    " + line for line in start),
-                   "        for k in range(len(S)):",
-                   *("        " + line for line in loop),
-                   "        return len(S)",
-                   "    finally:",
-                   "        if out:",
-                   "            done = np.reshape(out, (-1,) + S.shape[1:])",
-                   "            S[:len(done)] = done",
-                   "        err[:] = E"]
-        else:
-            counts["calls"] += n + 5   # the writes to S and the check
-            estimate = ["    e = abs(f0 - g0)",
-                        *(f"    e = np.maximum(e, abs(f{i} - g{i}))"
-                          for i in range(1, n)),
-                        "    np.fmax(err, e / 15.0, out=err)"]
-            loop = [*times, *full, f"    if {scheduled}:",
-                    *("    " + line for line in
-                      estimate_times + half + estimate),
-                    *(f"    x{i} = f{i}" for i in range(n)),
-                    "    s = S[k]",
-                    *(f"    s[:, {i}] = x{i}" for i in range(n)), *carry,
-                    "    if not np.maximum(lo - s, s - hi).max() <= _TOL:",
-                    "        return k"]
-            src = ["def _run(X, t, h, S, lo, hi, err, k0, last):",
-                   "    hh = h / 2",
-                   "    h1, h2, h6 = np.array(h), np.array(hh), "
-                   "np.array(h / 6)",
-                   "    q2, q6 = np.array(hh / 2), np.array(hh / 6)",
-                   *(f"    x{i} = X[:, {i}]" for i in range(n)), *start,
-                   "    for k in range(len(S)):",
-                   *("    " + line for line in loop), "    return len(S)"]
-        return _define(src, consts)["_run"], counts
-
-    columns, column = generate(rows=False)
-    rows, row = generate(rows=True)
-    return StepKernels(columns, rows, column["calls"], row["calls"],
-                       row["ops"])
+def __getattr__(name: str):
+    """``rk4.compile_step`` and ``rk4.StepKernels``: the RK4 kernels load on
+    first use (PEP 562), so a program that never integrates, or importing
+    this module, does not compile them."""
+    if name in ("compile_step", "StepKernels"):
+        from . import rk4
+        return getattr(rk4, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1171,6 +983,7 @@ class SystemDef:
         ``compile_step``).  The kernel's shape is picked for each call by
         ``StepKernels.pick`` from m; both give the same bits."""
         if self._rk4 is None:
+            from .rk4 import compile_step
             self._rk4 = compile_step(self.odes)
         return self._rk4.pick(len(X))(X, t, h, S, lo, hi, err, k0, last)
 

@@ -103,8 +103,9 @@ def test_rk4_step_matches_the_four_call_form(name):
     oracle; each error estimate it folds in is bit for bit
     max_i |full_i - half_i| / 15 over such steps, ``half`` being two steps
     of h/2.  ``rk4_run`` takes the row kernel for 1 and 3 rows and the
-    column kernel for 20 and 64, past every system's crossover, so both
-    shapes are checked on every system."""
+    column kernel for 40 and 64, past every system's crossover, and for 20
+    on all but entrain_linear and entrain_zero, whose rows run past 20, so
+    both shapes are checked on every system."""
     sys = _mixed_field() if name == "mixed" else load_system(name)
     kernels, ran = compile_step(sys.odes), []
 
@@ -121,7 +122,7 @@ def test_rk4_step_matches_the_four_call_form(name):
     hi = np.array([min(b.hi, 3.0) for b in sys.bounds])
     # a full step, a half step and a remainder step (0.7 - 2 * 0.3)
     for h in (1e-2, 1e-2 / 2, 0.7 - 2 * 0.3):
-        for B in (1, 3, 20, 64):
+        for B in (1, 3, 20, 40, 64):
             ran.clear()
             X = lo + (hi - lo) * rng.random((B, sys.n))
             want, starts, t, Y = [], [], 0.7, X
@@ -158,7 +159,8 @@ def test_rk4_step_matches_the_four_call_form(name):
             assert sys.rk4_run(X, 0.7, h, S, -inf, inf, err, 0, 7) == 1
             assert np.array_equal(_bits(S[0]), _bits(want[0]))
             assert np.array_equal(_bits(err), _bits(estimates[0]))
-            assert set(ran) == {"rows" if B <= 3 else "columns"}
+            late = B == 20 and name in ("entrain_linear", "entrain_zero")
+            assert set(ran) == {"rows" if B <= 3 or late else "columns"}
 
 
 def _premise_values() -> np.ndarray:
@@ -199,6 +201,34 @@ def test_scalar_calls_give_the_array_bits():
         same(np.subtract(v, w), [x - y for x, y in pairs])
         same(np.multiply(v, w), [x * y for x, y in pairs])
         same(v ** 2, [x * x for x in v.tolist()])
+
+
+def test_list_calls_give_the_scalar_bits():
+    """The premise of the row kernel's batched calls.  Each ufunc it calls
+    once on the list of all rows' operands gives every element the bits of
+    the same ufunc called on that element alone, for lists of 1 to 17
+    floats (numpy's SIMD loops run up to 16 lanes, then a tail), with the
+    0-d exponents and constants the kernels pass on either side."""
+    v = _premise_values()[:1500]   # the special values, then samples
+    w = v[::-1].copy()
+    w[:8] = [-0.0, 0.0, np.inf, -np.inf, 1.0, np.nan, 0.0, -0.0]
+    c = np.array(-0.0)   # a signed zero against the specials' zeros
+    calls = [(np.power, v, np.array(float(k)))
+             for k in (0, 1, 3, 4, 5, 6, 7, 10, 25)]
+    for ufunc in (np.true_divide, np.minimum, np.maximum):
+        calls += [(ufunc, v, w), (ufunc, v, c), (ufunc, c, v),
+                  (ufunc, v, np.array(1.5)), (ufunc, np.array(1.5), v)]
+    with np.errstate(all="ignore"):
+        for ufunc, a, b in calls:
+            scalars = [x.tolist() if x.ndim else [x] * len(v) for x in (a, b)]
+            want = [float(ufunc(x, y)) for x, y in zip(*scalars)]
+            for size in range(1, 18):
+                got = []
+                for j in range(0, len(want) - size + 1, size):
+                    ops = [x if x.ndim == 0 else x[j:j + size].tolist()
+                           for x in (a, b)]
+                    got += ufunc(*ops).tolist()
+                assert np.array_equal(_bits(got), _bits(want[:len(got)]))
 
 
 _KINDS = (Neg, Add, Sub, Mul, Div, Pow, Min, Max, Exp, Sin, Cos)
@@ -260,7 +290,7 @@ def test_row_kernel_matches_the_column_kernel(seed):
         n = int(rng.integers(1, 4))
         odes = [_random_field(rng, n, root)]
         odes += [_random_field(rng, n) for _ in range(n - 1)]
-        for m in (1, 2, 5):
+        for m in (1, 2, 5, 9, 17, 33):
             X = rng.uniform(-2.5, 2.5, (m, n))
             lo = np.tile([-3.0] + [-np.inf] * (n - 1), (m, 1))
             hi = np.tile([3.0] + [np.inf] * (n - 1), (m, 1))
@@ -271,6 +301,53 @@ def test_row_kernel_matches_the_column_kernel(seed):
                 odes, X, float(rng.choice([0.0, 0.3])), h, 24, lo, hi, err,
                 k0, k0 + int(rng.integers(0, 26))))
     assert 24 in returns and len(returns) > 2   # some blocks stop early
+
+
+def test_row_records_share_only_the_same_operation():
+    """The row shape computes a node once for each distinct text, so nodes
+    that differ only in a constant, or in the sign of a zero, stay apart:
+    2 x and 3 x, min(x, 0) and min(x, -0), 0 x and -0 x."""
+    x = Var(0)
+    odes = (Add(Mul(Const(2.0), x), Mul(Const(3.0), x)),
+            Sub(Min(x, Const(0.0)), Min(x, Const(-0.0))),
+            Sub(Mul(Const(0.0), x), Mul(Const(-0.0), Var(1))))
+    X = np.array([[1.5, -2.0, 0.5], [-0.0, 0.0, -1.0], [-1.0, 3.0, 0.0]])
+    inf = np.full(X.shape, np.inf)
+    assert _assert_shapes_agree(odes, X, 0.0, 0.1, 4, -inf, inf,
+                                np.zeros(3), 0, 3) == 4
+
+
+@pytest.mark.parametrize("c,k_out", [(0.5, 6), (1.5, 5), (3.0, 5)])
+def test_both_shapes_return_at_the_step_past_the_tolerance(c, k_out):
+    """Drift at unit speed towards x = 1, out after step 5 by c times
+    ``INVARIANCE_TOL``: each shape returns the first step the rule fails,
+    not one that lies inside the tolerance."""
+    tol = mc.sim.INVARIANCE_TOL
+    X = np.array([[1 - 6e-2 + c * tol]])
+    assert _assert_shapes_agree((Add(Const(1.0), Mul(Const(0.0), Var(0))),),
+                                X, 0.0, 1e-2, 10, np.zeros((1, 1)),
+                                np.ones((1, 1)), np.zeros(1), 0, 9) == k_out
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in CORPUS.glob("*.sys")) + ["mixed", 0, 1])
+def test_pick_switches_shape_once(name):
+    """As m grows, ``pick`` takes the row kernel below one crossover and
+    the column kernel from it on; on the corpus and the mixed field the
+    crossover lies between 3 and 40 rows.  0 and 1 are seeds of random
+    fields with every node type."""
+    if isinstance(name, int):
+        rng = np.random.default_rng([name, 47])
+        odes = [_random_field(rng, 3, root) for root in _KINDS]
+    else:
+        odes = (_mixed_field() if name == "mixed" else load_system(name)).odes
+    kernels = compile_step(odes)
+    shapes = ["rows" if kernels.pick(m) is kernels.rows else "columns"
+              for m in range(1, 401)]
+    switch = shapes.index("columns")
+    assert shapes == ["rows"] * switch + ["columns"] * (400 - switch)
+    if not isinstance(name, int):
+        assert 3 < switch < 40
 
 
 def test_both_shapes_keep_the_error_where_a_component_is_nan():
@@ -670,6 +747,15 @@ def test_bad_timespan_and_step(ex1):
         integrate(ex1, [1.0, 1.0], 1.0, dt=0.0)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+def test_step_not_positive_and_finite_is_a_simulation_error(ex1, dt):
+    """Worded as the command line words it.  Before, a NaN dt raised
+    ValueError and an infinite one took a single step to t_end."""
+    with pytest.raises(SimulationError,
+                       match="^dt must be positive and finite$"):
+        integrate_batch(ex1, [[1.0, 1.0]], 1.0, dt=dt)
+
+
 @pytest.mark.parametrize("t_end,t0", [(math.inf, 0.0), (math.nan, 0.0),
                                       (1.0, math.nan), (1.0, -math.inf)])
 def test_non_finite_timespan_is_a_simulation_error(ex1, t_end, t0):
@@ -748,6 +834,37 @@ def test_contraction_rate_linear(linear_sym):
     assert rep.fitted_rate >= 0.99
     assert rep.n_pairs == 4
     assert rep.certificate.passed
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the arguments were checked")
+
+
+def _named(cases: list) -> list:
+    return [pytest.param(kwargs, message, id=",".join(
+        f"{k}={v}" for k, v in kwargs.items())) for kwargs, message in cases]
+
+
+@pytest.mark.parametrize("kwargs,message", _named([
+    ({"t_end": math.inf}, "t-end must be positive and finite"),
+    ({"t_end": math.nan}, "t-end must be positive and finite"),
+    ({"t_end": 0.0}, "t-end must be positive and finite"),
+    ({"dt": 0.0}, "dt must be positive and finite"),
+    ({"dt": math.nan}, "dt must be positive and finite"),
+    ({"dt": -1e-3}, "dt must be positive and finite"),
+    ({"pairs": 0}, "pairs must be at least 1"),
+    ({"pairs": -1}, "pairs must be at least 1"),
+]))
+def test_contraction_rate_refuses_what_the_cli_refuses(linear_sym, kwargs,
+                                                       message, monkeypatch):
+    """Worded as the command line words it, before the certificate is
+    computed.  Before, t_end inf or nan raised OverflowError or
+    ValueError, dt 0 or nan ZeroDivisionError or ValueError, and pairs=0
+    passed with no pair integrated."""
+    monkeypatch.setattr(mc.sim, "check_cor3", _never)
+    fam = load_family("linear_sym.theta.json")
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        estimate_contraction_rate(linear_sym, fam, **kwargs)
 
 
 def test_contraction_rate_rejects_expansion():
@@ -849,6 +966,25 @@ def test_entrainment_guards(ex1):
     cubic = load_system("entrain_cubic")
     with pytest.raises(SimulationError, match="at least two"):
         entrainment_test(cubic, [0.5])
+
+
+@pytest.mark.parametrize("kwargs,message", _named([
+    ({"dt": 0.0}, "dt must be positive and finite"),
+    ({"dt": math.nan}, "dt must be positive and finite"),
+    ({"dt": -0.1}, "dt must be positive and finite"),
+    ({"dt": math.inf}, "dt must be positive and finite"),
+    ({"horizon_periods": 0}, "periods must be at least 1"),
+    ({"horizon_periods": -3}, "periods must be at least 1"),
+]))
+def test_entrainment_refuses_what_the_cli_refuses(kwargs, message,
+                                                  monkeypatch):
+    """Worded as the command line words it, before anything is integrated.
+    Before, dt 0 or nan raised ZeroDivisionError or ValueError, dt -0.1 or
+    inf took one step per period and reported a non-finite state, and
+    zero periods were refused as a t_end that does not exceed the start."""
+    monkeypatch.setattr(mc.sim, "integrate_batch", _never)
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        entrainment_test(load_system("entrain_cubic"), [-2.0, 2.0], **kwargs)
 
 
 def test_entrain_report_jsonable():

@@ -514,6 +514,17 @@ def test_sos_export_unbounded_axis_skips_domain_blocks(tmp_path):
     assert names == ["P_1", "Q_1", "coeffs_and_slacks"]  # no S or sigma
 
 
+@pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+def test_sos_export_rejects_eps_outside_positive_finite(ex1, eps, tmp_path):
+    """As synthesis and the command line do.  Before, eps=nan wrote nan into
+    the .dat-s file and the sidecar's epsilon, and -1, 0 and inf were
+    written too."""
+    path = tmp_path / "e.dat-s"
+    with pytest.raises(SynthError, match="^eps must be positive and finite$"):
+        export_sos_sdpa(ex1, degree=2, eps=eps, path=str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sos_export_rejects_nonpolynomial(traffic4, comparison, tmp_path):
     with pytest.raises(SynthError, match="min/max"):
         export_sos_sdpa(traffic4, path=str(tmp_path / "t.dat-s"))
