@@ -4,9 +4,11 @@ with the same bits.
 ``compile_step`` generates, from the one emitter of ``sysdsl``
 (``_emit``), a kernel that runs up to K steps of m rows in lockstep, with
 the step-doubling error estimate on every 16th step and the domain check
-after every step inside.  Both shapes run stage-major, each stage for all
-rows before the next, so a step costs numpy calls per node of the vector
-field, not per row or per component:
+after every step inside.  Each shape emits the step once: the kernel's
+loop runs it inline, and the estimate calls a function generated from the
+same body twice, for two steps of h/2.  Both shapes run stage-major, each
+stage for all rows before the next, so a step costs numpy calls per node
+of the vector field, not per row or per component:
 
 * on columns, the state and the stages are (n, m) arrays.  Each field's
   root writes its slope row by ``out=``, and each RK4 update, the final
@@ -94,15 +96,14 @@ class StepKernels(NamedTuple):
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
 
 
-def _row_loops(records: list, inputs: dict, keep: list,
-               export: tuple = ()) -> tuple:
+def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
     """Source that runs ``records`` (see ``_emit``) on all rows, and the
     number of its loops over them.  ``inputs`` maps a list of rows to what
     a row unpacks to.  Each record is placed as early as the names it
     reads allow (those of ``keep`` together): a call between loops, on the
     lists ``v_`` of the rows' operands, the others in a loop, which leaves
-    the rows of ``keep`` in ``nxt`` and what a later place reads (or
-    ``export``) in lists ``v_``."""
+    the rows of ``keep`` in ``nxt`` and what a later place reads in lists
+    ``v_``."""
     inputs = dict(inputs)
     where = {w: seq for seq, row in inputs.items() for w in _NAME.findall(row)}
 
@@ -120,7 +121,6 @@ def _row_loops(records: list, inputs: dict, keep: list,
                                            if name in keep)))
     last = {w: p for p, _, rhs in sorted(placed, key=lambda r: r[0])
             for w in _NAME.findall(rhs)}   # the last place reading w
-    last.update(dict.fromkeys(export, math.inf))
     rowwise = {name for _, name, _ in placed} | set(where)
     src, loops = [], 0
     for p in sorted({p for p, _, _ in placed}):
@@ -167,28 +167,31 @@ def compile_step(odes) -> StepKernels:
     time ``t``, and writes the states after step k to ``S[k]``.  On every
     16th step of the run (step k is k0 + k) and on its last (``last``) it
     folds the step-doubling error estimate max_i |full_i - half_i| / 15
-    into ``err`` (m,) by ``np.fmax``, the half steps sharing the first
-    stage.  After each step it checks ``lo - s <= INVARIANCE_TOL`` and ``s -
-    hi <= INVARIANCE_TOL`` for each component s (NaN fails) and returns k
-    at the first that any row fails, else K.  Each state is bit for bit
+    into ``err`` (m,) by ``np.fmax``, where ``half`` is two calls of the
+    same step at h/2.  After each step it checks ``lo - s <= INVARIANCE_TOL``
+    and ``s - hi <= INVARIANCE_TOL`` for each component s (NaN fails) and
+    returns k at the first that any row fails, else K.  Each state is bit
+    for bit
 
         k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
         k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
         X + (h/6) (k1 + 2 k2 + 2 k3 + k4),  then t += h.
 
-    Both shapes finish a stage for all rows before the next.  The column
-    kernel keeps the state and stages in (n, m) arrays, which the fields'
-    roots write by ``out=``, and takes each RK4 update, the sum, the copy
-    into S[k], the check and the estimate's max for all components in a
-    few calls, with h, h/2, h/4, h/6 and h/12 as 0-d arrays.  The row
-    kernel works on Python floats (``_row_loops``), in one loop per step
-    when no node is batched.  The bits agree: Python's ``+ - *`` are
-    numpy's, exactly rounded, a ufunc on a float runs its array loop, and
-    numpy converts a list of floats into exactly that array.  A subtree of
-    constants and ``t`` alone is computed once per stage time, as a Python
-    float (a 0-d array on columns) that keeps Python's ``/`` and ``**``: an
-    ArithmeticError it raises is raised at its step, with S and err
-    written up to the step before.
+    The step is emitted once per shape: inline in the kernel's loop, and
+    as the function ``_half(x, t, h)`` that the estimate calls twice,
+    ``_half(_half(x, t, h/2), t + h/2, h/2)``.  Both shapes finish a stage
+    for all rows before the next.  The column kernel keeps the state and
+    stages in (n, m) arrays, which the fields' roots write by ``out=``, and
+    takes each RK4 update, the sum, the copy into S[k], the check and the
+    estimate for all components in a few calls, with h, h/2 and h/6 as 0-d
+    arrays.  The row kernel works on Python floats (``_row_loops``), in
+    one loop per step when no node is batched.  The bits agree: Python's
+    ``+ - *`` are numpy's, exactly rounded, a ufunc on a float runs its
+    array loop, and numpy converts a list of floats into exactly that
+    array.  A subtree of constants and ``t`` alone is computed once per
+    stage time, as a Python float (a 0-d array on columns) that keeps
+    Python's ``/`` and ``**``: an ArithmeticError it raises is raised at
+    its step, with S and err written up to the step before.
     """
     n = len(odes)
     fields, lifted = _lift_state_free(odes)
@@ -207,7 +210,7 @@ def compile_step(odes) -> StepKernels:
                 src.append(f"    _p{j}_{time} = "
                            f"{'float' if rows else 'np.array'}(_s0)")
 
-        def stage(body, col, slope, time):
+        def stage(col, slope, time):
             """f at col0, col1, ...: into the rows of the array ``slope``,
             or on rows the texts of its components."""
             texts = []
@@ -221,52 +224,38 @@ def compile_step(odes) -> StepKernels:
                 texts.append(text)
             return texts if rows else slope
 
-        def step(body, x, out, times, factors, first=None):
-            """A step from x0, x1, ...: to out0, out1, ... on rows, else
-            its increment to the array ``out``; returns its k1."""
-            h1, h2, h6 = factors
-            k = [first or stage(body, x, "a", times[0])]
-            for slope, time, factor in zip("bcd", (1, 1, 2), (h2, h2, h1)):
-                y = f"{out}{slope}" if rows else "y"
-                body += [(f"{y}{i}", f"{x}{i} + {factor} * {s}", False)
-                         for i, s in enumerate(k[-1])] if rows else [
-                    f"    np.multiply({factor}, {k[-1]}, out=y)",
-                    f"    np.add({x}, y, out=y)"]
-                k.append(stage(body, y, slope, times[time]))
-            body += [(f"{out}{i}", f"{x}{i} + {h6} * ({a} + 2.0 * {b} + "
-                      f"2.0 * {c} + {d})", False) for i, (a, b, c, d) in
-                     enumerate(zip(*k))] if rows else [
-                f"    {out} = {h6} * (a + _TWO * b + _TWO * c + d)"]
-            return k[0]
-
+        # the step from x0, x1, ... at t: to f0, f1, ... on rows, else its
+        # increment to the array F
         body: list = []
-        first = step(body, "x", "f" if rows else "F", ("t", "t2", "t4"),
-                     ("h1", "h2", "h6"))
-        full, tally = len(body), dict(counts)
-        step(body, "x", "m" if rows else "M", ("t", "u2", "t2"),
-             ("h2", "q2", "q6"), first)
-        body += [] if rows else ["    np.add(x, M, out=m)"]
-        step(body, "m", "g" if rows else "G", ("t2", "v2", "v4"),
-             ("h2", "q2", "q6"))
-        # the lifted values: at t before the loop, at t + h/2 and t + h on
-        # each step, and at the estimate's own times on its steps
-        start, times, estimate_times, carry = [], [], [], []
+        k = [stage("x", "a", "t")]
+        for slope, time, factor in zip("bcd", ("t2", "t2", "t4"),
+                                       ("h2", "h2", "h1")):
+            y = f"f{slope}" if rows else "y"
+            body += [(f"{y}{i}", f"x{i} + {factor} * {s}", False)
+                     for i, s in enumerate(k[-1])] if rows else [
+                f"    np.multiply({factor}, {k[-1]}, out=y)",
+                "    np.add(x, y, out=y)"]
+            k.append(stage(y, slope, time))
+        body += [(f"f{i}", f"x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + "
+                  f"{d})", False) for i, (a, b, c, d) in
+                 enumerate(zip(*k))] if rows else [
+            "    F = h6 * (a + _TWO * b + _TWO * c + d)"]
+        tally = dict(counts)
+        # the lifted values: at t before the loop, and at t + h/2 and t + h
+        # on each step
+        start, times, carry = [], [], []
         if lifted:
             at(start, "t")
             times = ["    t2, t4 = t + hh, t + h"]
             at(times, "t2")
             at(times, "t4")
-            estimate_times = ["    u2, v2, v4 = t + hh / 2, t2 + hh / 2, "
-                              "t2 + hh"]
-            for time in ("u2", "v2", "v4"):
-                at(estimate_times, time)
             carry = [*(f"    _p{j}_t = _p{j}_t4" for j in range(len(lifted))),
                      "    t = t4"]
-        src = ["def _run(X, t, h, S, lo, hi, err, k0, last):",
-               "    hh = h / 2",
-               f"    h1, h2, h6, q2, q6 = map("
-               f"{'float' if rows else 'np.array'}, "
-               "(h, hh, h / 6, hh / 2, hh / 6))"]
+        head = ["    hh = h / 2", "    h1, h2, h6 = map("
+                f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
+        # two steps of h/2 from the state before the step; where nothing
+        # is lifted, t is not carried and ``_half`` does not read it
+        half = "_half(_half({}, t, hh), t + hh, hh)"
         scheduled = (f"    if (k0 + k) % {_ESTIMATE_EVERY} == 0 or "
                      "k0 + k == last:")
         if rows:
@@ -274,53 +263,48 @@ def compile_step(odes) -> StepKernels:
             check = (None, "if not (" + " and ".join(
                 f"lo{i} - f{i} <= _TOL and f{i} - hi{i} <= _TOL"
                 for i in range(n)) + "): ok = False", False)
-            # the max over components as np.maximum's (a NaN wins), into E
-            # as np.fmax's (a NaN keeps E)
-            estimate = [("e0", "abs(f0 - g0)", False), *(
-                (f"e{i}", f"d if (d := abs(f{i} - g{i})) > e{i - 1} or d != d"
-                 f" else e{i - 1}", False) for i in range(1, n)),
-                ("En", f"q if (q := e{n - 1} / 15.0) > E or E != E else E",
-                 False)]
-            inputs = {"live": f"({listed('x')})", "E_": "E",
-                      "box": f"({listed('lo')}{listed('hi')})"}
+            live = {"live": f"({listed('x')})"}
             keep = [f"f{i}" for i in range(n)]
-            plain, tally["loops"] = _row_loops(body[:full] + [check],
-                                               inputs, keep)
-            each, _ = _row_loops(body + estimate + [check], inputs, keep,
-                                 ("En",))
-            loop = [*times, "    ok = True", scheduled,
-                    *("    " + line for line in estimate_times + each),
-                    "        E_ = En_", "    else:",
-                    *("    " + line for line in plain),
-                    "    out += nxt", "    live = nxt", *carry,
-                    "    if not ok:", "        return k"]
-            src += ["    live, E_, out = X.tolist(), err.tolist(), []",
-                    "    box = [a + b for a, b in zip(lo.tolist(), "
-                    "hi.tolist())]",
-                    "    try:", *("    " + line for line in start),
-                    "        for k in range(len(S)):",
-                    *("        " + line for line in loop),
-                    "        return len(S)",
-                    "    finally:",
-                    "        S[:len(out) // len(X)] = np.fromiter(chain."
-                    "from_iterable(out), float).reshape(-1, *X.shape)",
-                    "        err[:] = E_"]
+            step, _ = _row_loops(body, live, keep)
+            plain, tally["loops"] = _row_loops(body + [check], {
+                **live, "box": f"({listed('lo')}{listed('hi')})"}, keep)
+            src = ["def _half(live, t, h):", *head, *start, *times, *step,
+                   "    return nxt",
+                   "def _run(X, t, h, S, lo, hi, err, k0, last):", *head,
+                   "    live, out = X.tolist(), []",
+                   "    box = [a + b for a, b in zip(lo.tolist(), "
+                   "hi.tolist())]",
+                   "    try:", *("    " + line for line in start),
+                   "        for k in range(len(S)):",
+                   *("        " + line for line in [
+                       *times, "    ok = True", *plain, scheduled,
+                       "        np.fmax(err, np.maximum.reduce(abs(np.subtract("
+                       f"nxt, {half.format('live')})), 1) / 15.0, out=err)",
+                       "    out += nxt", "    live = nxt", *carry,
+                       "    if not ok:", "        return k"]),
+                   "        return len(S)",
+                   "    finally:",
+                   "        S[:len(out) // len(X)] = np.fromiter(chain."
+                   "from_iterable(out), float).reshape(-1, *X.shape)"]
         else:
             tally["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
-            loop = [*times, *body[:full], scheduled,
-                    *("    " + line for line in estimate_times + body[full:]),
-                    "        np.fmax(err, np.maximum.reduce(abs(x + F - "
-                    "(m + G))) / 15.0, out=err)",
-                    "    np.add(x, F, out=x)", *carry, "    S[k] = xt",
-                    "    if not np.maximum.reduce(np.maximum(lo - x, x - hi),"
-                    " None) <= _TOL:",
-                    "        return k"]
-            src += ["    x = X.T.copy()",
-                    "    a, b, c, d, y, m = np.empty((6,) + x.shape)",
-                    *(f"    {listed(v)}= {v}" for v in "xabcdym"),
-                    "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
-                    "    for k in range(len(S)):",
-                    *("    " + line for line in loop), "    return len(S)"]
+            buffers = ["    a, b, c, d, y = np.empty((5,) + x.shape)",
+                       *(f"    {listed(v)}= {v}" for v in "xabcdy")]
+            src = ["def _half(x, t, h):", *head, *buffers, *start, *times,
+                   *body, "    return x + F",
+                   "def _run(X, t, h, S, lo, hi, err, k0, last):",
+                   "    x = X.T.copy()", *head, *buffers,
+                   "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
+                   "    for k in range(len(S)):",
+                   *("    " + line for line in [
+                       *times, *body, scheduled,
+                       "        np.fmax(err, np.maximum.reduce(abs(x + F - "
+                       f"{half.format('x')})) / 15.0, out=err)",
+                       "    np.add(x, F, out=x)", *carry, "    S[k] = xt",
+                       "    if not np.maximum.reduce(np.maximum(lo - x, "
+                       "x - hi), None) <= _TOL:",
+                       "        return k"]),
+                   "    return len(S)"]
         return _define(src, consts)["_run"], tally
 
     columns, column = generate(rows=False)

@@ -20,10 +20,10 @@ to ``_BLOCK`` steps and writes each step's states to a buffer, from which
 the kept samples are sliced; a remainder step that ends the run on t_end
 is a block of its own.
 On every 16th step of the run, and on the last, the kernel also takes a
-step-doubling error estimate from two half steps, whose difference from
-the full step scaled by 1/15 raises the trajectory's worst step error; the
-state itself always advances by the plain full step, so convergence stays
-exactly fourth order.
+step-doubling error estimate: it calls the same step twice at h/2, and the
+difference of those two half steps from the full step, scaled by 1/15,
+raises the trajectory's worst step error; the state itself always advances
+by the plain full step, so convergence stays exactly fourth order.
 
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain

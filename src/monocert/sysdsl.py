@@ -22,9 +22,11 @@ Parsing is one operator-precedence loop on explicit stacks
 (``==`` and ``hash`` of a node compare a flat key that walker builds).
 Every numeric evaluation runs through kernels generated by one emitter
 (``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
-and ``compile_step`` for blocks of RK4 steps, in two shapes with the same
-bits, on arrays and on rows of Python floats; ``SystemDef.rk4_run`` picks
-one by counts the emitter returns (``StepKernels.pick``).
+and ``rk4.compile_step`` for blocks of RK4 steps, in two shapes with the
+same bits, on arrays and on rows of Python floats, each of which runs its
+one emitted step inline and, for the error estimate, calls it twice at
+h/2; ``SystemDef.rk4_run`` picks a shape by counts the emitter returns
+(``rk4.StepKernels.pick``).
 
 A system is declared in a block like::
 
@@ -48,9 +50,12 @@ import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .rk4 import StepKernels
 
 __all__ = [
     "Expr", "Const", "Var", "TimeVar", "Neg", "Add", "Sub", "Mul", "Div",
@@ -58,7 +63,7 @@ __all__ = [
     "Interval", "SystemDef", "ExprMatrix", "Guard", "JacobianBranches",
     "DslError", "BranchRequiredError",
     "parse_system", "parse_expr", "differentiate", "jacobian", "pretty",
-    "compile_expr", "compile_step", "StepKernels", "format_number",
+    "compile_expr", "format_number",
     "free_vars", "references_time",
 ]
 
@@ -324,18 +329,20 @@ def _fold(root: Expr, leave: Callable, enter: Optional[Callable] = None):
     return results[0]
 
 
-def _structure(e: Expr) -> tuple:
+def _structure(e: Expr, signed: bool = False) -> tuple:
     """``e`` as a flat pre-order tuple of node types and their fields.
 
     Two trees give equal tuples exactly when they compare equal, and the
-    tuple is built, hashed and compared without recursion.
+    tuple is built, hashed and compared without recursion.  With ``signed``
+    a constant enters as its ``repr``, so trees that differ only in the
+    sign of a zero give different tuples.
     """
     out: list = []
 
     def enter(node: Expr) -> Expr:
         out.append(type(node))
         if isinstance(node, Const):
-            out.append(node.value)
+            out.append(repr(node.value) if signed else node.value)
         elif isinstance(node, Var):
             out.append(node.index)
         elif isinstance(node, Pow):
@@ -609,15 +616,18 @@ def _define(src: list, consts: dict) -> dict:
 def _lift_state_free(odes) -> tuple:
     """``odes`` with each largest subtree that reads no state, other than a
     lone constant, replaced by ``Var(n + j)``, and those subtrees: the
-    distinct ones in the order a kernel evaluates them."""
-    n, lifted = len(odes), []
+    distinct ones in the order a kernel evaluates them.  Subtrees that
+    differ only in the sign of a zero are distinct, although ``==`` holds
+    between them: ``0*t`` and ``-0*t`` have values of opposite sign."""
+    n, lifted, index = len(odes), [], {}
 
     def lift(e: Expr) -> Expr:
         if isinstance(e, Const):
             return e
-        if e not in lifted:
+        j = index.setdefault(_structure(e, signed=True), len(lifted))
+        if j == len(lifted):
             lifted.append(e)
-        return Var(n + lifted.index(e))
+        return Var(n + j)
 
     def leave(node: Expr, args: list, slot: int) -> tuple:
         # the rewritten node and whether it reads the state
@@ -630,16 +640,6 @@ def _lift_state_free(odes) -> tuple:
         e, state = _fold(f, leave)
         fields.append(e if state else lift(e))
     return fields, lifted
-
-
-def __getattr__(name: str):
-    """``rk4.compile_step`` and ``rk4.StepKernels``: the RK4 kernels load on
-    first use (PEP 562), so a program that never integrates, or importing
-    this module, does not compile them."""
-    if name in ("compile_step", "StepKernels"):
-        from . import rk4
-        return getattr(rk4, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -978,10 +978,11 @@ class SystemDef:
                 last: int) -> int:
         """Up to len(S) RK4 steps of the rows of X (m, n) from time t, each
         state written to S[k] and checked against lo/hi (m, n), and the
-        error estimates of the scheduled steps folded into err (m,);
-        returns the first step that leaves the domain, or len(S) (see
-        ``compile_step``).  The kernel's shape is picked for each call by
-        ``StepKernels.pick`` from m; both give the same bits."""
+        error estimates of the scheduled steps, each two calls of the same
+        step at h/2 against the full step, folded into err (m,); returns
+        the first step that leaves the domain, or len(S) (see
+        ``rk4.compile_step``).  The kernel's shape is picked for each call
+        by ``StepKernels.pick`` from m; both give the same bits."""
         if self._rk4 is None:
             from .rk4 import compile_step
             self._rk4 = compile_step(self.odes)

@@ -14,7 +14,8 @@ from monocert.sim import (BatchTrajectories, ContractionReport,
                           estimate_contraction_rate, integrate,
                           integrate_batch, verify_decrease)
 from monocert.sysdsl import (Add, Const, Cos, Div, Exp, Max, Min, Mul, Neg,
-                             Pow, Sin, Sub, TimeVar, Var, compile_step)
+                             Pow, Sin, Sub, TimeVar, Var)
+from monocert.rk4 import compile_step
 from oracles import (domain_failure, integrate_reference, rk4_at,
                      rk4_four_calls)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from monocert import sysdsl
+from monocert.rk4 import compile_step
 from monocert.certify import partition
 from monocert.sysdsl import (
     Add, BranchRequiredError, Const, Cos, Div, DslError, Exp, Interval, Max,
@@ -19,7 +20,8 @@ from monocert.sysdsl import (
 )
 
 from conftest import CORPUS, load_system
-from oracles import evaluate, field_at, matrix_at, patterns_at
+from oracles import (evaluate, field_at, matrix_at, patterns_at,
+                     rk4_four_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +523,28 @@ def test_fused_f_batch_matches_tree_walker(name):
         np.testing.assert_allclose(sys.f_batch(X, t), want, rtol=1e-12, atol=0)
     want = np.array([field_at(sys, x, float(t)) for x, t in zip(X, T)])
     np.testing.assert_allclose(sys.f_batch(X, T), want, rtol=1e-12, atol=0)
+
+
+def test_lifted_subtrees_keep_the_sign_of_a_zero():
+    """``0*t`` and ``-0*t`` compare equal but have values of opposite sign,
+    so the RK4 kernels lift them apart: from (-0, -0), both shapes give the
+    bits of four ``f_batch`` calls, in which x2 ends at +0."""
+    sys = parse_system("""
+    system signs {
+        states x1 in (-inf, inf), x2 in (-inf, inf)
+        dx1 = x1 * (0*t)
+        dx2 = x2 * (-0*t) + 0*x1
+    }
+    """)
+    X = np.array([[-0.0, -0.0]])
+    want = rk4_four_calls(sys, X, 0.5, 0.1)
+    assert math.copysign(1.0, want[0, 1]) == 1.0
+    inf = np.full(X.shape, np.inf)
+    kernels = compile_step(sys.odes)
+    for run in (kernels.columns, kernels.rows):
+        S, err = np.empty((1,) + X.shape), np.zeros(1)
+        assert run(X, 0.5, 0.1, S, -inf, inf, err, 1, 5) == 1
+        assert np.array_equal(S[0].view(np.uint64), want.view(np.uint64))
 
 
 def test_time_varying_f_batch_needs_time():
