@@ -5,7 +5,9 @@ its reports pin the tie handling end to end: the tied-point counts, the
 witness (point and component) of checks whose worst value sits on a tie,
 and the LP built from every tied branch.  The two other synth reports pin
 both synthesis modes: constant weights (multiagent, max) and a polynomial
-family (ex1, poly-max at degree 2).  The ex1 certify report pins a
+family (ex1, poly-max at degree 2); they are also run in fresh
+interpreters under four OpenBLAS kernels, which OpenBLAS picks by CPU.
+The ex1 certify report pins a
 run with two weight families, whose five checks share one grid pass.
 The comparison and multiagent certify reports pin the guard-free scan on
 exp terms and on n = 3: a constant theta (so cor1 runs too), a Kamke
@@ -24,9 +26,18 @@ To regenerate a golden, run its command with ``--out DIR`` and copy the
 report (for a golden directory, every file written) over the golden.
 """
 
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:   # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from conftest import CORPUS
 from monocert.cli import EXIT_FAIL, EXIT_PASS, main
@@ -176,3 +187,36 @@ def test_sos_export_matches_golden(golden, tmp_path):
     assert main(["export-sos", system, *options, "--quiet",
                  "--out", str(out)]) == EXIT_PASS
     _assert_directory_matches_golden(golden, out)
+
+
+# OpenBLAS picks its kernel by CPU (Zen on AMD hosts, Haswell or SkylakeX
+# on Intel ones), and each kernel rounds BLAS products and solves its own
+# way; these kernels run on any x86-64 CPU with the features listed
+BLAS_KERNELS = {"Haswell": ("AVX2", "FMA3"), "Zen": ("AVX2", "FMA3"),
+                "Sandybridge": ("AVX",), "Prescott": ("SSE3",)}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernels")
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_synth_goldens_hold_under_every_blas_kernel(kernel, tmp_path):
+    """The synthesis LP takes no BLAS product or solve, so each synth golden
+    holds under each OpenBLAS kernel, forced by ``OPENBLAS_CORETYPE`` in a
+    fresh interpreter (OpenBLAS reads it once, when it loads)."""
+    missing = [f for f in BLAS_KERNELS[kernel] if not __cpu_features__[f]]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for golden, (argv, report, code) in sorted(CASES.items()):
+        if argv[0] != "synth":
+            continue
+        out = tmp_path / golden
+        run = subprocess.run(
+            [sys.executable, "-m", "monocert.cli", *argv, "--quiet",
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
+        assert (out / report).read_bytes() == (GOLDEN / golden).read_bytes(), \
+            golden
