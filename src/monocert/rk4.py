@@ -240,7 +240,6 @@ def compile_step(odes) -> StepKernels:
                   f"{d})", False) for i, (a, b, c, d) in
                  enumerate(zip(*k))] if rows else [
             "    F = h6 * (a + _TWO * b + _TWO * c + d)"]
-        tally = dict(counts)
         # the lifted values: at t before the loop, and at t + h/2 and t + h
         # on each step
         start, times, carry = [], [], []
@@ -253,20 +252,22 @@ def compile_step(odes) -> StepKernels:
                      "    t = t4"]
         head = ["    hh = h / 2", "    h1, h2, h6 = map("
                 f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
-        # two steps of h/2 from the state before the step; where nothing
-        # is lifted, t is not carried and ``_half`` does not read it
-        half = "_half(_half({}, t, hh), t + hh, hh)"
+        # on the scheduled steps, the full step against two steps of h/2
+        # from the state before it (where nothing is lifted, t is not
+        # carried, and ``_half`` does not read it)
         scheduled = (f"    if (k0 + k) % {_ESTIMATE_EVERY} == 0 or "
                      "k0 + k == last:")
+        fold = ("        np.fmax(err, np.maximum.reduce(abs(np.subtract({}, "
+                "_half(_half({}, t, hh), t + hh, hh))), {}) / 15.0, out=err)")
         if rows:
-            tally["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
+            counts["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
             check = (None, "if not (" + " and ".join(
                 f"lo{i} - f{i} <= _TOL and f{i} - hi{i} <= _TOL"
                 for i in range(n)) + "): ok = False", False)
             live = {"live": f"({listed('x')})"}
             keep = [f"f{i}" for i in range(n)]
             step, _ = _row_loops(body, live, keep)
-            plain, tally["loops"] = _row_loops(body + [check], {
+            plain, counts["loops"] = _row_loops(body + [check], {
                 **live, "box": f"({listed('lo')}{listed('hi')})"}, keep)
             src = ["def _half(live, t, h):", *head, *start, *times, *step,
                    "    return nxt",
@@ -278,8 +279,7 @@ def compile_step(odes) -> StepKernels:
                    "        for k in range(len(S)):",
                    *("        " + line for line in [
                        *times, "    ok = True", *plain, scheduled,
-                       "        np.fmax(err, np.maximum.reduce(abs(np.subtract("
-                       f"nxt, {half.format('live')})), 1) / 15.0, out=err)",
+                       fold.format("nxt", "live", 1),
                        "    out += nxt", "    live = nxt", *carry,
                        "    if not ok:", "        return k"]),
                    "        return len(S)",
@@ -287,7 +287,7 @@ def compile_step(odes) -> StepKernels:
                    "        S[:len(out) // len(X)] = np.fromiter(chain."
                    "from_iterable(out), float).reshape(-1, *X.shape)"]
         else:
-            tally["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
+            counts["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
             buffers = ["    a, b, c, d, y = np.empty((5,) + x.shape)",
                        *(f"    {listed(v)}= {v}" for v in "xabcdy")]
             src = ["def _half(x, t, h):", *head, *buffers, *start, *times,
@@ -298,14 +298,13 @@ def compile_step(odes) -> StepKernels:
                    "    for k in range(len(S)):",
                    *("    " + line for line in [
                        *times, *body, scheduled,
-                       "        np.fmax(err, np.maximum.reduce(abs(x + F - "
-                       f"{half.format('x')})) / 15.0, out=err)",
+                       fold.format("x + F", "x", 0),
                        "    np.add(x, F, out=x)", *carry, "    S[k] = xt",
                        "    if not np.maximum.reduce(np.maximum(lo - x, "
                        "x - hi), None) <= _TOL:",
                        "        return k"]),
                    "    return len(S)"]
-        return _define(src, consts)["_run"], tally
+        return _define(src, consts)["_run"], counts
 
     columns, column = generate(rows=False)
     rows, row = generate(rows=True)
