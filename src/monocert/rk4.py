@@ -257,8 +257,7 @@ def compile_step(odes) -> StepKernels:
         # carried, and ``_half`` does not read it)
         scheduled = (f"    if (k0 + k) % {_ESTIMATE_EVERY} == 0 or "
                      "k0 + k == last:")
-        fold = ("        np.fmax(err, np.maximum.reduce(abs(np.subtract({}, "
-                "_half(_half({}, t, hh), t + hh, hh))), {}) / 15.0, out=err)")
+        half = "_half(_half({}, t, hh), t + hh, hh)"
         if rows:
             counts["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
             check = (None, "if not (" + " and ".join(
@@ -269,36 +268,57 @@ def compile_step(odes) -> StepKernels:
             step, _ = _row_loops(body, live, keep)
             plain, counts["loops"] = _row_loops(body + [check], {
                 **live, "box": f"({listed('lo')}{listed('hi')})"}, keep)
+            # the max over the components as np.maximum's (a NaN wins), into
+            # E as np.fmax's (a NaN keeps E), on floats: numpy calls on a
+            # few rows would cost more than the loop
+            fold = [scheduled, "        e_ = []",
+                    f"        for ({listed('f')}), ({listed('g')}), E in zip("
+                    f"nxt, {half.format('live')}, E_):",
+                    "            e0 = abs(f0 - g0)",
+                    *(f"            e{i} = d if (d := abs(f{i} - g{i})) > "
+                      f"e{i - 1} or d != d else e{i - 1}" for i in range(1, n)),
+                    f"            e_.append(q if (q := e{n - 1} / 15.0) > E "
+                    "or E != E else E)",
+                    "        E_ = e_"]
             src = ["def _half(live, t, h):", *head, *start, *times, *step,
                    "    return nxt",
                    "def _run(X, t, h, S, lo, hi, err, k0, last):", *head,
-                   "    live, out = X.tolist(), []",
+                   "    live, E_, out = X.tolist(), err.tolist(), []",
                    "    box = [a + b for a, b in zip(lo.tolist(), "
                    "hi.tolist())]",
                    "    try:", *("    " + line for line in start),
                    "        for k in range(len(S)):",
                    *("        " + line for line in [
-                       *times, "    ok = True", *plain, scheduled,
-                       fold.format("nxt", "live", 1),
+                       *times, "    ok = True", *plain, *fold,
                        "    out += nxt", "    live = nxt", *carry,
                        "    if not ok:", "        return k"]),
                    "        return len(S)",
                    "    finally:",
                    "        S[:len(out) // len(X)] = np.fromiter(chain."
-                   "from_iterable(out), float).reshape(-1, *X.shape)"]
+                   "from_iterable(out), float).reshape(-1, *X.shape)",
+                   "        err[:] = E_"]
         else:
             counts["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
-            buffers = ["    a, b, c, d, y = np.empty((5,) + x.shape)",
-                       *(f"    {listed(v)}= {v}" for v in "xabcdy")]
-            src = ["def _half(x, t, h):", *head, *buffers, *start, *times,
-                   *body, "    return x + F",
+            buffers = ["    a, b, c, d, y = np.empty((5,) + shape)",
+                       *(f"    {listed(v)}= {v}" for v in "abcdy")]
+            # ``_half`` keeps its stages in buffers of its own, whose row
+            # views ``_halves`` binds once per block: binding them on each
+            # call would cost more than the rest of its setup
+            src = ["def _halves(shape):", *buffers,
+                   "    def _half(x, t, h):", *("    " + line for line in [
+                       *head, f"    {listed('x')}= x", *start, *times, *body,
+                       "    return x + F"]),
+                   "    return _half",
                    "def _run(X, t, h, S, lo, hi, err, k0, last):",
-                   "    x = X.T.copy()", *head, *buffers,
+                   "    x = X.T.copy()", "    shape = x.shape", *head,
+                   *buffers, f"    {listed('x')}= x",
+                   "    _half = _halves(shape)",
                    "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
                    "    for k in range(len(S)):",
                    *("    " + line for line in [
                        *times, *body, scheduled,
-                       fold.format("x + F", "x", 0),
+                       "        np.fmax(err, np.maximum.reduce(abs(x + F - "
+                       f"{half.format('x')})) / 15.0, out=err)",
                        "    np.add(x, F, out=x)", *carry, "    S[k] = xt",
                        "    if not np.maximum.reduce(np.maximum(lo - x, "
                        "x - hi), None) <= _TOL:",
