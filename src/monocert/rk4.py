@@ -37,7 +37,6 @@ never integrates does not compile it.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Callable, NamedTuple
 
@@ -177,18 +176,11 @@ def compile_step(odes) -> StepKernels:
         k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
         X + (h/6) (k1 + 2 k2 + 2 k3 + k4),  then t += h.
 
-    The step is emitted once per shape: inline in the kernel's loop, and
-    as the function ``_half(x, t, h)`` that the estimate calls twice,
-    ``_half(_half(x, t, h/2), t + h/2, h/2)``.  Both shapes finish a stage
-    for all rows before the next.  The column kernel keeps the state and
-    stages in (n, m) arrays, which the fields' roots write by ``out=``, and
-    takes each RK4 update, the sum, the copy into S[k], the check and the
-    estimate for all components in a few calls, with h, h/2 and h/6 as 0-d
-    arrays.  The row kernel works on Python floats (``_row_loops``), in
-    one loop per step when no node is batched.  The bits agree: Python's
-    ``+ - *`` are numpy's, exactly rounded, a ufunc on a float runs its
-    array loop, and numpy converts a list of floats into exactly that
-    array.  A subtree of constants and ``t`` alone is computed once per
+    The step is emitted once per shape (see the module docstring): inline
+    in the kernel's loop, and as the function ``_half(x, t, h)`` that the
+    estimate calls twice, ``_half(_half(x, t, h/2), t + h/2, h/2)``, on
+    columns with stage arrays of its own that ``_halves`` makes once per
+    block.  A subtree of constants and ``t`` alone is computed once per
     stage time, as a Python float (a 0-d array on columns) that keeps
     Python's ``/`` and ``**``: an ArithmeticError it raises is raised at
     its step, with S and err written up to the step before.

@@ -3,22 +3,13 @@
 Integration is classical fixed-step RK4 through the system's compiled
 block kernel (see ``rk4.compile_step``), which runs the four stages inline
 and is bit for bit the same arithmetic as four calls of the vector field.
-One emitter generates it in two shapes, both stage-major, taking each
-stage for all live rows before the next: on (n, m) arrays, with a few
-numpy calls per step for all components; and on Python floats, with
-``+ - *`` in one loop over the rows per stretch of them and each ``^k``,
-``/``, ``min`` and ``max`` node one numpy call per stage on the list of the
-rows' operands, which numpy converts into exactly the array whose loop the
-other shape runs.  A numpy call costs about the same on 3 rows as on 20,
-so ``SystemDef.rk4_run`` takes the row kernel for a block of m live rows
-when m (p + 8u) / 24 + 2 (u + L) < U + 4 (``rk4.StepKernels.pick``): U
-numpy calls per step of the column kernel, against u batched calls, p
-Python float operations per row and L loops over the rows per step of the
-row kernel.  So ``simulate`` of a few starts and ``entrain`` run on rows,
-``contract`` with its 20 starts on columns.  One call runs a block of up
-to ``_BLOCK`` steps and writes each step's states to a buffer, from which
-the kept samples are sliced; a remainder step that ends the run on t_end
-is a block of its own.
+It comes in two shapes with the same bits, on (n, m) arrays and on rows of
+Python floats; ``SystemDef.rk4_run`` takes the row kernel for a block of
+few live rows (``rk4.StepKernels.pick``), so ``simulate`` of a few starts
+and ``entrain`` run on rows, ``contract`` with its 20 starts on columns.
+One call runs a block of up to ``_BLOCK`` steps and writes each step's
+states to a buffer, from which the kept samples are sliced; a remainder
+step that ends the run on t_end is a block of its own.
 On every 16th step of the run, and on the last, the kernel also takes a
 step-doubling error estimate: it calls the same step twice at h/2, and the
 difference of those two half steps from the full step, scaled by 1/15,

@@ -222,43 +222,23 @@ def _dual_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 def _vertex(A: np.ndarray, b: np.ndarray, basis: list) -> np.ndarray:
     """The primal point complementary to a dual basis: row i of A u <= b is
-    tight for each basic y_i, and u_j = 0 for each basic s_j."""
+    tight for each basic y_i, and u_j = 0 for each basic s_j.  Solved by
+    Gauss-Jordan elimination with partial pivoting, in elementwise numpy:
+    a LAPACK solve rounds as the BLAS kernel OpenBLAS picks for the CPU."""
     m, p = A.shape
     basis = np.asarray(basis)
     tight = basis < m
-    K = np.zeros((p, p))
-    K[tight] = A[basis[tight]]
-    K[np.nonzero(~tight)[0], basis[~tight] - m] = 1.0
-    rhs = np.zeros(p)
-    rhs[tight] = b[basis[tight]]
-    return _solve(K, rhs)
-
-
-# The vertex solve and the bound shift are elementwise numpy: a LAPACK solve
-# or BLAS product rounds as the kernel OpenBLAS picks for the CPU does, which
-# moved the last digits of synth reports.  The other products in
-# ``solve_lp`` apply matrices of signs, which is exact, or give the
-# objective, which no report prints.
-
-def _solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """K x = rhs by Gauss-Jordan elimination with partial pivoting: each
-    column pivots on its largest entry among the rows not yet used."""
-    p = len(rhs)
-    T, basis = np.column_stack([K, rhs]), [-1] * p
+    T = np.zeros((p, p + 1))
+    T[tight, :p] = A[basis[tight]]
+    T[np.nonzero(~tight)[0], basis[~tight] - m] = 1.0
+    T[tight, p] = b[basis[tight]]
+    solved = [-1] * p   # the column each row has pivoted on
     for j in range(p):
-        free = [r for r in range(p) if basis[r] < 0]
-        _pivot(T, basis, free[int(np.argmax(np.abs(T[free, j])))], j)
-    x = np.empty(p)
-    x[basis] = T[:, -1]
-    return x
-
-
-def _matvec(R: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """R @ v, summed column by column."""
-    out = R[:, 0] * v[0]
-    for j in range(1, len(v)):
-        out += R[:, j] * v[j]
-    return out
+        free = [r for r in range(p) if solved[r] < 0]
+        _pivot(T, solved, free[int(np.argmax(np.abs(T[free, j])))], j)
+    u = np.empty(p)
+    u[solved] = T[:, p]
+    return u
 
 
 def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
@@ -277,7 +257,7 @@ def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
 
     * dual optimal: the primal vertex is the solution of the square active
       system of the optimal basis (``_vertex``), found by a linear solve
-      (``_solve``) rather than read off the reduced costs;
+      rather than read off the reduced costs;
     * dual unbounded: the primal is infeasible;
     * dual infeasible: the primal is unbounded or infeasible.  The
       feasibility problem  min t  s.t.  A u - t <= b,  u, t >= 0,  solved
@@ -302,7 +282,12 @@ def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
     boxed = np.nonzero(lo_f & hi_f)[0]
     R = np.vstack([rows, np.eye(lp.n_vars)[boxed]])
     A = R @ M
-    b = np.concatenate([rhs, lp.upper[boxed]]) - _matvec(R, shift)
+    # R @ shift summed column by column (see _vertex); the other products
+    # apply matrices of signs, exactly, or give the unreported objective
+    shifted = R[:, 0] * shift[0]
+    for j in range(1, lp.n_vars):
+        shifted += R[:, j] * shift[j]
+    b = np.concatenate([rhs, lp.upper[boxed]]) - shifted
     cu = M.T @ lp.c
 
     m, p = A.shape

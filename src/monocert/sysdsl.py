@@ -619,14 +619,12 @@ def _lift_state_free(odes) -> tuple:
     distinct ones in the order a kernel evaluates them.  Subtrees that
     differ only in the sign of a zero are distinct, although ``==`` holds
     between them: ``0*t`` and ``-0*t`` have values of opposite sign."""
-    n, lifted, index = len(odes), [], {}
+    n, lifted = len(odes), {}   # sign-aware key -> (j, subtree)
 
     def lift(e: Expr) -> Expr:
         if isinstance(e, Const):
             return e
-        j = index.setdefault(_structure(e, signed=True), len(lifted))
-        if j == len(lifted):
-            lifted.append(e)
+        j, _ = lifted.setdefault(_structure(e, signed=True), (len(lifted), e))
         return Var(n + j)
 
     def leave(node: Expr, args: list, slot: int) -> tuple:
@@ -639,7 +637,7 @@ def _lift_state_free(odes) -> tuple:
     for f in odes:
         e, state = _fold(f, leave)
         fields.append(e if state else lift(e))
-    return fields, lifted
+    return fields, [e for _, e in lifted.values()]
 
 
 # ---------------------------------------------------------------------------
