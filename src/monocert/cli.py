@@ -442,6 +442,10 @@ def main(argv=None) -> int:
             raise UsageError("pairs must be at least 1")
         if getattr(args, "periods", 1) < 1:
             raise UsageError("periods must be at least 1")
+        if getattr(args, "degree", 0) < 0:
+            raise UsageError("degree must be nonnegative")
+        if getattr(args, "multiplier_degree", 0) < 0:
+            raise UsageError("multiplier-degree must be nonnegative")
         if args.seed < 0:
             raise UsageError("seed must be nonnegative")
         if getattr(args, "n_random", 0) < 0:

@@ -3,10 +3,11 @@ with the same bits.
 
 ``compile_step`` generates, from the one emitter of ``sysdsl``
 (``_emit``), a kernel that runs up to K steps of m rows in lockstep, with
-the step-doubling error estimate on every 16th step and the domain check
-after every step inside.  Each shape emits the step once: the kernel's
-loop runs it inline, and the estimate calls a function generated from the
-same body twice, for two steps of h/2.  Both shapes run stage-major, each
+the domain check after every step inside and, when the caller passes an
+``err`` array, the step-doubling error estimate on every 16th step.  Each
+shape emits the step once: the kernel's loop runs it inline, and the
+estimate calls a function generated from the same body twice, for two
+steps of h/2.  Both shapes run stage-major, each
 stage for all rows before the next, so a step costs numpy calls per node
 of the vector field, not per row or per component:
 
@@ -167,7 +168,9 @@ def compile_step(odes) -> StepKernels:
     16th step of the run (step k is k0 + k) and on its last (``last``) it
     folds the step-doubling error estimate max_i |full_i - half_i| / 15
     into ``err`` (m,) by ``np.fmax``, where ``half`` is two calls of the
-    same step at h/2.  After each step it checks ``lo - s <= INVARIANCE_TOL``
+    same step at h/2.  With ``err`` None it takes no estimate: it calls no
+    ``_half``, makes no ``_halves`` buffers on columns, and writes the same
+    states.  After each step it checks ``lo - s <= INVARIANCE_TOL``
     and ``s - hi <= INVARIANCE_TOL`` for each component s (NaN fails) and
     returns k at the first that any row fails, else K.  Each state is bit
     for bit
@@ -246,9 +249,10 @@ def compile_step(odes) -> StepKernels:
                 f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
         # on the scheduled steps, the full step against two steps of h/2
         # from the state before it (where nothing is lifted, t is not
-        # carried, and ``_half`` does not read it)
-        scheduled = (f"    if (k0 + k) % {_ESTIMATE_EVERY} == 0 or "
-                     "k0 + k == last:")
+        # carried, and ``_half`` does not read it); with err None, ``est``
+        # is False and fails the test alone
+        scheduled = (f"    if est and ((k0 + k) % {_ESTIMATE_EVERY} == 0 "
+                     "or k0 + k == last):")
         half = "_half(_half({}, t, hh), t + hh, hh)"
         if rows:
             counts["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
@@ -275,7 +279,8 @@ def compile_step(odes) -> StepKernels:
             src = ["def _half(live, t, h):", *head, *start, *times, *step,
                    "    return nxt",
                    "def _run(X, t, h, S, lo, hi, err, k0, last):", *head,
-                   "    live, E_, out = X.tolist(), err.tolist(), []",
+                   "    live, out, est = X.tolist(), [], err is not None",
+                   "    E_ = err.tolist() if est else None",
                    "    box = [a + b for a, b in zip(lo.tolist(), "
                    "hi.tolist())]",
                    "    try:", *("    " + line for line in start),
@@ -288,7 +293,8 @@ def compile_step(odes) -> StepKernels:
                    "    finally:",
                    "        S[:len(out) // len(X)] = np.fromiter(chain."
                    "from_iterable(out), float).reshape(-1, *X.shape)",
-                   "        err[:] = E_"]
+                   "        if est:",
+                   "            err[:] = E_"]
         else:
             counts["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
             buffers = ["    a, b, c, d, y = np.empty((5,) + shape)",
@@ -304,7 +310,9 @@ def compile_step(odes) -> StepKernels:
                    "def _run(X, t, h, S, lo, hi, err, k0, last):",
                    "    x = X.T.copy()", "    shape = x.shape", *head,
                    *buffers, f"    {listed('x')}= x",
-                   "    _half = _halves(shape)",
+                   "    est = err is not None",
+                   "    if est:",
+                   "        _half = _halves(shape)",
                    "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
                    "    for k in range(len(S)):",
                    *("    " + line for line in [

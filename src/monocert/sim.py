@@ -10,11 +10,16 @@ and ``entrain`` run on rows, ``contract`` with its 20 starts on columns.
 One call runs a block of up to ``_BLOCK`` steps and writes each step's
 states to a buffer, from which the kept samples are sliced; a remainder
 step that ends the run on t_end is a block of its own.
-On every 16th step of the run, and on the last, the kernel also takes a
-step-doubling error estimate: it calls the same step twice at h/2, and the
-difference of those two half steps from the full step, scaled by 1/15,
-raises the trajectory's worst step error; the state itself always advances
-by the plain full step, so convergence stays exactly fourth order.
+When the caller asks for it (``integrate_batch(estimate=True)``, the
+default, as ``integrate`` and ``simulate`` use it), the kernel also takes a
+step-doubling error estimate on every 16th step of the run and on the
+last: it calls the same step twice at h/2, and the difference of those two
+half steps from the full step, scaled by 1/15, raises the trajectory's
+worst step error.  ``estimate_contraction_rate`` and ``entrainment_test``
+do not read that error, so they skip the estimate, and ``max_step_error``
+is NaN ("not estimated").  The state itself always advances by the plain
+full step, so the states are the same bits either way and convergence
+stays exactly fourth order.
 
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain
@@ -118,7 +123,7 @@ class BatchTrajectories:
     t: np.ndarray
     x: np.ndarray
     dt: float
-    max_step_error: np.ndarray   # (B,), one worst step error per trajectory
+    max_step_error: np.ndarray   # (B,) worst step error, NaN: not estimated
     state_names: tuple
     failures: dict = field(default_factory=dict)
 
@@ -148,7 +153,8 @@ class BatchTrajectories:
 
 def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
                     t0: float = 0.0, save_every: int = 1,
-                    abort_on_failure: bool = False) -> BatchTrajectories:
+                    abort_on_failure: bool = False,
+                    estimate: bool = True) -> BatchTrajectories:
     """Integrate several initial conditions of one system in lockstep.
 
     ``save_every`` thins the stored samples (the final state is always
@@ -162,6 +168,11 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     which any row fails (every failure of that step is recorded), and the
     stored samples end there: for callers that raise the earliest failure
     and would discard the rest of the run anyway.
+
+    With ``estimate`` False the kernel takes no step-doubling estimate and
+    ``max_step_error`` is all NaN; the samples and failures are the same
+    bits.  Such a run evaluates f only at the stage times t, t + h/2 and
+    t + h, never at the estimate's t + h/4 and t + 3h/4.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
@@ -208,7 +219,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     xs = np.full((n_saved, B, sys.n), np.nan)
     ts[0] = t0
     xs[0] = X0
-    max_err = np.zeros(B)
+    max_err = np.zeros(B) if estimate else np.full(B, np.nan)
     S = np.empty((min(_BLOCK, n_steps), B, sys.n))   # one block's states
     saved, k, t = 1, 0, float(t0)
     # overflow and NaN are reported per row by drop_failed, not by numpy
@@ -219,7 +230,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
             h, K = (dt, min(len(S), n_full - k)) if k < n_full else (rem, 1)
             m, failed = rows.size, False
             if m:
-                err = max_err[rows]
+                err = max_err[rows] if estimate else None
                 try:
                     done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
                                        n_steps - 1)
@@ -228,7 +239,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
                     raise SimulationError(
                         "the vector field cannot be evaluated between "
                         f"t={t:.6g} and t={t + K * h:.6g}: {exc}") from exc
-                max_err[rows] = err
+                if estimate:
+                    max_err[rows] = err
                 failed, K = done < K, min(done + 1, K)
             T = np.cumsum([t] + [h] * K)[1:]   # t += h, step by step
             # the kept samples before the block's last step, then that step,
@@ -377,7 +389,7 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     total_steps = max(1, int(round(t_end / dt)))
     save_every = max(1, total_steps // 500)
     batch = integrate_batch(sys, X0, t_end, dt=dt, save_every=save_every,
-                            abort_on_failure=True)
+                            abort_on_failure=True, estimate=False)
     batch.raise_first_failure()
 
     decay = np.exp(-rate * batch.t[:, None])
@@ -459,7 +471,8 @@ def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
     steps_per_period = max(1, int(round(T / dt)))
     h = T / steps_per_period
     batch = integrate_batch(sys, X0, horizon_periods * T, dt=h,
-                            save_every=steps_per_period, abort_on_failure=True)
+                            save_every=steps_per_period, abort_on_failure=True,
+                            estimate=False)
     batch.raise_first_failure()
     # (K+1, B, n) states at period multiples
     P = batch.x

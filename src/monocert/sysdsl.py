@@ -24,9 +24,9 @@ Every numeric evaluation runs through kernels generated by one emitter
 (``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
 and ``rk4.compile_step`` for blocks of RK4 steps, in two shapes with the
 same bits, on arrays and on rows of Python floats, each of which runs its
-one emitted step inline and, for the error estimate, calls it twice at
-h/2; ``SystemDef.rk4_run`` picks a shape by counts the emitter returns
-(``rk4.StepKernels.pick``).
+one emitted step inline and, for the error estimate when the caller asks
+for it, calls it twice at h/2; ``SystemDef.rk4_run`` picks a shape by
+counts the emitter returns (``rk4.StepKernels.pick``).
 
 A system is declared in a block like::
 
@@ -972,15 +972,16 @@ class SystemDef:
         return self._f_batch(X, t)
 
     def rk4_run(self, X: np.ndarray, t: float, h: float, S: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, err: np.ndarray, k0: int,
-                last: int) -> int:
+                lo: np.ndarray, hi: np.ndarray, err: Optional[np.ndarray],
+                k0: int, last: int) -> int:
         """Up to len(S) RK4 steps of the rows of X (m, n) from time t, each
         state written to S[k] and checked against lo/hi (m, n), and the
         error estimates of the scheduled steps, each two calls of the same
-        step at h/2 against the full step, folded into err (m,); returns
-        the first step that leaves the domain, or len(S) (see
-        ``rk4.compile_step``).  The kernel's shape is picked for each call
-        by ``StepKernels.pick`` from m; both give the same bits."""
+        step at h/2 against the full step, folded into err (m,); with err
+        None no estimate is taken.  Returns the first step that leaves the
+        domain, or len(S) (see ``rk4.compile_step``).  The kernel's shape
+        is picked for each call by ``StepKernels.pick`` from m; both give
+        the same bits."""
         if self._rk4 is None:
             from .rk4 import compile_step
             self._rk4 = compile_step(self.odes)

@@ -546,6 +546,23 @@ def test_pairs_below_one_is_usage(pairs, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "ex1", "--box", "0:3,0:3", "--degree", "-1"], "degree"),
+    (["synth", "ex1", "--box", "0:3,0:3", "--mode", "poly-sum",
+      "--degree", "-1"], "degree"),
+    (["export-sos", "ex1", "--degree", "-1"], "degree"),
+    (["export-sos", "ex1", "--multiplier-degree", "-1"], "multiplier-degree"),
+])
+def test_negative_degree_is_usage(argv, message, tmp_path, capsys):
+    """Before, a poly synthesis and export-sos exited 1, the code of a
+    failed certificate, and the sum synthesis ignored the degree."""
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert (capsys.readouterr().err
+            == f"monocert: {message} must be nonnegative\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 TRAFFIC4_V = str(CORPUS / "traffic4.v.json")
 
 

@@ -389,17 +389,25 @@ def test_both_shapes_raise_at_the_same_step(field, exc):
         assert got[0] is exc
 
 
-def _assert_matches_reference(sys, X0, t_end, dt, t0, save_every, abort):
+def _assert_matches_reference(sys, X0, t_end, dt, t0, save_every, abort,
+                              estimate=True):
+    """``integrate_batch`` gives the reference's bits; without the
+    estimate, the same samples and failures and an all-NaN error."""
     with np.errstate(all="ignore"):
         got = integrate_batch(sys, X0, t_end, dt=dt, t0=t0,
-                              save_every=save_every, abort_on_failure=abort)
+                              save_every=save_every, abort_on_failure=abort,
+                              estimate=estimate)
         t, x, err, failures = integrate_reference(
             sys, X0, t_end, dt, t0=t0, save_every=save_every,
             abort_on_failure=abort)
     assert np.array_equal(_bits(got.t), _bits(t))
     assert got.x.shape == x.shape
     assert np.array_equal(_bits(got.x), _bits(x))
-    assert np.array_equal(_bits(got.max_step_error), _bits(err))
+    if estimate:
+        assert np.array_equal(_bits(got.max_step_error), _bits(err))
+    else:
+        assert got.max_step_error.shape == err.shape
+        assert np.isnan(got.max_step_error).all()
     assert got.failures == failures
 
 
@@ -422,7 +430,8 @@ def test_integrate_batch_matches_the_whole_run_reference(name, seed):
     """Seeded runs: batch sizes 1 to 20, runs with and without a remainder
     step, two start times, four sample spacings, both abort settings and
     starts on or just past a bounded edge; a step as long as 0.25 lets
-    some rows blow up or leave."""
+    some rows blow up or leave.  Each run is checked with and without the
+    error estimate."""
     sys = load_system(name)
     rng = np.random.default_rng([seed, len(name)])
     lo = np.array([max(b.lo, -5.0) for b in sys.bounds])
@@ -434,9 +443,75 @@ def test_integrate_batch_matches_the_whole_run_reference(name, seed):
         t0 = float(rng.choice([0.0, 0.3]))
         steps = int(rng.choice([1, 2, 16, 17, 40, 75]))
         t_end = t0 + (steps + float(rng.choice([0.0, 0.37]))) * dt
-        _assert_matches_reference(sys, X0, t_end, dt, t0,
-                                  int(rng.choice([1, 3, 16, 50])),
-                                  bool(rng.integers(2)))
+        run = (X0, t_end, dt, t0, int(rng.choice([1, 3, 16, 50])),
+               bool(rng.integers(2)))
+        for estimate in (True, False):
+            _assert_matches_reference(sys, *run, estimate=estimate)
+
+
+@pytest.mark.parametrize("abort", [False, True])
+def test_run_without_estimate_matches_the_reference_on_both_shapes(
+        monkeypatch, abort):
+    """Without the estimate, 3 starts on rows and 40 on columns, of which
+    some leave [-1, 1]^2 mid-run: every kernel call gets no ``err``, and
+    the samples and failures are the reference's bits."""
+    sys = load_system("rotation")
+    shapes = []
+    rk4_run = mc.SystemDef.rk4_run
+
+    def spied(self, X, t, h, S, lo, hi, err, k0, last):
+        assert err is None
+        done = rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
+        kernels = self._rk4
+        shapes.append("rows" if kernels.pick(len(X)) is kernels.rows
+                      else "columns")
+        return done
+
+    monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
+    rng = np.random.default_rng(61)
+    for X0 in (np.array([[0.5, 0.0], [0.8, -0.7], [0.3, 0.3]]),
+               rng.uniform(-1.0, 1.0, (40, 2))):
+        shapes.clear()
+        _assert_matches_reference(sys, X0, 2.0 + 0.37e-2, 1e-2, 0.0, 7,
+                                  abort, estimate=False)
+        assert set(shapes) == {"rows" if len(X0) == 3 else "columns"}
+        assert integrate_batch(sys, X0, 2.0, dt=1e-2,
+                               estimate=False).failures
+
+
+def test_contract_and_entrain_take_no_estimate(linear_sym, monkeypatch):
+    """``estimate_contraction_rate`` and ``entrainment_test`` discard the
+    step error, so no kernel call of theirs takes the estimate."""
+    errs = []
+    rk4_run = mc.SystemDef.rk4_run
+
+    def spied(self, X, t, h, S, lo, hi, err, k0, last):
+        errs.append(err)
+        return rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
+
+    monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
+    fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
+    rep = estimate_contraction_rate(linear_sym, fam, pairs=3, t_end=0.5)
+    assert rep.passed and errs and all(e is None for e in errs)
+    errs.clear()
+    rep = entrainment_test(load_system("entrain_cubic"), [[-2.0], [2.0]],
+                           horizon_periods=2)
+    assert errs and all(e is None for e in errs)
+
+
+def test_run_without_estimate_never_evaluates_the_quarter_step_times():
+    """A subtree of ``t`` alone with a pole at t = h/4 only, which the
+    estimate of step 0 evaluates and RK4's stage times t, t + h/2 and
+    t + h never reach: without the estimate the run, and entrainment,
+    go through it, while with the estimate the run raises."""
+    pole = _scalar("-x + 1 / (t - 0.0625)", extra="period 1")
+    X0 = np.array([[1.0], [-1.0]])
+    batch = integrate_batch(pole, X0, 1.0, dt=0.25, estimate=False)
+    assert np.isfinite(batch.x).all() and not batch.failures
+    entrainment_test(pole, X0, horizon_periods=2, dt=0.25)
+    with pytest.raises(SimulationError, match="cannot be evaluated between "
+                       r"t=0 and t=1: float division by zero"):
+        integrate_batch(pole, X0, 1.0, dt=0.25)
 
 
 @pytest.mark.parametrize("name", ["ex1", "entrain_cubic", "rotation"])
@@ -665,7 +740,7 @@ def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
     def counted_run(self, X, t, h, S, lo, hi, err, k0, last):
         done = rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
         for k in range(min(done + 1, len(S))):    # the steps it computed
-            if (k0 + k) % 16 == 0 or k0 + k == last:
+            if err is not None and ((k0 + k) % 16 == 0 or k0 + k == last):
                 ends.extend([t + h / 2, t + h])   # the two half steps
             t += h
             ends.append(t)
@@ -676,10 +751,8 @@ def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
                        match=r"^trajectory 3 left the domain at t=0\.21:"):
         estimate_contraction_rate(rotation, fam, pairs=4, box=box,
                                   t_end=3.0, seed=2)
-    # one end a step, three on every 16th (the full step and the error
-    # estimate's two half steps)
-    steps = 210
-    assert steps < len(ends) <= steps + 2 * (steps // 16 + 1)
+    # one end a step: the pairs take no error estimate
+    assert len(ends) == 210
     assert max(ends) < 0.2105
 
 
