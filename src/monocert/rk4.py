@@ -7,9 +7,9 @@ the domain check after every step inside and, when the caller passes an
 ``err`` array, the step-doubling error estimate on every 16th step.  Each
 shape emits the step once: the kernel's loop runs it inline, and the
 estimate calls a function generated from the same body twice, for two
-steps of h/2.  Both shapes run stage-major, each
-stage for all rows before the next, so a step costs numpy calls per node
-of the vector field, not per row or per component:
+steps of h/2.  Both shapes run stage-major, each stage for all rows before
+the next, so a step costs numpy calls per node of the vector field, not
+per row or per component:
 
 * on columns, the state and the stages are (n, m) arrays.  Each field's
   root writes its slope row by ``out=``, and each RK4 update, the final
