@@ -297,11 +297,10 @@ def _cmd_entrain(cfg: argparse.Namespace) -> int:
                          "(';'-separated initial conditions)")
     rows = [_parse_vector(part, sys.n, "--x0-set entry")
             for part in cfg.x0_set.split(";") if part.strip()]
-    try:
-        rep = entrainment_test(sys, np.array(rows),
-                               horizon_periods=cfg.periods, dt=cfg.dt)
-    except SimulationError as exc:
-        raise UsageError(str(exc))
+    if len(rows) < 2:
+        raise UsageError("entrainment needs at least two initial conditions")
+    rep = entrainment_test(sys, np.array(rows), horizon_periods=cfg.periods,
+                           dt=cfg.dt)
     payload = _clean_nan({**rep.to_jsonable(), "system": sys.name,
                           "spread": [float(v) for v in rep.spread]})
     path = _write_report(cfg, "entrain-report.json", payload)

@@ -2,19 +2,18 @@
 with the same bits.
 
 ``compile_step`` generates, from the one emitter of ``sysdsl``
-(``_emit``), a kernel that runs up to K steps of m rows in lockstep, with
-the domain check after every step inside and, when the caller passes an
-``err`` array, the step-doubling error estimate on every 16th step.  Each
-shape emits the step once: the kernel's loop runs it inline, and the
-estimate calls a function generated from the same body twice, for two
-steps of h/2.  Both shapes run stage-major, each stage for all rows before
-the next, so a step costs numpy calls per node of the vector field, not
-per row or per component:
+(``_emit``), a kernel that runs up to K plain steps of m rows in lockstep,
+with the domain check after every step inside.  Each shape emits the step
+once, inline in the kernel's loop; the step-doubling error estimate is not
+the kernel's: ``sim.integrate_batch`` takes it by running the same kernel
+at h/2.  Both shapes run stage-major, each stage for all rows before the
+next, so a step costs numpy calls per node of the vector field, not per
+row or per component:
 
 * on columns, the state and the stages are (n, m) arrays.  Each field's
   root writes its slope row by ``out=``, and each RK4 update, the final
-  sum, the copy into the output, the domain check and the estimate's max
-  over the components is a few numpy calls on all components at once;
+  sum, the copy into the output and the domain check is a few numpy calls
+  on all components at once;
 * on rows, the state is a tuple of Python floats per row.  ``+ - *`` are
   Python float operations, run in one loop over the rows for each stretch
   of them; each ``^k`` (k other than 2), ``/``, ``min`` and ``max`` node is
@@ -44,11 +43,6 @@ from typing import Callable, NamedTuple
 from .sysdsl import _define, _emit, _lift_state_free
 
 __all__ = ["StepKernels", "compile_step"]
-
-# the kernel estimates the step error on every this many steps of a run,
-# and on its last
-_ESTIMATE_EVERY = 16
-
 
 class StepKernels(NamedTuple):
     """One system's RK4 block kernel in its two shapes, and its counts per
@@ -161,32 +155,23 @@ def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
 
 def compile_step(odes) -> StepKernels:
     """Compile classical RK4 for ``odes`` to one block kernel in two shapes,
-    each ``run(X, t, h, S, lo, hi, err, k0, last)``.
+    each ``run(X, t, h, S, lo, hi)``.
 
     It takes up to K = len(S) steps of ``h`` from the states X (m, n) at
-    time ``t``, and writes the states after step k to ``S[k]``.  On every
-    16th step of the run (step k is k0 + k) and on its last (``last``) it
-    folds the step-doubling error estimate max_i |full_i - half_i| / 15
-    into ``err`` (m,) by ``np.fmax``, where ``half`` is two calls of the
-    same step at h/2.  With ``err`` None it takes no estimate: it calls no
-    ``_half``, makes no ``_halves`` buffers on columns, and writes the same
-    states.  After each step it checks ``lo - s <= INVARIANCE_TOL``
-    and ``s - hi <= INVARIANCE_TOL`` for each component s (NaN fails) and
-    returns k at the first that any row fails, else K.  Each state is bit
-    for bit
+    time ``t``, and writes the states after step k to ``S[k]``.  After each
+    step it checks ``lo - s <= INVARIANCE_TOL`` and ``s - hi <=
+    INVARIANCE_TOL`` for each component s (NaN fails) and returns k at the
+    first that any row fails, else K.  Each state is bit for bit
 
         k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
         k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)
         X + (h/6) (k1 + 2 k2 + 2 k3 + k4),  then t += h.
 
-    The step is emitted once per shape (see the module docstring): inline
-    in the kernel's loop, and as the function ``_half(x, t, h)`` that the
-    estimate calls twice, ``_half(_half(x, t, h/2), t + h/2, h/2)``, on
-    columns with stage arrays of its own that ``_halves`` makes once per
-    block.  A subtree of constants and ``t`` alone is computed once per
-    stage time, as a Python float (a 0-d array on columns) that keeps
-    Python's ``/`` and ``**``: an ArithmeticError it raises is raised at
-    its step, with S and err written up to the step before.
+    The step is emitted once per shape, inline in the kernel's loop (see
+    the module docstring).  A subtree of constants and ``t`` alone is
+    computed once per stage time, as a Python float (a 0-d array on
+    columns) that keeps Python's ``/`` and ``**``: an ArithmeticError it
+    raises is raised at its step, with S written up to the step before.
     """
     n = len(odes)
     fields, lifted = _lift_state_free(odes)
@@ -236,7 +221,7 @@ def compile_step(odes) -> StepKernels:
                  enumerate(zip(*k))] if rows else [
             "    F = h6 * (a + _TWO * b + _TWO * c + d)"]
         # the lifted values: at t before the loop, and at t + h/2 and t + h
-        # on each step
+        # on each step, t carried only where something is lifted
         start, times, carry = [], [], []
         if lifted:
             at(start, "t")
@@ -245,85 +230,45 @@ def compile_step(odes) -> StepKernels:
             at(times, "t4")
             carry = [*(f"    _p{j}_t = _p{j}_t4" for j in range(len(lifted))),
                      "    t = t4"]
-        head = ["    hh = h / 2", "    h1, h2, h6 = map("
-                f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
-        # on the scheduled steps, the full step against two steps of h/2
-        # from the state before it (where nothing is lifted, t is not
-        # carried, and ``_half`` does not read it); with err None, ``est``
-        # is False and fails the test alone
-        scheduled = (f"    if est and ((k0 + k) % {_ESTIMATE_EVERY} == 0 "
-                     "or k0 + k == last):")
-        half = "_half(_half({}, t, hh), t + hh, hh)"
+        src = ["def _run(X, t, h, S, lo, hi):", "    hh = h / 2",
+               "    h1, h2, h6 = map("
+               f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
         if rows:
             counts["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
             check = (None, "if not (" + " and ".join(
                 f"lo{i} - f{i} <= _TOL and f{i} - hi{i} <= _TOL"
                 for i in range(n)) + "): ok = False", False)
-            live = {"live": f"({listed('x')})"}
-            keep = [f"f{i}" for i in range(n)]
-            step, _ = _row_loops(body, live, keep)
             plain, counts["loops"] = _row_loops(body + [check], {
-                **live, "box": f"({listed('lo')}{listed('hi')})"}, keep)
-            # the max over the components as np.maximum's (a NaN wins), into
-            # E as np.fmax's (a NaN keeps E), on floats: numpy calls on a
-            # few rows would cost more than the loop
-            fold = [scheduled, "        e_ = []",
-                    f"        for ({listed('f')}), ({listed('g')}), E in zip("
-                    f"nxt, {half.format('live')}, E_):",
-                    "            e0 = abs(f0 - g0)",
-                    *(f"            e{i} = d if (d := abs(f{i} - g{i})) > "
-                      f"e{i - 1} or d != d else e{i - 1}" for i in range(1, n)),
-                    f"            e_.append(q if (q := e{n - 1} / 15.0) > E "
-                    "or E != E else E)",
-                    "        E_ = e_"]
-            src = ["def _half(live, t, h):", *head, *start, *times, *step,
-                   "    return nxt",
-                   "def _run(X, t, h, S, lo, hi, err, k0, last):", *head,
-                   "    live, out, est = X.tolist(), [], err is not None",
-                   "    E_ = err.tolist() if est else None",
-                   "    box = [a + b for a, b in zip(lo.tolist(), "
-                   "hi.tolist())]",
-                   "    try:", *("    " + line for line in start),
-                   "        for k in range(len(S)):",
-                   *("        " + line for line in [
-                       *times, "    ok = True", *plain, *fold,
-                       "    out += nxt", "    live = nxt", *carry,
-                       "    if not ok:", "        return k"]),
-                   "        return len(S)",
-                   "    finally:",
-                   "        S[:len(out) // len(X)] = np.fromiter(chain."
-                   "from_iterable(out), float).reshape(-1, *X.shape)",
-                   "        if est:",
-                   "            err[:] = E_"]
+                "live": f"({listed('x')})",
+                "box": f"({listed('lo')}{listed('hi')})"},
+                [f"f{i}" for i in range(n)])
+            src += ["    live, out = X.tolist(), []",
+                    "    box = [a + b for a, b in zip(lo.tolist(), "
+                    "hi.tolist())]",
+                    "    try:", *("    " + line for line in start),
+                    "        for k in range(len(S)):",
+                    *("        " + line for line in [
+                        *times, "    ok = True", *plain, "    out += nxt",
+                        "    live = nxt", *carry, "    if not ok:",
+                        "        return k"]),
+                    "        return len(S)",
+                    "    finally:",
+                    "        S[:len(out) // len(X)] = np.fromiter(chain."
+                    "from_iterable(out), float).reshape(-1, *X.shape)"]
         else:
             counts["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
-            buffers = ["    a, b, c, d, y = np.empty((5,) + shape)",
-                       *(f"    {listed(v)}= {v}" for v in "abcdy")]
-            # ``_half`` keeps its stages in buffers of its own, whose row
-            # views ``_halves`` binds once per block: binding them on each
-            # call would cost more than the rest of its setup
-            src = ["def _halves(shape):", *buffers,
-                   "    def _half(x, t, h):", *("    " + line for line in [
-                       *head, f"    {listed('x')}= x", *start, *times, *body,
-                       "    return x + F"]),
-                   "    return _half",
-                   "def _run(X, t, h, S, lo, hi, err, k0, last):",
-                   "    x = X.T.copy()", "    shape = x.shape", *head,
-                   *buffers, f"    {listed('x')}= x",
-                   "    est = err is not None",
-                   "    if est:",
-                   "        _half = _halves(shape)",
-                   "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
-                   "    for k in range(len(S)):",
-                   *("    " + line for line in [
-                       *times, *body, scheduled,
-                       "        np.fmax(err, np.maximum.reduce(abs(x + F - "
-                       f"{half.format('x')})) / 15.0, out=err)",
-                       "    np.add(x, F, out=x)", *carry, "    S[k] = xt",
-                       "    if not np.maximum.reduce(np.maximum(lo - x, "
-                       "x - hi), None) <= _TOL:",
-                       "        return k"]),
-                   "    return len(S)"]
+            src += ["    x = X.T.copy()",
+                    "    a, b, c, d, y = np.empty((5,) + x.shape)",
+                    *(f"    {listed(v)}= {v}" for v in "abcdyx"),
+                    "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
+                    "    for k in range(len(S)):",
+                    *("    " + line for line in [
+                        *times, *body, "    np.add(x, F, out=x)", *carry,
+                        "    S[k] = xt",
+                        "    if not np.maximum.reduce(np.maximum(lo - x, "
+                        "x - hi), None) <= _TOL:",
+                        "        return k"]),
+                    "    return len(S)"]
         return _define(src, consts)["_run"], counts
 
     columns, column = generate(rows=False)

@@ -1,25 +1,26 @@
 """Trajectory-based validation of certificates.
 
 Integration is classical fixed-step RK4 through the system's compiled
-block kernel (see ``rk4.compile_step``), which runs the four stages inline
-and is bit for bit the same arithmetic as four calls of the vector field.
-It comes in two shapes with the same bits, on (n, m) arrays and on rows of
-Python floats; ``SystemDef.rk4_run`` takes the row kernel for a block of
-few live rows (``rk4.StepKernels.pick``), so ``simulate`` of a few starts
-and ``entrain`` run on rows, ``contract`` with its 20 starts on columns.
-One call runs a block of up to ``_BLOCK`` steps and writes each step's
-states to a buffer, from which the kept samples are sliced; a remainder
-step that ends the run on t_end is a block of its own.
+block kernel (see ``rk4.compile_step``), which takes plain steps, runs the
+four stages inline and is bit for bit the same arithmetic as four calls of
+the vector field.  It comes in two shapes with the same bits, on (n, m)
+arrays and on rows of Python floats; ``SystemDef.rk4_run`` takes the row
+kernel for a block of few live rows (``rk4.StepKernels.pick``), so
+``simulate`` of a few starts and ``entrain`` run on rows, ``contract`` with
+its 20 starts on columns.  One call runs a block of up to ``_BLOCK`` steps
+and writes each step's states to a buffer, from which the kept samples are
+sliced; a remainder step that ends the run on t_end is a block of its own.
 When the caller asks for it (``integrate_batch(estimate=True)``, the
-default, as ``integrate`` and ``simulate`` use it), the kernel also takes a
-step-doubling error estimate on every 16th step of the run and on the
-last: it calls the same step twice at h/2, and the difference of those two
-half steps from the full step, scaled by 1/15, raises the trajectory's
-worst step error.  ``estimate_contraction_rate`` and ``entrainment_test``
-do not read that error, so they skip the estimate, and ``max_step_error``
-is NaN ("not estimated").  The state itself always advances by the plain
-full step, so the states are the same bits either way and convergence
-stays exactly fourth order.
+default, as ``integrate`` and ``simulate`` use it), ``integrate_batch``
+takes a step-doubling error estimate on every 16th step of the run and on
+the last: it runs the same kernel for two steps of h/2 from the step's
+start, and the difference of those two half steps from the full step,
+scaled by 1/15, raises the trajectory's worst step error.
+``estimate_contraction_rate`` and ``entrainment_test`` do not read that
+error, so they skip the estimate, and ``max_step_error`` is NaN ("not
+estimated").  The state itself always advances by the plain full step, so
+the states are the same bits either way and convergence stays exactly
+fourth order.
 
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain
@@ -70,6 +71,12 @@ __all__ = [
 # steps per kernel call: against 16 to 4,096, both shapes run as fast at
 # 256 as at 4,096 within the noise; 16 costs the row kernel about 40%
 _BLOCK = 256
+# the step error is estimated on every this many steps of a run, and on
+# its last
+_ESTIMATE_EVERY = 16
+# how far the spread of entrained trajectories may grow from one period to
+# the next
+_MONO_TOL = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -169,10 +176,14 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     stored samples end there: for callers that raise the earliest failure
     and would discard the rest of the run anyway.
 
-    With ``estimate`` False the kernel takes no step-doubling estimate and
-    ``max_step_error`` is all NaN; the samples and failures are the same
-    bits.  Such a run evaluates f only at the stage times t, t + h/2 and
-    t + h, never at the estimate's t + h/4 and t + 3h/4.
+    With ``estimate`` (the default), on every 16th step of the run and on
+    its last, the same kernel takes two steps of h/2 from the step's start,
+    without domain bounds, and max_i |full_i - half_i| / 15 raises the
+    row's ``max_step_error`` by ``np.fmax`` (a NaN estimate keeps the old
+    error); the row that fails at a step gets that step's estimate too.
+    Without it ``max_step_error`` is all NaN, and the samples and failures
+    are the same bits.  Such a run evaluates f only at the stage times t,
+    t + h/2 and t + h, never at the estimate's t + h/4 and t + 3h/4.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
@@ -221,6 +232,9 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     xs[0] = X0
     max_err = np.zeros(B) if estimate else np.full(B, np.nan)
     S = np.empty((min(_BLOCK, n_steps), B, sys.n))   # one block's states
+    # an estimate's two half steps, and their bounds: none
+    H, free = np.empty((2, B, sys.n)), np.full((2, B, sys.n), np.inf)
+    free[0] = -np.inf
     saved, k, t = 1, 0, float(t0)
     # overflow and NaN are reported per row by drop_failed, not by numpy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -228,21 +242,32 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
         while k < n_steps and not (abort_on_failure and failures):
             # whole steps up to a block, then the remainder step alone
             h, K = (dt, min(len(S), n_full - k)) if k < n_full else (rem, 1)
+            T = np.cumsum([t] + [h] * K)   # t += h, step by step
             m, failed = rows.size, False
             if m:
-                err = max_err[rows] if estimate else None
+                err, half, (flo, fhi) = max_err[rows], H[:, :m], free[:, :m]
                 try:
-                    done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi, err, k,
-                                       n_steps - 1)
+                    done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi)
+                    for j in range(min(done + 1, K) if estimate else 0):
+                        if (k + j) % _ESTIMATE_EVERY and k + j != n_steps - 1:
+                            continue
+                        # two steps of h/2 from the step's start; a second
+                        # call where the first stops at a non-finite state
+                        tj = float(T[j])
+                        if not sys.rk4_run(S[j - 1, :m] if j else X, tj,
+                                           h / 2, half, flo, fhi):
+                            sys.rk4_run(half[0], tj + h / 2, h / 2, half[1:],
+                                        flo, fhi)
+                        gap = np.maximum.reduce(abs(S[j, :m] - half[1]), 1)
+                        np.fmax(err, gap / 15.0, out=err)
                 except ArithmeticError as exc:
                     # kernels keep subtrees of constants and t as Python floats
                     raise SimulationError(
                         "the vector field cannot be evaluated between "
                         f"t={t:.6g} and t={t + K * h:.6g}: {exc}") from exc
-                if estimate:
-                    max_err[rows] = err
+                max_err[rows] = err
                 failed, K = done < K, min(done + 1, K)
-            T = np.cumsum([t] + [h] * K)[1:]   # t += h, step by step
+            T = T[1:K + 1]
             # the kept samples before the block's last step, then that step,
             # whose failures leave the live set first
             first = (-k - 1) % save_every
@@ -445,13 +470,13 @@ class EntrainReport:
 
 
 def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
-                     dt: float = 5e-3, final_tol: float = 1e-4,
-                     mono_tol: float = 1e-12) -> EntrainReport:
+                     dt: float = 5e-3,
+                     final_tol: float = 1e-4) -> EntrainReport:
     """Do trajectories of a T-periodic system converge to one another?
 
     States are sampled at multiples of the period T and three things are
     checked: (a) the max pairwise distance never increases from one period
-    to the next (within ``mono_tol``); (b) it at least halves over the last
+    to the next (within ``_MONO_TOL``); (b) it at least halves over the last
     half of the run (a system with no attraction, e.g. xdot = 0, keeps its
     spread and fails here); (c) the final mutual distance is below
     ``final_tol``.  Per-trajectory period-to-period increments are reported
@@ -485,7 +510,7 @@ def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
         spread[k] = float(np.max(np.abs(diff)))
     increments = np.max(np.abs(P[1:] - P[:-1]), axis=2)  # (K, B)
 
-    nonincreasing = bool(np.all(spread[1:] <= spread[:-1] + mono_tol))
+    nonincreasing = bool(np.all(spread[1:] <= spread[:-1] + _MONO_TOL))
     half = (K + 1) // 2
     geometric = bool(spread[-1] <= max(1e-12, 0.5 * spread[half]))
     final_ok = bool(spread[-1] < final_tol)

@@ -22,11 +22,11 @@ Parsing is one operator-precedence loop on explicit stacks
 (``==`` and ``hash`` of a node compare a flat key that walker builds).
 Every numeric evaluation runs through kernels generated by one emitter
 (``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
-and ``rk4.compile_step`` for blocks of RK4 steps, in two shapes with the
-same bits, on arrays and on rows of Python floats, each of which runs its
-one emitted step inline and, for the error estimate when the caller asks
-for it, calls it twice at h/2; ``SystemDef.rk4_run`` picks a shape by
-counts the emitter returns (``rk4.StepKernels.pick``).
+and ``rk4.compile_step`` for blocks of plain RK4 steps, in two shapes with
+the same bits, on arrays and on rows of Python floats, each of which runs
+its one emitted step inline (``sim.integrate_batch`` takes the error
+estimate by running the same kernel at h/2); ``SystemDef.rk4_run`` picks a
+shape by counts the emitter returns (``rk4.StepKernels.pick``).
 
 A system is declared in a block like::
 
@@ -141,47 +141,6 @@ class Expr:
 
     def __hash__(self):
         return hash(self._key())
-
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
-
-    def __pow__(self, n):
-        return Pow(self, int(n))
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __str__(self):
-        return pretty(self)
-
-
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, float)):
-        return Const(float(v))
-    raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
 class _Unary(Expr):
@@ -774,10 +733,6 @@ class Guard:
     def __hash__(self):
         return hash(self._k)
 
-    @property
-    def diff(self) -> Expr:
-        return Sub(self.a, self.b)
-
 
 def _collect_guards(e: Expr) -> list:
     """The distinct guards of ``e``: first occurrence, pre-order, left to
@@ -815,10 +770,6 @@ class ExprMatrix:
     # keyed on the entries, which would conflate Const(0.0) and Const(-0.0)
     _kernel: Optional[Callable] = field(default=None, init=False, repr=False,
                                         compare=False)
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -874,8 +825,19 @@ class JacobianBranches:
             if key not in self._row_cache:
                 choice = {self.guards[k]: pattern[k] for k in self._uses[i]}
                 smooth = _substitute_branches(f, choice)
-                self._row_cache[key] = tuple(differentiate(smooth, j)
-                                             for j in range(self.sys.n))
+                # differentiation folds constants (c^2 of x / c), which
+                # may overflow or leave a divisor of 0
+                where = ("Jacobian of the equation for "
+                         f"d{self.sys.state_names[i]}")
+                try:
+                    row = tuple(differentiate(smooth, j)
+                                for j in range(self.sys.n))
+                except OverflowError:
+                    raise DslError(f"{where}: a constant power "
+                                   "overflows") from None
+                for e in row:
+                    _check_constants(e, where)
+                self._row_cache[key] = row
             rows.append(self._row_cache[key])
         mat = ExprMatrix(tuple(rows))
         self._matrix_cache[pattern] = mat
@@ -972,20 +934,16 @@ class SystemDef:
         return self._f_batch(X, t)
 
     def rk4_run(self, X: np.ndarray, t: float, h: float, S: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, err: Optional[np.ndarray],
-                k0: int, last: int) -> int:
-        """Up to len(S) RK4 steps of the rows of X (m, n) from time t, each
-        state written to S[k] and checked against lo/hi (m, n), and the
-        error estimates of the scheduled steps, each two calls of the same
-        step at h/2 against the full step, folded into err (m,); with err
-        None no estimate is taken.  Returns the first step that leaves the
-        domain, or len(S) (see ``rk4.compile_step``).  The kernel's shape
-        is picked for each call by ``StepKernels.pick`` from m; both give
-        the same bits."""
+                lo: np.ndarray, hi: np.ndarray) -> int:
+        """Up to len(S) plain RK4 steps of the rows of X (m, n) from time t,
+        each state written to S[k] and checked against lo/hi (m, n).
+        Returns the first step that leaves the domain, or len(S) (see
+        ``rk4.compile_step``).  The kernel's shape is picked for each call
+        by ``StepKernels.pick`` from m; both give the same bits."""
         if self._rk4 is None:
             from .rk4 import compile_step
             self._rk4 = compile_step(self.odes)
-        return self._rk4.pick(len(X))(X, t, h, S, lo, hi, err, k0, last)
+        return self._rk4.pick(len(X))(X, t, h, S, lo, hi)
 
     def validate(self) -> None:
         n = self.n

@@ -151,6 +151,27 @@ def test_constant_division_by_zero_is_usage(argv, equilibrium, tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("rhs, fault, sim_code", [
+    ("x1 / 1e-300 - 3", "a constant subexpression divides by zero",
+     EXIT_FAIL),
+    ("x1 / 1e300", "a constant power overflows", EXIT_PASS),
+])
+def test_raising_constant_of_a_derivative_is_usage(rhs, fault, sim_code,
+                                                   tmp_path, capsys):
+    """certify refuses a field whose Jacobian folds a raising constant,
+    where it crashed with a traceback; simulate, which does not
+    differentiate, runs (the first field blows up to a non-finite
+    state)."""
+    bad = tmp_path / "bad.sys"
+    bad.write_text(f"system z {{\n  states x1 in [-1, 1]\n  dx1 = {rhs}\n}}\n")
+    code = main(["certify", str(bad), "--box=-1:1", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"monocert: Jacobian of the equation for dx1: {fault}\n")
+    assert main(["simulate", str(bad), "--x0", "0.5", "--t-end", "0.01",
+                 "--out", str(tmp_path)]) == sim_code
+
+
 TIME_VARYING_SYS = """system tv {
   states x1 in [-1, 1], x2 in [-1, 1]
   dx1 = -x1 + 0.1*sin(t)*x2
@@ -427,11 +448,39 @@ def test_entrain_zero_field_fails(tmp_path):
     assert rep["checks"]["geometric_decay"] is False
 
 
-def test_entrain_without_period_is_usage(tmp_path, capsys):
+def test_entrain_without_period_fails(tmp_path, capsys):
+    """A system without a period is refused by ``entrainment_test``, whose
+    errors exit 1 as those of contract and simulate do."""
     code = main(["entrain", "ex1", "--x0-set=0,0;1,1",
                  "--out", str(tmp_path)])
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "monocert: entrainment needs a system with a declared period\n")
+
+
+def test_entrain_leaving_the_domain_fails(tmp_path, capsys):
+    """A trajectory that leaves the domain mid-run is a runtime failure
+    (exit 1), not a usage error: the start at 0.5 drifts out of [-1, 1]
+    at about t = 0.49."""
+    path = tmp_path / "drift.sys"
+    path.write_text("system drift {\n  states x in [-1, 1]\n"
+                    "  dx = 1 + 0.1*sin(t)\n  period 6.283185307179586\n}\n")
+    code = main(["entrain", str(path), "--x0-set=0;0.5", "--periods", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("monocert: trajectory 1 left the domain at "
+                          "t=0.489859: ")
+    assert not (tmp_path / "entrain-report.json").exists()
+
+
+@pytest.mark.parametrize("x0_set", ["0", "0;", "1;;"])
+def test_entrain_needs_two_starts_is_usage(tmp_path, capsys, x0_set):
+    code = main(["entrain", "entrain_cubic", f"--x0-set={x0_set}",
+                 "--out", str(tmp_path)])
     assert code == EXIT_USAGE
-    assert "period" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "monocert: entrainment needs at least two initial conditions\n")
 
 
 def test_export_sos(tmp_path, capsys):

@@ -101,12 +101,13 @@ def _bits(a: np.ndarray) -> np.ndarray:
 def test_rk4_step_matches_the_four_call_form(name):
     """K steps of the kernel are bit for bit K rounds of four ``f_batch``
     calls, and close to K steps in Python floats over the tree-walking
-    oracle; each error estimate it folds in is bit for bit
-    max_i |full_i - half_i| / 15 over such steps, ``half`` being two steps
-    of h/2.  ``rk4_run`` takes the row kernel for 1 and 3 rows and the
-    column kernel for 40 and 64, past every system's crossover, and for 20
-    on all but entrain_linear and entrain_zero, whose rows run past 20, so
-    both shapes are checked on every system."""
+    oracle; the error ``integrate_batch`` estimates with it is the
+    reference's, and on one step bit for bit max_i |full_i - half_i| / 15,
+    ``half`` being two four-call steps of h/2.  ``rk4_run`` takes the row
+    kernel for 1 and 3 rows and the column kernel for 40 and 64, past every
+    system's crossover, and for 20 on all but entrain_linear and
+    entrain_zero, whose rows run past 20, so both shapes are checked on
+    every system."""
     sys = _mixed_field() if name == "mixed" else load_system(name)
     kernels, ran = compile_step(sys.odes), []
 
@@ -126,42 +127,39 @@ def test_rk4_step_matches_the_four_call_form(name):
         for B in (1, 3, 20, 40, 64):
             ran.clear()
             X = lo + (hi - lo) * rng.random((B, sys.n))
-            want, starts, t, Y = [], [], 0.7, X
+            want, t, Y = [], 0.7, X
             for _ in range(15):
-                starts.append((Y, t))
                 Y = rk4_four_calls(sys, Y, t, h)
                 want.append(Y)
                 t += h
-            estimates = []
-            for (Y, t), full in zip(starts, want):
-                mid = rk4_four_calls(sys, Y, t, h / 2)
-                half = rk4_four_calls(sys, mid, t + h / 2, h / 2)
-                estimates.append(np.abs(full - half).max(axis=1) / 15.0)
             inf = np.full((B, sys.n), np.inf)
             for K in (1, 2, 15):
-                # run steps 15 .. 14 + K, of which step 16 (the block's
-                # second) and the last take the estimate
                 S = np.full((K, B, sys.n), np.nan)
-                err = np.zeros(B)
-                assert sys.rk4_run(X, 0.7, h, S, -inf, inf, err, 15,
-                                   14 + K) == K
+                assert sys.rk4_run(X, 0.7, h, S, -inf, inf) == K
                 assert np.array_equal(_bits(S), _bits(np.array(want[:K])))
-                scheduled = sorted({1, K - 1} & set(range(K)))
-                assert np.array_equal(_bits(err), _bits(np.fmax.reduce(
-                    [np.zeros(B)] + [estimates[k] for k in scheduled])))
             exact, t = [list(x) for x in X[:3]], 0.7
             for k in range(15):
                 exact = [rk4_at(sys, x, t, h) for x in exact]
                 t += h
                 np.testing.assert_allclose(S[k, :3], exact, rtol=1e-12, atol=0)
-            # a single estimate, on the run's first step
-            err = np.zeros(B)
-            S = np.empty((1, B, sys.n))
-            assert sys.rk4_run(X, 0.7, h, S, -inf, inf, err, 0, 7) == 1
-            assert np.array_equal(_bits(S[0]), _bits(want[0]))
-            assert np.array_equal(_bits(err), _bits(estimates[0]))
             late = B == 20 and name in ("entrain_linear", "entrain_zero")
-            assert set(ran) == {"rows" if B <= 3 or late else "columns"}
+            shape = {"rows" if B <= 3 or late else "columns"}
+            assert set(ran) == shape
+            # the estimates of steps 0 and 16 and of the last, 17 or 18
+            for K in (17, 18):
+                _assert_matches_reference(sys, X, 0.7 + K * h, h, 0.7, 5,
+                                          False)
+            # a single estimate, on the run's first step, which it takes
+            # also on the rows that leave the domain there (in rotation)
+            ran.clear()
+            batch = integrate_batch(sys, X, 0.7 + h, dt=h, t0=0.7)
+            mid = rk4_four_calls(sys, X, 0.7, h / 2)
+            half = rk4_four_calls(sys, mid, 0.7 + h / 2, h / 2)
+            kept = sorted(set(range(B)) - set(batch.failures))
+            assert np.array_equal(_bits(batch.x[1, kept]), _bits(want[0][kept]))
+            assert np.array_equal(_bits(batch.max_step_error), _bits(
+                np.abs(want[0] - half).max(axis=1) / 15.0))
+            assert ran == list(shape) * 2   # the step, then its estimate
 
 
 def _premise_values() -> np.ndarray:
@@ -257,25 +255,23 @@ def _random_field(rng, n: int, root=None, depth: int = 4):
     return grow(depth, root)
 
 
-def _assert_shapes_agree(odes, X, t, h, K, lo, hi, err, k0, last):
+def _assert_shapes_agree(odes, X, t, h, K, lo, hi):
     """Both kernel shapes of ``odes`` return the same step, or raise the
-    same ArithmeticError, and leave the same bits in S and err.  A NaN
-    compares as NaN: its sign and payload are never observable."""
+    same ArithmeticError, and leave the same bits in S.  A NaN compares as
+    NaN: its sign and payload are never observable."""
     kernels = compile_step(odes)
     seen = []
     for run in (kernels.columns, kernels.rows):
-        S, e = np.full((K,) + X.shape, np.nan), err.copy()
+        S = np.full((K,) + X.shape, np.nan)
         try:
             with np.errstate(all="ignore"):
-                got = run(X, t, h, S, lo, hi, e, k0, last)
+                got = run(X, t, h, S, lo, hi)
         except ArithmeticError as exc:
             got = (type(exc), str(exc))
-        seen.append((got, _bits(np.where(np.isnan(S), np.nan, S)),
-                     _bits(e)))
-    (a, S_a, e_a), (b, S_b, e_b) = seen
+        seen.append((got, _bits(np.where(np.isnan(S), np.nan, S))))
+    (a, S_a), (b, S_b) = seen
     assert a == b
     assert np.array_equal(S_a, S_b)
-    assert np.array_equal(e_a, e_b)
     return a
 
 
@@ -283,8 +279,8 @@ def _assert_shapes_agree(odes, X, t, h, K, lo, hi, err, k0, last):
 def test_row_kernel_matches_the_column_kernel(seed):
     """Random fields with every node type at the top of one equation, on
     x1 in [-3, 3] and x2, x3 free: rows that blow up or leave mid-block,
-    zero divisors, subtrees of ``t`` alone, blocks with and without an
-    error estimate, and errors that start at NaN."""
+    zero divisors and subtrees of ``t`` alone.  Each block is also run by
+    ``integrate_batch`` with the error estimate, on each shape alone."""
     rng = np.random.default_rng([seed, 43])
     returns = set()
     for root in _KINDS:
@@ -295,13 +291,42 @@ def test_row_kernel_matches_the_column_kernel(seed):
             X = rng.uniform(-2.5, 2.5, (m, n))
             lo = np.tile([-3.0] + [-np.inf] * (n - 1), (m, 1))
             hi = np.tile([3.0] + [np.inf] * (n - 1), (m, 1))
-            err = rng.choice([0.0, 1e-3, np.nan], m)
             h = float(rng.choice([1e-2, 0.1, 0.3]))
-            k0 = int(rng.integers(0, 20))
-            returns.add(_assert_shapes_agree(
-                odes, X, float(rng.choice([0.0, 0.3])), h, 24, lo, hi, err,
-                k0, k0 + int(rng.integers(0, 26))))
+            t = float(rng.choice([0.0, 0.3]))
+            returns.add(_assert_shapes_agree(odes, X, t, h, 24, lo, hi))
+            _assert_estimates_agree(odes, X, t, h, 24)
     assert 24 in returns and len(returns) > 2   # some blocks stop early
+
+
+def _assert_estimates_agree(odes, X, t0, h, steps):
+    """``integrate_batch`` with the estimate, with either kernel shape
+    forced, on x1 in [-3, 3] and the other states free: the same samples,
+    failures and errors, or the same ``SimulationError``."""
+    n = X.shape[1]
+    free = mc.Interval(-np.inf, np.inf, False, False)
+    sys = mc.SystemDef("r", tuple(f"x{i + 1}" for i in range(n)),
+                       (mc.Interval(-3.0, 3.0),) + (free,) * (n - 1),
+                       tuple(odes))
+    kernels = compile_step(sys.odes)
+    seen = []
+    for forced in (kernels._replace(rows=kernels.columns),
+                   kernels._replace(columns=kernels.rows)):
+        sys._rk4 = forced
+        try:
+            with np.errstate(all="ignore"):
+                got = integrate_batch(sys, X, t0 + steps * h, dt=h, t0=t0)
+        except SimulationError as exc:
+            seen.append(str(exc))
+            continue
+        seen.append((_bits(got.t), _bits(got.x), _bits(got.max_step_error),
+                     got.failures))
+    a, b = seen
+    assert type(a) is type(b)
+    if isinstance(a, str):
+        assert a == b
+    else:
+        for u, v in zip(a, b):
+            assert u == v if isinstance(u, dict) else np.array_equal(u, v)
 
 
 def test_row_records_share_only_the_same_operation():
@@ -314,8 +339,7 @@ def test_row_records_share_only_the_same_operation():
             Sub(Mul(Const(0.0), x), Mul(Const(-0.0), Var(1))))
     X = np.array([[1.5, -2.0, 0.5], [-0.0, 0.0, -1.0], [-1.0, 3.0, 0.0]])
     inf = np.full(X.shape, np.inf)
-    assert _assert_shapes_agree(odes, X, 0.0, 0.1, 4, -inf, inf,
-                                np.zeros(3), 0, 3) == 4
+    assert _assert_shapes_agree(odes, X, 0.0, 0.1, 4, -inf, inf) == 4
 
 
 @pytest.mark.parametrize("c,k_out", [(0.5, 6), (1.5, 5), (3.0, 5)])
@@ -327,7 +351,7 @@ def test_both_shapes_return_at_the_step_past_the_tolerance(c, k_out):
     X = np.array([[1 - 6e-2 + c * tol]])
     assert _assert_shapes_agree((Add(Const(1.0), Mul(Const(0.0), Var(0))),),
                                 X, 0.0, 1e-2, 10, np.zeros((1, 1)),
-                                np.ones((1, 1)), np.zeros(1), 0, 9) == k_out
+                                np.ones((1, 1))) == k_out
 
 
 @pytest.mark.parametrize(
@@ -354,17 +378,25 @@ def test_pick_switches_shape_once(name):
 def test_both_shapes_keep_the_error_where_a_component_is_nan():
     """Where x2 overflows to inf in the full step and in the half steps,
     their difference is NaN: numpy's maximum makes the row's estimate NaN,
-    and fmax keeps its old error in both shapes."""
-    odes = (Neg(Var(0)), Mul(Pow(Var(1), 2), Const(1e300)))
+    and fmax keeps its old error, on rows (2 starts) and on columns (40),
+    as the reference does."""
+    sys = mc.parse_system("""
+    system blowup {
+      states x1 in (-inf, inf), x2 in (-inf, inf)
+      dx1 = -x1
+      dx2 = x2^2 * 1e300
+    }
+    """)
     X = np.array([[1.0, 1.0], [1.0, 0.0]])
-    inf = np.full((2, 2), np.inf)
-    err = np.zeros(2)
-    assert _assert_shapes_agree(odes, X, 0.0, 0.1, 3, -inf, inf, err, 0,
-                                2) == 0
-    S = np.empty((3, 2, 2))
-    with np.errstate(all="ignore"):
-        compile_step(odes).columns(X, 0.0, 0.1, S, -inf, inf, err, 0, 2)
-    assert err[0] == 0 and np.isinf(S[0, 0, 1]) and err[1] > 0
+    for X0, shape in ((X, "rows"), (np.tile(X, (20, 1)), "columns")):
+        _assert_matches_reference(sys, X0, 0.3, 0.1, 0.0, 1, False)
+        with np.errstate(all="ignore"):
+            batch = integrate_batch(sys, X0, 0.3, dt=0.1)
+        assert sys._rk4.pick(len(X0)) is getattr(sys._rk4, shape)
+        assert set(batch.failures) == set(range(0, len(X0), 2))
+        assert batch.failures[0][:2] == (0, math.inf)
+        err = batch.max_step_error
+        assert (err[0::2] == 0).all() and (err[1::2] > 0).all()
 
 @pytest.mark.parametrize("field,exc", [
     # t runs 0.5, 0.75, 1.0, ...: t + h reaches 1 on the second step
@@ -373,20 +405,40 @@ def test_both_shapes_keep_the_error_where_a_component_is_nan():
     # (t * 1e154)^2 overflows once t passes about 1.34
     (Sub(Neg(Var(0)), Mul(Const(1e-300), Pow(Mul(TimeVar(), Const(1e154)),
                                              2))), OverflowError),
-    # the error estimate's own time t + h/4 reaches 1.5 on step 3
+    # a plain-step pole: t + h reaches 1.5 on step 3
     (Sub(Var(0), Div(Const(1.0), Sub(TimeVar(), Const(1.5)))),
      ZeroDivisionError),
 ])
 def test_both_shapes_raise_at_the_same_step(field, exc):
     """A subtree of ``t`` alone keeps Python's ``/`` and ``**``: both shapes
-    raise its error at the same step, with the same states and errors
-    written before it."""
+    raise its error at the same step, with the same states written before
+    it."""
     X = np.array([[0.5], [-0.25], [1.0]])
     for m in (1, 3):
         got = _assert_shapes_agree(
             (field,), X[:m], 0.5, 0.25, 12, np.full((m, 1), -np.inf),
-            np.full((m, 1), np.inf), np.zeros(m), 0, 11)
+            np.full((m, 1), np.inf))
         assert got[0] is exc
+
+
+def test_both_shapes_raise_at_a_quarter_step_pole():
+    """A pole at 0.5 + 0.25/4, the midpoint of the first half step in the
+    estimate of step 0, which the plain steps from t = 0.5 with h = 0.25
+    never reach: each kernel shape alone goes through, and
+    ``integrate_batch`` with the estimate raises the same message on rows
+    (1 and 3 starts) and on columns (40)."""
+    sys = _scalar("x - 1 / (t - 0.5625)")
+    X = np.linspace(-1.0, 1.0, 40)[:, None]
+    inf = np.full((3, 1), np.inf)
+    assert _assert_shapes_agree(sys.odes, X[:3], 0.5, 0.25, 12, -inf,
+                                inf) == 12
+    for m, shape in ((1, "rows"), (3, "rows"), (40, "columns")):
+        with pytest.raises(SimulationError) as exc:
+            integrate_batch(sys, X[:m], 3.5, dt=0.25, t0=0.5)
+        assert str(exc.value) == ("the vector field cannot be evaluated "
+                                  "between t=0.5 and t=3.5: float division "
+                                  "by zero")
+        assert sys._rk4.pick(m) is getattr(sys._rk4, shape)
 
 
 def _assert_matches_reference(sys, X0, t_end, dt, t0, save_every, abort,
@@ -453,15 +505,17 @@ def test_integrate_batch_matches_the_whole_run_reference(name, seed):
 def test_run_without_estimate_matches_the_reference_on_both_shapes(
         monkeypatch, abort):
     """Without the estimate, 3 starts on rows and 40 on columns, of which
-    some leave [-1, 1]^2 mid-run: every kernel call gets no ``err``, and
-    the samples and failures are the reference's bits."""
+    some leave [-1, 1]^2 mid-run: every kernel call is a plain block of
+    dt within the domain, none an estimate's half steps (unbounded, at
+    h/2), and the samples and failures are the reference's bits."""
     sys = load_system("rotation")
     shapes = []
     rk4_run = mc.SystemDef.rk4_run
 
-    def spied(self, X, t, h, S, lo, hi, err, k0, last):
-        assert err is None
-        done = rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
+    def spied(self, X, t, h, S, lo, hi):
+        assert h == 1e-2 or abs(h - 0.37e-2) < 1e-12   # or the remainder
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        done = rk4_run(self, X, t, h, S, lo, hi)
         kernels = self._rk4
         shapes.append("rows" if kernels.pick(len(X)) is kernels.rows
                       else "columns")
@@ -481,22 +535,24 @@ def test_run_without_estimate_matches_the_reference_on_both_shapes(
 
 def test_contract_and_entrain_take_no_estimate(linear_sym, monkeypatch):
     """``estimate_contraction_rate`` and ``entrainment_test`` discard the
-    step error, so no kernel call of theirs takes the estimate."""
-    errs = []
+    step error, so no kernel call of theirs takes the estimate: every call
+    is a block of the run's own step, none an estimate's two of h/2."""
+    steps = []
     rk4_run = mc.SystemDef.rk4_run
 
-    def spied(self, X, t, h, S, lo, hi, err, k0, last):
-        errs.append(err)
-        return rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
+    def spied(self, X, t, h, S, lo, hi):
+        steps.append(h)
+        return rk4_run(self, X, t, h, S, lo, hi)
 
     monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
     fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
     rep = estimate_contraction_rate(linear_sym, fam, pairs=3, t_end=0.5)
-    assert rep.passed and errs and all(e is None for e in errs)
-    errs.clear()
-    rep = entrainment_test(load_system("entrain_cubic"), [[-2.0], [2.0]],
-                           horizon_periods=2)
-    assert errs and all(e is None for e in errs)
+    assert rep.passed and steps and set(steps) == {1e-3}
+    steps.clear()
+    cubic = load_system("entrain_cubic")
+    rep = entrainment_test(cubic, [[-2.0], [2.0]], horizon_periods=2)
+    T = float(cubic.period)
+    assert steps and set(steps) == {T / round(T / 5e-3)}
 
 
 def test_run_without_estimate_never_evaluates_the_quarter_step_times():
@@ -623,8 +679,7 @@ def test_block_kernel_returns_at_the_step_that_leaves(rotation):
             t += dt
         S = np.full((15, 1, 2), np.nan)
         one = np.ones((1, 2))
-        done = rotation.rk4_run(states[k0 - 1], t, dt, S, -one, one,
-                                np.zeros(1), k0, 199)
+        done = rotation.rk4_run(states[k0 - 1], t, dt, S, -one, one)
         assert done == k_out - k0
         assert np.array_equal(_bits(S[:done + 1]),
                               _bits(np.array(states[k0:k_out + 1])))
@@ -738,8 +793,8 @@ def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
     ends = []
     rk4_run = mc.SystemDef.rk4_run
 
-    def counted_run(self, X, t, h, S, lo, hi, err, k0, last):
-        done = rk4_run(self, X, t, h, S, lo, hi, err, k0, last)
+    def counted_run(self, X, t, h, S, lo, hi):
+        done = rk4_run(self, X, t, h, S, lo, hi)
         for _ in range(min(done + 1, len(S))):    # the steps it computed
             t += h
             ends.append(t)

@@ -13,10 +13,10 @@ from monocert.synth import (
     COEFF_CAP, LPProblem, SynthError, V_CAP, export_sos_sdpa,
     parse_sos_solution, solve_lp, synth_const, synth_poly,
 )
-from monocert.sysdsl import jacobian, parse_system
+from monocert.sysdsl import jacobian, parse_expr, parse_system
 
 from conftest import linear_system, load_system
-from oracles import is_hurwitz, synthesis_rows
+from oracles import evaluate, is_hurwitz, synthesis_rows
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +512,45 @@ def test_sos_export_unbounded_axis_skips_domain_blocks(tmp_path):
     sidecar = export_sos_sdpa(sysd, degree=2, path=str(tmp_path / "c.dat-s"))
     names = [b["name"] for b in sidecar["blocks"]]
     assert names == ["P_1", "Q_1", "coeffs_and_slacks"]  # no S or sigma
+
+
+def test_poly_dict_divides_by_a_nonzero_constant():
+    """Hand-derived coefficients of a field that divides by constants, and
+    its values against the tree-walking oracle at sampled points."""
+    e = parse_expr("x1 / 4 - x2^2 / 0.5 + (x1 * x2) / -2 + 3 / 8",
+                   ["x1", "x2"])
+    poly = synth_mod._poly_dict(e, 2)
+    assert poly == {(1, 0): 0.25, (0, 2): -2.0, (1, 1): -0.5, (0, 0): 0.375}
+    rng = np.random.default_rng(7)
+    for x in rng.uniform(-3.0, 3.0, (20, 2)):
+        value = sum(c * x[0] ** a * x[1] ** b for (a, b), c in poly.items())
+        assert value == pytest.approx(evaluate(e, x), rel=1e-12, abs=1e-12)
+
+
+def test_domain_poly_of_an_axis_bounded_above():
+    """x2 in (-inf, 2] is 2 - x2 >= 0: zero on the bound, positive below
+    it, negative above, with no term in x1."""
+    d = synth_mod._domain_poly(-math.inf, 2.0, 2, 1)
+    assert d == {(0, 0): 2.0, (0, 1): -1.0}
+    for x2, sign in ((2.0, 0.0), (1.5, 1.0), (-7.0, 1.0), (2.5, -1.0)):
+        value = sum(c * x2 ** b for (_, b), c in d.items())
+        assert math.copysign(1.0, value) * (value != 0) == sign
+
+
+def test_sos_export_of_a_field_that_divides_by_a_constant(tmp_path):
+    """export-sos of dx = -x/4 on (-inf, 2]: the field is a polynomial, and
+    the axis bounded above gets its domain blocks."""
+    sysd = parse_system("""
+    system quarter {
+        states x in (-inf, 2]
+        dx = -x / 4
+        equilibrium (0)
+    }
+    """)
+    sidecar = export_sos_sdpa(sysd, degree=2, path=str(tmp_path / "q.dat-s"))
+    assert [b["name"] for b in sidecar["blocks"]] == [
+        "P_1", "S_1", "Q_1", "sigma_1_1", "coeffs_and_slacks"]
+    assert sidecar["bounds"] == [[-math.inf, 2.0]]
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])

@@ -137,6 +137,38 @@ def test_raising_constant_is_a_dsl_error_naming_the_equation(rhs, fault):
         parse_system(text)
 
 
+@pytest.mark.parametrize("rhs, fault", [
+    # d/dx1 is 1e-300 / (1e-300)^2, whose folded square underflows to 0
+    ("x1 / 1e-300 - 3", "divides by zero"),
+    ("min(x1 / 1e-300, 1) - 3", "divides by zero"),
+    # d/dx1 is 1e300 / (1e300)^2, whose folded square overflows
+    ("x1 / 1e300", "power overflows"),
+    ("-x1 + max(x1, 0) / 1e300", "power overflows"),
+])
+def test_raising_constant_of_a_derivative_is_a_dsl_error(rhs, fault):
+    """The field parses and evaluates, but a constant that differentiation
+    folds would raise in the Jacobian's kernel (or while folding): the
+    branch matrix is refused, naming the equation."""
+    sysd = parse_system(f"system s {{\n  states x1 in [-1, 1]\n"
+                        f"  dx1 = {rhs}\n}}")
+    with np.errstate(all="ignore"):
+        assert sysd.f_batch(np.array([[0.5]])).shape == (1, 1)
+    with pytest.raises(DslError, match="^Jacobian of the equation for dx1: "
+                       f".*{fault}"):
+        for _ in jacobian(sysd).branches():
+            pass
+
+
+def test_derivative_of_a_division_by_a_constant_still_builds():
+    """x1 / 4 and x1 / 1e-100 differentiate to 4 / 16 and 1e-100 / 1e-200,
+    whose squares fold to normal floats."""
+    sysd = parse_system("system s {\n  states x1 in [-1, 1], x2 in [-1, 1]"
+                        "\n  dx1 = x1 / 4\n  dx2 = x2 / 1e-100\n}")
+    (_, mat), = jacobian(sysd).branches()
+    J = mat.evaluate_batch(np.array([[0.5, 0.5]]))[0]
+    assert J[0, 0] == 0.25 and J[1, 1] == 1e-100 / 1e-200 and J[0, 1] == 0
+
+
 @pytest.mark.parametrize("rhs", [
     "-x1 + x1 / 0",            # 0-d array operand: numpy gives inf
     "-x1 + exp(0) / 0",        # numpy scalar from the call
@@ -542,8 +574,8 @@ def test_lifted_subtrees_keep_the_sign_of_a_zero():
     inf = np.full(X.shape, np.inf)
     kernels = compile_step(sys.odes)
     for run in (kernels.columns, kernels.rows):
-        S, err = np.empty((1,) + X.shape), np.zeros(1)
-        assert run(X, 0.5, 0.1, S, -inf, inf, err, 1, 5) == 1
+        S = np.empty((1,) + X.shape)
+        assert run(X, 0.5, 0.1, S, -inf, inf) == 1
         assert np.array_equal(S[0].view(np.uint64), want.view(np.uint64))
 
 
