@@ -156,7 +156,8 @@ def test_rk4_step_matches_the_four_call_form(name):
             mid = rk4_four_calls(sys, X, 0.7, h / 2)
             half = rk4_four_calls(sys, mid, 0.7 + h / 2, h / 2)
             kept = sorted(set(range(B)) - set(batch.failures))
-            assert np.array_equal(_bits(batch.x[1, kept]), _bits(want[0][kept]))
+            assert np.array_equal(_bits(batch.x[1, kept]),
+                                  _bits(want[0][kept]))
             assert np.array_equal(_bits(batch.max_step_error), _bits(
                 np.abs(want[0] - half).max(axis=1) / 15.0))
             assert ran == list(shape) * 2   # the step, then its estimate
