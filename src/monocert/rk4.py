@@ -113,8 +113,8 @@ def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
     placed = place({})
     placed = place(dict.fromkeys(keep, max(p for p, name, _ in placed
                                            if name in keep)))
-    last = {w: p for p, _, rhs in sorted(placed, key=lambda r: r[0])
-            for w in _NAME.findall(rhs)}   # the last place reading w
+    latest = {w: p for p, _, rhs in sorted(placed, key=lambda r: r[0])
+              for w in _NAME.findall(rhs)}   # the latest place reading w
     rowwise = {name for _, name, _ in placed} | set(where)
     src, loops = [], 0
     for p in sorted({p for p, _, _ in placed}):
@@ -137,7 +137,7 @@ def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
         sources = {where.get(w, w + "_"): inputs.get(where.get(w), w)
                    for w in reads}
         row = f"({''.join(w + ', ' for w in keep if w in here)})"
-        outs = [w for w in here if w not in keep and last.get(w, p) > p]
+        outs = [w for w in here if w not in keep and latest.get(w, p) > p]
         made = ["nxt"] * (row != "()") + [w + "_" for w in outs]
         src += [f"    {', '.join(made)}, = {'[], ' * len(made)}",
                 *(f"    _a{j} = {w}_.append" for j, w in enumerate(outs)),
@@ -148,8 +148,6 @@ def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
                 *(f"        _a{j}({w})" for j, w in enumerate(outs))]
         if row != "()":
             src.append(f"        nxt += {row},")
-            inputs["nxt"] = row
-            where.update(dict.fromkeys(_NAME.findall(row), "nxt"))
     return src, loops
 
 
