@@ -14,9 +14,7 @@ than ``*`` and looser than ``^``, so ``-2^2`` is -(2^2); a sign folds into
 a bare literal (``-2`` is the constant -2, ``--2`` its negation, ``-(2)``
 a negation of 2); a literal ``float`` cannot read (``1.2.3``) is an error.
 A system whose equation holds a subtree of constants that divides by zero
-or overflows in ``^`` is an error naming the equation (``_check_constants``);
-so is building a Jacobian whose derivative folds such a constant (the c^2
-of ``x / c``).
+or overflows in ``^`` is an error naming the equation (``_check_constants``).
 
 Parsing is one operator-precedence loop on explicit stacks
 (``_Parser.expr``), and every tree walk runs on one explicit-stack walker
