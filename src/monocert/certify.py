@@ -64,7 +64,7 @@ import numpy as np
 
 from .measures import (NORM_KIND, PAIRING, WeightFamily, _measure_terms,
                        _scaled_jacobian)
-from .sysdsl import SystemDef, jacobian, JacobianBranches, TIE_TOL
+from .sysdsl import Min, SystemDef, jacobian, JacobianBranches, TIE_TOL
 
 __all__ = [
     "WorkingBox", "CertReport", "CertifyError",
@@ -332,7 +332,7 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     if jb.n_guards == 0:
         return [((), np.arange(X.shape[0]), False)]
     diffs, scales = jb.guard_values(X)
-    is_min = np.array([g.is_min for g in jb.guards])
+    is_min = np.array([isinstance(g, Min) for g in jb.guards])
     side = np.where(is_min, diffs >= 0, diffs <= 0).astype(np.int8)
     key = np.where(np.abs(diffs) <= TIE_TOL * scales, np.int8(_TIED), side)
     order, starts = row_groups(key)

@@ -228,45 +228,33 @@ def compile_step(odes) -> StepKernels:
             at(times, "t4")
             carry = [*(f"    _p{j}_t = _p{j}_t4" for j in range(len(lifted))),
                      "    t = t4"]
-        src = ["def _run(X, t, h, S, lo, hi):", "    hh = h / 2",
+        src = ["def _run(X, t, h, S):", "    hh = h / 2",
                "    h1, h2, h6 = map("
                f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
         if rows:
-            counts["ops"] += 17 * n   # 2 per update, 7 per sum, 4 per check
-            check = (None, "if not (" + " and ".join(
-                f"lo{i} - f{i} <= _TOL and f{i} - hi{i} <= _TOL"
-                for i in range(n)) + "): ok = False", False)
-            plain, counts["loops"] = _row_loops(body + [check], {
-                "live": f"({listed('x')})",
-                "box": f"({listed('lo')}{listed('hi')})"},
+            counts["ops"] += 13 * n   # 2 per update, 7 per sum
+            plain, counts["loops"] = _row_loops(
+                body, {"live": f"({listed('x')})"},
                 [f"f{i}" for i in range(n)])
             src += ["    live, out = X.tolist(), []",
-                    "    box = [a + b for a, b in zip(lo.tolist(), "
-                    "hi.tolist())]",
                     "    try:", *("    " + line for line in start),
                     "        for k in range(len(S)):",
                     *("        " + line for line in [
-                        *times, "    ok = True", *plain, "    out += nxt",
-                        "    live = nxt", *carry, "    if not ok:",
-                        "        return k"]),
-                    "        return len(S)",
+                        *times, *plain, "    out += nxt", "    live = nxt",
+                        *carry]),
                     "    finally:",
                     "        S[:len(out) // len(X)] = np.fromiter(chain."
                     "from_iterable(out), float).reshape(-1, *X.shape)"]
         else:
-            counts["calls"] += 18   # 6 updates, 7 sum, S[k], 4 check
+            counts["calls"] += 14   # 6 updates, 7 sum, S[k]
             src += ["    x = X.T.copy()",
                     "    a, b, c, d, y = np.empty((5,) + x.shape)",
                     *(f"    {listed(v)}= {v}" for v in "abcdyx"),
-                    "    xt, lo, hi = x.T, lo.T.copy(), hi.T.copy()", *start,
+                    "    xt = x.T", *start,
                     "    for k in range(len(S)):",
                     *("    " + line for line in [
                         *times, *body, "    np.add(x, F, out=x)", *carry,
-                        "    S[k] = xt",
-                        "    if not np.maximum.reduce(np.maximum(lo - x, "
-                        "x - hi), None) <= _TOL:",
-                        "        return k"]),
-                    "    return len(S)"]
+                        "    S[k] = xt"])]
         return _define(src, consts)["_run"], counts
 
     columns, column = generate(rows=False)

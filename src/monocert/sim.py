@@ -171,19 +171,24 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     rows continue with unchanged arithmetic.  ``trajectory(j)`` raises row
     j's diagnostic; ``raise_first_failure`` raises the earliest one.
 
-    With ``abort_on_failure`` the whole run stops after the first step at
-    which any row fails (every failure of that step is recorded), and the
-    stored samples end there: for callers that raise the earliest failure
-    and would discard the rest of the run anyway.
+    The kernel takes a block of plain steps of all live rows at once, and
+    the block's states are then checked in one pass: each row leaves at
+    its own first failing step, and its samples from that step on are NaN.
+    A row's exit inside a block thus costs at most the rest of that block.
+    With ``abort_on_failure`` the stored samples end after the first step
+    at which any row fails (every failure of that step is recorded): for
+    callers that raise the earliest failure and would discard the rest of
+    the run anyway.
 
     With ``estimate`` (the default), on every 16th step of the run and on
     its last, the same kernel takes two steps of h/2 from the step's start,
-    without domain bounds, and max_i |full_i - half_i| / 15 raises the
-    row's ``max_step_error`` by ``np.fmax`` (a NaN estimate keeps the old
-    error); the row that fails at a step gets that step's estimate too.
-    Without it ``max_step_error`` is all NaN, and the samples and failures
-    are the same bits.  Such a run evaluates f only at the stage times t,
-    t + h/2 and t + h, never at the estimate's t + h/4 and t + 3h/4.
+    and max_i |full_i - half_i| / 15 raises the ``max_step_error`` of each
+    row still live at that step by ``np.fmax`` (a NaN estimate keeps the
+    old error); the row that fails at a step gets that step's estimate
+    too.  Without it ``max_step_error`` is all NaN, and the samples and
+    failures are the same bits.  Such a run evaluates f only at the stage
+    times t, t + h/2 and t + h, never at the estimate's t + h/4 and
+    t + 3h/4.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
@@ -196,30 +201,33 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
         raise SimulationError("t_end must exceed the start time")
 
     B = X0.shape[0]
-    # one bound per state of every live row: same-shape operands skip
-    # numpy's broadcasting, which costs more than the subtraction
-    lo = np.tile([b.lo for b in sys.bounds], (B, 1))
-    hi = np.tile([b.hi for b in sys.bounds], (B, 1))
+    lo = np.array([b.lo for b in sys.bounds])
+    hi = np.array([b.hi for b in sys.bounds])
     failures: dict = {}
 
-    def drop_failed(X, rows, k, t):
-        """The live rows of X and their indices, recording each failure."""
-        nonlocal lo, hi
-        viol = np.maximum(lo - X, X - hi)
-        worst = viol.max(axis=1)
-        ok = worst <= INVARIANCE_TOL   # False on NaN as well
-        for r in np.flatnonzero(~ok):
-            j = int(rows[r])
-            if not np.all(np.isfinite(X[r])):
-                failures[j] = (k, math.inf, f"non-finite state at t={t:.6g}")
+    def exits(S, rows, k, T):
+        """Each row's first step of the states S (K, m, n), at times T, that
+        fails the domain check, or K, recording the failures by step and
+        row; S[0] is step k + 1 of the run."""
+        viol = np.maximum(lo - S, S - hi)
+        worst = viol.max(axis=2)
+        bad = ~(worst <= INVARIANCE_TOL)   # True on NaN as well
+        first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(S))
+        if abort_on_failure:   # the run ends at the earliest exit
+            first[first > first.min(initial=len(S))] = len(S)
+        for r in np.argsort(first, kind="stable")[:(first < len(S)).sum()]:
+            j, s = int(rows[r]), int(first[r])
+            if not np.all(np.isfinite(S[s, r])):
+                failures[j] = (k + s, math.inf,
+                               f"non-finite state at t={T[s]:.6g}")
                 continue
-            i = int(np.argmax(viol[r]))
-            failures[j] = (k, float(worst[r]),
-                           f"trajectory {j} left the domain at t={t:.6g}: "
-                           f"{sys.state_names[i]}={X[r, i]:.6g} violates "
-                           f"{sys.bounds[i]} by {worst[r]:.3e} (not clamping)")
-        lo, hi = lo[ok], hi[ok]
-        return X[ok], rows[ok]
+            i = int(np.argmax(viol[s, r]))
+            failures[j] = (k + s, float(worst[s, r]),
+                           f"trajectory {j} left the domain at t={T[s]:.6g}: "
+                           f"{sys.state_names[i]}={S[s, r, i]:.6g} violates "
+                           f"{sys.bounds[i]} by {worst[s, r]:.3e} "
+                           "(not clamping)")
+        return first
 
     n_full = int(math.floor(span / dt + 1e-9))
     rem = span - n_full * dt
@@ -232,56 +240,55 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     xs[0] = X0
     max_err = np.zeros(B) if estimate else np.full(B, np.nan)
     S = np.empty((min(_BLOCK, n_steps), B, sys.n))   # one block's states
-    # an estimate's two half steps, and their bounds: none
-    H, free = np.empty((2, B, sys.n)), np.full((2, B, sys.n), np.inf)
-    free[0] = -np.inf
+    H = np.empty((2, B, sys.n))   # an estimate's two half steps
     saved, k, t = 1, 0, float(t0)
-    # overflow and NaN are reported per row by drop_failed, not by numpy
+    # overflow and NaN are reported per row by exits, not by numpy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        X, rows = drop_failed(X0, np.arange(B), -1, t0)
+        rows = np.flatnonzero(exits(X0[None], np.arange(B), -1, [t0]))
+        X = X0[rows]
         while k < n_steps and not (abort_on_failure and failures):
             # whole steps up to a block, then the remainder step alone
             h, K = (dt, min(len(S), n_full - k)) if k < n_full else (rem, 1)
             T = np.cumsum([t] + [h] * K)   # t += h, step by step
-            m, failed = rows.size, False
+            m = rows.size
             if m:
-                err, half, (flo, fhi) = max_err[rows], H[:, :m], free[:, :m]
+                err, half = max_err[rows], H[:, :m]
                 try:
-                    done = sys.rk4_run(X, t, h, S[:K, :m], lo, hi)
-                    for j in range(min(done + 1, K) if estimate else 0):
+                    sys.rk4_run(X, t, h, S[:K, :m])
+                    first = exits(S[:K, :m], rows, k, T[1:])
+                    # the steps at which a row is live, or every row is
+                    last = first.min() if abort_on_failure else first.max()
+                    for j in range(min(last + 1, K) if estimate else 0):
                         if (k + j) % _ESTIMATE_EVERY and k + j != n_steps - 1:
                             continue
-                        # two steps of h/2 from the step's start; a second
-                        # call where the first stops at a non-finite state
-                        tj = float(T[j])
-                        if not sys.rk4_run(S[j - 1, :m] if j else X, tj,
-                                           h / 2, half, flo, fhi):
-                            sys.rk4_run(half[0], tj + h / 2, h / 2, half[1:],
-                                        flo, fhi)
+                        # two steps of h/2 from the step's start
+                        sys.rk4_run(S[j - 1, :m] if j else X, float(T[j]),
+                                    h / 2, half)
                         gap = np.maximum.reduce(abs(S[j, :m] - half[1]), 1)
-                        np.fmax(err, gap / 15.0, out=err)
+                        np.fmax(err, gap / 15.0, out=err, where=first >= j)
                 except ArithmeticError as exc:
                     # kernels keep subtrees of constants and t as Python floats
                     raise SimulationError(
                         "the vector field cannot be evaluated between "
                         f"t={t:.6g} and t={t + K * h:.6g}: {exc}") from exc
                 max_err[rows] = err
-                failed, K = done < K, min(done + 1, K)
+                K = min(last + 1, K) if abort_on_failure else K
+                # each row's states from its exit on are not samples
+                S[:K, :m][np.arange(K)[:, None] >= first] = np.nan
             T = T[1:K + 1]
-            # the kept samples before the block's last step, then that step,
-            # whose failures leave the live set first
-            first = (-k - 1) % save_every
-            n_kept = len(range(first, K - 1, save_every))
-            ts[saved:saved + n_kept] = T[first:K - 1:save_every]
-            xs[saved:saved + n_kept, rows] = S[first:K - 1:save_every, :m]
+            # the kept samples, the block's last step among them when due
+            j0 = (-k - 1) % save_every
+            n_kept = len(range(j0, K - 1, save_every))
+            ts[saved:saved + n_kept] = T[j0:K - 1:save_every]
+            xs[saved:saved + n_kept, rows] = S[j0:K - 1:save_every, :m]
             saved += n_kept
-            k, t, X = k + K, float(T[-1]), S[K - 1, :m].copy()
-            if failed:
-                X, rows = drop_failed(X, rows, k - 1, t)
+            k, t = k + K, float(T[-1])
             if k % save_every == 0 or k == n_steps:
                 ts[saved] = t
-                xs[saved, rows] = X
+                xs[saved, rows] = S[K - 1, :m]
                 saved += 1
+            if m:
+                rows, X = rows[first >= K], S[K - 1, :m][first >= K]
 
     return BatchTrajectories(t=ts[:saved], x=xs[:saved], dt=dt,
                              max_step_error=max_err,

@@ -60,7 +60,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Expr", "Const", "Var", "TimeVar", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Min", "Max", "Exp", "Sin", "Cos",
-    "Interval", "SystemDef", "ExprMatrix", "Guard", "JacobianBranches",
+    "Interval", "SystemDef", "ExprMatrix", "JacobianBranches",
     "DslError", "BranchRequiredError",
     "parse_system", "parse_expr", "differentiate", "jacobian", "pretty",
     "compile_expr", "format_number",
@@ -565,8 +565,7 @@ def _define(src: list, consts: dict) -> dict:
     """Execute generated source; return its namespace, in which each name
     of ``consts`` is bound to its constant as a 0-d float64 array."""
     ns: dict = {"np": np, "inf": math.inf, "nan": math.nan, "chain": chain,
-                "_TWO": np.array(2.0), "_TOL": INVARIANCE_TOL,
-                "DslError": DslError}
+                "_TWO": np.array(2.0), "DslError": DslError}
     ns.update((name, np.array(float(text))) for text, name in consts.items())
     exec("\n".join(src) + "\n", ns)
     return ns
@@ -708,42 +707,14 @@ def differentiate(e: Expr, var_index: int) -> Expr:
 # Branch-aware Jacobians
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Guard:
-    """One distinct min/max argument pair; ``left`` active means a, else b.
-
-    For ``min(a, b)`` the left branch is active when a − b ≤ 0; for
-    ``max(a, b)`` when a − b ≥ 0.  Structurally identical (a, b, kind)
-    triples anywhere in the system share a single guard: a guard hashes and
-    compares as the ``min``/``max`` it stands for.
-    """
-    a: Expr
-    b: Expr
-    is_min: bool
-
-    def __post_init__(self):
-        node = (Min if self.is_min else Max)(self.a, self.b)
-        object.__setattr__(self, "_k", node._key())
-
-    def __eq__(self, other):
-        if not isinstance(other, Guard):
-            return NotImplemented
-        return self._k == other._k
-
-    def __hash__(self):
-        return hash(self._k)
-
-
 def _collect_guards(e: Expr) -> list:
-    """The distinct guards of ``e``: first occurrence, pre-order, left to
-    right."""
+    """The distinct ``min``/``max`` nodes of ``e``: first occurrence,
+    pre-order, left to right."""
     acc: list = []
 
     def enter(node: Expr) -> Expr:
-        if isinstance(node, (Min, Max)):
-            g = Guard(node.a, node.b, isinstance(node, Min))
-            if g not in acc:
-                acc.append(g)
+        if isinstance(node, (Min, Max)) and node not in acc:
+            acc.append(node)
         return node
 
     _fold(e, lambda node, args, slot: None, enter)
@@ -755,8 +726,7 @@ def _substitute_branches(e: Expr, choice: dict) -> Expr:
 
     def enter(node: Expr) -> Expr:
         while isinstance(node, (Min, Max)):
-            g = Guard(node.a, node.b, isinstance(node, Min))
-            node = node.a if choice[g] == "left" else node.b
+            node = node.a if choice[node] == "left" else node.b
         return node
 
     return _fold(e, _rebuild, enter)
@@ -785,8 +755,12 @@ class ExprMatrix:
 class JacobianBranches:
     """The Jacobian of a piecewise-smooth vector field, one matrix per branch.
 
-    A branch is an assignment of 'left'/'right' to every distinct guard; the
-    guard predicates say where in state space that branch is the active one.
+    A branch is an assignment of 'left'/'right' to every distinct guard, a
+    ``min``/``max`` node of ``guards`` ('left' takes its argument a, 'right'
+    b); equal nodes anywhere in the system, compared as trees, are one
+    guard.  The guard predicates say where in state space that branch is
+    the active one: for ``min(a, b)`` left when a − b ≤ 0, for ``max(a, b)``
+    when a − b ≥ 0.
     Branch matrices are built on first use and kept — systems with many
     structurally distinct min/max pairs would otherwise blow up
     combinatorially.  The tie rule that picks the active branches at a point
@@ -933,17 +907,16 @@ class SystemDef:
             self._f_batch = compile_expr(self.odes)
         return self._f_batch(X, t)
 
-    def rk4_run(self, X: np.ndarray, t: float, h: float, S: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray) -> int:
-        """Up to len(S) plain RK4 steps of the rows of X (m, n) from time t,
-        each state written to S[k] and checked against lo/hi (m, n).
-        Returns the first step that leaves the domain, or len(S) (see
-        ``rk4.compile_step``).  The kernel's shape is picked for each call
-        by ``StepKernels.pick`` from m; both give the same bits."""
+    def rk4_run(self, X: np.ndarray, t: float, h: float,
+                S: np.ndarray) -> None:
+        """len(S) plain RK4 steps of the rows of X (m, n) from time t, the
+        states after step k written to S[k] (see ``rk4.compile_step``).
+        The kernel's shape is picked for each call by ``StepKernels.pick``
+        from m; both give the same bits."""
         if self._rk4 is None:
             from .rk4 import compile_step
             self._rk4 = compile_step(self.odes)
-        return self._rk4.pick(len(X))(X, t, h, S, lo, hi)
+        self._rk4.pick(len(X))(X, t, h, S)
 
     def validate(self) -> None:
         n = self.n

@@ -202,7 +202,7 @@ def patterns_at(jb, x, t=None, tie_tol: float = TIE_TOL) -> list:
         if abs(a - b) <= tie_tol * (1.0 + abs(a) + abs(b)):
             options.append(("left", "right"))
         else:
-            take_left = (a < b) if g.is_min else (a > b)
+            take_left = (a < b) if isinstance(g, Min) else (a > b)
             options.append(("left",) if take_left else ("right",))
     return list(product(*options))
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from monocert.certify import WorkingBox, certify_all
 from monocert.measures import WeightFamily
 from monocert.sysdsl import (
-    Add, Const, Cos, Div, DslError, Exp, Guard, Max, Min, Mul, Neg, Pow, Sin,
+    Add, Const, Cos, Div, DslError, Exp, Max, Min, Mul, Neg, Pow, Sin,
     Sub, TimeVar, Var, compile_expr, differentiate, jacobian, parse_expr,
     parse_system, pretty,
 )
@@ -302,21 +302,20 @@ def test_deep_guard_hashes_and_certifies():
 
 
 def test_guards_compare_as_before():
-    """Guards and min/max nodes are equal exactly when their trees are,
+    """Guards, the min/max nodes, are equal exactly when their trees are,
     with 0.0 equal to -0.0 as ``Const`` compares it."""
     a, b = parse_expr("x1 * 2 + t", ["x1"]), parse_expr("x1 * 2 + t", ["x1"])
     assert a is not b
-    assert Guard(a, Var(0), True) == Guard(b, Var(0), True)
-    assert hash(Guard(a, Var(0), True)) == hash(Guard(b, Var(0), True))
-    assert Guard(a, Var(0), True) != Guard(a, Var(0), False)
-    assert Guard(a, Var(0), True) != Guard(Var(0), a, True)
-    assert Guard(Const(0.0), a, True) == Guard(Const(-0.0), a, True)
-    assert Guard(Const(1.0), a, True) != Guard(Const(2.0), a, True)
-    assert Guard(Var(0), a, True) != Guard(Var(1), a, True)
-    assert Guard(Pow(a, 2), a, True) != Guard(Pow(a, 3), a, True)
+    assert Min(a, Var(0)) == Min(b, Var(0))
+    assert hash(Min(a, Var(0))) == hash(Min(b, Var(0)))
+    assert Min(a, Var(0)) != Max(a, Var(0))
+    assert Min(a, Var(0)) != Min(Var(0), a)
+    assert Min(Const(0.0), a) == Min(Const(-0.0), a)
+    assert Min(Const(1.0), a) != Min(Const(2.0), a)
+    assert Min(Var(0), a) != Min(Var(1), a)
+    assert Min(Pow(a, 2), a) != Min(Pow(a, 3), a)
     assert Min(a, Var(0)) == Min(b, Var(0)) != Max(a, Var(0))
     assert len({Min(a, Var(0)), Min(b, Var(0)), Max(a, Var(0))}) == 2
-    assert Min(a, Var(0)) != Guard(a, Var(0), True)
 
 
 def test_deep_trees_compare_and_hash_without_recursion():

@@ -1,6 +1,7 @@
 """Integrator, decrease checks, contraction-rate validation, entrainment."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,10 +133,9 @@ def test_rk4_step_matches_the_four_call_form(name):
                 Y = rk4_four_calls(sys, Y, t, h)
                 want.append(Y)
                 t += h
-            inf = np.full((B, sys.n), np.inf)
             for K in (1, 2, 15):
                 S = np.full((K, B, sys.n), np.nan)
-                assert sys.rk4_run(X, 0.7, h, S, -inf, inf) == K
+                assert sys.rk4_run(X, 0.7, h, S) is None
                 assert np.array_equal(_bits(S), _bits(np.array(want[:K])))
             exact, t = [list(x) for x in X[:3]], 0.7
             for k in range(15):
@@ -257,16 +257,20 @@ def _random_field(rng, n: int, root=None, depth: int = 4):
 
 
 def _assert_shapes_agree(odes, X, t, h, K, lo, hi):
-    """Both kernel shapes of ``odes`` return the same step, or raise the
-    same ArithmeticError, and leave the same bits in S.  A NaN compares as
-    NaN: its sign and payload are never observable."""
+    """Both kernel shapes of ``odes`` take K plain steps, or raise the same
+    ArithmeticError, and leave the same bits in S.  A NaN compares as NaN:
+    its sign and payload are never observable.  Returns the exception, or
+    the first step at which a row of S fails ``lo - s <= INVARIANCE_TOL``
+    and ``s - hi <= INVARIANCE_TOL`` (NaN fails), else K."""
     kernels = compile_step(odes)
-    seen = []
+    tol, seen = mc.sim.INVARIANCE_TOL, []
     for run in (kernels.columns, kernels.rows):
         S = np.full((K,) + X.shape, np.nan)
         try:
             with np.errstate(all="ignore"):
-                got = run(X, t, h, S, lo, hi)
+                assert run(X, t, h, S) is None
+                inside = ((lo - S <= tol) & (S - hi <= tol)).all(axis=(1, 2))
+            got = int(np.argmin(inside)) if not inside.all() else K
         except ArithmeticError as exc:
             got = (type(exc), str(exc))
         seen.append((got, _bits(np.where(np.isnan(S), np.nan, S))))
@@ -346,13 +350,53 @@ def test_row_records_share_only_the_same_operation():
 @pytest.mark.parametrize("c,k_out", [(0.5, 6), (1.5, 5), (3.0, 5)])
 def test_both_shapes_return_at_the_step_past_the_tolerance(c, k_out):
     """Drift at unit speed towards x = 1, out after step 5 by c times
-    ``INVARIANCE_TOL``: each shape returns the first step the rule fails,
-    not one that lies inside the tolerance."""
+    ``INVARIANCE_TOL``: both shapes write the same states, and
+    ``integrate_batch`` records the first step the rule fails, not one
+    that lies inside the tolerance, on rows (1 start) and on columns (40),
+    as the reference does."""
     tol = mc.sim.INVARIANCE_TOL
     X = np.array([[1 - 6e-2 + c * tol]])
     assert _assert_shapes_agree((Add(Const(1.0), Mul(Const(0.0), Var(0))),),
                                 X, 0.0, 1e-2, 10, np.zeros((1, 1)),
                                 np.ones((1, 1))) == k_out
+    drift = _scalar("1 + 0*x", lo="0", hi="1")
+    for X0, shape in ((X, "rows"), (np.tile(X, (40, 1)), "columns")):
+        _assert_matches_reference(drift, X0, 0.1, 1e-2, 0.0, 1, False)
+        batch = integrate_batch(drift, X0, 0.1, dt=1e-2)
+        assert drift._rk4.pick(len(X0)) is getattr(drift._rk4, shape)
+        assert {f[0] for f in batch.failures.values()} == {k_out}
+        assert len(batch.failures) == len(X0)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in CORPUS.glob("*.sys")) + ["mixed", 0])
+def test_kernels_take_plain_steps_only(name, monkeypatch):
+    """Both shapes are ``run(X, t, h, S)``, as ``SystemDef.rk4_run`` is,
+    and their source holds no domain bounds, tolerance, check flag or
+    early return.  0 is the seed of random fields with every node type."""
+    import inspect
+    import monocert.rk4 as rk4
+    sources = []
+
+    def define(src, consts):
+        sources.append("\n".join(src))
+        return define_(src, consts)
+
+    define_ = rk4._define
+    monkeypatch.setattr(rk4, "_define", define)
+    if isinstance(name, int):
+        rng = np.random.default_rng([name, 47])
+        odes = [_random_field(rng, 3, root) for root in _KINDS]
+    else:
+        odes = (_mixed_field() if name == "mixed" else load_system(name)).odes
+    kernels = compile_step(odes)
+    assert len(sources) == 2
+    for src in sources:
+        assert not re.search(r"\b(lo|hi|_TOL|ok|return)\b", src), src
+    for run in (kernels.columns, kernels.rows, mc.SystemDef.rk4_run):
+        params = list(inspect.signature(run).parameters)
+        assert params[-4:] == ["X", "t", "h", "S"]
+        assert params[:-4] in ([], ["self"])
 
 
 @pytest.mark.parametrize(
@@ -507,20 +551,18 @@ def test_run_without_estimate_matches_the_reference_on_both_shapes(
         monkeypatch, abort):
     """Without the estimate, 3 starts on rows and 40 on columns, of which
     some leave [-1, 1]^2 mid-run: every kernel call is a plain block of
-    dt within the domain, none an estimate's half steps (unbounded, at
-    h/2), and the samples and failures are the reference's bits."""
+    dt, none an estimate's half steps (at h/2), and the samples and
+    failures are the reference's bits."""
     sys = load_system("rotation")
     shapes = []
     rk4_run = mc.SystemDef.rk4_run
 
-    def spied(self, X, t, h, S, lo, hi):
+    def spied(self, X, t, h, S):
         assert h == 1e-2 or abs(h - 0.37e-2) < 1e-12   # or the remainder
-        assert np.isfinite(lo).all() and np.isfinite(hi).all()
-        done = rk4_run(self, X, t, h, S, lo, hi)
+        rk4_run(self, X, t, h, S)
         kernels = self._rk4
         shapes.append("rows" if kernels.pick(len(X)) is kernels.rows
                       else "columns")
-        return done
 
     monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
     rng = np.random.default_rng(61)
@@ -541,9 +583,9 @@ def test_contract_and_entrain_take_no_estimate(linear_sym, monkeypatch):
     steps = []
     rk4_run = mc.SystemDef.rk4_run
 
-    def spied(self, X, t, h, S, lo, hi):
+    def spied(self, X, t, h, S):
         steps.append(h)
-        return rk4_run(self, X, t, h, S, lo, hi)
+        rk4_run(self, X, t, h, S)
 
     monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
     fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
@@ -659,9 +701,11 @@ def test_domain_check_mid_run_matches_the_per_row_rule(rotation):
 
 
 def test_block_kernel_returns_at_the_step_that_leaves(rotation):
-    """A start that leaves [-1, 1]^2 inside a block: the kernel returns
-    that step, has written the states up to it and none after, and the
-    integrator records the per-row rule's failure."""
+    """A start that leaves [-1, 1]^2 inside a block: the kernel writes the
+    block's every state, past that step too, and ``integrate_batch``
+    records the per-row rule's failure at that step, with the row's
+    samples NaN from it on, on rows (2 starts) and on columns (40), as the
+    reference does."""
     dt = 1e-2
     for x0, k_out in (([0.8, -0.7], 37), ([0.9, 0.9], 11)):
         X0 = np.array([x0, [0.5, 0.0]])
@@ -679,12 +723,102 @@ def test_block_kernel_returns_at_the_step_that_leaves(rotation):
         for _ in range(k0):
             t += dt
         S = np.full((15, 1, 2), np.nan)
-        one = np.ones((1, 2))
-        done = rotation.rk4_run(states[k0 - 1], t, dt, S, -one, one)
-        assert done == k_out - k0
-        assert np.array_equal(_bits(S[:done + 1]),
-                              _bits(np.array(states[k0:k_out + 1])))
-        assert np.isnan(S[done + 1:]).all()
+        assert rotation.rk4_run(states[k0 - 1], t, dt, S) is None
+        assert np.array_equal(_bits(S), _bits(np.array(states[k0:k0 + 15])))
+        for starts, shape in ((X0, "rows"), (np.tile(X0, (20, 1)), "columns")):
+            _assert_matches_reference(rotation, starts, 2.0, dt, 0.0, 1,
+                                      False)
+            batch = integrate_batch(rotation, starts, 2.0, dt=dt)
+            assert rotation._rk4.pick(len(starts)) is getattr(rotation._rk4,
+                                                              shape)
+            assert set(batch.failures) == set(range(0, len(starts), 2))
+            assert batch.failures[0] == want[0]
+            assert np.isfinite(batch.x[:k_out + 1, 0]).all()
+            assert np.isnan(batch.x[k_out + 1:, 0]).all()
+
+
+@pytest.mark.parametrize("abort", [False, True])
+def test_rows_leave_inside_one_block_without_cutting_it(monkeypatch, abort):
+    """Starts that leave [-1, 1]^2 at different steps of the first 256-step
+    block, with one that stays, 3 on rows and 40 on columns: the kernel is
+    called once per block with live rows, and once per scheduled estimate
+    (two steps of h/2), and the samples, errors and failures are the
+    reference's bits."""
+    sys = load_system("rotation")
+    calls = []
+    rk4_run = mc.SystemDef.rk4_run
+
+    def spied(self, X, t, h, S):
+        calls.append((h, len(S), len(X)))
+        rk4_run(self, X, t, h, S)
+
+    monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
+    rng = np.random.default_rng(67)
+    for X0 in (np.array([[0.8, -0.7], [0.5, 0.0], [0.9, 0.9]]),
+               rng.uniform(-1.0, 1.0, (40, 2))):
+        calls.clear()
+        want = _failures_by_rule(sys, X0, 3.0, 1e-2)
+        exits = {k for k, _, _ in want.values()}
+        assert len(exits) > 1 and max(exits) < 256
+        assert len(want) < len(X0)
+        _assert_matches_reference(sys, X0, 3.0, 1e-2, 0.0, 7, abort)
+        plain = [c for c in calls if c[0] == 1e-2]
+        halves = [c for c in calls if c[0] == 1e-2 / 2]
+        assert len(plain) + len(halves) == len(calls)
+        if abort:   # the run ends with the first block
+            first = min(exits)
+            assert plain == [(1e-2, 256, len(X0))]
+            assert len(halves) == len(range(0, first + 1, 16))
+        else:
+            live = len(X0) - len(want)
+            assert plain == [(1e-2, 256, len(X0)), (1e-2, 44, live)]
+            assert len(halves) == len(range(0, 300, 16)) + 1   # and step 299
+        assert {c[1] for c in halves} == {2}
+
+
+def _block_pole() -> mc.SystemDef:
+    """x2 leaves [-3, 3] at about t = 0.27 from x2 = 1, and x1's field has
+    a pole at t = 1.5, a plain stage time for dt = 0.25."""
+    sys = mc.parse_system("""
+    system blockpole {
+      states x1 in (-inf, inf), x2 in [-3, 3]
+      dx1 = -x1 + 1/(t - 1.5)
+      dx2 = 4*x2
+    }
+    """)
+    sys.validate()
+    return sys
+
+
+@pytest.mark.parametrize("abort", [False, True])
+def test_a_pole_after_an_exit_in_the_block_names_the_block(abort):
+    """A subtree of ``t`` that raises later in a block than a row's exit is
+    raised for the whole block, which the kernel runs before the check:
+    with the starts (0, 0) and (0, 1), which leaves at step 1, the message
+    names the block's span from t = 0, and so it does when every live row
+    exits before the pole (the start (0, 1) alone), on rows and on columns,
+    with either abort setting."""
+    sys = _block_pole()
+    for X0 in (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0]]),
+               np.tile([[0.0, 0.0], [0.0, 1.0]], (20, 1))):
+        with pytest.raises(SimulationError) as exc:
+            integrate_batch(sys, X0, 10.0, dt=0.25, abort_on_failure=abort)
+        assert str(exc.value) == ("the vector field cannot be evaluated "
+                                  "between t=0 and t=10: float division by "
+                                  "zero")
+
+
+@pytest.mark.parametrize("abort", [False, True])
+def test_a_pole_after_every_row_has_left_does_not_raise(abort):
+    """With dt = 1e-3, x2 from 1 leaves at step 274, in the second block,
+    and the pole at t = 1.5 lies in the sixth: no kernel runs a block
+    without live rows, so the run ends with the row's failure, as the
+    reference does."""
+    sys = _block_pole()
+    X0 = np.array([[0.0, 1.0]])
+    _assert_matches_reference(sys, X0, 2.0, 1e-3, 0.0, 50, abort)
+    batch = integrate_batch(sys, X0, 2.0, dt=1e-3, abort_on_failure=abort)
+    assert batch.failures[0][0] == 274
 
 
 def test_block_kernel_check_keeps_the_tolerance():
@@ -786,29 +920,29 @@ def test_contraction_rate_raises_the_earliest_failure(rotation):
 
 
 def test_contraction_rate_stops_at_the_first_failure(rotation, monkeypatch):
-    """The pairs stop integrating after the step at which the first start
-    leaves the domain (t = 0.21 for seed 2), not at t_end = 3, and the
-    raised diagnostic is that earliest failure."""
+    """The pairs stop integrating after the block that holds the step at
+    which the first start leaves the domain (t = 0.21 for seed 2), not at
+    t_end = 3, and the raised diagnostic is that earliest failure."""
     fam = mc.WeightFamily.constant("theta", [1.0, 1.0])
     box = mc.WorkingBox((-1.0, -1.0), (1.0, 1.0))
     ends = []
     rk4_run = mc.SystemDef.rk4_run
 
-    def counted_run(self, X, t, h, S, lo, hi):
-        done = rk4_run(self, X, t, h, S, lo, hi)
-        for _ in range(min(done + 1, len(S))):    # the steps it computed
+    def counted_run(self, X, t, h, S):
+        rk4_run(self, X, t, h, S)
+        for _ in range(len(S)):    # the steps it computed
             t += h
             ends.append(t)
-        return done
 
     monkeypatch.setattr(mc.SystemDef, "rk4_run", counted_run)
     with pytest.raises(SimulationError,
                        match=r"^trajectory 3 left the domain at t=0\.21:"):
         estimate_contraction_rate(rotation, fam, pairs=4, box=box,
                                   t_end=3.0, seed=2)
-    # one end a step (the pairs take no error estimate)
-    assert len(ends) == 210
-    assert max(ends) < 0.2105
+    # one end a step (the pairs take no error estimate): the first block,
+    # of 256 steps, and no other
+    assert len(ends) == 256
+    assert max(ends) < 0.2565
 
 
 def test_abort_on_failure_keeps_the_failures_of_that_step(rotation):
