@@ -2,18 +2,18 @@
 with the same bits.
 
 ``compile_step`` generates, from the one emitter of ``sysdsl``
-(``_emit``), a kernel that runs up to K plain steps of m rows in lockstep,
-with the domain check after every step inside.  Each shape emits the step
-once, inline in the kernel's loop; the step-doubling error estimate is not
-the kernel's: ``sim.integrate_batch`` takes it by running the same kernel
-at h/2.  Both shapes run stage-major, each stage for all rows before the
+(``_emit``), a kernel that takes K plain steps of m rows in lockstep and
+nothing else.  Each shape emits the step once, inline in the kernel's
+loop; the domain check and the step-doubling error estimate are not the
+kernel's: ``sim.integrate_batch`` checks each block's states once, after
+the call, and takes the estimate by running the same kernel at h/2.  Both shapes run stage-major, each stage for all rows before the
 next, so a step costs numpy calls per node of the vector field, not per
 row or per component:
 
 * on columns, the state and the stages are (n, m) arrays.  Each field's
   root writes its slope row by ``out=``, and each RK4 update, the final
-  sum, the copy into the output and the domain check is a few numpy calls
-  on all components at once;
+  sum and the copy into the output is a few numpy calls on all components
+  at once;
 * on rows, the state is a tuple of Python floats per row.  ``+ - *`` are
   Python float operations, run in one loop over the rows for each stretch
   of them; each ``^k`` (k other than 2), ``/``, ``min`` and ``max`` node is
@@ -50,27 +50,32 @@ class StepKernels(NamedTuple):
 
     ``pick`` takes the row kernel for m rows when
 
-        m (p + 8u) / 24 + 2 (u + L) < U + 4,
+        m (p + 8u + 4) / 24 + 2 (u + L) < U + 4,
 
     a cost in units of one of the column kernel's U numpy calls per step:
     p Python float operations per row cost 1/24 each (a ufunc call on a
-    float counts 8), each of the u batched calls and L loops over the rows
-    costs about 2, and a batched call's list conversion 1/3 per row.  The
-    constants are a fit to both kernels' times on 256-step blocks of every
-    corpus system at m = 1 to 64 (min of 10 runs, two runs, a 2-vCPU
-    x86-64 host, numpy 2.4).  The crossover is the first m at which the
-    columns were as fast as the rows in each run:
+    float counts 8), and so do 4 more for each row's share of the loops,
+    tuples and lists; each of the u batched calls and L loops over the
+    rows costs about 2, and a batched call's list conversion 1/3 per row.
+    The constants are a fit to both kernels' times on 256-step blocks of
+    every corpus system at m = 1 to 48 (min of 10 runs, two runs, a 2-vCPU
+    x86-64 host shared with other work, numpy 2.4).  The crossover is the
+    first m at which the columns were as fast as the rows in each run:
 
         system            U   u    p  L   crossover   pick: columns from
-        comparison       70   0  106  1     16, 17     17
-        entrain_cubic    30   4   25  4      9, 10      8
-        entrain_linear   26   0   25  1     26, 27     27
-        entrain_zero     22   0   17  1     30, 30     34
-        ex1              34   0   50  1     19, 19     18
-        linear_sym       34   0   50  1     20, 19     18
-        multiagent       42   0   75  1     17, 18     15
-        rotation         26   0   38  1     19, 19     18
-        traffic4        126  28  112  5      5,  4      5
+        comparison       66   0   98  1     16, 15     16
+        entrain_cubic    26   4   21  4      5,  8      6
+        entrain_linear   22   0   21  1     19, 18     24
+        entrain_zero     18   0   13  1     13, 18     29
+        ex1              30   0   42  1     19, 17     17
+        linear_sym       30   0   42  1     20, 16     17
+        multiagent       38   0   63  1     16, 21     15
+        rotation         22   0   30  1     18, 18     17
+        traffic4        122  28   96  5      5,  5      5
+
+    The rows' time grows with m at about the same rate on each side of the
+    crossover, so a pick a few rows off it costs little: entrain_zero's
+    rows take 1.2 to 1.35 times the columns' time at m = 28.
     """
     columns: Callable
     rows: Callable
@@ -80,9 +85,9 @@ class StepKernels(NamedTuple):
     row_loops: int      # L: its loops over the rows
 
     def pick(self, m: int) -> Callable:
-        """The row kernel for m rows when m (p + 8u) / 24 + 2 (u + L) <
-        U + 4, else the column kernel."""
-        cost = m * (self.row_ops + 8 * self.row_calls) / 24 + 2 * (
+        """The row kernel for m rows when m (p + 8u + 4) / 24 + 2 (u + L)
+        < U + 4, else the column kernel."""
+        cost = m * (self.row_ops + 8 * self.row_calls + 4) / 24 + 2 * (
             self.row_calls + self.row_loops)
         return self.rows if cost < self.column_calls + 4 else self.columns
 
@@ -153,13 +158,13 @@ def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
 
 def compile_step(odes) -> StepKernels:
     """Compile classical RK4 for ``odes`` to one block kernel in two shapes,
-    each ``run(X, t, h, S, lo, hi)``.
+    each ``run(X, t, h, S)``.
 
-    It takes up to K = len(S) steps of ``h`` from the states X (m, n) at
-    time ``t``, and writes the states after step k to ``S[k]``.  After each
-    step it checks ``lo - s <= INVARIANCE_TOL`` and ``s - hi <=
-    INVARIANCE_TOL`` for each component s (NaN fails) and returns k at the
-    first that any row fails, else K.  Each state is bit for bit
+    It takes exactly K = len(S) plain steps of ``h`` from the states X
+    (m, n) at time ``t``, writes the states after step k to ``S[k]`` and
+    returns nothing: no domain check, no early return (rows that leave the
+    domain or become non-finite run on; ``sim.integrate_batch`` checks the
+    block afterwards).  Each state is bit for bit
 
         k1 = f(X, t);  k2 = f(X + (h/2) k1, t + h/2)
         k3 = f(X + (h/2) k2, t + h/2);  k4 = f(X + h k3, t + h)

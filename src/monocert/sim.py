@@ -1,13 +1,13 @@
 """Trajectory-based validation of certificates.
 
 Integration is classical fixed-step RK4 through the system's compiled
-block kernel (see ``rk4.compile_step``), which takes plain steps, runs the
-four stages inline and is bit for bit the same arithmetic as four calls of
-the vector field.  It comes in two shapes with the same bits, on (n, m)
-arrays and on rows of Python floats; ``SystemDef.rk4_run`` takes the row
-kernel for a block of few live rows (``rk4.StepKernels.pick``), so
-``simulate`` of a few starts and ``entrain`` run on rows, ``contract`` with
-its 20 starts on columns.  One call runs a block of up to ``_BLOCK`` steps
+block kernel (see ``rk4.compile_step``), which takes plain steps only, runs
+the four stages inline and is bit for bit the same arithmetic as four
+calls of the vector field.  It comes in two shapes with the same bits, on
+(n, m) arrays and on rows of Python floats; ``SystemDef.rk4_run`` takes
+the row kernel for a block of few live rows (``rk4.StepKernels.pick``),
+so ``simulate`` of a few starts and ``entrain`` run on rows, ``contract``
+with its 20 starts on columns.  One call runs a block of up to ``_BLOCK`` steps
 and writes each step's states to a buffer, from which the kept samples are
 sliced; a remainder step that ends the run on t_end is a block of its own.
 When the caller asks for it (``integrate_batch(estimate=True)``, the
@@ -25,11 +25,12 @@ fourth order.
 Several initial conditions are integrated in lockstep, and each trajectory
 aborts on its own: one that becomes non-finite or leaves the declared domain
 by more than ``INVARIANCE_TOL`` stops with its own diagnostic while the
-others continue.  The kernel applies the domain check after each step and
-returns at the first step that any row fails, so no step past a failure
-is computed; the per-row diagnostics then run on that step's states
-before the next block starts.  Overflow and NaN are reported by those
-diagnostics alone: the run is under ``np.errstate``, so numpy prints no
+others continue.  ``integrate_batch`` checks each block's states once,
+after the kernel has taken all of the block's steps: each row leaves at
+its own first failing step, with its diagnostic, and its samples from
+that step on are NaN.  The block is not cut there, so a row's exit inside
+a block costs at most the rest of that block, and the next block runs the
+rows still live.  Overflow and NaN are reported by those diagnostics alone: the run is under ``np.errstate``, so numpy prints no
 RuntimeWarning, whichever kernel runs.  States are never clamped back in,
 because a clamped trajectory would silently invalidate every conclusion
 drawn from it.

@@ -24,9 +24,10 @@ Every numeric evaluation runs through kernels generated by one emitter
 (``_emit``): ``compile_expr`` for expressions, vector fields and matrices,
 and ``rk4.compile_step`` for blocks of plain RK4 steps, in two shapes with
 the same bits, on arrays and on rows of Python floats, each of which runs
-its one emitted step inline (``sim.integrate_batch`` takes the error
-estimate by running the same kernel at h/2); ``SystemDef.rk4_run`` picks a
-shape by counts the emitter returns (``rk4.StepKernels.pick``).
+its one emitted step inline and nothing else (``sim.integrate_batch``
+checks each block's states and takes the error estimate by running the
+same kernel at h/2); ``SystemDef.rk4_run`` picks a shape by counts the
+emitter returns (``rk4.StepKernels.pick``).
 
 A system is declared in a block like::
 
