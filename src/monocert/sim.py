@@ -208,15 +208,15 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
 
     def exits(S, rows, k, T):
         """Each row's first step of the states S (K, m, n), at times T, that
-        fails the domain check, or K, recording the failures by step and
-        row; S[0] is step k + 1 of the run."""
+        fails the domain check, or K, recording each row's failure there;
+        S[0] is step k + 1 of the run."""
         viol = np.maximum(lo - S, S - hi)
         worst = viol.max(axis=2)
         bad = ~(worst <= INVARIANCE_TOL)   # True on NaN as well
         first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(S))
         if abort_on_failure:   # the run ends at the earliest exit
             first[first > first.min(initial=len(S))] = len(S)
-        for r in np.argsort(first, kind="stable")[:(first < len(S)).sum()]:
+        for r in np.flatnonzero(first < len(S)):
             j, s = int(rows[r]), int(first[r])
             if not np.all(np.isfinite(S[s, r])):
                 failures[j] = (k + s, math.inf,

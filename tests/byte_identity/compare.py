@@ -36,7 +36,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 LIST = HERE / "commands.txt"
-CORPUS = HERE.parents[1] / "src" / "monocert" / "corpus"
+REPO = HERE.parents[1]
+CORPUS = REPO / "src" / "monocert" / "corpus"
 
 
 def read_commands(path: Path = LIST) -> list:
@@ -53,7 +54,7 @@ def input_files(argv: list) -> list:
 
 def unpack(rev: str, into: Path) -> Path:
     """The tree of ``rev`` in ``into``/``rev``."""
-    tar = subprocess.run(["git", "-C", str(HERE), "archive", rev],
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", rev],
                          check=True, capture_output=True).stdout
     root = into / rev
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
