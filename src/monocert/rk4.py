@@ -6,9 +6,10 @@ with the same bits.
 nothing else.  Each shape emits the step once, inline in the kernel's
 loop; the domain check and the step-doubling error estimate are not the
 kernel's: ``sim.integrate_batch`` checks each block's states once, after
-the call, and takes the estimate by running the same kernel at h/2.  Both shapes run stage-major, each stage for all rows before the
-next, so a step costs numpy calls per node of the vector field, not per
-row or per component:
+the call, and takes the estimate by running the same kernel at h/2.  Both
+shapes run stage-major, each stage for all rows before the next, so a step
+costs numpy calls per node of the vector field, not per row or per
+component:
 
 * on columns, the state and the stages are (n, m) arrays.  Each field's
   root writes its slope row by ``out=``, and each RK4 update, the final

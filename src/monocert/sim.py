@@ -7,9 +7,10 @@ calls of the vector field.  It comes in two shapes with the same bits, on
 (n, m) arrays and on rows of Python floats; ``SystemDef.rk4_run`` takes
 the row kernel for a block of few live rows (``rk4.StepKernels.pick``),
 so ``simulate`` of a few starts and ``entrain`` run on rows, ``contract``
-with its 20 starts on columns.  One call runs a block of up to ``_BLOCK`` steps
-and writes each step's states to a buffer, from which the kept samples are
-sliced; a remainder step that ends the run on t_end is a block of its own.
+with its 20 starts on columns.  One call runs a block of up to ``_BLOCK``
+steps and writes each step's states to a buffer, from which the kept
+samples are taken; a remainder step that ends the run on t_end is a block
+of its own.
 When the caller asks for it (``integrate_batch(estimate=True)``, the
 default, as ``integrate`` and ``simulate`` use it), ``integrate_batch``
 takes a step-doubling error estimate on every 16th step of the run and on
@@ -30,7 +31,8 @@ after the kernel has taken all of the block's steps: each row leaves at
 its own first failing step, with its diagnostic, and its samples from
 that step on are NaN.  The block is not cut there, so a row's exit inside
 a block costs at most the rest of that block, and the next block runs the
-rows still live.  Overflow and NaN are reported by those diagnostics alone: the run is under ``np.errstate``, so numpy prints no
+rows still live.  Overflow and NaN are reported by those diagnostics
+alone: the run is under ``np.errstate``, so numpy prints no
 RuntimeWarning, whichever kernel runs.  States are never clamped back in,
 because a clamped trajectory would silently invalidate every conclusion
 drawn from it.
@@ -207,9 +209,10 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     failures: dict = {}
 
     def exits(S, rows, k, T):
-        """Each row's first step of the states S (K, m, n), at times T, that
-        fails the domain check, or K, recording each row's failure there;
-        S[0] is step k + 1 of the run."""
+        """Each row's first step in the states S (K, m, n), at times T, that
+        fails the domain check, else K, and its failure recorded there (with
+        ``abort_on_failure`` only the earliest exits count).  S[0] is the
+        state after step k of the run, -1 being the start."""
         viol = np.maximum(lo - S, S - hi)
         worst = viol.max(axis=2)
         bad = ~(worst <= INVARIANCE_TOL)   # True on NaN as well
@@ -245,6 +248,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     saved, k, t = 1, 0, float(t0)
     # overflow and NaN are reported per row by exits, not by numpy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # 1 where a start lies inside the domain
         rows = np.flatnonzero(exits(X0[None], np.arange(B), -1, [t0]))
         X = X0[rows]
         while k < n_steps and not (abort_on_failure and failures):
@@ -257,7 +261,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
                 try:
                     sys.rk4_run(X, t, h, S[:K, :m])
                     first = exits(S[:K, :m], rows, k, T[1:])
-                    # the steps at which a row is live, or every row is
+                    # estimated up to the last step with a live row (with
+                    # abort, where the run ends)
                     last = first.min() if abort_on_failure else first.max()
                     for j in range(min(last + 1, K) if estimate else 0):
                         if (k + j) % _ESTIMATE_EVERY and k + j != n_steps - 1:
@@ -277,17 +282,14 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
                 # each row's states from its exit on are not samples
                 S[:K, :m][np.arange(K)[:, None] >= first] = np.nan
             T = T[1:K + 1]
-            # the kept samples, the block's last step among them when due
-            j0 = (-k - 1) % save_every
-            n_kept = len(range(j0, K - 1, save_every))
-            ts[saved:saved + n_kept] = T[j0:K - 1:save_every]
-            xs[saved:saved + n_kept, rows] = S[j0:K - 1:save_every, :m]
-            saved += n_kept
+            # every save_every-th step of the run, and its last
+            kept = [*range((-k - 1) % save_every, K, save_every)]
+            if k + K == n_steps and n_steps % save_every:
+                kept.append(K - 1)
+            ts[saved:saved + len(kept)] = T[kept]
+            xs[saved:saved + len(kept), rows] = S[kept, :m]
+            saved += len(kept)
             k, t = k + K, float(T[-1])
-            if k % save_every == 0 or k == n_steps:
-                ts[saved] = t
-                xs[saved, rows] = S[K - 1, :m]
-                saved += 1
             if m:
                 rows, X = rows[first >= K], S[K - 1, :m][first >= K]
 
