@@ -178,6 +178,11 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     the block's states are then checked in one pass: each row leaves at
     its own first failing step, and its samples from that step on are NaN.
     A row's exit inside a block thus costs at most the rest of that block.
+    A subtree of constants and ``t`` that raises (a pole of t) raises a
+    ``SimulationError`` naming the span of its block, even where it lies
+    past the exits of every row there; a block without live rows runs no
+    kernel.
+
     With ``abort_on_failure`` the stored samples end after the first step
     at which any row fails (every failure of that step is recorded): for
     callers that raise the earliest failure and would discard the rest of

@@ -1,6 +1,6 @@
 """Compare what the commands of ``commands.txt`` write at two revisions.
 
-    python tests/byte_identity/compare.py REV_A REV_B [--jobs N] [--keep DIR]
+    python tests/byte_identity/compare.py REV_A REV_B [--keep DIR]
 
 Each revision is unpacked with ``git archive`` into a scratch directory.
 Every command of the list runs in a fresh interpreter
@@ -10,8 +10,8 @@ weight files and the ``*.sys`` and ``*.json`` files beside the list.  The
 script then compares, command by command, every file in that directory,
 stdout, stderr and the exit code, prints each command that differs with
 what differs, and exits 1 if any does.  The path of each unpacked revision
-is written as ``<rev>`` in stdout and stderr, so a traceback compares by
-its text.  ``--keep DIR`` keeps the unpacked trees and the run directories
+is written as ``<rev>`` in stdout and stderr, and a traceback's line
+numbers as ``?``, so a traceback compares by its frames and message.  ``--keep DIR`` keeps the unpacked trees and the run directories
 in DIR for a closer look.
 
 The list and its files are read from the working tree, not from either
@@ -24,6 +24,7 @@ import argparse
 import difflib
 import io
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -31,13 +32,14 @@ import sys
 import tarfile
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 LIST = HERE / "commands.txt"
 REPO = HERE.parents[1]
 CORPUS = REPO / "src" / "monocert" / "corpus"
+# a traceback's line numbers, which move with any edit above them
+_LINE = re.compile(r", line \d+,")
 
 
 def read_commands(path: Path = LIST) -> list:
@@ -77,7 +79,8 @@ def run(root: Path, argv: list, where: Path) -> dict:
     files = {str(p.relative_to(where)): p.read_bytes()
              for p in sorted(where.rglob("*")) if p.is_file()}
     return {"files": files, "exit": done.returncode,
-            **{name: out.decode().replace(str(root), "<rev>")
+            **{name: _LINE.sub(", line ?,", out.decode().replace(
+                str(root), "<rev>"))
                for name, out in (("stdout", done.stdout),
                                  ("stderr", done.stderr))}}
 
@@ -105,8 +108,6 @@ def main(args=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="commands run at once (default 1)")
     parser.add_argument("--keep", type=Path,
                         help="keep the trees and run directories here")
     cfg = parser.parse_args(args)
@@ -117,14 +118,9 @@ def main(args=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="compare-", dir=cfg.keep))
     try:
         roots = [unpack(rev, scratch) for rev in (cfg.rev_a, cfg.rev_b)]
-
-        def both(i: int) -> tuple:
-            argv = commands[i]
-            return tuple(run(root, argv, scratch / f"run-{side}" / f"{i:03d}")
-                         for side, root in zip("AB", roots))
-
-        with ThreadPoolExecutor(max(1, cfg.jobs)) as pool:
-            results = list(pool.map(both, range(len(commands))))
+        results = [[run(root, argv, scratch / f"run-{side}" / f"{i:03d}")
+                    for side, root in zip("AB", roots)]
+                   for i, argv in enumerate(commands)]
     finally:
         if cfg.keep is None:
             shutil.rmtree(scratch)
