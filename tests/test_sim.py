@@ -1,5 +1,6 @@
 """Integrator, decrease checks, contraction-rate validation, entrainment."""
 
+import inspect
 import math
 import re
 
@@ -16,6 +17,7 @@ from monocert.sim import (BatchTrajectories, ContractionReport,
                           integrate_batch, verify_decrease)
 from monocert.sysdsl import (Add, Const, Cos, Div, Exp, Max, Min, Mul, Neg,
                              Pow, Sin, Sub, TimeVar, Var)
+import monocert.rk4 as rk4
 from monocert.rk4 import compile_step
 from oracles import (domain_failure, integrate_reference, rk4_at,
                      rk4_four_calls)
@@ -374,8 +376,6 @@ def test_kernels_take_plain_steps_only(name, monkeypatch):
     """Both shapes are ``run(X, t, h, S)``, as ``SystemDef.rk4_run`` is,
     and their source holds no domain bounds, tolerance, check flag or
     early return.  0 is the seed of random fields with every node type."""
-    import inspect
-    import monocert.rk4 as rk4
     sources = []
 
     def define(src, consts):
