@@ -28,12 +28,16 @@ condition — the reported value is the worst across tied branches.
 ``partition`` groups the grid points by active branch pattern, so each
 condition is evaluated once per pattern and chunk, tied points included.
 
-All the checks of one request share one pass over the grid (``_groups``,
+All the checks of one request share one pass over the grid (``_scan``,
 the only code that chunks and partitions one): per group the branch
 Jacobian and the vector field are evaluated once and read by every
-condition, and by a ``visit`` callback on which synthesis builds its LP.
-Each check still sees exactly the points and the arithmetic it would see
-on its own.
+condition, and by a ``visit`` callback on which synthesis builds its LP
+and ``grid_condition_values`` its table.  Each check still sees exactly
+the points and the arithmetic it would see on its own.
+
+Every weighted check, constant vectors included, rests on one hypothesis,
+checked before the pass by ``_positivity_check``: each weight is finite
+and greater than ``POSITIVITY_TOL`` on the box's axis grids.
 
 The scan is points-last: a chunk of m points carries its Jacobians as
 (n, n, m), its coordinates, vector field and weights as (n, m), and each
@@ -57,13 +61,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, product
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import (NORM_KIND, PAIRING, WeightFamily, _measure_terms,
-                       _scaled_jacobian)
+from .measures import (NORM_KIND, PAIRING, POSITIVITY_TOL, WeightFamily,
+                       _measure_terms, _scaled_jacobian)
 from .sysdsl import Min, SystemDef, jacobian, JacobianBranches, TIE_TOL
 
 __all__ = [
@@ -205,7 +209,6 @@ class CertReport:
     branch_ties: int
     equilibrium_margin: Optional[float] = None
     positivity: Optional[dict] = None
-    notes: str = ""
 
     @property
     def passed(self) -> bool:
@@ -324,13 +327,13 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     This is the tie rule.  Rows are grouped by their key: the strict side
     (0=left, 1=right) of every untied guard plus the mask of tied guards;
     guard k ties at a row when |a−b| ≤ TIE_TOL·(1+|a|+|b|).  A tied guard
-    takes both sides, so a group with ties is listed once per tied branch,
-    in ``itertools.product`` order over the guards.
-    Returns ``[(pattern, rows, tied)]``; the entries of one tied group
-    share the same ``rows`` array.
+    takes both sides, so a group with ties has one branch pattern per tied
+    branch, in ``itertools.product`` order over the guards.
+    Returns ``[(rows, tied, patterns)]``, one entry per group: its rows,
+    whether a guard ties there, and its branch patterns.
     """
     if jb.n_guards == 0:
-        return [((), np.arange(X.shape[0]), False)]
+        return [(np.arange(X.shape[0]), False, [()])]
     diffs, scales = jb.guard_values(X)
     is_min = np.array([isinstance(g, Min) for g in jb.guards])
     side = np.where(is_min, diffs >= 0, diffs <= 0).astype(np.int8)
@@ -338,23 +341,24 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     order, starts = row_groups(key)
     groups = []
     for k, rows in zip(key[order[np.r_[0, starts]]], np.split(order, starts)):
-        tied = bool(np.any(k == _TIED))
         options = [(0, 1) if s == _TIED else (int(s),) for s in k]
-        for combo in product(*options):
-            groups.append((tuple(_SIDE_NAMES[s] for s in combo), rows, tied))
+        groups.append((rows, bool(np.any(k == _TIED)),
+                       [tuple(_SIDE_NAMES[s] for s in combo)
+                        for combo in product(*options)]))
     return groups
 
 
 class _Sample:
-    """The points of one partition group, points-last: coordinates X
-    (n, m), the vector field there, evaluated at most once, and the weights,
-    gathered at most once; each is read by every condition on every tied
-    branch of the group."""
+    """The points of one partition group, points-last: their grid indices
+    ``at`` (m,), coordinates X (n, m), the vector field there, evaluated at
+    most once, and the weights, gathered at most once; each is read by
+    every condition on every tied branch of the group."""
 
-    def __init__(self, jb: JacobianBranches, grid: _Grid, flat: np.ndarray,
-                 X: np.ndarray):
+    def __init__(self, jb: JacobianBranches, grid: _Grid, at: np.ndarray,
+                 flat: np.ndarray, X: np.ndarray):
         self.jb = jb
         self.grid = grid
+        self.at = at
         self.flat = flat
         self.X = X
         self._weights: dict = {}
@@ -375,22 +379,6 @@ class _Sample:
         """The branch Jacobian at the points, (n, n, m)."""
         J = self.jb.branch_matrix(pattern).evaluate_batch(self.X.T)
         return J.transpose(1, 2, 0)
-
-
-def _groups(jb: JacobianBranches, grid: _Grid):
-    """Partition the grid chunk by chunk, and yield (at, tied, sample,
-    patterns) for every group: its grid indices, whether a guard ties
-    there, its ``_Sample`` and its branch patterns in product order."""
-    for start, flat in grid.chunks():
-        X = grid.points.take(flat)
-        groups = partition(jb, X.T)
-        # the branches of one tied group share its rows array
-        for _, entries in groupby(groups, key=lambda g: id(g[1])):
-            entries = list(entries)
-            _, rows, tied = entries[0]
-            sample = (_Sample(jb, grid, flat, X) if len(groups) == 1 else
-                      _Sample(jb, grid, flat[:, rows], X[:, rows]))
-            yield start + rows, tied, sample, [p for p, _, _ in entries]
 
 
 def _worse(v, cur):
@@ -425,24 +413,34 @@ def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
           visit: Optional[Callable] = None) -> tuple:
     """Worst value of every evaluator over the whole grid, in one pass.
 
-    Each ``evaluator(sample, J)`` returns the (c, m) condition components
-    at a ``_Sample`` with the branch Jacobian J there; all of them read one
-    partition, one evaluation of J and f and one gather of the weights per
-    group, as does ``visit(sample, J)``, when given, once per branch of
-    every group.  Returns ([(worst, witness_point, witness_comp)], n_tied).
+    The grid is partitioned chunk by chunk.  Each ``evaluator(sample, J)``
+    returns the (c, m) condition components at a ``_Sample`` with the
+    branch Jacobian J there; all of them read one partition, one evaluation
+    of J and f and one gather of the weights per group, as does
+    ``visit(sample, J)``, when given, once per branch of every group.
+    Returns ([(worst, witness_point, witness_comp)], n_tied).
     Deterministic: each witness is the first (lexicographically smallest)
-    grid point attaining its worst value, or the first NaN.
+    grid point attaining its worst value, or the first NaN.  The pass runs
+    under ``np.errstate``: a field that overflows fails through its NaN
+    values and prints no warning.
     """
     worst = [None] * len(evaluators)
     n_tied = 0
-    for at, tied, sample, patterns in _groups(jb, grid):
-        n_tied += len(at) if tied else 0
-        for pattern in patterns:
-            J = sample.jacobian(pattern)
-            if visit is not None:
-                visit(sample, J)
-            for e, ev in enumerate(evaluators):
-                worst[e] = _worst(worst[e], at, ev(sample, J))
+    with np.errstate(all="ignore"):
+        for start, flat in grid.chunks():
+            X = grid.points.take(flat)
+            groups = partition(jb, X.T)
+            for rows, tied, patterns in groups:
+                n_tied += len(rows) if tied else 0
+                cols = slice(None) if len(groups) == 1 else rows
+                sample = _Sample(jb, grid, start + rows, flat[:, cols],
+                                 X[:, cols])
+                for pattern in patterns:
+                    J = sample.jacobian(pattern)
+                    if visit is not None:
+                        visit(sample, J)
+                    for e, ev in enumerate(evaluators):
+                        worst[e] = _worst(worst[e], sample.at, ev(sample, J))
     return [(float(v), grid.point(row), c) for row, c, v in worst], n_tied
 
 
@@ -528,32 +526,31 @@ def _as_family(weights, kind: str) -> WeightFamily:
     return WeightFamily.constant(kind, vec)
 
 
-def _bounds(kind: str, lo: float, hi: float) -> dict:
-    # c is the uniform bound the conditions quantify over: a lower bound
-    # for theta, an upper bound for omega
-    return {"min": lo, "max": hi, "c": lo if kind == "theta" else hi}
-
-
 def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
-    """Verify the family's sign condition on the box's axis grids.
+    """The one hypothesis of every weighted check, on the box's axis grids:
+    the family has the box's dimension, and each weight is finite and
+    greater than ``POSITIVITY_TOL`` (theta_i >= c > 0; 0 < omega_i <= c).
 
-    theta kind needs theta_i >= c > 0; omega kind needs 0 < omega_i <= c.
     Violations are errors (the checks' hypotheses are simply absent), not
-    fail verdicts.
+    fail verdicts.  The message names the component and point of the
+    smallest value, or of the first value that is not finite.  Returns the
+    weights' bounds and c, the uniform bound the conditions quantify over:
+    a lower bound for theta, an upper bound for omega.
     """
+    if fam.n != box.n:
+        raise CertifyError("weight dimension mismatch")
     grid = box._grid
-    lo = math.inf
-    hi = -math.inf
-    for i, vals in enumerate(grid.tables(fam)[0]):
-        k = int(np.argmin(vals))   # a NaN minimum is skipped, as by min()
-        if vals[k] < lo:
-            lo, where = float(vals[k]), (i + 1, grid.points[i, k])
-        hi = max(hi, float(np.max(vals)))
-    if lo <= 1e-12:
+    with np.errstate(all="ignore"):   # a refusal prints no warning
+        vals = grid.tables(fam)[0]
+    # the first value that is not finite, else the first smallest one
+    i, k = np.unravel_index(
+        np.argmin(np.where(np.isfinite(vals), vals, -np.inf)), vals.shape)
+    lo, hi = float(vals[i, k]), float(np.max(vals))
+    if not POSITIVITY_TOL < lo < math.inf:
         raise CertifyError(
             f"{fam.kind} positivity violated on the box: component "
-            f"{where[0]} reaches {lo:.6g} at x={where[1]:.6g}")
-    return _bounds(fam.kind, lo, hi)
+            f"{i + 1} reaches {lo:.6g} at x={grid.points[i, k]:.6g}")
+    return {"min": lo, "max": hi, "c": lo if fam.kind == "theta" else hi}
 
 
 def _require_equilibrium(sys: SystemDef) -> tuple:
@@ -575,26 +572,13 @@ def _kamke_spec(sys: SystemDef, box: WorkingBox) -> _Spec:
 
 
 def _weighted_spec(sys: SystemDef, box: WorkingBox, condition: str,
-                   mode: str, weights, vector: Optional[str] = None,
-                   global_flag: bool = False) -> _Spec:
-    """A sum- or max-type check of a weight family, or with ``vector`` (the
-    argument's name) of a constant positive vector."""
-    kind = _CONDITIONS[mode][0]
-    if vector is None:
-        fam = _as_family(weights, kind)
-        if fam.n != sys.n:
-            raise CertifyError("weight dimension mismatch")
-        pos = _positivity_check(fam, box)
-    else:
-        vec = np.asarray(weights, dtype=float)
-        if vec.shape != (sys.n,):
-            raise CertifyError(f"{vector} has the wrong dimension")
-        if not np.all(vec > 0):
-            raise CertifyError(f"{vector} must be strictly positive")
-        fam = WeightFamily.constant(kind, vec)
-        pos = _bounds(kind, float(np.min(vec)), float(np.max(vec)))
-        if global_flag:
-            condition += "-global"
+                   mode: str, weights, global_flag: bool = False) -> _Spec:
+    """A sum- or max-type check of a weight family or a constant vector,
+    with ``global_flag`` also <= -eps on the whole box."""
+    fam = _as_family(weights, _CONDITIONS[mode][0])
+    pos = _positivity_check(fam, box)
+    if global_flag:
+        condition += "-global"
     _require_equilibrium(sys)
     return _Spec(condition, _make_weighted_eval(fam, mode), needs_eq=True,
                  uniform=global_flag, positivity=pos)
@@ -610,8 +594,6 @@ def _norm_family(w, norm: str) -> WeightFamily:
 
 def _mu_spec(sys: SystemDef, box: WorkingBox, w, norm: str) -> _Spec:
     fam = _norm_family(w, norm)
-    if fam.n != sys.n:
-        raise CertifyError("weight dimension mismatch")
     pos = _positivity_check(fam, box)
     _require_equilibrium(sys)
     return _Spec(f"cor3-{norm}", _make_mu_eval(fam, norm), needs_eq=True,
@@ -668,9 +650,11 @@ def _certify(sys: SystemDef, box: WorkingBox, specs: Sequence[_Spec],
 def _check_alone(spec_step: Callable, sys: SystemDef,
                  box: Optional[WorkingBox], eps: float, *args,
                  **kwargs) -> CertReport:
-    """One check on its own: the default box, its spec step, a grid pass."""
+    """One check on its own: the default box, its spec step, a grid pass.
+    The box is validated before the weights, as in ``certify_all``."""
     if box is None:
         box = WorkingBox.default_for(sys)
+    box.validate_for(sys)
     return _certify(sys, box, [spec_step(sys, box, *args, **kwargs)], eps)[0]
 
 
@@ -706,7 +690,7 @@ def check_cor1(sys: SystemDef, v: Sequence[float],
     sufficient condition for the flow-type Lyapunov function to be global.
     """
     return _check_alone(_weighted_spec, sys, box, eps, "cor1", "sum", v,
-                        vector="v", global_flag=global_flag)
+                        global_flag=global_flag)
 
 
 def check_cor2(sys: SystemDef, w: Sequence[float],
@@ -714,7 +698,7 @@ def check_cor2(sys: SystemDef, w: Sequence[float],
                global_flag: bool = False) -> CertReport:
     """Constant-vector row certificate J w <= 0, strict at x*."""
     return _check_alone(_weighted_spec, sys, box, eps, "cor2", "max", w,
-                        vector="w", global_flag=global_flag)
+                        global_flag=global_flag)
 
 
 def check_cor3(sys: SystemDef, w: WeightFamily, norm: str = "l1",
@@ -725,11 +709,11 @@ def check_cor3(sys: SystemDef, w: WeightFamily, norm: str = "l1",
 
 
 # The checks certify_all runs per weight kind: the theorem and its mode,
-# the constant-vector corollary and its argument name; the measure check
-# runs in the norm the mode pairs with.
+# and the constant-vector corollary; the measure check runs in the norm
+# the mode pairs with.
 _FAMILY_CHECKS = {
-    PAIRING["sum"][0]: ("thm1", "sum", "cor1", "v"),
-    PAIRING["max"][0]: ("thm2", "max", "cor2", "w"),
+    PAIRING["sum"][0]: ("thm1", "sum", "cor1"),
+    PAIRING["max"][0]: ("thm2", "max", "cor2"),
 }
 
 
@@ -759,12 +743,12 @@ def certify_all(sys: SystemDef,
 
     specs = [_kamke_spec(sys, box)]
     for k, fam in enumerate(fams):
-        thm, mode, cor, vector = _FAMILY_CHECKS[fam.kind]
+        thm, mode, cor = _FAMILY_CHECKS[fam.kind]
         norm = PAIRING[mode][1]
         fam_specs = [_weighted_spec(sys, box, thm, mode, fam)]
         if fam.is_constant:
             fam_specs.append(_weighted_spec(sys, box, cor, mode,
-                                            fam.constants(), vector=vector))
+                                            fam.constants()))
         fam_specs.append(_mu_spec(sys, box, fam, norm))
         if len(fams) > 1:
             for spec in fam_specs:
@@ -784,15 +768,17 @@ def _grid_values(sys: SystemDef, box: WorkingBox, evaluator: Callable,
     ``componentwise`` of each of its n = sys.n components, (points, n)."""
     m = box.n_points
     vals = np.full((sys.n, m) if componentwise else m, -np.inf)
-    for at, _, sample, patterns in _groups(jacobian(sys), box._grid):
-        for pattern in patterns:
-            cond = evaluator(sample, sample.jacobian(pattern))
-            if componentwise:
-                vals[:, at] = np.maximum(vals[:, at], cond)
-                continue
-            v = cond[np.argmax(cond, axis=0), np.arange(len(at))]
-            upd = _worse(v, vals[at])
-            vals[at[upd]] = v[upd]
+
+    def visit(sample: _Sample, J: np.ndarray) -> None:
+        at, cond = sample.at, evaluator(sample, J)
+        if componentwise:
+            vals[:, at] = np.maximum(vals[:, at], cond)
+            return
+        v = cond[np.argmax(cond, axis=0), np.arange(len(at))]
+        upd = _worse(v, vals[at])
+        vals[at[upd]] = v[upd]
+
+    _scan(jacobian(sys), box._grid, [], visit)
     return vals.T
 
 

@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+# The one positivity rule of every weighted check: each weight is finite and
+# greater than this on the region checked (certify's axis grids, or the one
+# point of ``weighted_jacobian``).
+POSITIVITY_TOL = 1e-12
+
+
 def _diagonal(A: np.ndarray) -> np.ndarray:
     """The diagonal of (n, n, ...) matrices, (n, ...): a view when A is
     C-contiguous, whose rows are contiguous in a points-last stack."""
@@ -240,20 +246,17 @@ class WeightFamily:
 
 
 def _scaled_jacobian(kind: str, J: np.ndarray, w: np.ndarray, dw: np.ndarray,
-                     F: np.ndarray, check: bool = False) -> np.ndarray:
+                     F: np.ndarray) -> np.ndarray:
     """Theta J Theta^-1 + Thetadot Theta^-1, shape (n, n, ...) as ``J``.
 
     ``J`` is one (n, n) Jacobian or (n, n, m) at m points; ``w``, ``dw``
     and ``F`` are the (n,) or (n, m) weights of kind ``kind``, their
     derivatives and the vector field.  Theta = diag(w) for 'theta' and
     diag(1/w) for 'omega', and Thetadot_ii = (d Theta_ii / d x_i) * f_i.
-    With ``check`` a Theta that is not positive raises ValueError.
     """
     if kind == "omega":
         dw = -dw / (w * w)
         w = 1.0 / w
-    if check and np.any(w <= 0.0):
-        raise ValueError("diagonal scaling must stay positive on the domain")
     # C order, so that the diagonal written below is a view of out
     out = np.multiply(w[:, None] / w[None, :], J, order="C")
     _diagonal(out)[...] += dw * F / w
@@ -267,10 +270,15 @@ def weighted_jacobian(J: np.ndarray, weights: WeightFamily,
     ``J`` is the (branch-resolved) Jacobian at ``x`` and ``f_at_x`` the
     vector field value there — passing f explicitly keeps this purely
     numeric.  Theta is the diagonal scaling of ``weights`` and
-    Thetadot_ii = (d Theta_ii / d x_i) * f_i(x).
+    Thetadot_ii = (d Theta_ii / d x_i) * f_i(x).  Weights that are not
+    finite and greater than ``POSITIVITY_TOL`` at ``x`` raise ValueError.
     """
     x = np.asarray(x, dtype=float)
-    return _scaled_jacobian(weights.kind, np.asarray(J, dtype=float),
-                            weights.axis_values(x),
-                            weights.axis_values(x, deriv=True),
-                            np.asarray(f_at_x, dtype=float), check=True)
+    with np.errstate(all="ignore"):   # a refusal prints no warning
+        w = weights.axis_values(x)
+        dw = weights.axis_values(x, deriv=True)
+    if not np.all(np.isfinite(w) & (w > POSITIVITY_TOL)):
+        raise ValueError(f"{weights.kind} weights must be finite and positive "
+                         f"(> {POSITIVITY_TOL:g}) at x={x.tolist()}")
+    return _scaled_jacobian(weights.kind, np.asarray(J, dtype=float), w, dw,
+                            np.asarray(f_at_x, dtype=float))

@@ -60,8 +60,11 @@ class StepKernels(NamedTuple):
     rows costs about 2, and a batched call's list conversion 1/3 per row.
     The constants are a fit to both kernels' times on 256-step blocks of
     every corpus system at m = 1 to 48 (min of 10 runs, two runs, a 2-vCPU
-    x86-64 host shared with other work, numpy 2.4).  The crossover is the
-    first m at which the columns were as fast as the rows in each run:
+    x86-64 host shared with other work, numpy 2.4).  The crossover column
+    is the first m at which the columns were as fast as the rows in each
+    run.  It moves with the host's noise by up to 5 rows between runs of
+    the same tree (entrain_zero: 13 and 18).  The pick column is what the
+    code does:
 
         system            U   u    p  L   crossover   pick: columns from
         comparison       66   0   98  1     16, 15     16

@@ -3,6 +3,7 @@ witness semantics, and determinism."""
 
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,9 +387,9 @@ def test_partition_matches_tree_walking_patterns(traffic4, resolution, ties):
     jb = jacobian(traffic4)
     X = np.array(list(itertools.product(*box.axes())))
     covering = [[] for _ in range(X.shape[0])]
-    for pattern, rows, tied in partition(jb, X):
+    for rows, tied, patterns in partition(jb, X):
         for r in rows:
-            covering[r].append(pattern)
+            covering[r].extend(patterns)
         assert tied == (len(patterns_at(jb, X[rows[0]])) > 1)
     assert covering == [patterns_at(jb, x) for x in X]
     assert sum(len(p) > 1 for p in covering) == ties
@@ -566,8 +567,7 @@ def test_certify_all_equals_each_check_alone(system, families, resolution):
     got = certify_all(sys, fams, box)
     want = _one_check_at_a_time(sys, fams, box)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
-    assert [(r.positivity, r.notes) for r in got] == [
-        (r.positivity, r.notes) for r in want]
+    assert [r.positivity for r in got] == [r.positivity for r in want]
 
 
 def test_certify_all_evaluates_the_jacobian_once_per_chunk(
@@ -654,9 +654,11 @@ def test_weight_dimension_mismatch(ex1, ex1_box):
 
 
 def test_cor1_requires_positive_vector(ex1, ex1_box):
-    with pytest.raises(CertifyError, match="positive"):
+    with pytest.raises(CertifyError, match=r"^theta positivity violated on "
+                       r"the box: component 2 reaches -1 at x=0$"):
         check_cor1(ex1, [1.0, -1.0], ex1_box)
-    with pytest.raises(CertifyError, match="positive"):
+    with pytest.raises(CertifyError, match=r"^omega positivity violated on "
+                       r"the box: component 1 reaches 0 at x=0$"):
         check_cor2(ex1, [0.0, 1.0], ex1_box)
 
 
@@ -680,6 +682,47 @@ def test_positivity_check_bounds():
     dip = WeightFamily("omega", ((0.5,), (1.0, -2.0, 1.0)))  # (1 - x2)^2
     with pytest.raises(CertifyError, match=r"component 2 reaches 0 at x=1$"):
         _positivity_check(dip, WorkingBox((0.0, 0.0), (3.0, 3.0), 7))
+
+
+def test_a_nan_family_is_refused_by_thm1_and_cor3(ex1, ex1_box):
+    # theta_2 = 1 + NaN x is NaN at every point, x2 = 0 the first
+    fam = WeightFamily("theta", ((1.0,), (1.0, np.nan)))
+    message = (r"^theta positivity violated on the box: component 2 "
+               r"reaches nan at x=0$")
+    with pytest.raises(CertifyError, match=message):
+        check_thm1(ex1, fam, ex1_box)
+    with pytest.raises(CertifyError, match=message):
+        check_cor3(ex1, fam, "l1", ex1_box)
+
+
+def test_cor1_refuses_the_weights_thm1_refuses(ex1, ex1_box):
+    v = [1e-13, 1.0]
+    message = (r"^theta positivity violated on the box: component 1 "
+               r"reaches 1e-13 at x=0$")
+    with pytest.raises(CertifyError, match=message):
+        check_thm1(ex1, WeightFamily.constant("theta", v), ex1_box)
+    with pytest.raises(CertifyError, match=message):
+        check_cor1(ex1, v, ex1_box)
+    with pytest.raises(CertifyError, match=message.replace("theta", "omega")):
+        check_cor2(ex1, v, ex1_box)
+
+
+@pytest.mark.parametrize("weights, message", [
+    # 1/0 is inf on the whole axis: the first point, x1 = 0
+    (({"reciprocal": [0.0]}, (1.0,)), "component 1 reaches inf at x=0"),
+    # 1e308 (1 + x1) overflows from x1 = 0.825, the first grid point past
+    # 0.797 on the 41 points of [0, 3]
+    (((1e308, 1e308), (1.0,)), "component 1 reaches inf at x=0.825"),
+], ids=["reciprocal-of-zero", "overflow"])
+def test_non_finite_weights_are_refused_without_a_warning(ex1, ex1_box,
+                                                          weights, message):
+    fam = WeightFamily("theta", weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: check_thm1(ex1, fam, ex1_box),
+                    lambda: certify_all(ex1, fam, ex1_box)):
+            with pytest.raises(CertifyError, match=message + "$"):
+                run()
 
 
 def test_cor3_rejects_bad_norm(ex1, ex1_theta, ex1_box):

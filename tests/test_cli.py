@@ -86,6 +86,42 @@ def test_certify_unbounded_domain_needs_box(tmp_path, capsys):
             "working box is required") in err
 
 
+def test_certify_overflowing_field_fails_without_a_warning(tmp_path):
+    """On [0, 1e200]^2 ex1's x2^2 overflows: thm1 and cor3 fail through
+    their NaN values, with the report they gave before, and numpy prints
+    no RuntimeWarning (run in a fresh interpreter, where Python's warning
+    filters apply)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "monocert.cli", "certify", "ex1", "--theta",
+         EX1_THETA, "--box", "0:1e200,0:1e200", "--resolution", "5",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == EXIT_FAIL
+    assert run.stderr == ""
+    common = {"box": [[0.0, 1e200], [0.0, 1e200]], "branch_ties": 0,
+              "eps": 0.01, "resolution": 5}
+    nan = {**common, "equilibrium_margin": -1.0, "verdict": "fail",
+           "witness": {"component": 0, "point": [0.0, 2.5e199],
+                       "value": "nan"}, "worst_margin": "nan"}
+    assert _read(tmp_path / "certify-report.json") == {"system": "ex1",
+        "checks": [
+            {**common, "condition": "kamke", "equilibrium_margin": None,
+             "verdict": "pass", "witness": {"component": [0, 1],
+                                            "point": [0.0, 0.0],
+                                            "value": -0.0},
+             "worst_margin": -0.0},
+            {**nan, "condition": "thm1"}, {**nan, "condition": "cor3-l1"}]}
+    assert run.stdout.splitlines()[:3] == [
+        "kamke        pass             worst margin -0",
+        "thm1         fail             worst margin +nan  eq margin -1",
+        "cor3-l1      fail             worst margin +nan  eq margin -1"]
+
+
 def test_certify_quiet_silences_stdout(tmp_path, capsys):
     code = main(["certify", "rotation", "--quiet", "--out", str(tmp_path)])
     assert code == EXIT_FAIL

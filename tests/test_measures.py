@@ -295,6 +295,19 @@ def test_weighted_jacobian_rejects_nonpositive_scaling():
         weighted_jacobian(np.array([[-1.0]]), fam, [0.5], [0.0])
 
 
+@pytest.mark.parametrize("kind, weights", [
+    ("theta", ((1.0,), (np.nan,))),
+    ("omega", ((1.0,), (1.0, np.nan))),
+    ("theta", ((1.0,), (1e-13,))),       # not above POSITIVITY_TOL
+    ("omega", ((1.0,), {"reciprocal": [0.0]})),   # inf
+])
+def test_weighted_jacobian_applies_the_positivity_rule(kind, weights):
+    fam = WeightFamily(kind, weights)
+    with pytest.raises(ValueError, match=rf"^{kind} weights must be finite "
+                       r"and positive \(> 1e-12\) at x=\[0.5, 2.0\]$"):
+        weighted_jacobian(np.eye(2), fam, [0.5, 2.0], [0.0, 0.0])
+
+
 @pytest.mark.parametrize("kind", ["theta", "omega"])
 def test_weighted_jacobian_matches_matrix_product_oracle(kind):
     rng = np.random.default_rng(47 if kind == "theta" else 48)
