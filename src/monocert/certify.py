@@ -91,6 +91,32 @@ _CHUNK = 4096
 _MAX_POINTS = 2 ** 63 - 1   # grid indices are int64
 
 
+# The rule of each numeric argument of the command line and the library, in
+# the order they are checked: name, words, test ("0 < v < inf" fails NaN)
+_ARGUMENT_RULES = (
+    ("resolution", "must be at least 2", lambda v: v >= 2),
+    ("dt", "must be positive and finite", lambda v: 0 < v < math.inf),
+    ("t_end", "must be positive and finite", lambda v: 0 < v < math.inf),
+    ("eps", "must be positive and finite", lambda v: 0 < v < math.inf),
+    ("pairs", "must be at least 1", lambda v: v >= 1),
+    ("periods", "must be at least 1", lambda v: v >= 1),
+    ("degree", "must be nonnegative", lambda v: v >= 0),
+    ("multiplier_degree", "must be nonnegative", lambda v: v >= 0),
+    ("seed", "must be nonnegative", lambda v: v >= 0),
+    ("random", "must be nonnegative", lambda v: v >= 0),
+)
+
+
+def _check_arguments(error: type, **values) -> None:
+    """Raise ``error`` for the first argument in ``values``, in the order
+    of ``_ARGUMENT_RULES``, that breaks its rule, e.g. "t-end must be
+    positive and finite".  None and names without a rule pass."""
+    for name, rule, test in _ARGUMENT_RULES:
+        value = values.get(name)
+        if value is not None and not test(value):
+            raise error(f"{name.replace('_', '-')} {rule}")
+
+
 class CertifyError(ValueError):
     """Invalid certification request (bad box, bad weights, missing x*)."""
 
@@ -118,8 +144,7 @@ class WorkingBox:
                 raise CertifyError("working box must be finite")
             if not lo < hi:
                 raise CertifyError(f"empty box axis [{lo}, {hi}]")
-        if self.resolution < 2:
-            raise CertifyError("resolution must be at least 2")
+        _check_arguments(CertifyError, resolution=self.resolution)
         if self.n_points > _MAX_POINTS:
             raise CertifyError(
                 f"a grid of {self.resolution}^{len(lows)} points is larger "
@@ -526,10 +551,12 @@ def _as_family(weights, kind: str) -> WeightFamily:
     return WeightFamily.constant(kind, vec)
 
 
-def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
-    """The one hypothesis of every weighted check, on the box's axis grids:
-    the family has the box's dimension, and each weight is finite and
-    greater than ``POSITIVITY_TOL`` (theta_i >= c > 0; 0 < omega_i <= c).
+def _positivity_check(fam: WeightFamily,
+                      box: Union[WorkingBox, _Grid]) -> dict:
+    """The one hypothesis of every weighted check, on the box's axis grids
+    (or on a grid, such as x* as ``_Grid.at`` gives it): the family has the
+    grid's dimension, and each weight is finite and greater than
+    ``POSITIVITY_TOL`` (theta_i >= c > 0; 0 < omega_i <= c).
 
     Violations are errors (the checks' hypotheses are simply absent), not
     fail verdicts.  The message names the component and point of the
@@ -537,9 +564,9 @@ def _positivity_check(fam: WeightFamily, box: WorkingBox) -> dict:
     weights' bounds and c, the uniform bound the conditions quantify over:
     a lower bound for theta, an upper bound for omega.
     """
-    if fam.n != box.n:
+    grid = box if isinstance(box, _Grid) else box._grid
+    if fam.n != len(grid.points):
         raise CertifyError("weight dimension mismatch")
-    grid = box._grid
     with np.errstate(all="ignore"):   # a refusal prints no warning
         vals = grid.tables(fam)[0]
     # the first value that is not finite, else the first smallest one
@@ -630,11 +657,9 @@ def _finish(spec: _Spec, box: WorkingBox, scan: tuple, ties: int,
 
 def _certify(sys: SystemDef, box: WorkingBox, specs: Sequence[_Spec],
              eps: float, visit: Optional[Callable] = None) -> list:
-    """Run validated specs in one grid pass, which ``visit`` rides as in
-    ``_scan``; one report per spec."""
-    if not 0 < eps < math.inf:   # NaN too
-        raise CertifyError("eps must be positive and finite")
-    box.validate_for(sys)
+    """Run validated specs on a box its caller validated, in one grid
+    pass, which ``visit`` rides as in ``_scan``; one report per spec."""
+    _check_arguments(CertifyError, eps=eps)
     jb = jacobian(sys)
     scans, ties = _scan(jb, box._grid, [s.evaluator for s in specs], visit)
     eq_specs = [s for s in specs if s.needs_eq]

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (CertifyError, DEFAULT_EPS, WorkingBox, certify_all)
+from .certify import (CertifyError, DEFAULT_EPS, WorkingBox, certify_all,
+                      _check_arguments)
 from .lyap import VARIANTS, LyapError, build_lyapunov
 from .measures import PAIRING, WeightFamily
 from .sim import (SimulationError, entrainment_test,
@@ -217,11 +218,11 @@ def _cmd_simulate(cfg: argparse.Namespace) -> int:
     starts = []
     if cfg.x0:
         starts.append(_parse_vector(cfg.x0, sys.n, "--x0"))
-    if cfg.n_random:
+    if cfg.random:
         box = _resolve_box(cfg, sys)
         rng = np.random.default_rng(cfg.seed)
         lo, hi = np.asarray(box.lows), np.asarray(box.highs)
-        starts.extend(lo + (hi - lo) * rng.random((cfg.n_random, sys.n)))
+        starts.extend(lo + (hi - lo) * rng.random((cfg.random, sys.n)))
     if not starts:
         raise UsageError("simulate needs --x0 and/or --random N")
 
@@ -383,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate trajectories to CSV")
     common(p)
     p.add_argument("--x0", help="initial state, e.g. 1,0.5")
-    p.add_argument("--random", dest="n_random", type=int, default=0,
+    p.add_argument("--random", type=int, default=0,
                    help="additional seeded random initial conditions")
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
@@ -426,29 +427,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        # also where no box is built from it (simulate without --random)
-        resolution = getattr(args, "resolution", None)
-        if resolution is not None and resolution < 2:
-            raise UsageError("resolution must be at least 2")
-        # written as "not 0 < v < inf" so that NaN fails too
-        if not 0 < getattr(args, "dt", 1.0) < math.inf:
-            raise UsageError("dt must be positive and finite")
-        if not 0 < getattr(args, "t_end", 1.0) < math.inf:
-            raise UsageError("t-end must be positive and finite")
-        if not 0 < args.eps < math.inf:
-            raise UsageError("eps must be positive and finite")
-        if getattr(args, "pairs", 1) < 1:
-            raise UsageError("pairs must be at least 1")
-        if getattr(args, "periods", 1) < 1:
-            raise UsageError("periods must be at least 1")
-        if getattr(args, "degree", 0) < 0:
-            raise UsageError("degree must be nonnegative")
-        if getattr(args, "multiplier_degree", 0) < 0:
-            raise UsageError("multiplier-degree must be nonnegative")
-        if args.seed < 0:
-            raise UsageError("seed must be nonnegative")
-        if getattr(args, "n_random", 0) < 0:
-            raise UsageError("random must be nonnegative")
+        _check_arguments(UsageError, **vars(args))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"monocert: {exc}", file=_stdsys.stderr)

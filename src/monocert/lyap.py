@@ -14,7 +14,8 @@ density along coordinate i is 1/omega_i):
 State variants decrease globally on the certified region; flow variants are
 local statements near x* unless the uniform "<= -eps everywhere" addendum
 was certified, in which case pass ``uniform=True`` to record global scope.
-Building a candidate performs no certification — run the checks first.
+Building a candidate applies only the checks' positivity rule, at x*; it
+certifies nothing — run the checks first.
 
 Each quantity has one batched routine: ``_distance`` is the separable
 Finsler distance of paired states, aggregating per-coordinate integrals of
@@ -33,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .certify import _Grid, _positivity_check
 from .measures import (NORM_KIND, PAIRING, WeightComponent, WeightFamily,
                        _poly_text)
 from .sysdsl import SystemDef, format_number
@@ -210,7 +212,9 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     Sum variants take a theta family, max variants an omega family; the
     cross pairings have no meaning here and raise.  ``uniform`` marks a
     flow variant as globally valid (only do this after certifying the
-    uniform-negativity addendum).
+    uniform-negativity addendum).  Weights that break the checks' one
+    positivity rule at x*, where every variant is anchored, raise the
+    checks' ``CertifyError``.
     """
     if variant not in VARIANTS:
         raise LyapError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -223,6 +227,7 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     if sys.equilibrium is None:
         raise LyapError("system has no declared equilibrium")
     xstar = tuple(float(v) for v in sys.equilibrium)
+    _positivity_check(w, _Grid.at(xstar))
     if variant.startswith("state"):
         scope = "global"
     else:

@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certify import (WorkingBox, check_cor3, CertReport, DEFAULT_EPS,
-                      _norm_family)
+                      _check_arguments, _norm_family)
 from .lyap import LyapFn, _densities, _distance, _flow_norm
 from .measures import WeightFamily
 from .sysdsl import INVARIANCE_TOL, SystemDef
@@ -84,12 +84,6 @@ _MONO_TOL = 1e-12
 
 class SimulationError(RuntimeError):
     """Integration left the declared domain or the request is malformed."""
-
-
-def _positive_finite(value: float, name: str) -> None:
-    # refused as the command line refuses it; "not 0 < v < inf" fails NaN
-    if not 0 < value < math.inf:
-        raise SimulationError(f"{name} must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != sys.n:
         raise SimulationError(f"initial conditions must be (B, {sys.n})")
-    _positive_finite(dt, "dt")
+    _check_arguments(SimulationError, dt=dt)
     span = float(t_end) - float(t0)
     if not math.isfinite(span):   # an infinite or NaN t_end or t0
         raise SimulationError("t_end and t0 must be finite")
@@ -412,10 +406,8 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     the slowest (minimum) is reported.  The weighted flow norm is held to
     the same exponential bound along each single trajectory.
     """
-    _positive_finite(dt, "dt")
-    _positive_finite(t_end, "t-end")
-    if not pairs >= 1:
-        raise SimulationError("pairs must be at least 1")
+    _check_arguments(SimulationError, dt=dt, t_end=t_end, eps=eps,
+                     pairs=pairs, seed=seed)
     if box is None:
         box = WorkingBox.default_for(sys)
     fam = _norm_family(w, norm)
@@ -497,9 +489,7 @@ def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,
     ``final_tol``.  Per-trajectory period-to-period increments are reported
     for convergence diagnostics.
     """
-    _positive_finite(dt, "dt")
-    if not horizon_periods >= 1:
-        raise SimulationError("periods must be at least 1")
+    _check_arguments(SimulationError, dt=dt, periods=horizon_periods)
     if sys.period is None:
         raise SimulationError("entrainment needs a system with a declared period")
     X0 = np.asarray(x0_set, dtype=float)

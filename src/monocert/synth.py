@@ -61,8 +61,8 @@ import numpy as np
 
 from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
                       check_cor2, check_thm1, check_thm2, DEFAULT_EPS,
-                      _CONDITIONS, _Grid, _certify, _kamke_spec,
-                      _positivity_check, _scan, row_groups)
+                      _CONDITIONS, _Grid, _certify, _check_arguments,
+                      _kamke_spec, _positivity_check, _scan, row_groups)
 from .measures import PAIRING, WeightComponent, WeightFamily
 from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
                      SystemDef, TimeVar, Var, _fold, jacobian)
@@ -406,11 +406,9 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     ``synth_poly``: rows, solve, normalisation and the post-hoc check."""
     if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
-    if not 0 < eps < math.inf:   # NaN too
-        raise SynthError("eps must be positive and finite")
+    _check_arguments(SynthError, resolution=resolution, eps=eps,
+                     degree=degree)
     poly = degree is not None
-    if poly and degree < 0:
-        raise SynthError("degree must be nonnegative")
     if sys.equilibrium is None:
         raise SynthError("synthesis needs a declared equilibrium")
     if box is None:
@@ -821,10 +819,8 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     """
     if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
-    if not 0 < eps < math.inf:   # NaN too
-        raise SynthError("eps must be positive and finite")
-    if degree < 0 or multiplier_degree < 0:
-        raise SynthError("degrees must be nonnegative")
+    _check_arguments(SynthError, eps=eps, degree=degree,
+                     multiplier_degree=multiplier_degree)
     if multiplier_degree % 2:
         raise SynthError("multiplier degree must be even (it is a SOS degree)")
     if sys.equilibrium is None:

@@ -6,6 +6,7 @@ debuggability stay intact; each test writes into its own tmp directory.
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,17 +15,22 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, load_family, load_system
-from monocert.certify import certify_all
+from monocert.certify import (CertifyError, WorkingBox, _ARGUMENT_RULES,
+                              certify_all, check_cor1, check_cor2,
+                              check_cor3, check_thm1, check_thm2)
 from monocert.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _build_parser, main
 from monocert.lyap import build_lyapunov
-from monocert.sim import (entrainment_test, estimate_contraction_rate,
-                          integrate)
-from monocert.synth import export_sos_sdpa, synth_const, synth_poly
+from monocert.sim import (SimulationError, entrainment_test,
+                          estimate_contraction_rate, integrate,
+                          integrate_batch)
+from monocert.synth import (SynthError, export_sos_sdpa, synth_const,
+                            synth_poly)
 
 EX1 = str(CORPUS / "ex1.sys")
 EX1_THETA = str(CORPUS / "ex1.theta.json")
 EX1_OMEGA = str(CORPUS / "ex1.omega.json")
 LINEAR_THETA = str(CORPUS / "linear_sym.theta.json")
+BYTE_IDENTITY = Path(__file__).resolve().parent / "byte_identity"
 
 
 def _read(path: Path) -> dict:
@@ -332,6 +338,28 @@ def test_lyap_needs_exactly_one_family(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("nan", "component 2 reaches nan at x=0"),
+    ("recip0", "component 1 reaches inf at x=0"),
+    ("tiny", "component 1 reaches 1e-13 at x=0"),
+])
+@pytest.mark.parametrize("argv", [
+    ["lyap", "ex1"],
+    ["simulate", "ex1", "--x0", "2,1", "--box", "0:3,0:3"],
+])
+def test_weights_not_positive_at_the_equilibrium_fail(argv, weights, message,
+                                                      tmp_path, capsys):
+    """The positivity rule of the checks, applied at x* = (0, 0).  Before,
+    lyap and simulate with the NaN weights ended in a traceback from
+    format_number, and lyap with 1/0 or 1e-13 exited 0."""
+    path = BYTE_IDENTITY / f"{weights}.theta.json"
+    code = main(argv + ["--theta", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_FAIL
+    assert capsys.readouterr() == (
+        "", f"monocert: theta positivity violated on the box: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +731,131 @@ def test_negative_counts_are_usage(argv, message, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == f"monocert: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _argument_rule_cases(sos_path: str) -> dict:
+    """Per argument of the table of rules: a command that breaks its rule,
+    the words of the refusal, and each library call that takes the argument
+    with the same bad value, beside the error class it raises."""
+    ex1, lin = load_system("ex1"), load_system("linear_sym")
+    cubic = load_system("entrain_cubic")
+    theta, omega = load_family("ex1.theta.json"), load_family("ex1.omega.json")
+    ones = load_family("linear_sym.theta.json")
+    box = WorkingBox((0.0, 0.0), (3.0, 3.0), 5)
+    start = ["simulate", "ex1", "--x0", "1,1"]
+    contract = ["contract", "linear_sym", "--theta", LINEAR_THETA]
+
+    def rate(**kw):
+        return lambda: estimate_contraction_rate(lin, ones, pairs=1,
+                                                 t_end=0.01, **kw)
+
+    return {
+        "resolution": (["certify", "ex1", "--box", "0:3,0:3",
+                        "--resolution", "1"],
+                       "resolution must be at least 2", [
+            (CertifyError, lambda: WorkingBox((0.0,), (1.0,), 1)),
+            (CertifyError, lambda: WorkingBox.from_string("0:1", 1)),
+            (CertifyError, lambda: box.with_resolution(1)),
+            (SynthError, lambda: synth_const(ex1, box, resolution=1)),
+            (SynthError, lambda: synth_poly(ex1, box, resolution=1)),
+        ]),
+        "dt": (start + ["--dt", "nan"], "dt must be positive and finite", [
+            (SimulationError, lambda: integrate(ex1, [1, 1], 1.0, dt=math.nan)),
+            (SimulationError,
+             lambda: integrate_batch(ex1, [[1, 1]], 1.0, dt=math.nan)),
+            (SimulationError, rate(dt=math.nan)),
+            (SimulationError,
+             lambda: entrainment_test(cubic, [-2, 2], dt=math.nan)),
+        ]),
+        "t_end": (start + ["--t-end", "inf"],
+                  "t-end must be positive and finite", [
+            (SimulationError, lambda: estimate_contraction_rate(
+                lin, ones, pairs=1, t_end=math.inf)),
+        ]),
+        "eps": (["certify", "ex1", "--box", "0:3,0:3", "--eps", "nan"],
+                "eps must be positive and finite", [
+            (CertifyError, lambda: check_thm1(ex1, theta, box, eps=math.nan)),
+            (CertifyError, lambda: check_thm2(ex1, omega, box, eps=math.nan)),
+            (CertifyError,
+             lambda: check_cor1(ex1, [1.0, 1.0], box, eps=math.nan)),
+            (CertifyError,
+             lambda: check_cor2(ex1, [1.0, 1.0], box, eps=math.nan)),
+            (CertifyError,
+             lambda: check_cor3(ex1, theta, box=box, eps=math.nan)),
+            (CertifyError, lambda: certify_all(ex1, theta, box, eps=math.nan)),
+            (SynthError, lambda: synth_const(ex1, box, eps=math.nan)),
+            (SynthError, lambda: synth_poly(ex1, box, eps=math.nan)),
+            (SynthError, lambda: export_sos_sdpa(ex1, eps=math.nan,
+                                                 path=sos_path)),
+            (SimulationError, rate(eps=math.nan)),
+        ]),
+        "pairs": (contract + ["--pairs", "0"], "pairs must be at least 1", [
+            (SimulationError, lambda: estimate_contraction_rate(
+                lin, ones, pairs=0, t_end=0.01)),
+        ]),
+        "periods": (["entrain", "entrain_cubic", "--x0-set=-2;2",
+                     "--periods", "0"], "periods must be at least 1", [
+            (SimulationError,
+             lambda: entrainment_test(cubic, [-2, 2], horizon_periods=0)),
+        ]),
+        "degree": (["export-sos", "ex1", "--degree", "-1"],
+                   "degree must be nonnegative", [
+            (SynthError, lambda: synth_poly(ex1, box, degree=-1)),
+            (SynthError,
+             lambda: export_sos_sdpa(ex1, degree=-1, path=sos_path)),
+        ]),
+        # -1 is odd too: the sign is refused first
+        "multiplier_degree": (["export-sos", "ex1", "--multiplier-degree",
+                               "-1"], "multiplier-degree must be nonnegative",
+                              [(SynthError, lambda: export_sos_sdpa(
+                                  ex1, multiplier_degree=-1, path=sos_path))]),
+        "seed": (contract + ["--seed", "-1"], "seed must be nonnegative", [
+            (SimulationError, rate(seed=-1)),
+        ]),
+        "random": (start + ["--random", "-1"], "random must be nonnegative",
+                   []),
+    }
+
+
+@pytest.mark.parametrize("name", [row[0] for row in _ARGUMENT_RULES])
+def test_one_rule_one_set_of_words(name, tmp_path, capsys):
+    """The command line and every library call that takes the argument
+    refuse a bad value with the same words.  Before, export_sos_sdpa said
+    "degrees must be nonnegative" for either degree, synthesis refused a
+    resolution of 1 with CertifyError, estimate_contraction_rate an eps of
+    NaN with CertifyError, and a seed of -1 with numpy's ValueError after
+    it had certified the rate."""
+    cases = _argument_rule_cases(str(tmp_path / "e.dat-s"))
+    assert list(cases) == [row[0] for row in _ARGUMENT_RULES]
+    argv, words, calls = cases[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"monocert: {words}\n")
+    for error, call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == words
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["contract", "linear_sym", "--theta", LINEAR_THETA, "--dt", "0",
+      "--pairs", "0"], "dt must be positive and finite"),
+    (["simulate", "ex1", "--x0", "1,1", "--resolution", "1", "--dt", "0",
+      "--seed", "-1"], "resolution must be at least 2"),
+    (["export-sos", "ex1", "--degree", "-1", "--multiplier-degree", "-1",
+      "--eps", "0"], "eps must be positive and finite"),
+    (["synth", "ex1", "--box", "0:3,0:3", "--degree", "-1", "--eps", "nan"],
+     "eps must be positive and finite"),
+])
+def test_the_first_broken_rule_is_named(argv, words, tmp_path, capsys):
+    """Rules are checked in one order: resolution, dt, t-end, eps, pairs,
+    periods, degree, multiplier-degree, seed, random."""
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"monocert: {words}\n")
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_grid_beyond_int64_is_usage(tmp_path, capsys):
     """65536^4 = 2^64 points; counted in int64 they wrap to 0."""

@@ -10,6 +10,8 @@ theta = (1, 1 + x2) and omega = (2, 1/(1 + x2)):
 """
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +187,37 @@ def test_missing_equilibrium():
     fam = WeightFamily("theta", (load_family("ex1.theta.json").components[0],))
     with pytest.raises(LyapError, match="equilibrium"):
         build_lyapunov(sys, fam, "state-sum")
+
+
+@pytest.mark.parametrize("weights,message", [
+    ([[1.0], [1.0, math.nan]], "component 2 reaches nan at x=0"),
+    ([{"reciprocal": [0.0]}, [1.0]], "component 1 reaches inf at x=0"),
+    ([[1e-13], [1.0]], "component 1 reaches 1e-13 at x=0"),
+    ([[1.0], [-2.0, 1.0]], "component 2 reaches -2 at x=0"),
+])
+@pytest.mark.parametrize("kind", ["theta", "omega"])
+def test_weights_not_positive_at_the_equilibrium_are_refused(ex1, kind,
+                                                             weights,
+                                                             message):
+    """The checks' positivity rule at x* = (0, 0), for both variants of the
+    kind and without a numpy warning.  Before, each candidate was built."""
+    fam = WeightFamily.from_jsonable({"kind": kind, "weights": weights})
+    mode = "sum" if kind == "theta" else "max"
+    for form in ("state", "flow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mc.CertifyError) as info:
+                build_lyapunov(ex1, fam, f"{form}-{mode}")
+        assert str(info.value) == (f"{kind} positivity violated on the box: "
+                                   f"{message}")
+
+
+def test_weights_are_checked_at_the_equilibrium_alone(ex1):
+    """theta_2 = 1 - x2 is not positive from x2 = 1 on, away from x*."""
+    fam = WeightFamily.from_jsonable({"kind": "theta",
+                                      "weights": [[1.0], [1.0, -1.0]]})
+    V = build_lyapunov(ex1, fam, "state-sum")
+    assert V.value([1.0, 0.5]) == pytest.approx(1.375, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
