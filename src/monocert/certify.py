@@ -169,6 +169,13 @@ class WorkingBox:
     def with_resolution(self, resolution: int) -> "WorkingBox":
         return WorkingBox(self.lows, self.highs, resolution)
 
+    def _uniform(self, count: int, seed: int) -> np.ndarray:
+        """``count`` points drawn uniformly from the box, (count, n), by
+        numpy's default generator seeded with ``seed``."""
+        rng = np.random.default_rng(seed)
+        lo, hi = np.asarray(self.lows), np.asarray(self.highs)
+        return lo + (hi - lo) * rng.random((count, self.n))
+
     def contains(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         return all(lo - tol <= float(v) <= hi + tol
                    for lo, hi, v in zip(self.lows, self.highs, x))
@@ -191,16 +198,15 @@ class WorkingBox:
 
     @staticmethod
     def default_for(sys: SystemDef, resolution: int = DEFAULT_RESOLUTION) -> "WorkingBox":
-        """The system's own bounds, when finite — never a silent truncation."""
+        """The system's own bounds, when finite — never a silent truncation.
+        The caller validates the box, as it does any box it is given."""
         for b, name in zip(sys.bounds, sys.state_names):
             if math.isinf(b.lo) or math.isinf(b.hi):
                 raise CertifyError(
                     f"state {name} has an unbounded domain {b}: an explicit "
                     "finite working box is required")
-        box = WorkingBox(tuple(b.lo for b in sys.bounds),
-                         tuple(b.hi for b in sys.bounds), resolution)
-        box.validate_for(sys)
-        return box
+        return WorkingBox(tuple(b.lo for b in sys.bounds),
+                          tuple(b.hi for b in sys.bounds), resolution)
 
     @staticmethod
     def from_string(text: str, resolution: int = DEFAULT_RESOLUTION) -> "WorkingBox":
@@ -551,18 +557,19 @@ def _as_family(weights, kind: str) -> WeightFamily:
     return WeightFamily.constant(kind, vec)
 
 
-def _positivity_check(fam: WeightFamily,
-                      box: Union[WorkingBox, _Grid]) -> dict:
+def _positivity_check(fam: WeightFamily, box: Union[WorkingBox, _Grid],
+                      where: str = "on the box") -> dict:
     """The one hypothesis of every weighted check, on the box's axis grids
     (or on a grid, such as x* as ``_Grid.at`` gives it): the family has the
     grid's dimension, and each weight is finite and greater than
     ``POSITIVITY_TOL`` (theta_i >= c > 0; 0 < omega_i <= c).
 
     Violations are errors (the checks' hypotheses are simply absent), not
-    fail verdicts.  The message names the component and point of the
-    smallest value, or of the first value that is not finite.  Returns the
-    weights' bounds and c, the uniform bound the conditions quantify over:
-    a lower bound for theta, an upper bound for omega.
+    fail verdicts.  The message says ``where`` the rule was applied and
+    names the component and point of the smallest value, or of the first
+    value that is not finite.  Returns the weights' bounds and c, the
+    uniform bound the conditions quantify over: a lower bound for theta,
+    an upper bound for omega.
     """
     grid = box if isinstance(box, _Grid) else box._grid
     if fam.n != len(grid.points):
@@ -575,7 +582,7 @@ def _positivity_check(fam: WeightFamily,
     lo, hi = float(vals[i, k]), float(np.max(vals))
     if not POSITIVITY_TOL < lo < math.inf:
         raise CertifyError(
-            f"{fam.kind} positivity violated on the box: component "
+            f"{fam.kind} positivity violated {where}: component "
             f"{i + 1} reaches {lo:.6g} at x={grid.points[i, k]:.6g}")
     return {"min": lo, "max": hi, "c": lo if fam.kind == "theta" else hi}
 
@@ -615,8 +622,7 @@ def _norm_family(w, norm: str) -> WeightFamily:
     """``w``, or the constant family of the kind ``norm`` takes."""
     if norm not in NORM_KIND:
         raise CertifyError(f"norm must be 'l1' or 'linf', got {norm!r}")
-    return (w if isinstance(w, WeightFamily)
-            else WeightFamily.constant(NORM_KIND[norm], w))
+    return w if isinstance(w, WeightFamily) else _as_family(w, NORM_KIND[norm])
 
 
 def _mu_spec(sys: SystemDef, box: WorkingBox, w, norm: str) -> _Spec:

@@ -3,7 +3,9 @@
 One command per process.  Reports are JSON with sorted keys and no
 timestamps, so a fixed seed reproduces them byte for byte.  Exit codes:
 0 = all checks passed / synthesis succeeded, 1 = a check failed or the
-problem is infeasible, 2 = usage or parse error.
+problem is infeasible, 2 = usage or parse error.  A command returns 0 or
+1 itself; ``_EXIT_CODES`` is the one place that decides the exit code of
+each error class a command raises.
 
 Each command reads the parsed arguments, so the parser's defaults are the
 only defaults.  Bare system names (no path separator, no file on disk)
@@ -40,6 +42,14 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     """Bad flags, missing files, or unparsable inputs."""
+
+
+# The exit code of each error class a command may raise: a request the
+# command cannot take is a usage error, a check or run that fails is not.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE, DslError: EXIT_USAGE, LyapError: EXIT_USAGE,
+    CertifyError: EXIT_FAIL, SynthError: EXIT_FAIL, SimulationError: EXIT_FAIL,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +114,9 @@ def _write_report(cfg: argparse.Namespace, name: str, payload: dict) -> Path:
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               allow_nan=False, default=_json_default) + "\n")
+    path.write_text(json.dumps(_clean_nan(payload), sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
     return path
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON-serializable: {type(v).__name__}")
 
 
 def _clean_nan(obj):
@@ -147,7 +149,7 @@ def _cmd_certify(cfg: argparse.Namespace) -> int:
     fams = _families(cfg)
     reports = certify_all(sys, fams, box, eps=cfg.eps)
     payload = {"system": sys.name,
-               "checks": [_clean_nan(r.to_jsonable()) for r in reports]}
+               "checks": [r.to_jsonable() for r in reports]}
     path = _write_report(cfg, "certify-report.json", payload)
     ok = True
     for r in reports:
@@ -167,9 +169,8 @@ def _cmd_synth(cfg: argparse.Namespace) -> int:
         result = synth_poly(sys, box, degree=cfg.degree,
                             mode=cfg.mode.removeprefix("poly-"),
                             eps=cfg.eps, resolution=cfg.resolution)
-    payload = _clean_nan(result.to_jsonable())
-    payload["system"] = sys.name
-    path = _write_report(cfg, "synth-report.json", payload)
+    path = _write_report(cfg, "synth-report.json",
+                         {**result.to_jsonable(), "system": sys.name})
     if result.success:
         if isinstance(result.weights, WeightFamily):
             fam = result.weights
@@ -178,7 +179,7 @@ def _cmd_synth(cfg: argparse.Namespace) -> int:
         wpath = _write_report(cfg, "synth-weights.json", fam.to_jsonable())
         _say(cfg, f"synthesized {fam.describe(sys.state_names)}")
         _say(cfg, f"certified margin {result.margin:.6g} "
-                  f"(post-hoc at resolution {2 * result.resolution - 1})")
+                  f"(post-hoc at resolution {result.posthoc.box.resolution})")
         _say(cfg, f"weights: {wpath}")
         _say(cfg, f"report: {path}")
         return EXIT_PASS
@@ -192,12 +193,8 @@ def _cmd_lyap(cfg: argparse.Namespace) -> int:
     fams = _families(cfg)
     if len(fams) != 1:
         raise UsageError("lyap needs exactly one of --theta/--omega")
-    try:
-        V = build_lyapunov(sys, fams[0], cfg.variant, uniform=cfg.uniform)
-    except LyapError as exc:
-        raise UsageError(str(exc))
-    payload = _clean_nan(V.to_jsonable())
-    path = _write_report(cfg, "lyap.json", payload)
+    V = build_lyapunov(sys, fams[0], cfg.variant, uniform=cfg.uniform)
+    path = _write_report(cfg, "lyap.json", V.to_jsonable())
     _say(cfg, V.describe())
     _say(cfg, f"report: {path}")
     return EXIT_PASS
@@ -219,10 +216,7 @@ def _cmd_simulate(cfg: argparse.Namespace) -> int:
     if cfg.x0:
         starts.append(_parse_vector(cfg.x0, sys.n, "--x0"))
     if cfg.random:
-        box = _resolve_box(cfg, sys)
-        rng = np.random.default_rng(cfg.seed)
-        lo, hi = np.asarray(box.lows), np.asarray(box.highs)
-        starts.extend(lo + (hi - lo) * rng.random((cfg.random, sys.n)))
+        starts.extend(_resolve_box(cfg, sys)._uniform(cfg.random, cfg.seed))
     if not starts:
         raise UsageError("simulate needs --x0 and/or --random N")
 
@@ -231,10 +225,7 @@ def _cmd_simulate(cfg: argparse.Namespace) -> int:
     if fams:
         if len(fams) != 1:
             raise UsageError("simulate takes at most one weight family")
-        try:
-            V = build_lyapunov(sys, fams[0], cfg.variant, uniform=cfg.uniform)
-        except LyapError as exc:
-            raise UsageError(str(exc))
+        V = build_lyapunov(sys, fams[0], cfg.variant, uniform=cfg.uniform)
 
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,7 +257,7 @@ def _cmd_simulate(cfg: argparse.Namespace) -> int:
             if not rep.passed:
                 code = EXIT_FAIL
         manifest["files"].append(entry)
-    path = _write_report(cfg, "simulate-report.json", _clean_nan(manifest))
+    path = _write_report(cfg, "simulate-report.json", manifest)
     _say(cfg, f"{len(manifest['files'])} trajectories in {out}")
     _say(cfg, f"report: {path}")
     return code
@@ -282,8 +273,8 @@ def _cmd_contract(cfg: argparse.Namespace) -> int:
                                     pairs=cfg.pairs, box=box,
                                     t_end=cfg.t_end, dt=cfg.dt,
                                     seed=cfg.seed, eps=cfg.eps)
-    payload = _clean_nan({**rep.to_jsonable(), "system": sys.name})
-    path = _write_report(cfg, "contract-report.json", payload)
+    path = _write_report(cfg, "contract-report.json",
+                         {**rep.to_jsonable(), "system": sys.name})
     _say(cfg, f"certified rate {rep.certified_rate:.6g}, "
               f"fitted {rep.fitted_rate:.6g}, "
               f"max ratio excess {rep.ratio_excess:.3g}")
@@ -293,18 +284,15 @@ def _cmd_contract(cfg: argparse.Namespace) -> int:
 
 def _cmd_entrain(cfg: argparse.Namespace) -> int:
     sys = _load_system(cfg.system)
-    if not cfg.x0_set:
-        raise UsageError("entrain needs --x0-set \"a;b;c\" "
-                         "(';'-separated initial conditions)")
     rows = [_parse_vector(part, sys.n, "--x0-set entry")
             for part in cfg.x0_set.split(";") if part.strip()]
     if len(rows) < 2:
         raise UsageError("entrainment needs at least two initial conditions")
     rep = entrainment_test(sys, np.array(rows), horizon_periods=cfg.periods,
                            dt=cfg.dt)
-    payload = _clean_nan({**rep.to_jsonable(), "system": sys.name,
+    path = _write_report(cfg, "entrain-report.json",
+                         {**rep.to_jsonable(), "system": sys.name,
                           "spread": [float(v) for v in rep.spread]})
-    path = _write_report(cfg, "entrain-report.json", payload)
     for k, v in rep.checks.items():
         _say(cfg, f"{'PASS' if v else 'FAIL'}  {k}")
     _say(cfg, f"final spread {rep.final_spread:.3g}; report: {path}")
@@ -429,15 +417,10 @@ def main(argv=None) -> int:
     try:
         _check_arguments(UsageError, **vars(args))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"monocert: {exc}", file=_stdsys.stderr)
-        return EXIT_USAGE
-    except (CertifyError, SynthError, LyapError, SimulationError) as exc:
-        print(f"monocert: {exc}", file=_stdsys.stderr)
-        return EXIT_FAIL
-    except DslError as exc:
-        print(f"monocert: {exc}", file=_stdsys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

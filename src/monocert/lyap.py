@@ -227,7 +227,7 @@ def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,
     if sys.equilibrium is None:
         raise LyapError("system has no declared equilibrium")
     xstar = tuple(float(v) for v in sys.equilibrium)
-    _positivity_check(w, _Grid.at(xstar))
+    _positivity_check(w, _Grid.at(xstar), "at x*")
     if variant.startswith("state"):
         scope = "global"
     else:

@@ -414,10 +414,7 @@ def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
     cert = check_cor3(sys, fam, norm=norm, box=box, eps=eps)
     rate = max(0.0, -cert.worst_margin)
 
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(box.lows)
-    hi = np.asarray(box.highs)
-    X0 = lo + (hi - lo) * rng.random((2 * pairs, sys.n))
+    X0 = box._uniform(2 * pairs, seed)
     total_steps = max(1, int(round(t_end / dt)))
     save_every = max(1, total_steps // 500)
     batch = integrate_batch(sys, X0, t_end, dt=dt, save_every=save_every,

@@ -537,9 +537,8 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
     else:
         weights = coeffs[:, 0]
         check = check_cor1 if mode == "sum" else check_cor2
-    fine = box.with_resolution(2 * res - 1)
     try:
-        post = check(sys, weights, fine, eps=min(eps, s / 2))
+        post = check(sys, weights, grid_box.refined(), eps=min(eps, s / 2))
     except CertifyError as exc:   # a polynomial lost positivity off the grid
         return fail(s, f"post-hoc positivity failure: {exc}")
     margin = -post.worst_margin

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from monocert import certify, sysdsl
 from monocert.certify import (
-    _CONDITIONS, DEFAULT_EPS, CertifyError, WorkingBox, _positivity_check,
-    _worst, certify_all,
+    _CONDITIONS, DEFAULT_EPS, DEFAULT_RESOLUTION, CertifyError, WorkingBox,
+    _positivity_check, _worst, certify_all,
     check_cor1, check_cor2, check_cor3, check_kamke, check_thm1, check_thm2,
     grid_condition_values, grid_mu_values, partition, row_groups,
 )
 from monocert.measures import WeightFamily, mu1, mu_inf
+from monocert.sim import estimate_contraction_rate
 from monocert.synth import synth_const
 from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
@@ -101,6 +102,34 @@ def test_box_validate_for(ex1):
     with pytest.raises(CertifyError, match="equilibrium"):
         WorkingBox((1.0, 1.0), (2.0, 2.0)).validate_for(ex1)
     WorkingBox((0.0, 0.0), (3.0, 3.0)).validate_for(ex1)  # fine
+
+
+@pytest.mark.parametrize("run, grids", [
+    (lambda sysd, fam: check_thm1(sysd, fam), [DEFAULT_RESOLUTION]),
+    (lambda sysd, fam: certify_all(sysd, [fam]), [DEFAULT_RESOLUTION]),
+    (lambda sysd, fam: estimate_contraction_rate(sysd, fam, pairs=1,
+                                                 t_end=0.01),
+     [DEFAULT_RESOLUTION]),
+    # the synthesis box, then the box of the post-hoc check_cor1: the
+    # doubled 21-point synthesis grid, 41 points again
+    (lambda sysd, fam: synth_const(sysd), [DEFAULT_RESOLUTION, 41]),
+], ids=["check_thm1", "certify_all", "estimate_contraction_rate",
+        "synth_const"])
+def test_a_box_is_validated_once(linear_sym, monkeypatch, run, grids):
+    """Without a box each entry point takes the default box, and each
+    check validates the box it is given once.  Before, ``default_for``
+    validated the default box and its caller validated it again."""
+    seen = []
+    validate = WorkingBox.validate_for
+
+    def spy(box, sysd):
+        seen.append(box)
+        validate(box, sysd)
+
+    monkeypatch.setattr(WorkingBox, "validate_for", spy)
+    run(linear_sym, load_family("linear_sym.theta.json"))
+    box = WorkingBox.default_for(linear_sym)
+    assert seen == [box.with_resolution(r) for r in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +752,22 @@ def test_non_finite_weights_are_refused_without_a_warning(ex1, ex1_box,
                     lambda: certify_all(ex1, fam, ex1_box)):
             with pytest.raises(CertifyError, match=message + "$"):
                 run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda sysd, w: check_cor1(sysd, w),
+    lambda sysd, w: check_cor2(sysd, w),
+    lambda sysd, w: check_cor3(sysd, w, norm="l1"),
+    lambda sysd, w: check_cor3(sysd, w, norm="linf"),
+    lambda sysd, w: estimate_contraction_rate(sysd, w, norm="linf", pairs=1,
+                                              t_end=0.01),
+], ids=["cor1", "cor2", "cor3-l1", "cor3-linf", "contract"])
+def test_constant_weights_must_be_a_flat_vector(linear_sym, run):
+    """Before, cor3 and the contraction check raised a TypeError from
+    ``float`` on a 2-D list."""
+    with pytest.raises(CertifyError,
+                       match="^constant weights must be a flat vector$"):
+        run(linear_sym, [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_cor3_rejects_bad_norm(ex1, ex1_theta, ex1_box):

@@ -332,6 +332,18 @@ def test_lyap_variant_kind_mismatch(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_simulate_variant_kind_mismatch_is_usage(tmp_path, capsys):
+    """A LyapError of simulate exits 2 through main's table, as lyap's."""
+    code = main(["simulate", "ex1", "--x0", "2,1", "--box", "0:3,0:3",
+                 "--theta", EX1_THETA, "--variant", "flow-max",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "monocert: variant 'flow-max' needs kind 'omega' weights, "
+            "got 'theta'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lyap_needs_exactly_one_family(tmp_path, capsys):
     assert main(["lyap", "ex1", "--out", str(tmp_path)]) == EXIT_USAGE
     code = main(["lyap", "ex1", "--theta", EX1_THETA, "--omega", EX1_OMEGA,
@@ -358,7 +370,7 @@ def test_weights_not_positive_at_the_equilibrium_fail(argv, weights, message,
     code = main(argv + ["--theta", str(path), "--out", str(tmp_path)])
     assert code == EXIT_FAIL
     assert capsys.readouterr() == (
-        "", f"monocert: theta positivity violated on the box: {message}\n")
+        "", f"monocert: theta positivity violated at x*: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -538,7 +550,7 @@ def test_entrain_leaving_the_domain_fails(tmp_path, capsys):
     assert not (tmp_path / "entrain-report.json").exists()
 
 
-@pytest.mark.parametrize("x0_set", ["0", "0;", "1;;"])
+@pytest.mark.parametrize("x0_set", ["0", "0;", "1;;", ""])
 def test_entrain_needs_two_starts_is_usage(tmp_path, capsys, x0_set):
     code = main(["entrain", "entrain_cubic", f"--x0-set={x0_set}",
                  "--out", str(tmp_path)])

@@ -208,7 +208,7 @@ def test_weights_not_positive_at_the_equilibrium_are_refused(ex1, kind,
             warnings.simplefilter("error")
             with pytest.raises(mc.CertifyError) as info:
                 build_lyapunov(ex1, fam, f"{form}-{mode}")
-        assert str(info.value) == (f"{kind} positivity violated on the box: "
+        assert str(info.value) == (f"{kind} positivity violated at x*: "
                                    f"{message}")
 
 
