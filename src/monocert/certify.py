@@ -25,11 +25,12 @@ Piecewise (min/max) vector fields are handled branch-wise: at each grid
 point the active branch's Jacobian is used, and wherever branch guards tie
 (within the relative tie tolerance) every tied branch must satisfy the
 condition — the reported value is the worst across tied branches.
-``partition`` groups the grid points by active branch pattern, so each
-condition is evaluated once per pattern and chunk, tied points included.
+``partition`` groups the points of a chunk by their branch patterns, and
+the walk pools each group's points across chunks, so each condition is
+evaluated once per pattern and full batch of points, tied points included.
 
 All the checks of one request share one pass over the grid (``_scan``,
-the only code that chunks and partitions one): per group the branch
+the only code that chunks and partitions one): per batch the branch
 Jacobian and the vector field are evaluated once and read by every
 condition, and by a ``visit`` callback on which synthesis builds its LP
 and ``grid_condition_values`` its table.  Each check still sees exactly
@@ -39,11 +40,11 @@ Every weighted check, constant vectors included, rests on one hypothesis,
 checked before the pass by ``_positivity_check``: each weight is finite
 and greater than ``POSITIVITY_TOL`` on the box's axis grids.
 
-The scan is points-last: a chunk of m points carries its Jacobians as
+The scan is points-last: a batch of m points carries its Jacobians as
 (n, n, m), its coordinates, vector field and weights as (n, m), and each
 condition as (components, m), so every numpy call runs along the point
 axis.  The weights are separable, so they are evaluated once per axis of
-the grid and gathered at each chunk by the points' grid indices; the
+the grid and gathered at each batch by the points' grid indices; the
 positivity check reads the same tables, and the equilibrium is scanned as
 a grid of one point.
 
@@ -299,21 +300,25 @@ class _Grid:
         n, r = self.points.shape
         return self.points[np.arange(n), np.unravel_index(index, (r,) * n)]
 
+    def offsets(self, index: np.ndarray) -> np.ndarray:
+        """The (n, m) offsets of the points with grid indices ``index``."""
+        n, r = self.points.shape
+        flat = np.empty((n, len(index)), dtype=index.dtype)
+        # np.unravel_index, without its slower division
+        for i in range(n - 1, 0, -1):
+            div = index // r
+            flat[i] = index - div * r + r * i
+            index = div
+        flat[0] = index
+        return flat
+
     def chunks(self):
         """Yield (start, offsets) for every point, at most _CHUNK at a
         time, in C (lexicographic) order: the (n, m) offsets of the points
         with grid indices start, start + 1, ..."""
-        n, r = self.points.shape
         for start in range(0, self.n_points, _CHUNK):
-            rest = np.arange(start, min(start + _CHUNK, self.n_points))
-            flat = np.empty((n, len(rest)), dtype=rest.dtype)
-            # np.unravel_index, without its slower division
-            for i in range(n - 1, 0, -1):
-                div = rest // r
-                flat[i] = rest - div * r + r * i
-                rest = div
-            flat[0] = rest
-            yield start, flat
+            yield start, self.offsets(
+                np.arange(start, min(start + _CHUNK, self.n_points)))
 
     def tables(self, fam: WeightFamily) -> tuple:
         """(values, derivatives) of ``fam`` on the axes, each (n, r).
@@ -380,10 +385,10 @@ def partition(jb: JacobianBranches, X: np.ndarray) -> list:
 
 
 class _Sample:
-    """The points of one partition group, points-last: their grid indices
-    ``at`` (m,), coordinates X (n, m), the vector field there, evaluated at
-    most once, and the weights, gathered at most once; each is read by
-    every condition on every tied branch of the group."""
+    """The points of one batch of a partition key, points-last: their grid
+    indices ``at`` (m,), coordinates X (n, m), the vector field there,
+    evaluated at most once, and the weights, gathered at most once; each is
+    read by every condition on every branch pattern of the key."""
 
     def __init__(self, jb: JacobianBranches, grid: _Grid, at: np.ndarray,
                  flat: np.ndarray, X: np.ndarray):
@@ -444,34 +449,59 @@ def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
           visit: Optional[Callable] = None) -> tuple:
     """Worst value of every evaluator over the whole grid, in one pass.
 
-    The grid is partitioned chunk by chunk.  Each ``evaluator(sample, J)``
-    returns the (c, m) condition components at a ``_Sample`` with the
-    branch Jacobian J there; all of them read one partition, one evaluation
-    of J and f and one gather of the weights per group, as does
-    ``visit(sample, J)``, when given, once per branch of every group.
+    The grid is partitioned chunk by chunk, and the grid indices of each
+    partition key (a group's branch patterns) are pooled across chunks: a
+    key is evaluated in batches of exactly ``_CHUNK`` points as it fills
+    them, and the rest of every key at the end of the walk.  A chunk that
+    is one group is a full batch as it stands; so is every chunk of a
+    guard-free grid but the last.  Each ``evaluator(sample, J)`` returns
+    the (c, m) condition components at a ``_Sample`` (one batch) with the
+    branch Jacobian J there; all of them read one evaluation of J and f and
+    one gather of the weights per batch, as does ``visit(sample, J)``, when
+    given, once per branch of every batch.
     Returns ([(worst, witness_point, witness_comp)], n_tied).
-    Deterministic: each witness is the first (lexicographically smallest)
-    grid point attaining its worst value, or the first NaN.  The pass runs
-    under ``np.errstate``: a field that overflows fails through its NaN
-    values and prints no warning.
+    Deterministic: a batch holds its points in grid-index order, and all
+    the tied branches of a point, in product order, so each witness is the
+    first (lexicographically smallest) grid point attaining its worst
+    value, or the first NaN, whatever the batches.  The pass runs under
+    ``np.errstate``: a field that overflows fails through its NaN values
+    and prints no warning.
     """
     worst = [None] * len(evaluators)
     n_tied = 0
+    pending = {}     # patterns -> grid indices of the points not yet evaluated
+
+    def evaluate(patterns, at, flat, X):
+        sample = _Sample(jb, grid, at, flat, X)
+        for pattern in patterns:
+            J = sample.jacobian(pattern)
+            if visit is not None:
+                visit(sample, J)
+            for e, ev in enumerate(evaluators):
+                worst[e] = _worst(worst[e], at, ev(sample, J))
+
+    def gather(patterns, at):
+        flat = grid.offsets(at)
+        evaluate(patterns, at, flat, grid.points.take(flat))
+
     with np.errstate(all="ignore"):
         for start, flat in grid.chunks():
             X = grid.points.take(flat)
-            groups = partition(jb, X.T)
-            for rows, tied, patterns in groups:
+            for rows, tied, patterns in partition(jb, X.T):
                 n_tied += len(rows) if tied else 0
-                cols = slice(None) if len(groups) == 1 else rows
-                sample = _Sample(jb, grid, start + rows, flat[:, cols],
-                                 X[:, cols])
-                for pattern in patterns:
-                    J = sample.jacobian(pattern)
-                    if visit is not None:
-                        visit(sample, J)
-                    for e, ev in enumerate(evaluators):
-                        worst[e] = _worst(worst[e], sample.at, ev(sample, J))
+                key, at = tuple(patterns), start + rows
+                if key in pending:
+                    at = np.concatenate([pending.pop(key), at])
+                elif len(rows) == _CHUNK:
+                    evaluate(key, at, flat, X)
+                    continue
+                full = len(at) - len(at) % _CHUNK
+                for s in range(0, full, _CHUNK):
+                    gather(key, at[s:s + _CHUNK])
+                if full < len(at):
+                    pending[key] = at[full:]
+        for key, at in pending.items():
+            gather(key, at)
     return [(float(v), grid.point(row), c) for row, c, v in worst], n_tied
 
 

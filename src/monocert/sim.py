@@ -198,9 +198,9 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
     _check_arguments(SimulationError, dt=dt)
     span = float(t_end) - float(t0)
     if not math.isfinite(span):   # an infinite or NaN t_end or t0
-        raise SimulationError("t_end and t0 must be finite")
+        raise SimulationError("t-end and t0 must be finite")
     if span <= 0:
-        raise SimulationError("t_end must exceed the start time")
+        raise SimulationError("t-end must exceed the start time")
 
     B = X0.shape[0]
     lo = np.array([b.lo for b in sys.bounds])

@@ -315,8 +315,13 @@ def solve_lp(lp: LPProblem, max_iter: Optional[int] = None) -> LPResult:
 # ---------------------------------------------------------------------------
 
 def _dedupe(rows: np.ndarray, rhs: np.ndarray):
-    """The distinct rows of [rows | rhs] rounded to 12 decimals, sorted."""
-    stacked = np.round(np.column_stack([rows, rhs]), 12)
+    """The distinct rows of [rows | rhs] rounded to 12 decimals, sorted.
+    Entries too large to round, for which the 1e12 scaling of
+    ``np.round`` overflows, are kept as they are."""
+    stacked = np.column_stack([rows, rhs])
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(stacked * 1e12)
+    stacked[fits] = np.round(stacked[fits], 12)
     order, starts = row_groups(stacked)
     uniq = stacked[order[np.r_[0, starts]]]
     return uniq[:, :-1], uniq[:, -1]

@@ -937,9 +937,13 @@ class SystemDef:
                     raise DslError(f"equilibrium coordinate {name} = "
                                    f"{format_number(v)} is outside {b}")
             if not self.time_varying:
-                fx = self.f_batch(np.array([self.equilibrium], dtype=float))
+                # a division by zero on the way to a finite value prints no
+                # warning; a NaN residual is refused ("not <" fails NaN)
+                with np.errstate(all="ignore"):
+                    fx = self.f_batch(np.array([self.equilibrium],
+                                                dtype=float))
                 resid = float(np.max(np.abs(fx)))
-                if resid >= 1e-9:
+                if not resid < 1e-9:
                     raise DslError(
                         "declared equilibrium is not a zero of the vector "
                         f"field: |f(x*)|_inf = {resid:.3e} >= 1e-9")

@@ -3,6 +3,7 @@ witness semantics, and determinism."""
 
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from monocert.sysdsl import ExprMatrix, jacobian, parse_system
 
 from conftest import (CORPUS, linear_system, load_family, load_system,
                       random_family)
-from oracles import (field_at, matrix_at, patterns_at, scaled_jacobian_at,
-                     worst_entry)
+from oracles import (evaluate, field_at, matrix_at, patterns_at,
+                     scaled_jacobian_at, worst_entry)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -481,20 +482,83 @@ def test_contractions_keep_the_points_first_einsum_bits(n):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes(), mode
 
 
+def _tied_hole(at: int):
+    """dx1 has a min guard that ties on the plane x2 = x3: 81 points of
+    the 9^3 grid on [0, 8]^3, the origin first, where both branches reach
+    the Kamke violation 1, the left one at J12 and the right one at J13.
+    dx1 is NaN (0/0) on the plane x1 = a, which starts at grid row 81a."""
+    return parse_system(f"""
+    system tied_hole {{
+        states x1 in [0, 8], x2 in [0, 8], x3 in [0, 8]
+        dx1 = -x1 - min(x2, x3) + x2 - x2*(x1 - {at})/(x1 - {at})
+        dx2 = -x2 + 0.5*x1
+        dx3 = -x3 + 0.5*x1
+        equilibrium (0, 0, 0)
+    }}
+    """)
+
+
+def _kamke_oracle(sysd, box) -> tuple:
+    """The Kamke witness by the oracles: the per-point tie rule, the branch
+    Jacobians tree-walked in Python floats (a 0/0 read as NaN), and the
+    argmax-first scan over blocks, block k holding the k-th tied branch of
+    every point that has one.  Returns (point, [i, j], value)."""
+    jb, n = jacobian(sysd), sysd.n
+
+    def entry(e, x):
+        try:
+            return evaluate(e, x)
+        except ZeroDivisionError:
+            return float("nan")
+
+    blocks = []
+    for r, x in enumerate(itertools.product(*box.axes())):
+        for k, pattern in enumerate(patterns_at(jb, x)):
+            if k == len(blocks):
+                blocks.append(([], []))
+            J = [[entry(e, x) for e in row]
+                 for row in jb.branch_matrix(pattern).entries]
+            blocks[k][0].append(r)
+            blocks[k][1].append([-math.inf if i == j else -J[i][j]
+                                 for i in range(n) for j in range(n)])
+    row, c, value = worst_entry(box.n_points, [(rows, np.array(cond).T)
+                                               for rows, cond in blocks])
+    return [float(v) for v in box._grid.point(row)], [c // n, c % n], value
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_reports_do_not_depend_on_the_chunk_size(traffic4, chunk, monkeypatch):
     """The first worst point wins across chunk boundaries too: tied
     traffic4 grids, with both families, give the same reports in chunks of
-    1, 5 and 64 points as in one chunk."""
-    box = WorkingBox.default_for(traffic4, 7)
-    fams = [load_family("traffic4.v.json"),
-            WeightFamily.from_jsonable(
-                json.loads((GOLDEN / "traffic4.w.json").read_text()))]
-    monkeypatch.setattr(certify, "_CHUNK", box.n_points)
-    want = [r.to_jsonable() for r in certify_all(traffic4, fams, box)]
-    monkeypatch.setattr(certify, "_CHUNK", chunk)
-    got = [r.to_jsonable() for r in certify_all(traffic4, fams, box)]
-    assert json.dumps(got) == json.dumps(want)
+    1, 5 and 64 points as in one chunk.  So does a grid whose tied points
+    span several chunks and hold the worst value first, with and without
+    a first NaN past the first chunk; its Kamke witness is the oracle's."""
+    cases = [(traffic4, WorkingBox.default_for(traffic4, 7),
+              [load_family("traffic4.v.json"),
+               WeightFamily.from_jsonable(
+                   json.loads((GOLDEN / "traffic4.w.json").read_text()))])]
+    for at in (5, 10):   # the NaN plane from grid row 405, or off the grid
+        sysd = _tied_hole(at)
+        cases.append((sysd, WorkingBox.default_for(sysd, 9),
+                      [WeightFamily.constant("theta", [1.0, 1.0, 1.0])]))
+    for sysd, box, fams in cases:
+        monkeypatch.setattr(certify, "_CHUNK", box.n_points)
+        want = [r.to_jsonable() for r in certify_all(sysd, fams, box)]
+        monkeypatch.setattr(certify, "_CHUNK", chunk)
+        got = certify_all(sysd, fams, box)
+        assert json.dumps([r.to_jsonable() for r in got]) == json.dumps(want)
+        if sysd is traffic4:
+            continue
+        point, comp, value = _kamke_oracle(sysd, box)
+        assert got[0].witness["point"] == point
+        assert got[0].witness["component"] == comp
+        if math.isnan(value):
+            assert point == [5.0, 0.0, 0.0]
+            assert math.isnan(got[0].worst_margin)
+        else:
+            assert (point, comp, value) == ([0.0, 0.0, 0.0], [0, 1], 1.0)
+            assert np.float64(got[0].worst_margin).tobytes() == \
+                np.float64(value).tobytes()
 
 
 def _hole_system(at: int, hi: int):
@@ -616,6 +680,34 @@ def test_certify_all_evaluates_the_jacobian_once_per_chunk(
     n_eq = sum(r.equilibrium_margin is not None for r in reports)
     assert len(reports) == 5 and n_eq == 4
     assert len(calls) <= -(-box.n_points // 4096) + n_eq
+
+
+def test_certify_all_evaluates_a_branch_pattern_once_per_full_batch(
+        traffic4, monkeypatch):
+    """A piecewise grid pools the points of each partition key across
+    chunks: traffic4 at resolution 17 (21 chunks) calls its Jacobian with at
+    most _CHUNK points, and at most ceil(points / _CHUNK) times per pattern
+    of each key, plus once per pattern at x*.  Per chunk fragment, as
+    before, it took about 500 calls."""
+    calls = []
+    evaluate_batch = ExprMatrix.evaluate_batch
+
+    def counted(self, X, t=None):
+        calls.append(len(X))
+        return evaluate_batch(self, X, t)
+
+    monkeypatch.setattr(ExprMatrix, "evaluate_batch", counted)
+    box = WorkingBox.default_for(traffic4, 17)
+    certify_all(traffic4, load_family("traffic4.v.json"), box)
+    jb = jacobian(traffic4)
+    X = np.array(list(itertools.product(*box.axes())))
+    keys = {}
+    for rows, _, patterns in partition(jb, X):
+        keys[tuple(patterns)] = keys.get(tuple(patterns), 0) + len(rows)
+    batches = sum(-(-m // certify._CHUNK) * len(p) for p, m in keys.items())
+    at_eq = len(partition(jb, np.array([traffic4.equilibrium]))[0][2])
+    assert max(calls) <= certify._CHUNK
+    assert len(calls) <= batches + at_eq
 
 
 def test_two_checks_build_each_branch_matrix_once(monkeypatch):

@@ -204,6 +204,35 @@ def test_synthesis_lp_rows_match_the_pointwise_oracle(case, monkeypatch):
         sysd, box.with_resolution(res.resolution)).to_jsonable()
 
 
+def test_synthesis_keeps_rows_too_large_to_round(monkeypatch):
+    """np.round(., 12) scales by 1e12 first, so an entry above about
+    1.8e296 became inf, with a RuntimeWarning, and the LP was refused as
+    not finite.  Such entries are kept as they are: the LP holds exactly
+    the oracle's rows, the 1e300 coupling of x2 into dx1 included."""
+    sysd = parse_system("""
+    system huge_coupling {
+        states x1 in [-1, 1], x2 in [0, inf)
+        dx1 = -x1 + (x1 + (1e300 * x2)) - ((0 + (1e300 * 0)))
+        dx2 = -x2 + x2 - (0)
+        equilibrium (0, 0)
+    }
+    """)
+    box = WorkingBox((-1.0, 0.0), (1.0, 1.0), 5)
+    lps = []
+    real = synth_mod.solve_lp
+    monkeypatch.setattr(synth_mod, "solve_lp",
+                        lambda lp, *a, **k: lps.append(lp) or real(lp, *a,
+                                                                  **k))
+    res = synth_const(sysd, box, mode="sum")
+    rows, rhs = synthesis_rows(sysd, jacobian(sysd), box, res.resolution,
+                               "sum", None, 0.01)
+    got = np.column_stack([lps[0].rows, lps[0].rhs])
+    assert np.isfinite(got).all() and 1e300 in got
+    _near_every_row(np.column_stack([rows, rhs]), got, tol=0.0)
+    _near_every_row(got, np.column_stack([rows, rhs]), tol=0.0)
+    assert not res.success
+
+
 # ---------------------------------------------------------------------------
 # constant-weight synthesis
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -786,6 +787,35 @@ def test_validate_rejects_nonzero_equilibrium():
             equilibrium (0)
         }
         """).validate()
+
+
+def test_validate_evaluates_the_equilibrium_quietly():
+    """f(x*) is evaluated under np.errstate.  A NaN residual is refused:
+    "resid >= 1e-9" let it pass, after two RuntimeWarnings.  A division by
+    zero on the way to a finite zero (exp(+-inf / -0.0) = 0 at x2 = -0)
+    prints no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DslError, match=r"not a zero .* = nan"):
+            parse_system("""
+            system nan_residual {
+                states x1 in [0, 1], x2 in [0, 1]
+                dx1 = -x1 + 0*(1/x1)
+                dx2 = -x2
+                equilibrium (0, 0)
+            }
+            """)
+        sysd = parse_system("""
+        system folds_to_zero {
+            states x1 in [-1, 1], x2 in [-1, 1], x3 in [-1, 1]
+            dx1 = -x1 + exp((0.0625 / abs(x2)) / (x3 * (-0.5)^1))
+            dx2 = -x2
+            dx3 = -x3
+            equilibrium (0, -0, 0)
+        }
+        """)
+    with np.errstate(all="ignore"):
+        assert not sysd.f_batch(np.array([sysd.equilibrium])).any()
 
 
 def test_validate_rejects_equilibrium_outside_domain():
