@@ -499,8 +499,10 @@ def _synthesize(sys: SystemDef, box: Optional[WorkingBox], mode: str,
                            reason=reason, posthoc=posthoc, kamke=kamke,
                            resolution=res)
 
+    if sol.status == "unbounded" and not poly:
+        # every row bounds s, since v lies in [1, V_CAP]: a solver fault
+        raise SynthError("LP solver returned 'unbounded' for a bounded LP")
     if sol.status != "optimal":
-        assert poly or sol.status != "unbounded", "bounded by construction"
         return fail(-math.inf, f"LP {sol.status} at degree {degree}" if poly
                     else "LP infeasible")
 

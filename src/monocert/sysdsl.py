@@ -14,7 +14,7 @@ than ``*`` and looser than ``^``, so ``-2^2`` is -(2^2); a sign folds into
 a bare literal (``-2`` is the constant -2, ``--2`` its negation, ``-(2)``
 a negation of 2); a literal ``float`` cannot read (``1.2.3``) is an error.
 A system whose equation holds a subtree of constants that divides by zero
-or overflows in ``^`` is an error naming the equation (``_check_constants``).
+or overflows in ``^`` is an error naming the equation (``_fold_constants``).
 
 Parsing is one operator-precedence loop on explicit stacks
 (``_Parser.expr``), and every tree walk runs on one explicit-stack walker
@@ -27,7 +27,11 @@ the same bits, on arrays and on rows of Python floats, each of which runs
 its one emitted step inline and nothing else (``sim.integrate_batch``
 checks each block's states and takes the error estimate by running the
 same kernel at h/2); ``SystemDef.rk4_run`` picks a shape by counts the
-emitter returns (``rk4.StepKernels.pick``).
+emitter returns (``rk4.StepKernels.pick``).  The one exception is a
+nesting of constants alone, such as a branch Jacobian of a piecewise-affine
+field: ``compile_expr`` writes no code for it, and its entries are folded
+by the walker that refuses those subtrees (``_fold_constants``), with the
+bits the emitted code would give.
 
 A system is declared in a block like::
 
@@ -495,36 +499,44 @@ def _emit(e: Expr, lines: list, consts: dict,
     return tally["calls"], tally["ops"], text
 
 
-_PY_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
-           Mul: operator.mul, Div: operator.truediv}
+# what a kernel applies to a node of constants (``_emit``): Python's
+# operators, and the ufunc of ``_UFUNCS`` for the functions
+_CONST_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+              Mul: operator.mul, Div: operator.truediv,
+              **{kind: getattr(np, _UFUNCS[kind][3:])
+                 for kind in (Exp, Sin, Cos, Min, Max)}}
 
 
-def _check_constants(e: Expr, where: str) -> None:
-    """Raise DslError where a kernel of ``e`` would raise: a subtree of
-    constants alone that divides by zero or has a power that overflows.
+def _fold_constants(e: Expr, where: str):
+    """The value a kernel computes for ``e``, or None when ``e`` reads the
+    state or ``t``; raise DslError where the kernel would raise: a subtree
+    of constants alone that divides by zero or has a power that overflows.
 
-    Kernels keep such subtrees as Python floats (``_emit``), whose ``/`` and
-    ``**`` raise where numpy's give inf or nan.  A call returns a numpy
-    scalar, which never raises, and neither does any node above it.
+    Kernels keep subtrees of constants as Python floats (``_emit``), whose
+    ``/`` and ``**`` raise where numpy's give inf or nan.  A call returns a
+    numpy scalar, which never raises, and neither does any node above it.
+    So the fold applies the kernel's own operations to its children's
+    values: Python's operators, and the ufuncs of ``exp``, ``sin``, ``cos``,
+    ``min`` and ``max``, whose scalars keep numpy's rules above them.
     """
 
-    def leave(node: Expr, args: list, slot: int) -> Optional[float]:
-        # the node's Python float value, or None when it cannot raise
+    def leave(node: Expr, args: list, slot: int):
         if isinstance(node, Const):
             return node.value
-        if None in args or not isinstance(node, (Pow, *_PY_OPS)):
+        if isinstance(node, (Var, TimeVar)) or None in args:
             return None
         try:
             if isinstance(node, Pow):
                 return args[0] ** node.exponent
-            return _PY_OPS[type(node)](*args)
+            return _CONST_OPS[type(node)](*args)
         except ZeroDivisionError:
             raise DslError(f"{where}: a constant subexpression divides by "
                            "zero") from None
         except OverflowError:
             raise DslError(f"{where}: a constant power overflows") from None
 
-    _fold(e, leave)
+    with np.errstate(all="ignore"):
+        return _fold(e, leave)
 
 
 def compile_expr(e) -> Callable:
@@ -536,8 +548,13 @@ def compile_expr(e) -> Callable:
     when nothing references ``t`` (else the kernel raises DslError).  Every
     node becomes one statement on a stack-slot local, so the generated code
     has no nesting that grows with the expression, and a whole vector field
-    or matrix costs one Python call.  Each call builds a new kernel; callers
-    keep it.
+    or matrix costs one Python call.  A nesting whose every entry reads
+    neither the state nor ``t``, such as a branch Jacobian of a piecewise
+    affine field, generates no code: its entries are folded once
+    (``_fold_constants``, with the bits the generated code would give) and
+    each call fills a fresh array with them.  A subtree of constants that
+    divides by zero or whose power overflows raises DslError here.  Each
+    call builds a new kernel; callers keep it.
 
     The storage is component-major, the nesting's shape plus (m,), so each
     entry is written as one contiguous row; the kernel returns the (m, ...)
@@ -546,6 +563,16 @@ def compile_expr(e) -> Callable:
     view of an (n, m) array.
     """
     entries = np.array(e, dtype=object)    # expressions are its scalars
+    shape, points_first = entries.shape, (entries.ndim, *range(entries.ndim))
+    values = [_fold_constants(entry, "expression") for entry in entries.flat]
+    if None not in values:
+        filled = np.array(values, dtype=float).reshape(shape + (1,))
+
+        def _f(X, T=None):
+            out = np.empty(shape + (len(X),))
+            out[...] = filled
+            return out.transpose(points_first)
+        return _f
     consts: dict = {}
     src = ["def _f(X, T=None):"]
     if any(references_time(entry) for entry in entries.flat):
@@ -553,11 +580,10 @@ def compile_expr(e) -> Callable:
                 "        raise DslError('expression references t but no "
                 "time was given')"]
     src += ["    X = np.asarray(X, dtype=float)",
-            f"    out = np.empty({entries.shape!r} + (X.shape[0],))"]
+            f"    out = np.empty({shape!r} + (X.shape[0],))"]
     for idx, entry in np.ndenumerate(entries):
         _emit(entry, src, consts,
               out=f"out[{', '.join([*map(str, idx), ':'])}]")
-    points_first = (entries.ndim, *range(entries.ndim))
     src.append(f"    return out.transpose({points_first!r})")
     return _define(src, consts)["_f"]
 
@@ -811,7 +837,7 @@ class JacobianBranches:
                     raise DslError(f"{where}: a constant power "
                                    "overflows") from None
                 for e in row:
-                    _check_constants(e, where)
+                    _fold_constants(e, where)
                 self._row_cache[key] = row
             rows.append(self._row_cache[key])
         mat = ExprMatrix(tuple(rows))
@@ -928,7 +954,7 @@ class SystemDef:
             if bad:
                 raise DslError(f"equation for d{self.state_names[i]} references "
                                f"undeclared state index {bad[0]}")
-            _check_constants(f, f"equation for d{self.state_names[i]}")
+            _fold_constants(f, f"equation for d{self.state_names[i]}")
         if self.equilibrium is not None:
             if len(self.equilibrium) != n:
                 raise DslError("equilibrium dimension mismatch")

@@ -746,6 +746,42 @@ def test_two_checks_build_each_branch_matrix_once(monkeypatch):
         n_built - len(after_first_cache)
 
 
+def test_constant_branch_matrices_exec_no_generated_code(monkeypatch):
+    """traffic4 is piecewise affine, so each of its branch Jacobians is a
+    matrix of constants, which compiles to no generated source: parsing it,
+    certifying it with its weights and synthesizing constant weights execs
+    two, the field's and the guards'.  Each evaluation of a branch matrix
+    is a fresh, writable array, so writing into one leaves the next as it
+    was."""
+    sources = []
+
+    def define(src, consts):
+        sources.append(src)
+        return real(src, consts)
+    real = sysdsl._define
+    monkeypatch.setattr(sysdsl, "_define", define)
+    traffic4 = load_system("traffic4")
+    box = WorkingBox.default_for(traffic4, 9)
+    certify_all(traffic4, load_family("traffic4.v.json"), box)
+    synth_const(traffic4, box, mode="sum")
+    jb = jacobian(traffic4)
+    assert len(jb._matrix_cache) == 2 ** jb.n_guards == 16
+    assert len(sources) == 2
+
+    X = np.array([box.lows, box.highs])
+    for pattern, mat in jb.branches():
+        J = mat.evaluate_batch(X)
+        want = np.array([[[evaluate(e, x) for e in row] for row in mat.entries]
+                         for x in X])
+        np.testing.assert_array_equal(J, want)
+        again = mat.evaluate_batch(X)
+        assert again is not J and again.flags.writeable
+        J[...] = np.nan
+        np.testing.assert_array_equal(again, want)
+        np.testing.assert_array_equal(mat.evaluate_batch(X), want)
+    assert len(sources) == 2
+
+
 def test_row_groups_match_np_unique_rows():
     """The lexsort grouping gives the rows np.unique(axis=0) gives, in the
     same order, each group in original row order."""

@@ -312,6 +312,21 @@ def test_synth_const_max_mode(tmp_path):
     assert weights["weights"] == [[1.0], [1.5], [1.75]]
 
 
+def test_synth_solver_unbounded_on_a_bounded_lp_fails(tmp_path, capsys):
+    """The constant-weight LP is bounded, since v lies in [1, V_CAP], but
+    the solver's row scaling leaves this system's margin column below the
+    pivot tolerance and it returns "unbounded".  That is a solver fault,
+    reported as one line.  Before, a bare assert ended the command in an
+    AssertionError traceback, and in "LP infeasible" under python -O."""
+    code = main(["synth", str(BYTE_IDENTITY / "wrong_unbounded.sys"),
+                 "--box=-1:1", "--resolution", "5", "--mode", "sum",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_FAIL
+    assert capsys.readouterr() == (
+        "", "monocert: LP solver returned 'unbounded' for a bounded LP\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # lyap
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from monocert.certify import WorkingBox, certify_all
 from monocert.measures import WeightFamily
 from monocert.sysdsl import (
     Add, Const, Cos, Div, DslError, Exp, Max, Min, Mul, Neg, Pow, Sin,
-    Sub, TimeVar, Var, compile_expr, differentiate, jacobian, parse_expr,
-    parse_system, pretty,
+    Sub, TimeVar, Var, _define, _emit, compile_expr, differentiate, jacobian,
+    parse_expr, parse_system, pretty,
 )
 
 from oracles import evaluate, parse_expr_rd
@@ -34,8 +34,9 @@ constants = st.floats(-4.0, 4.0, allow_nan=False).map(Const)
 leaves = st.one_of(constants, st.integers(0, 2).map(Var), st.just(TimeVar()))
 
 
-def _trees(smooth: bool, any_divisor: bool = True, no_neg_const: bool = False):
-    """Random expression trees over x1..x3 and t.
+def _trees(smooth: bool, any_divisor: bool = True, no_neg_const: bool = False,
+           leaves=leaves):
+    """Random expression trees over x1..x3 and t, or over other ``leaves``.
 
     ``smooth`` leaves out min/max; without ``any_divisor`` a divisor is a
     nonzero constant; ``no_neg_const`` keeps Neg off constants, which the
@@ -95,6 +96,64 @@ def test_compile_expr_matches_the_oracle(e, pts):
     assert got.shape == (len(pts),)
     np.testing.assert_allclose(got[keep], [want[i] for i in keep],
                                rtol=1e-12, atol=0, equal_nan=True)
+
+
+def _emitted(e):
+    """The value of a tree of constants by the statements ``_emit`` writes
+    for it, which raise where Python's ``/`` and ``**`` do."""
+    src, consts = ["def _f():"], {}
+    _emit(e, src, consts)
+    with np.errstate(all="ignore"):
+        return _define(src + ["    return _s0"], consts)["_f"]()
+
+
+@PROPERTY
+@given(st.lists(_trees(smooth=False, leaves=constants), min_size=1,
+                max_size=4))
+@example([Neg(Const(0.0))])
+@example([Pow(Const(-1.5), 3)])
+@example([Mul(Exp(Const(1.0)), Const(0.8))])
+@example([Min(Const(0.1), Const(0.2))])
+@example([Div(Const(0.64), Const(0.6400000000000001))])
+@example([Exp(Const(1000.0))])     # inf, with no warning
+# Python's ** and numpy's power differ in the last bit here; Python's /
+# raises on zero, numpy's gives inf, also on a ufunc's zero
+@example([Pow(Const(0.99), 3)])
+@example([Div(Const(1.0), Pow(Const(0.0), 2))])
+@example([Div(Const(1.0), Sin(Const(0.0)))])
+def test_a_nesting_of_constants_keeps_the_emitted_bits(trees):
+    """A scalar, vector or matrix of trees of constants compiles to a kernel
+    that writes the bits the emitted kernel writes for the same entries,
+    zero signs included, and, where the Python-float oracle is finite,
+    values within 1e-12 of it.  The emitted side is the flat nesting with
+    a state entry added, so it still goes through ``_emit``.  A constant
+    kernel runs no numpy operation on a call, so it warns of nothing."""
+    X = np.zeros((3, 1))
+    flat = tuple(trees)
+    try:
+        emitted = compile_expr((*flat, Var(0)))
+    except DslError:
+        # refused only where the statements of the kernel would raise
+        with pytest.raises(DslError):
+            compile_expr(flat)
+        with pytest.raises((ZeroDivisionError, OverflowError)):
+            for e in flat:
+                _emitted(e)
+        return
+    with np.errstate(all="ignore"):
+        want = emitted(X)[:, :-1]
+    for nesting, cols in ((flat[0], want[:, :1]), (flat, want),
+                          ((flat, flat[::-1]), np.hstack([want, want[:, ::-1]]))):
+        got = compile_expr(nesting)(X)
+        assert got.shape == (3, *np.array(nesting, dtype=object).shape)
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(got.reshape(3, -1)).view(np.int64),
+            np.ascontiguousarray(cols).view(np.int64))
+    got = compile_expr(flat)(X)
+    for k, e in enumerate(flat):
+        oracle = _oracle(e, (), None)
+        if oracle is not None and math.isfinite(oracle):
+            assert got[0, k] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
 @PROPERTY
