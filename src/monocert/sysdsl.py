@@ -507,7 +507,7 @@ _CONST_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
                  for kind in (Exp, Sin, Cos, Min, Max)}}
 
 
-def _fold_constants(e: Expr, where: str):
+def _fold_constants(e: Expr, where: str) -> Optional[float]:
     """The value a kernel computes for ``e``, or None when ``e`` reads the
     state or ``t``; raise DslError where the kernel would raise: a subtree
     of constants alone that divides by zero or has a power that overflows.
@@ -520,7 +520,7 @@ def _fold_constants(e: Expr, where: str):
     ``min`` and ``max``, whose scalars keep numpy's rules above them.
     """
 
-    def leave(node: Expr, args: list, slot: int):
+    def leave(node: Expr, args: list, slot: int) -> Optional[float]:
         if isinstance(node, Const):
             return node.value
         if isinstance(node, (Var, TimeVar)) or None in args:

@@ -127,7 +127,7 @@ def test_a_nesting_of_constants_keeps_the_emitted_bits(trees):
     zero signs included, and, where the Python-float oracle is finite,
     values within 1e-12 of it.  The emitted side is the flat nesting with
     a state entry added, so it still goes through ``_emit``.  A constant
-    kernel runs no numpy operation on a call, so it warns of nothing."""
+    kernel does no arithmetic on a call, so it warns of nothing."""
     X = np.zeros((3, 1))
     flat = tuple(trees)
     try:
