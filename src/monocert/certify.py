@@ -25,9 +25,11 @@ Piecewise (min/max) vector fields are handled branch-wise: at each grid
 point the active branch's Jacobian is used, and wherever branch guards tie
 (within the relative tie tolerance) every tied branch must satisfy the
 condition — the reported value is the worst across tied branches.
-``partition`` groups the points of a chunk by their branch patterns, and
-the walk pools each group's points across chunks, so each condition is
-evaluated once per pattern and full batch of points, tied points included.
+``partition`` groups the points of a chunk by one integer branch code per
+point (a base-3 digit per guard: left, right or tied), and the walk pools
+each code's points across chunks and builds its branch patterns once, so
+each condition is evaluated once per pattern and full batch of points,
+tied points included.
 
 All the checks of one request share one pass over the grid (``_scan``,
 the only code that chunks and partitions one): per batch the branch
@@ -338,11 +340,13 @@ class _Grid:
 
 
 _SIDE_NAMES = ("left", "right")
-_TIED = 2      # partition key entry of a guard that ties at the row
+_TIED = 2      # branch code digit of a guard that ties at the row
+_DIGITS = 39   # base-3 digits per int64 code word: 3^39 < 2^63 < 3^40
 
 
 def row_groups(key: np.ndarray) -> tuple:
-    """Group equal rows of a 2-D ``key``: (order, starts).
+    """Group equal rows of a 2-D ``key``: (order, starts); the LP's
+    ``_dedupe`` sorts its rows with it.
 
     ``order`` sorts the rows lexicographically, column 0 first, and keeps
     equal rows in their original order (lexsort is stable); the groups are
@@ -357,31 +361,60 @@ def row_groups(key: np.ndarray) -> tuple:
     return order, starts
 
 
+def _code_groups(jb: JacobianBranches, X: np.ndarray) -> list:
+    """The rows of X grouped by branch code: ``[(digits, rows)]``.
+
+    A row's code has one base-3 digit per guard: 0 = left, 1 = right, 2 =
+    tied, where guard k ties when |a−b| ≤ TIE_TOL·(1+|a|+|b|); a NaN guard
+    value neither ties nor takes the right side, so it takes the left.  The
+    digits are packed, guard 0 most significant, into int64 words of at
+    most ``_DIGITS`` guards, and one stable sort of the words orders the
+    groups by their digits, lexicographically, each group's rows in their
+    original order.  ``digits`` is a group's code as a tuple of its digits.
+    """
+    m = X.shape[0]
+    if jb.n_guards == 0:
+        return [((), np.arange(m))]
+    diffs, scales = jb.guard_values(X)
+    is_min = np.array([isinstance(g, Min) for g in jb.guards])
+    side = np.where(is_min, diffs >= 0, diffs <= 0)
+    digits = np.where(np.abs(diffs) <= TIE_TOL * scales, _TIED, side)
+    words = np.zeros((-(-jb.n_guards // _DIGITS), m), dtype=np.int64)
+    for g, column in enumerate(digits.T):
+        word = words[g // _DIGITS]
+        word *= 3
+        word += column
+    order = np.lexsort(words[::-1])      # the last key sorts first
+    ordered = words[:, order]
+    bounds = [0, *(np.flatnonzero(np.any(ordered[:, 1:] != ordered[:, :-1],
+                                         axis=0)) + 1).tolist(), m]
+    heads = digits[order[bounds[:-1]]].tolist()
+    return [(tuple(h), order[a:b])
+            for h, a, b in zip(heads, bounds, bounds[1:])]
+
+
+def _patterns(digits: tuple) -> tuple:
+    """(tied, patterns) of a branch code: whether a guard ties, and the
+    branch patterns, in ``itertools.product`` order over the guards, with
+    both sides of every tied guard."""
+    options = [(0, 1) if d == _TIED else (d,) for d in digits]
+    return _TIED in digits, [tuple(_SIDE_NAMES[s] for s in combo)
+                             for combo in product(*options)]
+
+
 def partition(jb: JacobianBranches, X: np.ndarray) -> list:
     """Cover the rows of X with the branch patterns active there.
 
-    This is the tie rule.  Rows are grouped by their key: the strict side
-    (0=left, 1=right) of every untied guard plus the mask of tied guards;
-    guard k ties at a row when |a−b| ≤ TIE_TOL·(1+|a|+|b|).  A tied guard
-    takes both sides, so a group with ties has one branch pattern per tied
-    branch, in ``itertools.product`` order over the guards.
-    Returns ``[(rows, tied, patterns)]``, one entry per group: its rows,
+    This is the tie rule.  Rows are grouped by their branch code
+    (``_code_groups``): the strict side of every untied guard, or that it
+    ties there.  A tied guard takes both sides, so a group with ties has
+    one branch pattern per tied branch, in ``itertools.product`` order over
+    the guards.  Returns ``[(rows, tied, patterns)]``, one entry per group,
+    in the lexicographic order of the codes: its rows, in their order in X,
     whether a guard ties there, and its branch patterns.
     """
-    if jb.n_guards == 0:
-        return [(np.arange(X.shape[0]), False, [()])]
-    diffs, scales = jb.guard_values(X)
-    is_min = np.array([isinstance(g, Min) for g in jb.guards])
-    side = np.where(is_min, diffs >= 0, diffs <= 0).astype(np.int8)
-    key = np.where(np.abs(diffs) <= TIE_TOL * scales, np.int8(_TIED), side)
-    order, starts = row_groups(key)
-    groups = []
-    for k, rows in zip(key[order[np.r_[0, starts]]], np.split(order, starts)):
-        options = [(0, 1) if s == _TIED else (int(s),) for s in k]
-        groups.append((rows, bool(np.any(k == _TIED)),
-                       [tuple(_SIDE_NAMES[s] for s in combo)
-                        for combo in product(*options)]))
-    return groups
+    return [(rows, *_patterns(digits))
+            for digits, rows in _code_groups(jb, X)]
 
 
 class _Sample:
@@ -439,10 +472,16 @@ def _worst(best: Optional[tuple], rows: np.ndarray,
     k = int(np.argmax(cond.max(axis=0)))
     col = cond[:, k]
     c = int(np.argmax(col))
-    if (best is None or _worse(col[c], best[2])
-            or (not _worse(best[2], col[c]) and rows[k] < best[0])):
-        return int(rows[k]), c, col[c]
-    return best
+    row, v = int(rows[k]), float(col[c])
+    if best is not None:
+        # ``_worse`` on Python floats, both ways: v replaces the worst so
+        # far u when worse, or when neither is worse and its row is earlier
+        u = best[2]
+        if not (v > u or math.isnan(v) and not math.isnan(u)) and (
+                u > v or math.isnan(u) and not math.isnan(v)
+                or row >= best[0]):
+            return best
+    return row, c, v
 
 
 def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
@@ -450,15 +489,16 @@ def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
     """Worst value of every evaluator over the whole grid, in one pass.
 
     The grid is partitioned chunk by chunk, and the grid indices of each
-    partition key (a group's branch patterns) are pooled across chunks: a
-    key is evaluated in batches of exactly ``_CHUNK`` points as it fills
-    them, and the rest of every key at the end of the walk.  A chunk that
-    is one group is a full batch as it stands; so is every chunk of a
-    guard-free grid but the last.  Each ``evaluator(sample, J)`` returns
-    the (c, m) condition components at a ``_Sample`` (one batch) with the
-    branch Jacobian J there; all of them read one evaluation of J and f and
-    one gather of the weights per batch, as does ``visit(sample, J)``, when
-    given, once per branch of every batch.
+    branch code (a group's branch patterns, built once per scan) are pooled
+    across chunks: a code is evaluated in batches of exactly ``_CHUNK``
+    points as it fills them, and the rest of every code at the end of the
+    walk.  A chunk that is one group is a full batch as it stands; so is
+    every chunk of a guard-free grid but the last.  Each
+    ``evaluator(sample, J)`` returns the (c, m) condition components at a
+    ``_Sample`` (one batch) with the branch Jacobian J there; all of them
+    read one evaluation of J and f and one gather of the weights per batch,
+    as does ``visit(sample, J)``, when given, once per branch of every
+    batch.
     Returns ([(worst, witness_point, witness_comp)], n_tied).
     Deterministic: a batch holds its points in grid-index order, and all
     the tied branches of a point, in product order, so each witness is the
@@ -469,7 +509,8 @@ def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
     """
     worst = [None] * len(evaluators)
     n_tied = 0
-    pending = {}     # patterns -> grid indices of the points not yet evaluated
+    known = {}       # branch code -> (tied, patterns)
+    pending = {}     # branch code -> grid indices of points not yet evaluated
 
     def evaluate(patterns, at, flat, X):
         sample = _Sample(jb, grid, at, flat, X)
@@ -487,21 +528,24 @@ def _scan(jb: JacobianBranches, grid: _Grid, evaluators: Sequence,
     with np.errstate(all="ignore"):
         for start, flat in grid.chunks():
             X = grid.points.take(flat)
-            for rows, tied, patterns in partition(jb, X.T):
+            for code, rows in _code_groups(jb, X.T):
+                if code not in known:
+                    known[code] = _patterns(code)
+                tied, patterns = known[code]
                 n_tied += len(rows) if tied else 0
-                key, at = tuple(patterns), start + rows
-                if key in pending:
-                    at = np.concatenate([pending.pop(key), at])
+                at = start + rows
+                if code in pending:
+                    at = np.concatenate([pending.pop(code), at])
                 elif len(rows) == _CHUNK:
-                    evaluate(key, at, flat, X)
+                    evaluate(patterns, at, flat, X)
                     continue
                 full = len(at) - len(at) % _CHUNK
                 for s in range(0, full, _CHUNK):
-                    gather(key, at[s:s + _CHUNK])
+                    gather(patterns, at[s:s + _CHUNK])
                 if full < len(at):
-                    pending[key] = at[full:]
-        for key, at in pending.items():
-            gather(key, at)
+                    pending[code] = at[full:]
+        for code, at in pending.items():
+            gather(known[code][1], at)
     return [(float(v), grid.point(row), c) for row, c, v in worst], n_tied
 
 

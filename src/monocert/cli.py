@@ -328,12 +328,29 @@ _COMMANDS = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments, by ``fill(self)``,
+    when argparse first hands it argv: a command line builds the
+    arguments of its own subcommand alone."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="monocert",
         description="Certify and synthesize weighted contraction metrics "
                     "for monotone dynamical systems.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_Subcommand)
 
     def common(p, box=True):
         p.add_argument("system", help="system file (.sys) or bundled name")
@@ -349,61 +366,75 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for random initial conditions")
         p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("certify", help="run every check the weights support")
-    common(p)
-    p.add_argument("--theta", help="theta (l1/sum) weight JSON")
-    p.add_argument("--omega", help="omega (linf/max) weight JSON")
+    def command(name, help, box=True):
+        """Declare a subcommand, whose parser gets the common arguments and
+        then those the decorated function adds, on first use."""
+        def declare(own):
+            def fill(p):
+                common(p, box)
+                own(p)
+            sub.add_parser(name, help=help, fill=fill)
+            return own
+        return declare
 
-    p = sub.add_parser("synth", help="synthesize weights by LP")
-    common(p)
-    p.add_argument("--mode", default="sum",
-                   choices=["sum", "max", "poly-sum", "poly-max"])
-    p.add_argument("--degree", type=int, default=2,
-                   help="polynomial degree for poly-* modes")
+    @command("certify", "run every check the weights support")
+    def certify(p):
+        p.add_argument("--theta", help="theta (l1/sum) weight JSON")
+        p.add_argument("--omega", help="omega (linf/max) weight JSON")
 
-    p = sub.add_parser("lyap", help="build a separable Lyapunov function")
-    common(p, box=False)
-    p.add_argument("--theta", help="theta weight JSON")
-    p.add_argument("--omega", help="omega weight JSON")
-    p.add_argument("--variant", default="state-sum", choices=list(VARIANTS))
-    p.add_argument("--uniform", action="store_true",
-                   help="weights are bounded on the whole domain")
+    @command("synth", "synthesize weights by LP")
+    def synth(p):
+        p.add_argument("--mode", default="sum",
+                       choices=["sum", "max", "poly-sum", "poly-max"])
+        p.add_argument("--degree", type=int, default=2,
+                       help="polynomial degree for poly-* modes")
 
-    p = sub.add_parser("simulate", help="integrate trajectories to CSV")
-    common(p)
-    p.add_argument("--x0", help="initial state, e.g. 1,0.5")
-    p.add_argument("--random", type=int, default=0,
-                   help="additional seeded random initial conditions")
-    p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--theta", help="theta weight JSON for a V column")
-    p.add_argument("--omega", help="omega weight JSON for a V column")
-    p.add_argument("--variant", default="state-sum", choices=list(VARIANTS))
-    p.add_argument("--uniform", action="store_true")
+    @command("lyap", "build a separable Lyapunov function", box=False)
+    def lyap(p):
+        p.add_argument("--theta", help="theta weight JSON")
+        p.add_argument("--omega", help="omega weight JSON")
+        p.add_argument("--variant", default="state-sum",
+                       choices=list(VARIANTS))
+        p.add_argument("--uniform", action="store_true",
+                       help="weights are bounded on the whole domain")
 
-    p = sub.add_parser("contract", help="measure the contraction rate")
-    common(p)
-    p.add_argument("--theta", help="theta weight JSON")
-    p.add_argument("--omega", help="omega weight JSON")
-    p.add_argument("--norm", default="l1", choices=["l1", "linf"])
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--t-end", dest="t_end", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    @command("simulate", "integrate trajectories to CSV")
+    def simulate(p):
+        p.add_argument("--x0", help="initial state, e.g. 1,0.5")
+        p.add_argument("--random", type=int, default=0,
+                       help="additional seeded random initial conditions")
+        p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
+        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--theta", help="theta weight JSON for a V column")
+        p.add_argument("--omega", help="omega weight JSON for a V column")
+        p.add_argument("--variant", default="state-sum",
+                       choices=list(VARIANTS))
+        p.add_argument("--uniform", action="store_true")
 
-    p = sub.add_parser("entrain", help="test entrainment to a periodic input")
-    common(p, box=False)
-    p.add_argument("--x0-set", dest="x0_set", required=True,
-                   help="';'-separated initial conditions, e.g. -2;0;2")
-    p.add_argument("--periods", type=int, default=40)
-    p.add_argument("--dt", type=float, default=5e-3)
+    @command("contract", "measure the contraction rate")
+    def contract(p):
+        p.add_argument("--theta", help="theta weight JSON")
+        p.add_argument("--omega", help="omega weight JSON")
+        p.add_argument("--norm", default="l1", choices=["l1", "linf"])
+        p.add_argument("--pairs", type=int, default=10)
+        p.add_argument("--t-end", dest="t_end", type=float, default=5.0)
+        p.add_argument("--dt", type=float, default=1e-3)
 
-    p = sub.add_parser("export-sos",
-                       help="write the SOS feasibility program (.dat-s)")
-    common(p, box=False)
-    p.add_argument("--mode", default="sum", choices=["sum", "max"])
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--multiplier-degree", dest="multiplier_degree",
-                   type=int, default=0)
+    @command("entrain", "test entrainment to a periodic input", box=False)
+    def entrain(p):
+        p.add_argument("--x0-set", dest="x0_set", required=True,
+                       help="';'-separated initial conditions, e.g. -2;0;2")
+        p.add_argument("--periods", type=int, default=40)
+        p.add_argument("--dt", type=float, default=5e-3)
+
+    @command("export-sos", "write the SOS feasibility program (.dat-s)",
+             box=False)
+    def export_sos(p):
+        p.add_argument("--mode", default="sum", choices=["sum", "max"])
+        p.add_argument("--degree", type=int, default=2)
+        p.add_argument("--multiplier-degree", dest="multiplier_degree",
+                       type=int, default=0)
+
     return ap
 
 

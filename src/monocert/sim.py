@@ -214,6 +214,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
         state after step k of the run, -1 being the start."""
         viol = np.maximum(lo - S, S - hi)
         worst = viol.max(axis=2)
+        if worst.max(initial=-math.inf) <= INVARIANCE_TOL:   # no exit, no NaN
+            return np.full(worst.shape[1], len(S))
         bad = ~(worst <= INVARIANCE_TOL)   # True on NaN as well
         first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(S))
         if abort_on_failure:   # the run ends at the earliest exit
@@ -279,7 +281,8 @@ def integrate_batch(sys: SystemDef, X0, t_end: float, dt: float = 1e-3,
                 max_err[rows] = err
                 K = min(last + 1, K) if abort_on_failure else K
                 # each row's states from its exit on are not samples
-                S[:K, :m][np.arange(K)[:, None] >= first] = np.nan
+                if first.min() < K:
+                    S[:K, :m][np.arange(K)[:, None] >= first] = np.nan
             T = T[1:K + 1]
             # every save_every-th step of the run, and its last
             kept = [*range((-k - 1) % save_every, K, save_every)]

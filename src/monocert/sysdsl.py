@@ -298,15 +298,15 @@ def _structure(e: Expr, signed: bool = False) -> tuple:
 
     Two trees give equal tuples exactly when they compare equal, and the
     tuple is built, hashed and compared without recursion.  With ``signed``
-    a constant enters as its ``repr``, so trees that differ only in the
-    sign of a zero give different tuples.
+    a constant enters as its bits, so trees that differ only in the sign of
+    a zero or of a NaN give different tuples.
     """
     out: list = []
 
     def enter(node: Expr) -> Expr:
         out.append(type(node))
         if isinstance(node, Const):
-            out.append(repr(node.value) if signed else node.value)
+            out.append(_bits(node.value) if signed else node.value)
         elif isinstance(node, Var):
             out.append(node.index)
         elif isinstance(node, Pow):
@@ -315,6 +315,12 @@ def _structure(e: Expr, signed: bool = False) -> tuple:
 
     _fold(e, lambda node, args, slot: None, enter)
     return tuple(out)
+
+
+def _bits(value: float) -> int:
+    """The bits of a float, which tell apart what ``==`` and ``repr`` do
+    not: the two zeros, and NaNs of either sign."""
+    return int(np.float64(value).view(np.int64))
 
 
 def _rebuild(node: Expr, args: list, slot: int = 0) -> Expr:
@@ -416,11 +422,13 @@ def _emit(e: Expr, lines: list, consts: dict,
     it, so that of ``e`` ends in ``_s0``, or with ``out`` its root's ufunc
     writes it there.  ``Var(i)`` reads ``var(i)`` and ``t`` reads ``time``.
     A constant next to a state-dependent operand, or as the exponent (not
-    2) of a state-dependent power, is a 0-d array named in ``consts`` (repr
-    -> name, bound by ``_define``), which numpy applies to a small array in
-    half the time of a Python number, with the same bits.  Subtrees of
-    constants and ``t`` alone keep Python floats, because Python's ``**``
-    and numpy's ``power`` may differ in the last bit.
+    2) of a state-dependent power, is a 0-d array named in ``consts``
+    ((bits, np.array) -> name, bound by ``_define``), which numpy applies to
+    a small array in half the time of a Python number, with the same bits.
+    Subtrees of constants and ``t`` alone keep Python floats, because
+    Python's ``**`` and numpy's ``power`` may differ in the last bit.  Such
+    a float is written as its ``repr``, which gives back its bits, but a
+    NaN, whose sign ``repr`` drops, is named in ``consts`` as (bits, float).
 
     With ``rows`` the state is Python floats, one value per row, and each
     node appends ``(name, rhs, call)`` to ``lines`` for ``rk4._row_loops``
@@ -440,8 +448,11 @@ def _emit(e: Expr, lines: list, consts: dict,
     tally = {"calls": 0, "ops": 0}
     seen = {rhs: name for name, rhs, _ in lines} if rows else {}
 
-    def hoisted(value: float) -> str:
-        return consts.setdefault(repr(value), f"_c{len(consts)}")
+    def hoisted(value: float, kind: Callable = np.array) -> str:
+        return consts.setdefault((_bits(value), kind), f"_c{len(consts)}")
+
+    def literal(value: float) -> str:
+        return f"({value!r})" if value == value else hoisted(value, float)
 
     def leave(node: Expr, args: list, slot: int):
         # a child's result is its constant (a float, not yet written), or
@@ -455,7 +466,7 @@ def _emit(e: Expr, lines: list, consts: dict,
         state = any(v[1] for v in args if not isinstance(v, float))
         square = power == 2 and state
         call = rows and state and kind in (Min, Max, Div, Pow) and not square
-        ops = [(hoisted(v) if state and (call or not rows) else f"({v!r})")
+        ops = [(hoisted(v) if state and (call or not rows) else literal(v))
                if isinstance(v, float) else v[0] for v in args]
         if power is not None and not square:
             ops.append(hoisted(float(power)) if state else str(power))
@@ -488,7 +499,7 @@ def _emit(e: Expr, lines: list, consts: dict,
         return f"_s{slot}", state
 
     root = _fold(e, leave)
-    text = f"({root!r})" if isinstance(root, float) else root[0]
+    text = literal(root) if isinstance(root, float) else root[0]
     if rows or text == "_s0" and (out is None or root[1]):
         return tally["calls"], tally["ops"], text
     # a constant, a lone variable or a subtree of them alone, written as
@@ -590,10 +601,12 @@ def compile_expr(e) -> Callable:
 
 def _define(src: list, consts: dict) -> dict:
     """Execute generated source; return its namespace, in which each name
-    of ``consts`` is bound to its constant as a 0-d float64 array."""
+    of ``consts``, keyed (bits, kind), is bound to ``kind`` of the float of
+    those bits: a 0-d float64 array or a Python float."""
     ns: dict = {"np": np, "inf": math.inf, "nan": math.nan, "chain": chain,
                 "_TWO": np.array(2.0), "DslError": DslError}
-    ns.update((name, np.array(float(text))) for text, name in consts.items())
+    ns.update((name, kind(np.int64(bits).view(np.float64)))
+              for (bits, kind), name in consts.items())
     exec("\n".join(src) + "\n", ns)
     return ns
 

@@ -42,11 +42,20 @@ CORPUS = REPO / "src" / "monocert" / "corpus"
 _LINE = re.compile(r", line \d+,")
 
 
-def read_commands(path: Path = LIST) -> list:
-    """The argv of each command of the list, in order."""
+def read_commands(path: Path = LIST, parser_exits: bool = False) -> list:
+    """The argv of each command of the list, in order.  A line marked
+    ``!`` is a command that argparse answers itself, with help or a usage
+    error, and exits; those are left out unless ``parser_exits``."""
     lines = path.read_text().splitlines()
-    return [argv for argv in (shlex.split(line, comments=True)
-                              for line in lines) if argv]
+    commands = []
+    for argv in (shlex.split(line, comments=True) for line in lines):
+        if argv[:1] == ["!"]:
+            if not parser_exits:
+                continue
+            argv = argv[1:]
+        if argv:
+            commands.append(argv)
+    return commands
 
 
 def input_files(argv: list) -> list:
@@ -111,7 +120,7 @@ def main(args=None) -> int:
     parser.add_argument("--keep", type=Path,
                         help="keep the trees and run directories here")
     cfg = parser.parse_args(args)
-    commands = read_commands()
+    commands = read_commands(parser_exits=True)
     start = time.perf_counter()
     if cfg.keep is not None:
         cfg.keep.mkdir(parents=True, exist_ok=True)

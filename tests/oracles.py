@@ -12,18 +12,21 @@ Expressions are evaluated here by a recursive tree walk in Python floats
 active branch patterns of a point come from the per-point tie rule.  The
 package evaluates only through generated numpy kernels and finds branches
 only through ``certify.partition``, so these are independent references
-for both.  The worst entry of condition blocks is found by an
-argmax-first scan in Python floats, one entry at a time, where the package
-locates rows on numpy maxima first.  The RK4 references are the four-call
-form of a step over ``f_batch`` (bit for bit what the step kernel must
-give) and one step of one point in Python floats; a whole run of the
-integrator is referenced by those steps taken one row at a time, with the
-error estimate, domain check and sampling applied step by step in Python
-(``integrate_reference``).  The synthesis LP's condition, positivity and
-equilibrium rows are built one grid point, branch and component at a time
-in Python floats (``synthesis_rows``).  Expressions are parsed
-here by plain recursive descent, one function per grammar level, where the
-package reads them with one operator-precedence loop on explicit stacks.
+for both; the partition itself is referenced by a stable sort of the
+points' key tuples (``partition_groups``), where the package sorts one
+base-3 integer code per point.  The worst entry of condition blocks is
+found by an argmax-first scan in Python floats, one entry at a time, where
+the package locates rows on numpy maxima first.  The RK4 references are
+the four-call form of a step over ``f_batch`` (bit for bit what the step
+kernel must give) and one step of one point in Python floats; a whole run
+of the integrator is referenced by those steps taken one row at a time,
+with the error estimate, domain check and sampling applied step by step in
+Python (``integrate_reference``).  The synthesis LP's condition,
+positivity and equilibrium rows are built one grid point, branch and
+component at a time in Python floats (``synthesis_rows``).  Expressions are
+parsed here by plain recursive descent, one function per grammar level,
+where the package reads them with one operator-precedence loop on explicit
+stacks.
 """
 
 import math
@@ -205,6 +208,38 @@ def patterns_at(jb, x, t=None, tie_tol: float = TIE_TOL) -> list:
             take_left = (a < b) if isinstance(g, Min) else (a > b)
             options.append(("left",) if take_left else ("right",))
     return list(product(*options))
+
+
+def partition_groups(jb, X, tie_tol: float = TIE_TOL) -> list:
+    """The rows of X grouped by the tie rule, in pure Python:
+    ``[(rows, tied, patterns)]`` as ``certify.partition`` gives them.
+
+    Each row's key has one entry per guard, from its a and b at the row:
+    2 where the guard ties (|a−b| ≤ tie_tol·(1+|a|+|b|)), else 1 where it
+    takes the right side (a−b ≥ 0 for ``min``, a−b ≤ 0 for ``max``) and 0
+    otherwise, so a NaN gap takes the left.  Python's stable sort orders
+    the rows by key tuple, and the rows of equal keys form a group, in
+    their order in X; a tied guard takes both sides, in
+    ``itertools.product`` order.
+    """
+    keys = []
+    for x in X:
+        key = []
+        for g in jb.guards:
+            a, b = evaluate(g.a, x), evaluate(g.b, x)
+            if abs(a - b) <= tie_tol * (1.0 + abs(a) + abs(b)):
+                key.append(2)
+            else:
+                key.append(int(a - b >= 0 if isinstance(g, Min)
+                               else a - b <= 0))
+        keys.append(tuple(key))
+    groups: dict = {}
+    for r in sorted(range(len(keys)), key=keys.__getitem__):
+        groups.setdefault(keys[r], []).append(r)
+    sides = ("left", "right")
+    return [(rows, 2 in key,
+             list(product(*[sides if d == 2 else (sides[d],) for d in key])))
+            for key, rows in groups.items()]
 
 
 def synthesis_rows(sys, jb, box, res, mode, degree, eps,

@@ -1,6 +1,7 @@
 """Grid certification checks: hand-derived goldens, analytic cross-checks,
 witness semantics, and determinism."""
 
+import functools
 import itertools
 import json
 import math
@@ -22,12 +23,12 @@ from monocert.certify import (
 from monocert.measures import WeightFamily, mu1, mu_inf
 from monocert.sim import estimate_contraction_rate
 from monocert.synth import synth_const
-from monocert.sysdsl import ExprMatrix, jacobian, parse_system
+from monocert.sysdsl import TIE_TOL, ExprMatrix, jacobian, parse_system
 
 from conftest import (CORPUS, linear_system, load_family, load_system,
                       random_family)
-from oracles import (evaluate, field_at, matrix_at, patterns_at,
-                     scaled_jacobian_at, worst_entry)
+from oracles import (evaluate, field_at, matrix_at, partition_groups,
+                     patterns_at, scaled_jacobian_at, worst_entry)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -424,6 +425,77 @@ def test_partition_matches_tree_walking_patterns(traffic4, resolution, ties):
     assert covering == [patterns_at(jb, x) for x in X]
     assert sum(len(p) > 1 for p in covering) == ties
     assert check_kamke(traffic4, box).branch_ties == ties
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_system(kinds: tuple):
+    """The branch Jacobian of a system of one guard per entry of ``kinds``,
+    guard j being ``min`` or ``max`` of (x_2j+1, x_2j+2), so that a point's
+    coordinates are its guards' values a and b."""
+    n = 2 * len(kinds)
+    states = ", ".join(f"x{i} in (-inf, inf)" for i in range(1, n + 1))
+    odes = "".join(f"  dx{2 * j + 1} = {kind}(x{2 * j + 1}, x{2 * j + 2})\n"
+                   f"  dx{2 * j + 2} = 0\n" for j, kind in enumerate(kinds))
+    return jacobian(parse_system(f"system g {{\n  states {states}\n{odes}}}"))
+
+
+# guard values: NaN, both infinities, both zeros and finite values, of which
+# inf ties with every finite value and with -inf (the gap and the scale are
+# both infinite), and a NaN gap (inf - inf included) never ties
+_GUARD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                 1.0, -2.5, 1e300])
+
+
+@st.composite
+def _boundary_pair(draw):
+    """(a, b) a few ulps either side of the tie tolerance's boundary, where
+    |a−b| = TIE_TOL·(1+|a|+|b|): at about TIE_TOL·(1+2|b|)/(1−TIE_TOL)
+    from b, which is exact enough to 3 ulps for these b."""
+    b = draw(st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e6]))
+    gap = TIE_TOL * (1 + 2 * abs(b)) / (1 - TIE_TOL)
+    a = b + draw(st.sampled_from([1.0, -1.0])) * gap
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        a = math.nextafter(a, math.copysign(math.inf, ulps))
+    return a, b
+
+
+_GUARD_PAIRS = st.one_of(st.tuples(_GUARD_VALUES, _GUARD_VALUES),
+                         _boundary_pair())
+# pairs that never tie, for the guards past the fourth
+_UNTIED_PAIRS = st.sampled_from([(math.nan, 1.0), (1.0, math.nan),
+                                 (1.0, 2.0), (2.0, -0.0), (-3.0, 4.0)])
+
+
+@st.composite
+def _guarded_points(draw):
+    """A system of 1 to 4 guards, or of 41, more than one int64 code word
+    holds (39), and points drawn with repeats from a pool of rows; only the
+    first 4 guards may tie."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 41]))
+    kinds = draw(st.lists(st.sampled_from(["min", "max"]), min_size=k,
+                          max_size=k))
+    pool = draw(st.lists(
+        st.tuples(*[_GUARD_PAIRS if j < 4 else _UNTIED_PAIRS
+                    for j in range(k)]), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=24))
+    X = np.array([[v for pair in pool[i] for v in pair] for i in picks])
+    return _guard_system(tuple(kinds)), X
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_guarded_points())
+def test_partition_matches_a_stable_grouping_of_key_tuples(case):
+    """The groups, their order, each group's rows in order, its tie flag
+    and its patterns are those of a pure-Python stable sort of the points'
+    key tuples, at NaN, infinite and signed-zero guard values, at gaps a
+    few ulps either side of the tie tolerance, and past one code word."""
+    jb, X = case
+    with np.errstate(invalid="ignore"):
+        got = partition(jb, X)
+    assert [(rows.tolist(), tied, patterns)
+            for rows, tied, patterns in got] == partition_groups(jb, X)
 
 
 # condition values with NaN, both zeros and repeated maxima

@@ -4,6 +4,7 @@ Everything runs in-process through ``monocert.cli.main`` so coverage and
 debuggability stay intact; each test writes into its own tmp directory.
 """
 
+import argparse
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from byte_identity.compare import read_commands
 from conftest import CORPUS, load_family, load_system
 from monocert.certify import (CertifyError, WorkingBox, _ARGUMENT_RULES,
                               certify_all, check_cor1, check_cor2,
@@ -642,6 +644,41 @@ def test_parser_defaults_are_the_library_defaults(argv, option, fn, param):
     want = inspect.signature(fn).parameters[param].default
     assert getattr(args, option) == want
     assert type(getattr(args, option)) is type(want)
+
+
+def test_a_subcommand_parser_gets_its_arguments_on_first_use():
+    """Parsing one command builds that subcommand's arguments alone; the
+    others are built when they are used, and each parser more than once
+    gives the same result."""
+    ap = _build_parser()
+    subparsers = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsers = subparsers._name_parser_map
+
+    def options(name):
+        return [a.dest for a in parsers[name]._actions]
+
+    assert all(options(name) == ["help"] for name in parsers)
+    first = ap.parse_args(["synth", "ex1", "--mode", "max"])
+    assert options("synth")[-2:] == ["mode", "degree"]
+    assert all(options(name) == ["help"] for name in parsers
+               if name != "synth")
+    assert ap.parse_args(["synth", "ex1", "--mode", "max"]) == first
+    assert options("synth").count("mode") == 1
+
+
+def test_the_parser_answers_the_marked_commands_of_the_list(capsys):
+    """The ``!`` lines of the byte-identity list are answered by argparse
+    itself: help exits 0, every other one is a usage error, exit 2."""
+    accepted = read_commands()
+    marked = [argv for argv in read_commands(parser_exits=True)
+              if argv not in accepted]
+    assert len(marked) == 12
+    for argv in marked:
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == (0 if "--help" in argv else EXIT_USAGE)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
