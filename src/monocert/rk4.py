@@ -7,26 +7,26 @@ nothing else.  Each shape emits the step once, inline in the kernel's
 loop; the domain check and the step-doubling error estimate are not the
 kernel's: ``sim.integrate_batch`` checks each block's states once, after
 the call, and takes the estimate by running the same kernel at h/2.  Both
-shapes run stage-major, each stage for all rows before the next, so a step
-costs numpy calls per node of the vector field, not per row or per
-component:
+shapes run stage-major, each stage for all rows before the next:
 
 * on columns, the state and the stages are (n, m) arrays.  Each field's
   root writes its slope row by ``out=``, and each RK4 update, the final
   sum and the copy into the output is a few numpy calls on all components
-  at once;
-* on rows, the state is a tuple of Python floats per row.  ``+ - *`` are
-  Python float operations, run in one loop over the rows for each stretch
-  of them; each ``^k`` (k other than 2), ``/``, ``min`` and ``max`` node is
-  one numpy call per stage on the list of all rows' operands, between
-  such loops (``_row_loops`` places every node as early as its operands
-  allow).  ``exp``, ``sin`` and ``cos`` call their ufunc on each row's
-  float, which costs a fifth of a call on a list.  A field without a
-  batched node runs one loop per step.
+  at once, so a step costs numpy calls per node of the vector field, not
+  per row or per component;
+* on rows, the kernel is straight-line code unrolled for exactly m rows,
+  generated on the first call with m rows and kept.  Each row's state and
+  each of its values is a local of its own, suffixed by the row (``x1_0``
+  is x1 of row 0).  ``+ - *`` are a Python float operation per row;
+  each ``^k`` (k other than 2), ``/``, ``min`` and ``max`` node is one
+  numpy call per stage on the tuple of all rows' operands, unpacked into
+  a name per row (on one row, a call on its float).  ``exp``, ``sin`` and
+  ``cos`` call their ufunc on each row's float, which costs a fifth of a
+  call on a tuple.
 
 The shapes give the same bits: numpy's ``+ - *`` are IEEE operations,
 exactly rounded as Python's are; a ufunc called on a Python float runs the
-loop it runs on an array; and numpy converts a list of Python floats into
+loop it runs on an array; and numpy converts a tuple of Python floats into
 exactly the float64 array whose loop the column kernel runs.  A numpy call
 costs about as much on 3 rows as on 20, so the row kernel is faster for a
 few rows and the column kernel for many; ``StepKernels.pick`` chooses by
@@ -51,113 +51,88 @@ class StepKernels(NamedTuple):
 
     ``pick`` takes the row kernel for m rows when
 
-        m (p + 8u + 4) / 24 + 2 (u + L) < U + 4,
+        m (p + 6u + 5) / 24 + 2u < U + 7,
 
     a cost in units of one of the column kernel's U numpy calls per step:
     p Python float operations per row cost 1/24 each (a ufunc call on a
-    float counts 8), and so do 4 more for each row's share of the loops,
-    tuples and lists; each of the u batched calls and L loops over the
-    rows costs about 2, and a batched call's list conversion 1/3 per row.
-    The constants are a fit to both kernels' times on 256-step blocks of
-    every corpus system at m = 1 to 48 (min of 10 runs, two runs, a 2-vCPU
-    x86-64 host shared with other work, numpy 2.4).  The crossover column
-    is the first m at which the columns were as fast as the rows in each
-    run.  It moves with the host's noise by up to 5 rows between runs of
-    the same tree (entrain_zero: 13 and 18).  The pick column is what the
-    code does:
+    float counts 8), and so do 5 more for each row's share of the state's
+    tuple and of ``out``; each of the u batched calls costs about 2, and
+    its tuple, array and list of the rows 6/24 per row; the column kernel
+    costs 7 more for its loop and its copy into S.  The constants are a
+    least-squares fit to both kernels' times on 256-step blocks of every
+    corpus system at m = 1 to 24 and at even m to 48 (min of 12
+    interleaved runs, two runs, a 2-vCPU x86-64 host shared with other
+    work, numpy 2.4), m (p + 5.9u + 5.3) / 26.5 + 2.2u against U + 7.3,
+    with the row kernel's build counted.  The row kernel for m rows is
+    generated on the first call with m rows, about 5 us per operation and
+    row (ex1 at m = 20: 4 to 5 ms), the time of some 400 of its steps;
+    spread over a run of 4,000 steps (``simulate`` takes 4,000,
+    ``contract`` 5,000), it turns the fit's 1/26.5 into 1/24.  The
+    crossover column is the first m at which the columns were as fast as
+    the rows per step in each run; it moves with the host's noise
+    (entrain_cubic: 11 and 17).  The pick column is what the code does:
 
-        system            U   u    p  L   crossover   pick: columns from
-        comparison       66   0   98  1     16, 15     16
-        entrain_cubic    26   4   21  4      5,  8      6
-        entrain_linear   22   0   21  1     19, 18     24
-        entrain_zero     18   0   13  1     13, 18     29
-        ex1              30   0   42  1     19, 17     17
-        linear_sym       30   0   42  1     20, 16     17
-        multiagent       38   0   63  1     16, 21     15
-        rotation         22   0   30  1     18, 18     17
-        traffic4        122  28   96  5      5,  5      5
+        system            U   u    p   crossover   pick: columns from
+        comparison       66   0   98     18, 18     18
+        entrain_cubic    26   4   21     11, 17     12
+        entrain_linear   22   0   21     34, 34     27
+        entrain_zero     18   0   13     42, 42     34
+        ex1              30   0   42     22, 22     19
+        linear_sym       30   0   42     22, 23     19
+        multiagent       38   0   63     19, 19     16
+        rotation         22   0   30     21, 21     20
+        traffic4        122  28   96      8,  8      7
 
     The rows' time grows with m at about the same rate on each side of the
-    crossover, so a pick a few rows off it costs little: entrain_zero's
-    rows take 1.2 to 1.35 times the columns' time at m = 28.
+    crossover, so a pick a few rows off it costs little: at the pick the
+    columns take 0.96 to 1.18 times the rows' time per step, and 1.25 on
+    entrain_linear at m = 28.  At ``contract``'s 20 rows of linear_sym
+    (5,000 steps) the two shapes tie with the build counted: 6 of 12
+    fresh-process pairs of the command were faster on rows.
     """
     columns: Callable
     rows: Callable
     column_calls: int   # U: numpy calls of the column kernel
     row_calls: int      # u: batched numpy calls of the row kernel
     row_ops: int        # p: its Python float operations per row
-    row_loops: int      # L: its loops over the rows
 
     def pick(self, m: int) -> Callable:
-        """The row kernel for m rows when m (p + 8u + 4) / 24 + 2 (u + L)
-        < U + 4, else the column kernel."""
-        cost = m * (self.row_ops + 8 * self.row_calls + 4) / 24 + 2 * (
-            self.row_calls + self.row_loops)
-        return self.rows if cost < self.column_calls + 4 else self.columns
+        """The row kernel for m rows when m (p + 6u + 5) / 24 + 2u < U + 7,
+        else the column kernel."""
+        cost = m * (self.row_ops + 6 * self.row_calls + 5) / 24 + (
+            2 * self.row_calls)
+        return self.rows if cost < self.column_calls + 7 else self.columns
 
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
 
 
-def _row_loops(records: list, inputs: dict, keep: list) -> tuple:
-    """Source that runs ``records`` (see ``_emit``) on all rows, and the
-    number of its loops over them.  ``inputs`` maps a list of rows to what
-    a row unpacks to.  Each record is placed as early as the names it
-    reads allow (those of ``keep`` together): a call between loops, on the
-    lists ``v_`` of the rows' operands, the others in a loop, which leaves
-    the rows of ``keep`` in ``nxt`` and what a later place reads in lists
-    ``v_``."""
-    inputs = dict(inputs)
-    where = {w: seq for seq, row in inputs.items() for w in _NAME.findall(row)}
+def _unrolled(records: list, m: int, n: int) -> list:
+    """The lines of one step of ``records`` (see ``_emit``) on exactly m
+    rows, from the state ``x0_r, x1_r, ...`` of each row r to its
+    ``f0_r, f1_r, ...``: a record is a statement per row, its row-wise
+    names suffixed by the row, or a call on the tuple of the m rows'
+    operands, unpacked into m names (on one row, a call on its floats)."""
+    rowwise = {name for name, _, _ in records} | {f"x{i}" for i in range(n)}
 
-    def place(floor: dict) -> list:
-        pos, placed = dict.fromkeys(where, -1), []
-        for name, rhs, call in records:
-            p = max([pos[w] for w in _NAME.findall(rhs) if w in pos]
-                    + [floor.get(name, -1)])
-            pos[name] = p = p | 1 if call else p + (p & 1)   # loops: even
-            placed.append((p, name, rhs))
-        return placed
+    def names(w: str) -> str:
+        return "".join(f"{w}_{r}, " for r in range(m))
 
-    placed = place({})
-    placed = place(dict.fromkeys(keep, max(p for p, name, _ in placed
-                                           if name in keep)))
-    latest = {w: p for p, _, rhs in sorted(placed, key=lambda r: r[0])
-              for w in _NAME.findall(rhs)}   # the latest place reading w
-    rowwise = {name for _, name, _ in placed} | set(where)
-    src, loops = [], 0
-    for p in sorted({p for p, _, _ in placed}):
-        here = {name: rhs for q, name, rhs in placed if q == p}
-        reads = dict.fromkeys(w for rhs in here.values()
-                              for w in _NAME.findall(rhs)
-                              if w in rowwise and w not in here)
-        if p % 2:   # the rows that the calls read, split into lists first
-            for seq in dict.fromkeys(where[w] for w in reads if w in where):
-                names = _NAME.findall(inputs.pop(seq))
-                src.append(f"    {''.join(w + '_, ' for w in names)}= "
-                           f"zip(*{seq})")
-                for w in names:
-                    del where[w]
-            src += [f"    {name}_ = " + _NAME.sub(
-                lambda w: w[0] + "_" * (w[0] in rowwise), rhs) + ".tolist()"
-                for name, rhs in here.items()]
-            continue
-        loops += 1
-        sources = {where.get(w, w + "_"): inputs.get(where.get(w), w)
-                   for w in reads}
-        row = f"({''.join(w + ', ' for w in keep if w in here)})"
-        outs = [w for w in here if w not in keep and latest.get(w, p) > p]
-        made = ["nxt"] * (row != "()") + [w + "_" for w in outs]
-        src += [f"    {', '.join(made)}, = {'[], ' * len(made)}",
-                *(f"    _a{j} = {w}_.append" for j, w in enumerate(outs)),
-                f"    for {', '.join(sources.values())}, in zip("
-                f"{', '.join(sources)}):",
-                *(f"        {name} = {rhs}" if name else f"        {rhs}"
-                  for name, rhs in here.items()),
-                *(f"        _a{j}({w})" for j, w in enumerate(outs))]
-        if row != "()":
-            src.append(f"        nxt += {row},")
-    return src, loops
+    def sub(rhs: str, text: Callable) -> str:   # each row-wise w as text(w)
+        return _NAME.sub(lambda w: text(w[0]) if w[0] in rowwise else w[0],
+                         rhs)
+
+    lines = []
+    for name, rhs, call in records:
+        if call and m > 1:
+            lines.append(f"{names(name)}= "
+                         f"{sub(rhs, lambda w: f'({names(w)})')}.tolist()")
+        elif call:
+            lines.append(f"{name}_0 = float({sub(rhs, lambda w: w + '_0')})")
+        else:
+            lines += [f"{name}_{r} = {sub(rhs, lambda w: f'{w}_{r}')}"
+                      for r in range(m)]
+    return lines
 
 
 def compile_step(odes) -> StepKernels:
@@ -175,10 +150,12 @@ def compile_step(odes) -> StepKernels:
         X + (h/6) (k1 + 2 k2 + 2 k3 + k4),  then t += h.
 
     The step is emitted once per shape, inline in the kernel's loop (see
-    the module docstring).  A subtree of constants and ``t`` alone is
-    computed once per stage time, as a Python float (a 0-d array on
-    columns) that keeps Python's ``/`` and ``**``: an ArithmeticError it
-    raises is raised at its step, with S written up to the step before.
+    the module docstring); the row shape writes it out for m rows on its
+    first call with m rows, and keeps that kernel.  A subtree of constants
+    and ``t`` alone is computed once per stage time, as a Python float (a
+    0-d array on columns) that keeps Python's ``/`` and ``**``: an
+    ArithmeticError it raises is raised at its step, with S written up to
+    the step before.
     """
     n = len(odes)
     fields, lifted = _lift_state_free(odes)
@@ -187,7 +164,8 @@ def compile_step(odes) -> StepKernels:
         return "".join(f"{name}{i}, " for i in range(n))
 
     def generate(rows: bool) -> tuple:
-        """The kernel, and its counts per step: U, or u, p and L."""
+        """The kernel's source, on rows a function of the row count m, its
+        constants and its counts per step: U, or u and p."""
         consts: dict = {}
         counts = {"calls": 0, "ops": 0}
 
@@ -242,31 +220,45 @@ def compile_step(odes) -> StepKernels:
                f"{'float' if rows else 'np.array'}, (h, hh, h / 6))"]
         if rows:
             counts["ops"] += 13 * n   # 2 per update, 7 per sum
-            plain, counts["loops"] = _row_loops(
-                body, {"live": f"({listed('x')})"},
-                [f"f{i}" for i in range(n)])
-            src += ["    live, out = X.tolist(), []",
+
+            def unrolled(m: int) -> list:
+                # the rows' states, flat and row-major as in S, in ``st``
+                def flat(v):
+                    return "".join(f"{v}{i}_{r}, " for r in range(m)
+                                   for i in range(n))
+                return src + [
+                    "    st, out = X.ravel().tolist(), []",
                     "    try:", *("    " + line for line in start),
                     "        for k in range(len(S)):",
                     *("        " + line for line in [
-                        *times, *plain, "    out += nxt", "    live = nxt",
-                        *carry]),
+                        f"    {flat('x')}= st", *times,
+                        *("    " + line for line in _unrolled(body, m, n)),
+                        f"    st = {flat('f')}", "    out += st", *carry]),
                     "    finally:",
-                    "        S[:len(out) // len(X)] = np.fromiter(chain."
-                    "from_iterable(out), float).reshape(-1, *X.shape)"]
-        else:
-            counts["calls"] += 14   # 6 updates, 7 sum, S[k]
-            src += ["    x = X.T.copy()",
-                    "    a, b, c, d, y = np.empty((5,) + x.shape)",
-                    *(f"    {listed(v)}= {v}" for v in "abcdyx"),
-                    "    xt = x.T", *start,
-                    "    for k in range(len(S)):",
-                    *("    " + line for line in [
-                        *times, *body, "    np.add(x, F, out=x)", *carry,
-                        "    S[k] = xt"])]
-        return _define(src, consts)["_run"], counts
+                    "        S[:len(out) // X.size] = np.fromiter("
+                    "out, float, len(out)).reshape(-1, *X.shape)"]
+            return unrolled, consts, counts
+        counts["calls"] += 14   # 6 updates, 7 sum, S[k]
+        src += ["    x = X.T.copy()",
+                "    a, b, c, d, y = np.empty((5,) + x.shape)",
+                *(f"    {listed(v)}= {v}" for v in "abcdyx"),
+                "    xt = x.T", *start,
+                "    for k in range(len(S)):",
+                *("    " + line for line in [
+                    *times, *body, "    np.add(x, F, out=x)", *carry,
+                    "    S[k] = xt"])]
+        return src, consts, counts
 
-    columns, column = generate(rows=False)
-    rows, row = generate(rows=True)
-    return StepKernels(columns, rows, column["calls"], row["calls"],
-                       row["ops"], row["loops"])
+    src, consts, column = generate(rows=False)
+    unrolled, row_consts, row = generate(rows=True)
+    built: dict = {}   # m -> the row kernel for m rows
+
+    def rows(X, t, h, S):
+        run = built.get(len(X))
+        if run is None:
+            run = built[len(X)] = _define(unrolled(len(X)),
+                                          row_consts)["_run"]
+        run(X, t, h, S)
+
+    return StepKernels(_define(src, consts)["_run"], rows, column["calls"],
+                       row["calls"], row["ops"])

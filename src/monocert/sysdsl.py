@@ -431,19 +431,20 @@ def _emit(e: Expr, lines: list, consts: dict,
     NaN, whose sign ``repr`` drops, is named in ``consts`` as (bits, float).
 
     With ``rows`` the state is Python floats, one value per row, and each
-    node appends ``(name, rhs, call)`` to ``lines`` for ``rk4._row_loops``
-    to place, or reuses the name of an equal ``rhs`` there: the same
-    operation on the same values.  ``+ - *``, negation and ``^2`` (as
-    ``v*v``) are Python operations on a row's floats, exactly rounded as
-    numpy's are.  ``^k``, ``/``, ``min`` and ``max`` are each a ``call``
-    made once per stage on the lists ``v_`` of all rows' operands, as
-    ``np.power(v_, _c0)``: their ufunc costs about 0.7 us on two floats
-    and 1 us on two lists of a few, and numpy converts such a list into
-    exactly the array whose loop it runs on a column.  ``exp``, ``sin`` and
-    ``cos`` call their ufunc on each row's float, about 0.2 us, a fifth of
-    a call on a list.  Python's ``**`` and ``math`` may differ from numpy in
-    the last bit, and Python's ``/`` raises on zero.  A constant is a 0-d
-    array there only where it goes to a ufunc.
+    node appends ``(name, rhs, call)``, written for one row, to ``lines``
+    for ``rk4._unrolled`` to write out for each row, or reuses the name of
+    an equal ``rhs`` there: the same operation on the same values.
+    ``+ - *``, negation and ``^2`` (as ``v*v``) are Python operations on a
+    row's floats, exactly rounded as numpy's are.  ``^k``, ``/``, ``min``
+    and ``max`` are each a ``call`` made once per stage on the tuples of
+    all rows' operands, as ``np.power((v_0, v_1, v_2), _c0)``: their ufunc
+    costs about 0.7 us on two floats and 0.9 us on tuples of a few, and
+    numpy converts such a tuple into exactly the array whose loop it runs
+    on a column.  ``exp``, ``sin`` and ``cos`` call their ufunc on each
+    row's float, about 0.2 us, a fifth of a call on a tuple.  Python's
+    ``**`` and ``math`` may differ from numpy in the last bit, and Python's
+    ``/`` raises on zero.  A constant is a 0-d array there only where it
+    goes to a ufunc.
     """
     tally = {"calls": 0, "ops": 0}
     seen = {rhs: name for name, rhs, _ in lines} if rows else {}

@@ -196,13 +196,16 @@ def patterns_at(jb, x, t=None, tie_tol: float = TIE_TOL) -> list:
 
     A guard ties when |a−b| ≤ tie_tol·(1+|a|+|b|); every pattern
     consistent with the tie set is returned, in ``itertools.product``
-    order.
+    order.  A NaN gap a−b (a NaN value, or a = b = ±inf) neither ties nor
+    picks a side by comparison: the guard takes its left.
     """
     options = []
     for g in jb.guards:
         a = evaluate(g.a, x, t)
         b = evaluate(g.b, x, t)
-        if abs(a - b) <= tie_tol * (1.0 + abs(a) + abs(b)):
+        if math.isnan(a - b):
+            options.append(("left",))
+        elif abs(a - b) <= tie_tol * (1.0 + abs(a) + abs(b)):
             options.append(("left", "right"))
         else:
             take_left = (a < b) if isinstance(g, Min) else (a > b)

@@ -498,6 +498,25 @@ def test_partition_matches_a_stable_grouping_of_key_tuples(case):
             for rows, tied, patterns in got] == partition_groups(jb, X)
 
 
+def test_partition_matches_tree_walking_patterns_at_nan_gaps():
+    """Where a guard's gap a − b is NaN (a = b = ±inf, or a NaN state), the
+    guard neither ties nor takes the right side: ``partition`` and the
+    per-point oracle both take its left, for ``min`` and ``max``."""
+    jb = _guard_system(("min", "max"))
+    inf, nan = math.inf, math.nan
+    X = np.array([[inf, inf, inf, inf], [-inf, -inf, -inf, -inf],
+                  [inf, inf, -inf, -inf], [nan, 0.0, 0.0, nan],
+                  [nan, nan, nan, nan], [1.0, 2.0, 4.0, 3.0],
+                  [2.0, 1.0, 3.0, 4.0]])
+    covering = [[] for _ in X]
+    with np.errstate(invalid="ignore"):
+        for rows, tied, patterns in partition(jb, X):
+            for r in rows:
+                covering[r].extend(patterns)
+    assert covering == [patterns_at(jb, x) for x in X]
+    assert covering[:5] == [[("left", "left")]] * 5
+
+
 # condition values with NaN, both zeros and repeated maxima
 _TIE_VALUES = st.sampled_from([np.nan, 0.0, -0.0, 1.0, -1.0, 2.0, -np.inf,
                                np.inf])

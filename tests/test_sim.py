@@ -375,7 +375,8 @@ def test_both_shapes_return_at_the_step_past_the_tolerance(c, k_out):
 def test_kernels_take_plain_steps_only(name, monkeypatch):
     """Both shapes are ``run(X, t, h, S)``, as ``SystemDef.rk4_run`` is,
     and their source holds no domain bounds, tolerance, check flag or
-    early return.  0 is the seed of random fields with every node type."""
+    early return: the column kernel's, and the row kernel's for 1, 2, 3
+    and 7 rows.  0 is the seed of random fields with every node type."""
     sources = []
 
     def define(src, consts):
@@ -390,7 +391,15 @@ def test_kernels_take_plain_steps_only(name, monkeypatch):
     else:
         odes = (_mixed_field() if name == "mixed" else load_system(name)).odes
     kernels = compile_step(odes)
-    assert len(sources) == 2
+    assert len(sources) == 1   # the row kernels are built on first use
+    for m in (1, 2, 3, 7):
+        S = np.empty((1, m, len(odes)))
+        with np.errstate(all="ignore"):
+            try:
+                kernels.rows(np.full((m, len(odes)), 0.5), 0.0, 0.1, S)
+            except ArithmeticError:   # a pole of t in a random field
+                pass
+    assert len(sources) == 5
     for src in sources:
         assert not re.search(r"\b(lo|hi|_TOL|ok|return)\b", src), src
     for run in (kernels.columns, kernels.rows, mc.SystemDef.rk4_run):
@@ -418,6 +427,61 @@ def test_pick_switches_shape_once(name):
     assert shapes == ["rows"] * switch + ["columns"] * (400 - switch)
     if not isinstance(name, int):
         assert 3 < switch < 40
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in CORPUS.glob("*.sys")) + [0, 1])
+def test_row_kernel_matches_the_columns_at_every_row_count(name):
+    """The row kernel, unrolled for each m, leaves the column kernel's bits
+    at every m from 1 to two rows past the pick's crossover, on the corpus
+    (starts in the box clipped to [-3, 3]) and on random fields with every
+    node type (seeds 0 and 1)."""
+    if isinstance(name, int):
+        rng = np.random.default_rng([name, 47])
+        odes = [_random_field(rng, 3, root) for root in _KINDS]
+        lo, hi = np.full(len(odes), -3.0), np.full(len(odes), 3.0)
+    else:
+        sys = load_system(name)
+        odes = sys.odes
+        lo = np.array([max(b.lo, -3.0) for b in sys.bounds])
+        hi = np.array([min(b.hi, 3.0) for b in sys.bounds])
+    kernels = compile_step(odes)
+    switch = next(m for m in range(1, 401)
+                  if kernels.pick(m) is kernels.columns)
+    rng = np.random.default_rng([len(odes), 53])
+    for m in range(1, switch + 3):
+        X = lo + (hi - lo) * rng.random((m, len(odes)))
+        _assert_shapes_agree(odes, X, 0.3, 0.05, 6, lo, hi)
+
+
+def test_row_kernels_are_built_once_per_row_count(monkeypatch):
+    """Four starts of dx = 1 on [0, 10] leave the domain one by one, each
+    in a block of its own (at steps 100, 400, 700 and 1,000 of 256-step
+    blocks): the run builds the row kernel for 4, 3, 2 and 1 rows, once
+    each, the estimate's calls included, and a second run on the same
+    system builds none."""
+    sys = _scalar("1 + 0*x", lo="0", hi="10")
+    sys._rk4 = compile_step(sys.odes)
+    builds, sizes = [], []
+    define = rk4._define
+    rk4_run = mc.SystemDef.rk4_run
+
+    def spied(self, X, t, h, S):
+        sizes.append(len(X))
+        rk4_run(self, X, t, h, S)
+
+    monkeypatch.setattr(rk4, "_define",
+                        lambda src, consts: builds.append(1) or define(
+                            src, consts))
+    monkeypatch.setattr(mc.SystemDef, "rk4_run", spied)
+    X0 = np.array([[9.0], [6.0], [3.0], [0.0]])
+    for run in range(2):
+        sizes.clear()
+        batch = integrate_batch(sys, X0, 12.0, dt=1e-2)
+        assert sorted(batch.failures) == [0, 1, 2, 3]
+        assert sorted(set(sizes)) == [1, 2, 3, 4]
+        assert all(sys._rk4.pick(m) is sys._rk4.rows for m in sizes)
+        assert len(builds) == 4
 
 
 def test_both_shapes_keep_the_error_where_a_component_is_nan():
