@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import product
 from typing import Callable, Optional, Sequence, Union
@@ -231,6 +231,42 @@ class WorkingBox:
 # Report
 # ---------------------------------------------------------------------------
 
+def _report(result, skip: tuple = (), **extra) -> dict:
+    """The report of a result dataclass: its fields, less those named in
+    ``skip``, then ``extra``.  A field that is a result, box or weight
+    family is written by its own ``to_jsonable``, an array by ``tolist``.
+    The ``skip`` tuples of the ``to_jsonable`` methods are the one list of
+    the fields a report leaves out."""
+    out = {}
+    for f in fields(result):
+        if f.name in skip:
+            continue
+        v = getattr(result, f.name)
+        if hasattr(v, "to_jsonable"):
+            v = v.to_jsonable()
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        out[f.name] = v
+    return {**out, **extra}
+
+
+def _dumps(payload) -> str:
+    """The one JSON form of reports and sidecars: strict JSON (RFC 8259),
+    keys sorted, indent 2, with each non-finite float written as the
+    string "nan", "inf" or "-inf"."""
+    def strict(obj):
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+        if isinstance(obj, dict):
+            return {k: strict(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [strict(v) for v in obj]
+        return obj
+
+    return json.dumps(strict(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
+
+
 @dataclass
 class CertReport:
     """Outcome of one sampled check."""
@@ -249,20 +285,11 @@ class CertReport:
         return self.verdict != "fail"
 
     def to_jsonable(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-            "box": self.box.to_jsonable(),
-            "resolution": self.box.resolution,
-            "eps": self.eps,
-            "branch_ties": self.branch_ties,
-            "equilibrium_margin": self.equilibrium_margin,
-        }
+        return _report(self, skip=("positivity",),
+                       resolution=self.box.resolution)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        return _dumps(self.to_jsonable())
 
     def summary_line(self) -> str:
         eq = ("" if self.equilibrium_margin is None

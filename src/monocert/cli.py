@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys as _stdsys
 from importlib import resources
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import (CertifyError, DEFAULT_EPS, WorkingBox, certify_all,
-                      _check_arguments)
+                      _check_arguments, _dumps)
 from .lyap import VARIANTS, LyapError, build_lyapunov
 from .measures import PAIRING, WeightFamily
 from .sim import (SimulationError, entrainment_test,
@@ -114,24 +113,8 @@ def _write_report(cfg: argparse.Namespace, name: str, payload: dict) -> Path:
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    path.write_text(json.dumps(_clean_nan(payload), sort_keys=True, indent=2,
-                               allow_nan=False) + "\n")
+    path.write_text(_dumps(payload) + "\n")
     return path
-
-
-def _clean_nan(obj):
-    """Replace non-finite floats so reports stay strict JSON."""
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _clean_nan(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean_nan(v) for v in obj]
-    return obj
 
 
 def _say(cfg: argparse.Namespace, msg: str) -> None:

@@ -26,7 +26,6 @@ the flow norm, and ``weighted_distance`` is the one-pair distance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .certify import _Grid, _positivity_check
+from .certify import _Grid, _dumps, _positivity_check, _report
 from .measures import (NORM_KIND, PAIRING, WeightComponent, WeightFamily,
                        _poly_text)
 from .sysdsl import SystemDef, format_number
@@ -192,17 +191,12 @@ class LyapFn:
         return f"V(x) = {body}"
 
     def to_jsonable(self) -> dict:
-        return {
-            "variant": self.variant,
-            "scope": self.scope,
-            "weights": self.weights.to_jsonable(),
-            "equilibrium": list(self.xstar),
-            "system": self.sys.name,
-            "pretty": self.describe(),
-        }
+        return _report(self, skip=("xstar", "sys", "_densities"),
+                       equilibrium=list(self.xstar), system=self.sys.name,
+                       pretty=self.describe())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        return _dumps(self.to_jsonable())
 
 
 def build_lyapunov(sys: SystemDef, w: WeightFamily, variant: str,

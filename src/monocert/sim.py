@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certify import (WorkingBox, check_cor3, CertReport, DEFAULT_EPS,
-                      _check_arguments, _norm_family)
+                      _check_arguments, _norm_family, _report)
 from .lyap import LyapFn, _densities, _distance, _flow_norm
 from .measures import WeightFamily
 from .sysdsl import INVARIANCE_TOL, SystemDef
@@ -327,14 +327,7 @@ class DecreaseReport:
     values: np.ndarray = field(repr=False)
 
     def to_jsonable(self) -> dict:
-        return {"passed": self.passed,
-                "max_increment": self.max_increment,
-                "max_violation": self.max_violation,
-                "first_violation_time": self.first_violation_time,
-                "n_violations": self.n_violations,
-                "initial": self.initial,
-                "terminal": self.terminal,
-                "terminal_ok": self.terminal_ok}
+        return _report(self, skip=("values",))
 
 
 def verify_decrease(V: LyapFn, traj: Trajectory,
@@ -384,13 +377,7 @@ class ContractionReport:
     certificate: CertReport
 
     def to_jsonable(self) -> dict:
-        return {"certified_rate": self.certified_rate,
-                "fitted_rate": self.fitted_rate,
-                "ratio_excess": self.ratio_excess,
-                "flow_ratio_excess": self.flow_ratio_excess,
-                "n_pairs": self.n_pairs,
-                "passed": self.passed,
-                "certificate": self.certificate.to_jsonable()}
+        return _report(self)
 
 
 def estimate_contraction_rate(sys: SystemDef, w: WeightFamily,
@@ -469,11 +456,7 @@ class EntrainReport:
     n_periods: int
 
     def to_jsonable(self) -> dict:
-        return {"passed": self.passed,
-                "checks": dict(self.checks),
-                "final_spread": self.final_spread,
-                "period": self.period,
-                "n_periods": self.n_periods}
+        return _report(self, skip=("spread", "increments"))
 
 
 def entrainment_test(sys: SystemDef, x0_set, horizon_periods: int = 40,

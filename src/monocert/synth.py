@@ -62,7 +62,8 @@ import numpy as np
 from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
                       check_cor2, check_thm1, check_thm2, DEFAULT_EPS,
                       _CONDITIONS, _Grid, _certify, _check_arguments,
-                      _kamke_spec, _positivity_check, _scan, row_groups)
+                      _dumps, _kamke_spec, _positivity_check, _report,
+                      _scan, row_groups)
 from .measures import PAIRING, WeightComponent, WeightFamily
 from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
                      SystemDef, TimeVar, Var, _fold, jacobian)
@@ -344,24 +345,10 @@ class SynthResult:
     resolution: int = 0
 
     def to_jsonable(self) -> dict:
-        w = self.weights
-        if isinstance(w, WeightFamily):
-            wj = w.to_jsonable()
-        elif w is None:
-            wj = None
-        else:
-            wj = [float(v) for v in w]
-        return {"success": self.success,
-                "mode": self.mode,
-                "weights": wj,
-                "margin": self.margin,
-                "lp_status": self.lp_status,
-                "reason": self.reason,
-                "posthoc": self.posthoc.to_jsonable() if self.posthoc else None,
-                "resolution": self.resolution}
+        return _report(self, skip=("kamke",))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
+        return _dumps(self.to_jsonable())
 
 
 # ---------------------------------------------------------------------------

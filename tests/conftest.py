@@ -19,6 +19,14 @@ def load_family(filename: str) -> mc.WeightFamily:
         json.loads((CORPUS / filename).read_text()))
 
 
+def strict_json(text: str):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity:
+    a bare ``NaN``, ``Infinity`` or ``-Infinity`` token raises."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: bare {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def random_family(rng, kind: str, n: int) -> mc.WeightFamily:
     """Polynomial and reciprocal weights of degree <= 3, positive on [0, 1]:
     constant term in [1, 2], higher coefficients in [-0.2, 0.2]."""

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from byte_identity.compare import read_commands
-from conftest import CORPUS, load_family, load_system
-from monocert.certify import (CertifyError, WorkingBox, _ARGUMENT_RULES,
-                              certify_all, check_cor1, check_cor2,
+from conftest import CORPUS, load_family, load_system, strict_json
+from monocert import cli
+from monocert.certify import (CertReport, CertifyError, WorkingBox,
+                              _ARGUMENT_RULES, certify_all, check_cor1, check_cor2,
                               check_cor3, check_thm1, check_thm2)
 from monocert.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _build_parser, main
 from monocert.lyap import build_lyapunov
@@ -974,3 +975,26 @@ def test_simulate_csvs_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     assert ((a / "simulate-report.json").read_bytes()
             == (b / "simulate-report.json").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# strict JSON
+# ---------------------------------------------------------------------------
+
+def test_non_finite_numbers_are_written_as_strings(tmp_path, monkeypatch):
+    """A report's NaN and infinities are the strings "nan", "inf" and
+    "-inf", both from ``to_json`` and in the file the command writes."""
+    rep = CertReport(condition="thm1", verdict="fail", worst_margin=math.nan,
+                     witness={"point": [0.0, 1.0], "component": 0,
+                              "value": math.inf},
+                     box=WorkingBox((0.0, 0.0), (1.0, 1.0), 5), eps=0.01,
+                     branch_ties=0, equilibrium_margin=-math.inf)
+    monkeypatch.setattr(cli, "certify_all", lambda *args, **kwargs: [rep])
+    assert main(["certify", "ex1", "--box", "0:3,0:3", "--quiet",
+                 "--out", str(tmp_path)]) == EXIT_FAIL
+    [written] = strict_json(
+        (tmp_path / "certify-report.json").read_text())["checks"]
+    for got in (strict_json(rep.to_json()), written):
+        assert got["worst_margin"] == "nan"
+        assert got["witness"]["value"] == "inf"
+        assert got["equilibrium_margin"] == "-inf"
