@@ -808,7 +808,9 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
     sidecar ``path`` + ".json", whose mapping it returns.  The sidecar
     locates every block, coefficient and slack, as ``parse_sos_solution``
     needs, and prints the bases of the univariate blocks P_i and S_i as
-    degrees.
+    degrees.  It is strict JSON, written by ``certify._dumps`` without a
+    final newline: an unbounded end of a declared bound is the string
+    "inf" or "-inf".
     """
     if mode not in PAIRING:
         raise SynthError(f"mode must be 'sum' or 'max', got {mode!r}")
@@ -852,7 +854,7 @@ def export_sos_sdpa(sys: SystemDef, degree: int = 2,
         "n_constraints": len(rows),
     }
     with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write(_dumps(sidecar))
     return sidecar
 
 

@@ -39,7 +39,7 @@ try:
 except ImportError:   # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
 
-from conftest import CORPUS
+from conftest import CORPUS, strict_json
 from monocert.cli import EXIT_FAIL, EXIT_PASS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -187,6 +187,21 @@ def test_sos_export_matches_golden(golden, tmp_path):
     assert main(["export-sos", system, *options, "--quiet",
                  "--out", str(out)]) == EXIT_PASS
     _assert_directory_matches_golden(golden, out)
+
+
+def test_sos_sidecars_are_strict_json(tmp_path):
+    """Every sidecar the export-sos goldens write parses as RFC 8259 JSON:
+    no bare NaN or Infinity token."""
+    for golden, (system, options) in sorted(EXPORT_CASES.items()):
+        out = tmp_path / golden
+        if system in INLINE_SYSTEMS:
+            out.mkdir()
+            (out / f"{system}.sys").write_text(INLINE_SYSTEMS[system])
+            system = str(out / f"{system}.sys")
+        assert main(["export-sos", system, *options, "--quiet",
+                     "--out", str(out)]) == EXIT_PASS
+        [sidecar] = out.glob("*.dat-s.json")
+        strict_json(sidecar.read_text())
 
 
 # OpenBLAS picks its kernel by CPU (Zen on AMD hosts, Haswell or SkylakeX

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from monocert.certify import WorkingBox, check_cor1, check_kamke
+from monocert.certify import WorkingBox, _dumps, check_cor1, check_kamke
 from monocert import synth as synth_mod
 from monocert.measures import WeightFamily
 from monocert.synth import (
@@ -15,7 +15,7 @@ from monocert.synth import (
 )
 from monocert.sysdsl import jacobian, parse_expr, parse_system
 
-from conftest import linear_system, load_system
+from conftest import linear_system, load_system, strict_json
 from oracles import evaluate, is_hurwitz, synthesis_rows
 
 
@@ -519,9 +519,11 @@ def test_sos_sidecar_contents(ex1_export):
         "c_1_0", "c_1_1", "c_1_2", "c_2_0", "c_2_1", "c_2_2"}
     assert sidecar["slacks"] == [13, 14]
     assert sidecar["bounds"] == [[0.0, math.inf], [0.0, math.inf]]
-    # the sidecar file must round-trip to the returned mapping
+    # the sidecar file is the returned mapping in strict JSON, an infinite
+    # bound written as a string
     with open(str(path) + ".json") as fh:
-        assert json.load(fh) == sidecar
+        written = strict_json(fh.read())
+    assert written == {**sidecar, "bounds": [[0.0, "inf"], [0.0, "inf"]]}
 
 
 def test_sos_export_max_mode(ex1, tmp_path):
@@ -811,6 +813,28 @@ def test_parse_sos_solution_omega_negative_on_part_of_the_box(ex1, tmp_path):
     with pytest.raises(SynthError,
                        match="positivity.*component 2 reaches -4 at x=10"):
         parse_sos_solution(sidecar, text)
+
+
+@pytest.mark.parametrize("write", [
+    lambda sidecar: json.dumps(sidecar, indent=2, sort_keys=True), _dumps],
+    ids=["bare-infinity", "strict"])
+def test_parse_sos_solution_reads_both_sidecar_forms(ex1, tmp_path, write):
+    """A sidecar with bare Infinity tokens, as written before the sidecar
+    was strict JSON, and one with "inf" strings read alike: x2's bound
+    [0, inf) is checked on [0, 10], where omega_2 = 1 - x2/2 reaches -4."""
+    sidecar = export_sos_sdpa(ex1, degree=2, mode="max", eps=0.01,
+                              path=str(tmp_path / "ex1max.dat-s"))
+    path = tmp_path / "sidecar.json"
+    path.write_text(write(sidecar))
+    assert ("Infinity" in path.read_text()) == (write is not _dumps)
+    block = sidecar["blocks"][sidecar["diag_block"] - 1]
+    diag = [0.0] * block["size"]
+    for name, value in (("c_1_0", 2.0), ("c_2_0", 1.0), ("c_2_1", -0.5)):
+        spec = sidecar["coefficients"][name]
+        diag[spec["plus" if value > 0 else "minus"] - 1] = abs(value)
+    with pytest.raises(SynthError,
+                       match="positivity.*component 2 reaches -4 at x=10"):
+        parse_sos_solution(str(path), fake_solver_output(sidecar, diag))
 
 
 def test_solver_output_nested_deeper_than_a_matrix_is_malformed(ex1_export):
