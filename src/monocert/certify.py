@@ -372,8 +372,8 @@ _DIGITS = 39   # base-3 digits per int64 code word: 3^39 < 2^63 < 3^40
 
 
 def row_groups(key: np.ndarray) -> tuple:
-    """Group equal rows of a 2-D ``key``: (order, starts); the LP's
-    ``_dedupe`` sorts its rows with it.
+    """Group equal rows of a 2-D ``key``: (order, starts); ``_code_groups``
+    groups its code words with it, and the LP's ``_dedupe`` its rows.
 
     ``order`` sorts the rows lexicographically, column 0 first, and keeps
     equal rows in their original order (lexsort is stable); the groups are
@@ -395,7 +395,7 @@ def _code_groups(jb: JacobianBranches, X: np.ndarray) -> list:
     tied, where guard k ties when |a−b| ≤ TIE_TOL·(1+|a|+|b|); a NaN guard
     value neither ties nor takes the right side, so it takes the left.  The
     digits are packed, guard 0 most significant, into int64 words of at
-    most ``_DIGITS`` guards, and one stable sort of the words orders the
+    most ``_DIGITS`` guards, and ``row_groups`` of the words orders the
     groups by their digits, lexicographically, each group's rows in their
     original order.  ``digits`` is a group's code as a tuple of its digits.
     """
@@ -411,10 +411,8 @@ def _code_groups(jb: JacobianBranches, X: np.ndarray) -> list:
         word = words[g // _DIGITS]
         word *= 3
         word += column
-    order = np.lexsort(words[::-1])      # the last key sorts first
-    ordered = words[:, order]
-    bounds = [0, *(np.flatnonzero(np.any(ordered[:, 1:] != ordered[:, :-1],
-                                         axis=0)) + 1).tolist(), m]
+    order, starts = row_groups(words.T)
+    bounds = [0, *starts.tolist(), m]
     heads = digits[order[bounds[:-1]]].tolist()
     return [(tuple(h), order[a:b])
             for h, a, b in zip(heads, bounds, bounds[1:])]

@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -65,7 +65,7 @@ from .certify import (CertReport, CertifyError, WorkingBox, check_cor1,
                       _dumps, _kamke_spec, _positivity_check, _report,
                       _scan, row_groups)
 from .measures import PAIRING, WeightComponent, WeightFamily
-from .sysdsl import (Add, Const, Div, Expr, Max, Min, Mul, Neg, Pow, Sub,
+from .sysdsl import (Add, Const, Div, Expr, Mul, Neg, Pow, Sub,
                      SystemDef, TimeVar, Var, _fold, jacobian)
 
 __all__ = [
@@ -562,13 +562,11 @@ def _poly_dict(e: Expr, n: int) -> dict:
     """Exponent-tuple -> coefficient for a polynomial expression.
 
     Division is only allowed by a nonzero constant; anything non-polynomial
-    (min/max, transcendentals, time) raises SynthError, at the first such
-    node in pre-order.
+    (transcendentals, time) raises SynthError, at the first such node in
+    pre-order.  The caller refuses min/max branches first.
     """
 
     def enter(node: Expr) -> Expr:
-        if isinstance(node, (Min, Max)):
-            raise SynthError("non-polynomial vector field: min/max branches")
         if isinstance(node, TimeVar):
             raise SynthError("non-polynomial vector field: time dependence")
         if isinstance(node, Div) and not (isinstance(node.b, Const)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import chain, product
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -604,7 +604,7 @@ def _define(src: list, consts: dict) -> dict:
     """Execute generated source; return its namespace, in which each name
     of ``consts``, keyed (bits, kind), is bound to ``kind`` of the float of
     those bits: a 0-d float64 array or a Python float."""
-    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan, "chain": chain,
+    ns: dict = {"np": np, "inf": math.inf, "nan": math.nan,
                 "_TWO": np.array(2.0), "DslError": DslError}
     ns.update((name, kind(np.int64(bits).view(np.float64)))
               for (bits, kind), name in consts.items())
