@@ -51,6 +51,11 @@ def test_box_from_string_rejects(bad):
         WorkingBox.from_string(bad)
 
 
+def test_box_lows_and_highs_must_have_one_length():
+    with pytest.raises(CertifyError, match="^box lows/highs length mismatch$"):
+        WorkingBox((0.0, 0.0), (1.0,), 5)
+
+
 def test_box_resolution_floor():
     with pytest.raises(CertifyError, match="resolution"):
         WorkingBox((0.0,), (1.0,), resolution=1)
@@ -186,6 +191,11 @@ def test_ex1_cor3_goldens(ex1, ex1_theta, ex1_omega, ex1_box):
                                -1.0 / (1 + X2), atol=1e-12)
     np.testing.assert_allclose(grid_mu_values(ex1, ex1_omega, ex1_box, "linf"),
                                -1.0 / (1 + X2), atol=1e-12)
+
+
+def test_grid_mu_values_refuses_an_unknown_norm(ex1, ex1_theta, ex1_box):
+    with pytest.raises(CertifyError, match="^norm must be 'l1' or 'linf'$"):
+        grid_mu_values(ex1, ex1_theta, ex1_box, "l2")
 
 
 @pytest.mark.parametrize("norm", ["l1", "linf"])
@@ -688,6 +698,11 @@ def test_certify_all_single_family(ex1, ex1_theta, ex1_box):
     reports = certify_all(ex1, ex1_theta, ex1_box)
     assert [r.condition for r in reports] == ["kamke", "thm1", "cor3-l1"]
     assert all(r.passed for r in reports)
+
+
+def test_certify_all_without_weights_runs_kamke_alone(ex1, ex1_box):
+    [kamke] = certify_all(ex1, box=ex1_box)
+    assert kamke.to_jsonable() == check_kamke(ex1, ex1_box).to_jsonable()
 
 
 def test_certify_all_constant_family_adds_cor1(ex1, ex1_box):

@@ -164,6 +164,23 @@ def test_weight_kind_mismatch(tmp_path, capsys):
     assert "expected kind 'theta'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, error", [
+    (None, "weight file not found: {path}"),
+    ("{not json", "{path}: Expecting property name enclosed in double "
+                  "quotes: line 1 column 2 (char 1)"),
+    ('{"kind": "theta"}',
+     "{path}: weight JSON needs 'kind' and 'weights' fields"),
+], ids=["missing", "malformed-json", "missing-fields"])
+def test_unreadable_weight_file_is_usage(text, error, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    if text is not None:
+        path.write_text(text)
+    code = main(["certify", "ex1", "--theta", str(path), "--box", "0:3,0:3",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"monocert: {error.format(path=path)}\n"
+
+
 def test_parse_error_is_usage(tmp_path, capsys):
     bad = tmp_path / "bad.sys"
     bad.write_text("system x { states a in [0, 1]\n da = -a + }")
@@ -409,6 +426,27 @@ def test_simulate_with_lyapunov_column(tmp_path):
     assert csv[0] == "t,x1,x2,V"
     assert len(csv) == 102  # header + 101 samples
     assert (tmp_path / "traj-002.csv").exists()
+
+
+def test_simulate_decrease_failure_fails(tmp_path, capsys):
+    """V = |x1| + |x2| is no Lyapunov function of ex1: from (0, 2),
+    dx1 = x2^2 = 4 outgrows dx2 = -2, so V rises on the first step."""
+    weights = tmp_path / "ones.theta.json"
+    weights.write_text('{"kind": "theta", "weights": [[1], [1]]}')
+    code = main(["simulate", "ex1", "--x0", "0,2", "--theta", str(weights),
+                 "--t-end", "1", "--dt", "0.01", "--out", str(tmp_path)])
+    assert code == EXIT_FAIL
+    [entry] = _read(tmp_path / "simulate-report.json")["files"]
+    assert entry["decrease_ok"] is False and entry["max_increment"] > 0
+    assert capsys.readouterr().err == ""
+
+
+def test_simulate_takes_at_most_one_family(tmp_path, capsys):
+    code = main(["simulate", "ex1", "--x0", "1,1", "--theta", EX1_THETA,
+                 "--omega", EX1_OMEGA, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "monocert: simulate takes at most one weight family\n")
 
 
 def test_simulate_needs_initial_conditions(tmp_path, capsys):

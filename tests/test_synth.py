@@ -138,6 +138,11 @@ def test_lp_rejects_nonfinite_rows():
         lp([1], [[np.inf]], [0], [0], [1])
 
 
+def test_lp_rejects_rows_and_rhs_of_different_lengths():
+    with pytest.raises(SynthError, match="^rows/rhs mismatch$"):
+        lp([1], [[1], [2]], [0], [0], [1])
+
+
 # ---------------------------------------------------------------------------
 # the synthesis LP's rows, against a point-by-point oracle
 # ---------------------------------------------------------------------------
@@ -602,6 +607,26 @@ def test_sos_export_rejects_nonpolynomial(traffic4, comparison, tmp_path):
         export_sos_sdpa(comparison, path=str(tmp_path / "e.dat-s"))
 
 
+@pytest.mark.parametrize("rhs, what", [("-x + t", "time dependence"),
+                                       ("-x / (1 + x)", "division")])
+def test_sos_export_rejects_a_field_that_is_no_polynomial(rhs, what,
+                                                          tmp_path):
+    """A field that reads t, and one that divides by a state, are refused
+    before anything is written."""
+    sysd = parse_system("system np {\n  states x in [0, 1]\n"
+                        f"  dx = {rhs}\n  equilibrium (0)\n}}")
+    with pytest.raises(SynthError,
+                       match=f"^non-polynomial vector field: {what}$"):
+        export_sos_sdpa(sysd, path=str(tmp_path / "np.dat-s"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sos_export_rejects_an_unknown_mode(ex1, tmp_path):
+    with pytest.raises(SynthError,
+                       match="^mode must be 'sum' or 'max', got 'bogus'$"):
+        export_sos_sdpa(ex1, mode="bogus", path=str(tmp_path / "x"))
+
+
 def test_sos_export_rejects_bad_degrees(ex1, tmp_path):
     with pytest.raises(SynthError, match="even"):
         export_sos_sdpa(ex1, multiplier_degree=1, path=str(tmp_path / "x"))
@@ -870,6 +895,34 @@ def test_parse_sos_solution_missing_ymat(ex1_export):
     _, sidecar = ex1_export
     with pytest.raises(SynthError, match="no yMat"):
         parse_sos_solution(sidecar, "nothing to see here")
+
+
+def test_parse_sos_solution_ymat_without_braces(ex1_export):
+    _, sidecar = ex1_export
+    with pytest.raises(SynthError,
+                       match="^malformed solver output: no yMat block$"):
+        parse_sos_solution(sidecar, "phase.value = pdOPT\nyMat = \n")
+
+
+def test_parse_sos_solution_reads_a_dense_diagonal_block(ex1_export):
+    """A solver may print the diagonal block as a full matrix: its
+    diagonal is read, as from the flat form."""
+    _, sidecar = ex1_export
+    flat = "{" + ",".join(repr(v) for v in GOLDEN_DIAG) + "}"
+    rows = ",".join("{" + ",".join(repr(v if i == j else 0.0)
+                                   for j in range(len(GOLDEN_DIAG))) + "}"
+                    for i, v in enumerate(GOLDEN_DIAG))
+    text = fake_solver_output(sidecar, GOLDEN_DIAG)
+    assert flat in text
+    fam = parse_sos_solution(sidecar, text.replace(flat, "{" + rows + "}"))
+    assert fam == parse_sos_solution(sidecar, text)
+    assert fam.components[1].coeffs == (1.9503, 1.3793, 1.0)
+
+
+def test_a_block_entry_that_is_no_number_is_malformed():
+    with pytest.raises(SynthError, match="^malformed solver output: could "
+                                         "not convert string to float: 'x'$"):
+        synth_mod._parse_sdpa_blocks("{ {1, x} }")
 
 
 def test_parse_sos_solution_nonstring_output(ex1_export):

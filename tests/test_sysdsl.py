@@ -265,6 +265,51 @@ def test_trailing_garbage_rejected():
         """)
 
 
+_U = "system u {\n  states u in [0, 1]\n  du = -u\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_U, "line 4, col 1: unterminated system block (missing '}')"),
+    (_U + "  equilibrium (0)\n  equilibrium (0)\n}",
+     "line 5, col 3: duplicate equilibrium"),
+    ("system u {\n  states u in (-inf, inf)\n  du = -u + sin(t)\n"
+     "  period 1\n  period 2\n}", "line 5, col 3: duplicate period"),
+    ("system u {\n  states u in 0, 1]\n  du = -u\n}",
+     "line 2, col 15: expected '[' or '(' to open an interval"),
+    ("system u {\n  states u in [0, 1}\n  du = -u\n}",
+     "line 2, col 20: expected ']' or ')' to close an interval"),
+    ("system u {\n  states u in [0, 1]\n  du = -u u\n}",
+     "line 3, col 11: unexpected 'u' after equation"),
+    (_U + "  5\n}", "line 4, col 3: unexpected '5'"),
+    (_U + "  dv = -u\n}",
+     "line 4, col 3: unexpected 'dv' (expected an equation like "
+     "'d<state> = ...', 'equilibrium' or 'period')"),
+    (_U + "  equilibrium (0, 0)\n}", "equilibrium dimension mismatch"),
+], ids=["unterminated", "duplicate-equilibrium", "duplicate-period",
+        "interval-open", "interval-close", "token-after-equation",
+        "number-clause", "non-equation-clause", "equilibrium-dimension"])
+def test_malformed_system_block_is_refused(text, message):
+    with pytest.raises(DslError) as exc:
+        parse_system(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("states, odes, message", [
+    (("u", "v"), (Neg(Var(0)),), "states, bounds and equations must align"),
+    (("u",), (Neg(Var(1)),),
+     "equation for du references undeclared state index 1"),
+])
+def test_system_built_in_code_is_validated(states, odes, message):
+    """A SystemDef built without the parser: its states, bounds and
+    equations must line up, and its equations read declared states only."""
+    sysd = SystemDef(name="s", state_names=states,
+                     bounds=(Interval(0.0, 1.0),), odes=odes,
+                     equilibrium=None)
+    with pytest.raises(DslError) as exc:
+        sysd.validate()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # expression nodes
 # ---------------------------------------------------------------------------
@@ -399,6 +444,14 @@ def test_pretty_roundtrip(src):
 def test_pretty_uses_supplied_names():
     tree = parse_expr("x1 * x2", ["x1", "x2"])
     assert pretty(tree, names=["pos", "vel"]) == "pos * vel"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_pretty_refuses_a_non_finite_constant(value):
+    """The DSL has no literal for a non-finite number, so it prints none."""
+    with pytest.raises(ValueError) as exc:
+        pretty(Add(Var(0), Const(value)), names=["u"])
+    assert str(exc.value) == f"cannot print non-finite constant {value}"
 
 
 def test_pretty_roundtrip_random_trees():
