@@ -1,11 +1,12 @@
 """Command-line driver: parse, certify, synthesize, simulate, report.
 
-One command per process.  Reports are JSON with sorted keys and no
-timestamps, so a fixed seed reproduces them byte for byte.  Exit codes:
-0 = all checks passed / synthesis succeeded, 1 = a check failed or the
-problem is infeasible, 2 = usage or parse error.  A command returns 0 or
-1 itself; ``_EXIT_CODES`` is the one place that decides the exit code of
-each error class a command raises.
+One command per process.  Reports are strict JSON, written by
+``certify._dumps`` with sorted keys and no timestamps, so a fixed seed
+reproduces them byte for byte.  Exit codes: 0 = all checks passed /
+synthesis succeeded, 1 = a check failed or the problem is infeasible, 2 =
+usage or parse error.  A command returns 0 or 1 itself; ``_EXIT_CODES``
+is the one place that decides the exit code of each error class a
+command raises.
 
 Each command reads the parsed arguments, so the parser's defaults are the
 only defaults.  Bare system names (no path separator, no file on disk)
